@@ -13,8 +13,8 @@ by an exact calculus of relation vectors over the basis
 Vectors are integer tuples of length N+1 where N is the number of
 reflections: positions 0..N-1 follow the group's reflection list and
 position N is the identity slot.  The main entry points are classify(),
-which produces one record per collection, and dim_brauer(), which sums
-the block sizes over all orbits with a double-entry consistency check.
+which produces one record per collection, and dim_from_rows(), which sums
+the block sizes over an orbit table with a double-entry consistency check.
 """
 
 from fractions import Fraction
@@ -47,6 +47,7 @@ __all__ = [
     "d0_ideal_dim",
     "d_and_p",
     "dim_brauer",
+    "dim_from_rows",
     "dim_g22n_formula",
     "dim_gmpn_formula",
     "k_subgroup",
@@ -482,13 +483,6 @@ def check_A1(G: Group, B) -> bool:
     return literal
 
 
-def a1_span_divergence(G: Group, B) -> bool:
-    """Diagnostic: true when a basis unit vector lies in the rational
-    span of rel_bar without appearing literally in the list."""
-    literal, span_hit = _workspace(G, B).a1()
-    return span_hit != literal
-
-
 def check_A2(G: Group, B):
     """(span equality of rel_bar and D, subgroup equality with K_B)."""
     return _workspace(G, B).a2()
@@ -715,31 +709,50 @@ def classify_orbits(G: Group, cfg: FieldConfig = GENERIC):
 # dimensions
 
 
-def dim_brauer(G: Group, cfg: FieldConfig = GENERIC) -> int:
-    """Dimension of the Brauer-Chen algebra over the configured field.
+def dim_from_rows(order: int, rows) -> int:
+    """Dimension of the Brauer-Chen algebra from an orbit table.
 
-    Computed twice: as the sum over admissible collections of
-    |W| / |K_B|, and as |W| plus the per-orbit block counts
-    orbit_size^2 * quotient_size.  Both must agree.
+    rows are AdmissibilityRecord.as_row() dicts, the empty collection
+    first, for a group of the given order.  The dimension is counted
+    twice: as the sum over admissible collections of |W| / |K_B|, and as
+    |W| plus the per-orbit block counts orbit_size^2 * quotient_size.
+    Every consistency check, the agreement of the two counts included,
+    raises InternalInconsistency.
     """
-    recs = classify_orbits(G, cfg)
-    assert recs[0].orbit.cardinality == 0 and recs[0].quotient_size == G.order
-
+    first = rows[0]
+    if first["cardinality"] != 0 or first["quotient_size"] != order:
+        raise InternalInconsistency(
+            f"first orbit row is not the empty collection with quotient {order}"
+        )
     total = 0
-    blocks = G.order
-    for rec in recs:
-        if rec.quotient_size == 0:
+    blocks = order
+    for row in rows:
+        quotient, kb_order = row["quotient_size"], row["kb_order"]
+        if quotient == 0:
             continue
-        assert G.order % rec.kb_order == 0
-        assert rec.quotient_size * rec.kb_order == rec.orbit.stab_order
-        total += rec.orbit.orbit_size * (G.order // rec.kb_order)
-        if rec.orbit.cardinality > 0:
-            blocks += rec.orbit.orbit_size**2 * rec.quotient_size
+        if order % kb_order:
+            raise InternalInconsistency(
+                f"|K_B| = {kb_order} does not divide |W| = {order}"
+            )
+        if quotient * kb_order != row["stab_order"]:
+            raise InternalInconsistency(
+                f"quotient {quotient} * |K_B| {kb_order} != "
+                f"|Stab| {row['stab_order']}"
+            )
+        total += row["orbit_size"] * (order // kb_order)
+        if row["cardinality"] > 0:
+            blocks += row["orbit_size"] ** 2 * quotient
     if total != blocks:
         raise InternalInconsistency(
             f"dimension double-entry mismatch: {total} != {blocks}"
         )
     return total
+
+
+def dim_brauer(G: Group, cfg: FieldConfig = GENERIC) -> int:
+    """Dimension of the Brauer-Chen algebra over the configured field,
+    by dim_from_rows over the orbit classification."""
+    return dim_from_rows(G.order, [rec.as_row() for rec in classify_orbits(G, cfg)])
 
 
 def dim_gmpn_formula(m: int, p: int, n: int) -> int:

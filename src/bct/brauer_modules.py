@@ -22,7 +22,7 @@ from .admissibility import (
     FieldConfig,
     classify,
     classify_orbits,
-    dim_brauer,
+    dim_from_rows,
     k_subgroup,
     rel_set,
 )
@@ -527,7 +527,7 @@ def semisimplicity_census(G: Group, cfg: FieldConfig = GENERIC):
     ss = sum(
         r.orbit.orbit_size**2 * r.quotient_size for r in recs if r.quotient_size
     )
-    dim = dim_brauer(G, cfg)
+    dim = dim_from_rows(G.order, [r.as_row() for r in recs])
     if ss != dim:
         raise InternalInconsistency(
             f"census mismatch for {G.name}: sum of squares {ss} != dimension {dim}"

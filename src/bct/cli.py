@@ -30,6 +30,7 @@ from .admissibility import (
     GENERIC,
     classify_orbits,
     dim_brauer,
+    dim_from_rows,
     dim_g22n_formula,
     dim_gmpn_formula,
     mu_sixth,
@@ -204,25 +205,6 @@ class GroupStore:
             self.bundle["dims"][key] = got
             self._save()
         return got
-
-
-def dim_from_rows(order: int, rows) -> int:
-    """Dimension from an orbit table, with the double-entry cross-check:
-    the sum over admissible collections of |W|/|K_B| must equal |W| plus
-    the per-orbit block counts."""
-    assert rows[0]["cardinality"] == 0 and rows[0]["quotient_size"] == order
-    total = 0
-    blocks = order
-    for row in rows:
-        if row["quotient_size"] == 0:
-            continue
-        assert order % row["kb_order"] == 0
-        assert row["quotient_size"] * row["kb_order"] == row["stab_order"]
-        total += row["orbit_size"] * (order // row["kb_order"])
-        if row["cardinality"] > 0:
-            blocks += row["orbit_size"] ** 2 * row["quotient_size"]
-    assert total == blocks, "dimension double-entry mismatch"
-    return total
 
 
 # ---------------------------------------------------------------------------

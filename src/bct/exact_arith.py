@@ -16,18 +16,12 @@ from .errors import DivisionByZero, OrderMismatch
 __all__ = [
     "CycNumber",
     "zeta",
-    "cyc_ops",
     "LaurentScalar",
-    "FieldMatrix",
-    "rref",
-    "in_span",
     "SpanBasis",
     "smith_normal_form",
     "z_span_member",
     "euler_phi",
     "cyclotomic_polynomial",
-    "frac_to_str",
-    "frac_from_str",
 ]
 
 _ZERO = Fraction(0)
@@ -161,7 +155,7 @@ class _CycContext:
             aug = [cols[j][i] for j in range(phi_m)]
             aug += [_ONE if t == i else _ZERO for t in range(self.phi)]
             rows.append(aug)
-        reduced, rank, pivots = _rref_rows(rows, keep_zero=True, limit_cols=phi_m)
+        reduced, rank, pivots = _rref_rows(rows, limit_cols=phi_m)
         assert rank == phi_m and pivots == list(range(phi_m))
         L = [tuple(r[phi_m:]) for r in reduced]
         self._descent[p] = (m, phi_m, L)
@@ -299,7 +293,7 @@ class CycNumber:
             col = ctx.mul(self.coeffs, basis_j)
             for i in range(phi):
                 rows[i][j] = col[i]
-        reduced, rank, pivots = _rref_rows(rows, keep_zero=True, limit_cols=phi)
+        reduced, rank, pivots = _rref_rows(rows, limit_cols=phi)
         assert rank == phi
         return CycNumber(self.order, tuple(reduced[j][phi] for j in range(phi)))
 
@@ -347,14 +341,6 @@ class CycNumber:
         """Complex conjugate."""
         return self.galois(self.order - 1) if self.order > 1 else self
 
-    def embed(self, target_order: int) -> "CycNumber":
-        """Validate the inclusion into Q(zeta_target); canonical form is kept."""
-        if target_order % self.order != 0:
-            raise OrderMismatch(
-                f"order {self.order} does not divide {target_order}"
-            )
-        return self
-
     # -- comparisons --------------------------------------------------------
 
     def __bool__(self):
@@ -397,11 +383,11 @@ class CycNumber:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [frac_to_str(c) for c in self.coeffs]}
+        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, d: dict) -> "CycNumber":
-        return cls(d["order"], tuple(frac_from_str(c) for c in d["coeffs"]))
+        return cls(d["order"], tuple(Fraction(c) for c in d["coeffs"]))
 
 
 def _lift(x: CycNumber, n: int):
@@ -423,34 +409,6 @@ def zeta(n: int, k: int = 1) -> CycNumber:
     """The root of unity e^{2 pi i k / n}."""
     ctx = _context(n)
     return CycNumber(n, ctx.pows[k % n])
-
-
-def cyc_ops(a, b=None, op="add", target_order=None):
-    """Uniform entry point over CycNumber arithmetic.
-
-    op is one of add, mul, inv, eq, embed; inv ignores b, embed uses
-    target_order instead of b.
-    """
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv()
-    if op == "eq":
-        return a == b
-    if op == "embed":
-        return a.embed(target_order)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def frac_to_str(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def frac_from_str(s: str) -> Fraction:
-    return Fraction(s)
 
 
 # ---------------------------------------------------------------------------
@@ -581,11 +539,14 @@ class LaurentScalar:
 # linear algebra over exact fields
 
 
-def _rref_rows(rows, keep_zero=False, limit_cols=None):
-    """Row-reduce in place over any exact field (Fraction or CycNumber).
+def _rref_rows(rows, limit_cols=None):
+    """Row-reduce a copy over any exact field (Fraction or CycNumber).
 
-    Returns (rows, rank, pivots); pivoting is restricted to the first
-    limit_cols columns when given, so augmented tapes survive untouched.
+    Returns (rows, rank, pivots) with every input row kept, the first rank
+    of them nonzero; pivoting is restricted to the first limit_cols columns
+    when given, so augmented tapes survive untouched.  The augmented solver
+    behind CycNumber.inv and _CycContext.descent; rank and membership
+    questions go through SpanBasis.
     """
     rows = [list(r) for r in rows]
     if not rows:
@@ -613,63 +574,7 @@ def _rref_rows(rows, keep_zero=False, limit_cols=None):
         r += 1
         if r == len(rows):
             break
-    if not keep_zero:
-        rows = rows[:r]
     return rows, r, pivots
-
-
-class FieldMatrix:
-    """Immutable rectangular matrix over Fraction or CycNumber entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        entries = tuple(tuple(r) for r in entries)
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        assert all(len(r) == cols for r in entries)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldMatrix is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"FieldMatrix({self.rows}x{self.cols})"
-
-
-def _as_rows(M):
-    return list(M.entries) if isinstance(M, FieldMatrix) else list(M)
-
-
-def rref(M):
-    """Reduced row-echelon basis of the row space.
-
-    Returns (basis, rank) where basis is a FieldMatrix whose rows are the
-    nonzero reduced rows.
-    """
-    rows, rank, _ = _rref_rows(_as_rows(M))
-    return FieldMatrix(rows), rank
-
-
-def in_span(v, basis) -> bool:
-    """Is v a linear combination of the basis rows over the field?"""
-    rows, _, pivots = _rref_rows(_as_rows(basis))
-    vv = list(v)
-    for row, p in zip(rows, pivots):
-        f = vv[p]
-        if f:
-            vv = [x - f * y for x, y in zip(vv, row)]
-    return not any(vv)
 
 
 class SpanBasis:

@@ -30,10 +30,10 @@ from .admissibility import (
     classify_orbits,
     d_and_p,
     dim_brauer,
+    dim_from_rows,
     mu_sixth,
     rel_bar,
     rel_set,
-    sigma_triples,
 )
 from .exact_arith import z_span_member
 from .reflection_groups import Group, hyperplanes
@@ -46,39 +46,21 @@ from .transversality import small_orbit, transv_table
 
 def rel_supports(G: Group, B):
     """Group-element supports of the relation vectors, one frozenset per
-    entry of rel_set(G, B).
+    entry of rel_set(G, B): the reflections at the nonzero positions below
+    N, plus the identity when slot N is nonzero.
 
-    Built alongside the same construction (reflection-minus-identity
-    terms, then the sigma differences) instead of decoding theta
-    coordinates, so the support is the literal set of group elements the
-    relation is written in.  Deduplication matches rel_set: equal vectors
-    come from equal algebra elements, hence equal supports.
+    Reading the support off the vector loses nothing: the plus and minus
+    sets of a sigma term never overlap, since a reflection mapping both
+    H1 != H2 onto H would not permute the hyperplanes, so no term cancels.
     """
     refls = G.reflections
     nrefl = len(refls)
-    bset = frozenset(B)
-    ident = G.identity
     out = []
-    seen = set()
-    for i in range(nrefl):
-        if G.reflection_hyperplane(i) not in bset:
-            continue
-        vec = [0] * (nrefl + 1)
-        vec[i] = 1
-        vec[nrefl] = -1
-        out.append(frozenset((refls[i], ident)))
-        seen.add(tuple(vec))
-    for term in sigma_triples(G, B):
-        vec = [0] * (nrefl + 1)
-        for s in term.plus:
-            vec[s] += 1
-        for s in term.minus:
-            vec[s] -= 1
-        vec = tuple(vec)
-        if any(vec) and vec not in seen:
-            seen.add(vec)
-            out.append(frozenset(refls[s] for s in term.plus + term.minus))
-    assert len(out) == len(rel_set(G, B))
+    for vec in rel_set(G, B):
+        support = {refls[s] for s in range(nrefl) if vec[s]}
+        if vec[nrefl]:
+            support.add(G.identity)
+        out.append(frozenset(support))
     return out
 
 
@@ -388,9 +370,9 @@ COLLECTION_BASIS = "{w e_B : B admissible, w in W/K_B}"
 SINGLETON_BASIS = "{w e_H : H a hyperplane, w in W/W_H}"
 
 
-def _orbit_checks(G: Group):
+def _orbit_checks(G: Group, recs):
     rows = []
-    for rec in classify_orbits(G):
+    for rec in recs:
         rep = rec.orbit.representative
         f1, f2a, f2b = check_F(G, rep)
         rows.append(
@@ -417,14 +399,15 @@ def freeness_verdict(G: Group) -> FreenessReport:
     must hold everywhere, and a group failing both paths stays
     unverified.
     """
-    rows = _orbit_checks(G)
+    recs = classify_orbits(G, GENERIC)
+    rows = _orbit_checks(G, recs)
     if G.kind == "imprimitive":
         return FreenessReport(
             G.name, "free", "monomial-family", basis=COLLECTION_BASIS,
             orbit_checks=rows,
         )
 
-    dim_generic = dim_brauer(G, GENERIC)
+    dim_generic = dim_from_rows(G.order, [rec.as_row() for rec in recs])
     dim_sixth = dim_brauer(G, mu_sixth())
     if dim_generic != dim_sixth:
         assert dim_generic < dim_sixth, "specialization can only add relations"

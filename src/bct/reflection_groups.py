@@ -21,7 +21,7 @@ from .errors import (
     InvalidRoot,
     TooLarge,
 )
-from .exact_arith import CycNumber, rref, zeta
+from .exact_arith import CycNumber, SpanBasis, zeta
 
 DEFAULT_CAP = 200_000
 
@@ -403,8 +403,10 @@ class Group:
                 [g.entries[i][j] - (one if i == j else 0) for j in range(g.dim)]
                 for i in range(g.dim)
             ]
-            _, rank = rref(nz)
-            if rank == 1:
+            span = SpanBasis(g.dim)
+            for row in nz:
+                span.add(row)
+            if span.rank == 1:
                 refl_elems.append(g)
         # group by fixed space, via the normalized root
         by_root = {}

@@ -11,7 +11,7 @@ mapping the first hyperplane onto the second.  Everything downstream
 """
 
 from .errors import InternalInconsistency, NotDistinct
-from .exact_arith import in_span
+from .exact_arith import SpanBasis
 from .reflection_groups import Group, Hyperplane, orbit, stabilizer
 
 __all__ = [
@@ -26,11 +26,13 @@ __all__ = [
 
 
 def _root_span_transverse(G: Group, H1: Hyperplane, H2: Hyperplane) -> bool:
-    basis = [list(H1.root), list(H2.root)]
+    span = SpanBasis(len(H1.root))
+    span.add(H1.root)
+    span.add(H2.root)
     for h in G._hyperplanes:
         if h.id in (H1.id, H2.id):
             continue
-        if in_span(list(h.root), basis):
+        if span.contains(h.root):
             return False
     return True
 
@@ -107,10 +109,8 @@ def transv_table(G: Group) -> TransvTable:
     """Build (once per group) the full transversality/mapping table."""
     if G._transv_table is not None:
         return G._transv_table
-    hyps = G._hyperplanes if G._hyperplanes is not None else None
-    if hyps is None:
-        G._build_hyperplanes()
-        hyps = G._hyperplanes
+    G._build_hyperplanes()
+    hyps = G._hyperplanes
     size = len(hyps)
     mapped = {}
     for ridx, s in enumerate(G.reflections):

@@ -12,6 +12,7 @@ from bct.admissibility import (
     d_and_p,
     d0_ideal_dim,
     dim_brauer,
+    dim_from_rows,
     dim_g22n_formula,
     dim_gmpn_formula,
     k_subgroup,
@@ -20,7 +21,7 @@ from bct.admissibility import (
     rel_bar,
     rel_set,
 )
-from bct.errors import InvalidParameters
+from bct.errors import InternalInconsistency, InvalidParameters
 from bct.exact_arith import zeta
 from bct.reflection_groups import (
     Monomial,
@@ -274,6 +275,24 @@ def test_dimension_doubled_family(gmpn):
     assert dim_g22n_formula(5) == 29145
     assert dim_brauer(gmpn(2, 2, 3)) == 105
     assert dim_brauer(gmpn(2, 2, 4)) == 1569
+
+
+def test_dim_from_rows_rejects_tampered_table(gmpn):
+    G = gmpn(2, 2, 3)
+    rows = [rec.as_row() for rec in classify_orbits(G)]
+    assert dim_from_rows(G.order, rows) == 105
+    k = next(i for i, r in enumerate(rows) if r["cardinality"] and r["quotient_size"])
+    tampered = [
+        (0, "quotient_size", G.order // 2, "empty collection"),
+        (k, "orbit_size", 2 * rows[k]["orbit_size"], "double-entry"),
+        (k, "kb_order", 5, "does not divide"),
+        (k, "quotient_size", 2 * rows[k]["quotient_size"], "Stab"),
+    ]
+    for i, field, value, message in tampered:
+        bad = [dict(r) for r in rows]
+        bad[i][field] = value
+        with pytest.raises(InternalInconsistency, match=message):
+            dim_from_rows(G.order, bad)
 
 
 def test_formula_rejects_bad_parameters():

@@ -336,6 +336,25 @@ def test_console_script_runs(tmp_path, cli_env):
     assert json.loads(proc.stdout) == {"dimension": 105}
 
 
+def test_dims_same_under_optimize(tmp_path, cli_env):
+    """``python -O`` strips asserts; the dimension and the checks behind it
+    must not depend on them."""
+    outs = []
+    for tag, flags in [("plain", []), ("optimized", ["-O"])]:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "bct.cli",
+             "--cache-dir", str(tmp_path / tag), "dims", "gmpn:2,2,3"],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=cli_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert json.loads(outs[0]) == {"dimension": 105}
+    assert outs[1] == outs[0]
+
+
 def test_parallel_matches_serial(tmp_path, cli_env):
     runs = []
     for tag, extra in [("serial", []), ("pool", ["--parallel", "2"])]:

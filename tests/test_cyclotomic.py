@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bct.errors import DivisionByZero, OrderMismatch
-from bct.exact_arith import CycNumber, cyc_ops, cyclotomic_polynomial, euler_phi, zeta
+from bct.errors import DivisionByZero
+from bct.exact_arith import CycNumber, cyclotomic_polynomial, euler_phi, zeta
 
 
 def test_phi3_root():
@@ -22,13 +22,7 @@ def test_inverse_of_i():
 
 
 def test_embed_value_preserving():
-    assert cyc_ops(zeta(3), op="embed", target_order=6) == zeta(6) ** 2
-    assert zeta(3).embed(12) == zeta(12, 4)
-
-
-def test_embed_rejects_incompatible_order():
-    with pytest.raises(OrderMismatch):
-        zeta(4).embed(6)
+    assert zeta(3) == zeta(6) ** 2 == zeta(12, 4)
 
 
 def test_zero_has_no_inverse():
@@ -64,11 +58,11 @@ def test_mixed_order_arithmetic():
 
 
 def test_dispatcher():
-    assert cyc_ops(zeta(3), zeta(3, 2), op="add") == -1
-    assert cyc_ops(zeta(3), zeta(3, 2), op="mul") == 1
-    assert cyc_ops(zeta(5), op="inv") == zeta(5, 4)
-    assert cyc_ops(zeta(8), zeta(8), op="eq") is True
-    assert cyc_ops(zeta(8), zeta(8, 3), op="eq") is False
+    assert zeta(3) + zeta(3, 2) == -1
+    assert zeta(3) * zeta(3, 2) == 1
+    assert zeta(5).inv() == zeta(5, 4)
+    assert (zeta(8) == zeta(8)) is True
+    assert (zeta(8) == zeta(8, 3)) is False
 
 
 def test_rational_interop_and_hash():

@@ -1,25 +1,36 @@
-"""Row reduction and span tests over exact fields."""
+"""Rank and span membership over exact fields, through SpanBasis.
+
+The property tests compare SpanBasis against _rref_rows, the independent
+full row reduction that CycNumber.inv solves with.
+"""
 
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from bct.exact_arith import FieldMatrix, SpanBasis, in_span, rref, zeta
+from bct.exact_arith import SpanBasis, _rref_rows, zeta
 
 
 def frac_rows(rows):
     return [[Fraction(x) for x in r] for r in rows]
 
 
+def span_of(rows, ncols):
+    sb = SpanBasis(ncols)
+    for r in rows:
+        sb.add(r)
+    return sb
+
+
 def test_rref_rank_one():
-    basis, rank = rref(frac_rows([[1, 2], [2, 4]]))
-    assert rank == 1
-    assert basis.entries == ((Fraction(1), Fraction(2)),)
+    sb = span_of(frac_rows([[1, 2], [2, 4]]), 2)
+    assert sb.rank == 1
+    assert sb.rows == [[Fraction(1), Fraction(2)]]
 
 
 def test_rref_identity():
-    _, rank = rref(frac_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    assert rank == 3
+    sb = span_of(frac_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 3)
+    assert sb.rank == 3
 
 
 def test_rref_cyclotomic_rank_one():
@@ -29,14 +40,13 @@ def test_rref_cyclotomic_rank_one():
     row2 = [one, z * z]
     # dependence oracle: the second row is z^2 times the first
     assert [z * z * x for x in row1] == row2
-    _, rank = rref([row1, row2])
-    assert rank == 1
+    assert span_of([row1, row2], 2).rank == 1
 
 
 def test_in_span_examples():
-    assert in_span([1, 1], frac_rows([[1, 0], [0, 1]]))
-    assert not in_span([1, 0], frac_rows([[0, 1]]))
-    assert in_span([3, 6], frac_rows([[1, 2]]))
+    assert span_of(frac_rows([[1, 0], [0, 1]]), 2).contains([1, 1])
+    assert not span_of(frac_rows([[0, 1]]), 2).contains([1, 0])
+    assert span_of(frac_rows([[1, 2]]), 2).contains([3, 6])
 
 
 frac_matrix = st.lists(
@@ -49,23 +59,23 @@ frac_matrix = st.lists(
 
 @given(frac_matrix)
 def test_rref_idempotent(rows):
-    basis, rank = rref(frac_rows(rows))
-    again, rank2 = rref(basis)
-    assert rank2 == rank
-    assert again.entries == basis.entries
+    # the basis is the reduced echelon form, only in insertion order
+    sb = span_of(frac_rows(rows), 4)
+    reduced, rank, _ = _rref_rows(frac_rows(rows))
+    assert sb.rank == rank
+    assert [row for _, row in sorted(zip(sb.pivots, sb.rows))] == reduced[:rank]
+    again = span_of(sb.rows, 4)
+    assert again.rows == sb.rows
 
 
 @given(frac_matrix)
 def test_span_basis_matches_rref(rows):
     rows = frac_rows(rows)
-    _, rank = rref(rows)
-    sb = SpanBasis(4)
-    for r in rows:
-        sb.add(r)
+    _, rank, _ = _rref_rows(rows)
+    sb = span_of(rows, 4)
     assert sb.rank == rank
     for r in rows:
         assert sb.contains(r)
-        assert in_span(r, rows)
 
 
 @given(frac_matrix, st.lists(st.fractions(min_value=-3, max_value=3,
@@ -74,11 +84,6 @@ def test_span_basis_matches_rref(rows):
 def test_in_span_agrees_with_rank_growth(rows, v):
     rows = frac_rows(rows)
     v = [Fraction(x) for x in v]
-    _, rank = rref(rows)
-    _, rank_aug = rref(rows + [v])
-    assert in_span(v, rows) == (rank == rank_aug)
-
-
-def test_field_matrix_shape():
-    M = FieldMatrix(frac_rows([[1, 2, 3], [4, 5, 6]]))
-    assert (M.rows, M.cols) == (2, 3)
+    _, rank, _ = _rref_rows(rows)
+    _, rank_aug, _ = _rref_rows(rows + [v])
+    assert span_of(rows, 4).contains(v) == (rank == rank_aug)
