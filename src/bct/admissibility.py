@@ -53,6 +53,7 @@ __all__ = [
     "k_subgroup",
     "kb_membership_gmpn",
     "mu_sixth",
+    "orbit_records",
     "rel_bar",
     "rel_set",
     "sigma_triples",
@@ -331,17 +332,12 @@ class _Workspace:
         return self._kb
 
     def a1(self):
+        """(some rel_bar vector is literally a unit, some unit lies in the
+        span); a unit lies in the span exactly when its residue is zero."""
         literal = any(
             sum(1 for x in vec if x) == 1 for vec in rel_bar(self.G, self.B)
         )
-        span = self.span()
-        span_hit = False
-        for i in range(self.nrefl + 1):
-            unit = [Fraction(0)] * (self.nrefl + 1)
-            unit[i] = Fraction(1)
-            if span.contains(unit):
-                span_hit = True
-                break
+        span_hit = any(not any(r) for r in self.residues())
         return literal, span_hit
 
     def a2(self):
@@ -354,21 +350,20 @@ class _Workspace:
             d_span.add(fv)
         span_eq = d_span.rank == span.rank
         if self._a2b is None:
-            refls = self.G.reflections
+            G = self.G
+            refls = G.reflections
             stab_elements = self.stab().elements
             products = set()
             in_stab = True
             for i, j in p_pairs:
-                g = refls[j].inv() * refls[i]
+                g = G.mul(G.inv(refls[j]), refls[i])
                 if g not in stab_elements:
                     in_stab = False
                     break
                 products.add(g)
             if in_stab:
-                gens = [refls[i] for i in self.rb] + sorted(
-                    products, key=self.G.elem_index
-                )
-                closure = subgroup_closure(self.G, gens)
+                gens = [refls[i] for i in self.rb] + sorted(products)
+                closure = subgroup_closure(G, gens)
                 self._a2b = closure.elements == self.kb().elements
             else:
                 self._a2b = False
@@ -399,26 +394,23 @@ def _workspace(G: Group, B) -> _Workspace:
 
 
 def _k_subgroup(G: Group, B, stab: Subgroup) -> Subgroup:
-    G.ensure_all_actions()
     bset = frozenset(B)
     refls = G.reflections
+    rows = G.action_table()
     gens = [refls[i] for i in _rb_positions(G, B)]
     # cross products s2^-1 s1 for reflections with a common image of B
     fibers = {}
-    images = []
     for s in refls:
-        act = G.hyperplane_action(s)
+        act = rows[s]
         img = frozenset(act[h] for h in bset)
-        images.append(img)
         if img != bset:
             fibers.setdefault(img, []).append(s)
     for img, fiber in fibers.items():
         outside = [h for h in bset if h not in img]
         for s1, s2 in permutations(fiber, 2):
-            a1 = G.hyperplane_action(s1)
-            a2 = G.hyperplane_action(s2)
+            a1, a2 = rows[s1], rows[s2]
             if all(a1[h] != a2[h] for h in outside):
-                gens.append(s2.inv() * s1)
+                gens.append(G.mul(G.inv(s2), s1))
     seen = set()
     uniq = []
     for g in gens:
@@ -430,9 +422,8 @@ def _k_subgroup(G: Group, B, stab: Subgroup) -> Subgroup:
     if sub.order > 1:
         sub_gens = small_generating_set(G, sub)
         for w in small_generating_set(G, stab):
-            w_inv = w.inv()
             for g in sub_gens:
-                assert w * g * w_inv in sub, "K_B must be normal in Stab(B)"
+                assert G.conj(w, g) in sub, "K_B must be normal in Stab(B)"
     return sub
 
 
@@ -464,7 +455,7 @@ def d_and_p(G: Group, B):
     products = []
     in_stab = True
     for i, j in p_pairs:
-        g = refls[j].inv() * refls[i]
+        g = G.mul(G.inv(refls[j]), refls[i])
         ok = g in stab_elements
         in_stab = in_stab and ok
         products.append(g)
@@ -520,7 +511,7 @@ def d0_ideal_dim(G: Group, B, mu: CycNumber) -> int:
         orb1 = set(classes[0])
 
     stab = ws.stab()
-    members = sorted(stab.elements, key=G.elem_index)
+    members = sorted(stab.elements)
     assert members[0] == G.identity
     pos = {g: k for k, g in enumerate(members)}
     size = len(members)
@@ -537,7 +528,7 @@ def d0_ideal_dim(G: Group, B, mu: CycNumber) -> int:
             seen.add(key)
             seeds.append(key)
     for i, j in p_pairs:
-        g = refls[j].inv() * refls[i]
+        g = G.mul(G.inv(refls[j]), refls[i])
         assert g in stab.elements
         if (i in orb1) == (j in orb1):
             ratio = one
@@ -562,8 +553,8 @@ def d0_ideal_dim(G: Group, B, mu: CycNumber) -> int:
     gens = small_generating_set(G, stab)
     moves = []
     for g in gens:
-        moves.append([pos[g * h] for h in members])
-        moves.append([pos[h * g] for h in members])
+        moves.append([pos[G.mul(g, h)] for h in members])
+        moves.append([pos[G.mul(h, g)] for h in members])
     while work:
         vec = work.pop()
         for move in moves:
@@ -699,10 +690,18 @@ def _classify(G, B, cfg, orbit_rec) -> AdmissibilityRecord:
     )
 
 
+def orbit_records(G: Group):
+    """collection_orbits(G), computed once per group: the orbit split does
+    not depend on the field configuration."""
+    if G._orbit_records is None:
+        G._orbit_records = collection_orbits(G)
+    return G._orbit_records
+
+
 def classify_orbits(G: Group, cfg: FieldConfig = GENERIC):
     """One AdmissibilityRecord per orbit of transverse collections,
     ordered by (cardinality, representative)."""
-    return [_classify(G, rec.representative, cfg, rec) for rec in collection_orbits(G)]
+    return [_classify(G, rec.representative, cfg, rec) for rec in orbit_records(G)]
 
 
 # ---------------------------------------------------------------------------
@@ -829,10 +828,10 @@ def kb_membership_gmpn(G: Group, elem, B) -> bool:
     if shape is None:
         raise InvalidParameters(f"collection {tuple(B)} has no closed-form shape")
     kind, blocks = shape
-    assert elem in G
+    assert 0 <= elem < G.order
 
-    G.ensure_all_actions()
     act = G.hyperplane_action(elem)
+    value = G.element(elem)
     bset = frozenset(B)
     in_stab = frozenset(act[h] for h in bset) == bset
 
@@ -844,13 +843,13 @@ def kb_membership_gmpn(G: Group, elem, B) -> bool:
     unused = [l for l in range(n) if l not in used]
 
     if kind == "doubled":
-        got = in_stab and all(elem.perm[l] == l for l in unused)
+        got = in_stab and all(value.perm[l] == l for l in unused)
     else:
         gamma = [0] * n
         for i, j, kappa in blocks:
             gamma[i] = kappa
         twist = Monomial(G.m, tuple(range(n)), gamma)
-        base = twist.inv() * elem * twist
+        base = twist.inv() * value * twist
         ok = in_stab
         ok = ok and all(base.perm[l] == l and base.exps[l] == 0 for l in unused)
         if ok:
@@ -865,6 +864,6 @@ def kb_membership_gmpn(G: Group, elem, B) -> bool:
 
     expected = elem in k_subgroup(G, B)
     assert got == expected, (
-        f"matrix membership disagrees with closure on {elem!r} for B={tuple(B)}"
+        f"matrix membership disagrees with closure on {value!r} for B={tuple(B)}"
     )
     return got

@@ -30,6 +30,7 @@ from .errors import InternalInconsistency, NotAdmissible, NotAdmissiblePair
 from .exact_arith import LaurentScalar
 from .reflection_groups import (
     Group,
+    bfs,
     hyperplanes,
     small_generating_set,
     stabilizer,
@@ -120,7 +121,7 @@ class StabRep:
 
         idp = tuple(range(degree))
         assert self.perm(G.identity) == idp
-        pool = sorted(stab.elements, key=G.elem_index)
+        pool = sorted(stab.elements)
         rng = random.Random(2)
         sample = small_generating_set(G, stab) + rng.sample(
             pool, min(4, len(pool))
@@ -129,7 +130,7 @@ class StabRep:
             pa = self.perm(a)
             for b in sample:
                 pb = self.perm(b)
-                assert self.perm(a * b) == tuple(pa[k] for k in pb)
+                assert self.perm(G.mul(a, b)) == tuple(pa[k] for k in pb)
 
     def perm(self, h):
         out = self._memo.get(h)
@@ -188,16 +189,16 @@ def quotient_regular_rep(G: Group, B, cfg: FieldConfig = GENERIC) -> StabRep:
     kb = k_subgroup(G, B)
     reps = []
     coset_index = {}
-    for g in sorted(stab.elements, key=G.elem_index):
+    for g in sorted(stab.elements):
         if g in coset_index:
             continue
         idx = len(reps)
         reps.append(g)
         for k in kb.elements:
-            coset_index[g * k] = idx
+            coset_index[G.mul(g, k)] = idx
     assert len(reps) == rec.quotient_size
     rep = StabRep(
-        G, stab, len(reps), lambda h: tuple(coset_index[h * r] for r in reps)
+        G, stab, len(reps), lambda h: tuple(coset_index[G.mul(h, r)] for r in reps)
     )
     for k in small_generating_set(G, kb):
         assert rep.perm(k) == tuple(range(len(reps)))
@@ -213,7 +214,8 @@ class InducedModule:
 
     Basis: one block of V0-coordinates per collection in the orbit of B,
     block t spanned by w_t * (embedded V0) where w_t maps B to the t-th
-    collection.  Block 0 is B itself with w_0 = 1.
+    collection.  Block 0 is B itself with w_0 = 1.  Group elements, the
+    coset representatives w_t included, are element indices.
     """
 
     __slots__ = (
@@ -228,6 +230,7 @@ class InducedModule:
         "_block_index",
         "_op_memo",
         "_stab_elements",
+        "_rep_inverses",
     )
 
     def __init__(self, G, B, v0, blocks, coset_reps, eps):
@@ -242,6 +245,12 @@ class InducedModule:
         self._block_index = {b: t for t, b in enumerate(blocks)}
         self._op_memo = {}
         self._stab_elements = v0.stab.elements
+        self._rep_inverses = [G.inv(w) for w in coset_reps]
+
+    def transport(self, tgt: int, g: int, src: int) -> int:
+        """The element w_tgt^-1 g w_src of Stab(B)."""
+        G = self.group
+        return G.mul(G.mul(self._rep_inverses[tgt], g), self.coset_reps[src])
 
     def op_of(self, g):
         """Sparse matrix of a group element on the whole module."""
@@ -256,7 +265,7 @@ class InducedModule:
         for src, bcol in enumerate(self.blocks):
             img = tuple(sorted(act[h] for h in bcol))
             tgt = self._block_index[img]
-            h = self.coset_reps[tgt].inv() * g * self.coset_reps[src]
+            h = self.transport(tgt, g, src)
             assert h in self._stab_elements
             p = self.v0.perm(h)
             base_r = tgt * deg
@@ -275,22 +284,17 @@ class InducedModule:
 
 def _orbit_with_witnesses(G: Group, B):
     """BFS orbit of B under the hyperplane action, with one witness
-    element per collection; B itself comes first with witness 1."""
-    blocks = [B]
+    element per collection; B itself comes first with witness 1.  The
+    witness of a collection reached from a parent by generator g is g
+    times the parent's witness."""
+    blocks, tree = bfs(
+        [B],
+        G.generators,
+        lambda bcol, g: tuple(sorted(G.hyperplane_action(g)[h] for h in bcol)),
+    )
     reps = [G.identity]
-    index = {B: 0}
-    queue = [0]
-    while queue:
-        cur = queue.pop(0)
-        bcol, w = blocks[cur], reps[cur]
-        for g in G.generators:
-            act = G.hyperplane_action(g)
-            img = tuple(sorted(act[h] for h in bcol))
-            if img not in index:
-                index[img] = len(blocks)
-                blocks.append(img)
-                reps.append(g * w)
-                queue.append(len(blocks) - 1)
+    for parent, g in tree[1:]:
+        reps.append(G.mul(g, reps[parent]))
     return blocks, reps
 
 
@@ -373,8 +377,7 @@ def _eps_operator(module: InducedModule, hid: int):
                 img = tuple(sorted(act[h] for h in bcol))
                 assert hid in img
                 tgt = module._block_index[img]
-                h = module.coset_reps[tgt].inv() * s * module.coset_reps[src]
-                p = module.v0.perm(h)
+                p = module.v0.perm(module.transport(tgt, s, src))
                 mus = mu_scalar(G, ridx)
                 base_r = tgt * deg
                 for j in range(deg):
@@ -446,17 +449,20 @@ def verify_defining_relations(M: InducedModule, seed: int = 0) -> RelationReport
             break
 
     rng = random.Random(seed)
-    pool = sorted(G.elements, key=G.elem_index)
+    pool = G.elements
     elems = list(G.generators) + rng.sample(pool, min(10, len(pool)))
     for w in elems:
         wop = M.op_of(w)
-        winv = M.op_of(w.inv())
+        winv = M.op_of(G.inv(w))
         act = G.hyperplane_action(w)
         done = False
         for hid in range(nh):
             lhs = op_compose(op_compose(wop, M.eps[hid]), winv)
             if lhs != M.eps[act[hid]]:
-                fail("B2", f"w*eps({labels[hid]})*w^-1 != eps(w H) for w={w!r}")
+                fail(
+                    "B2",
+                    f"w*eps({labels[hid]})*w^-1 != eps(w H) for w={G.element(w)!r}",
+                )
                 done = True
                 break
         if done:

@@ -12,7 +12,8 @@ Group specs are either "gmpn:m,p,n" for the monomial series or a path to a
 group-definition JSON file.  Reports are deterministic JSON on stdout; the
 classify table can also be projected to CSV.  Expensive per-group artifacts
 (transversality table, orbit rows, dimensions) are cached on disk keyed by
-a content hash of the group definition.
+a content hash of the group definition, which is computed without building
+the group; a cache hit builds nothing.
 """
 
 import argparse
@@ -42,14 +43,17 @@ from .reflection_groups import (
     DEFAULT_CAP,
     Group,
     build_imprimitive,
-    group_to_json,
+    group_definition,
     hyperplanes,
+    imprimitive_order,
     load_group_file,
+    packaged_definition,
     packaged_group,
+    refuse_over_cap,
 )
 from .transversality import TransvTable, transv_table
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 CSV_COLUMNS = [
     "cardinality",
@@ -80,7 +84,9 @@ class SpecError(Exception):
     """Unparseable group spec; reported as a usage error."""
 
 
-def parse_spec(spec: str, cap: int) -> Group:
+def parse_spec(spec: str):
+    """(definition data, build) for a group spec, where build(cap)
+    constructs the group; parsing builds nothing."""
     if spec.startswith("gmpn:"):
         body = spec[len("gmpn:"):]
         parts = body.split(",")
@@ -90,28 +96,48 @@ def parse_spec(spec: str, cap: int) -> Group:
             m, p, n = (int(x) for x in parts)
         except ValueError:
             raise SpecError(f"non-integer parameters in {spec!r}")
-        return build_imprimitive(m, p, n, cap=cap)
+        data = {"kind": "imprimitive", "m": m, "p": p, "n": n}
+        return data, lambda cap: build_imprimitive(m, p, n, cap=cap)
     if os.path.exists(spec):
-        return load_group_file(spec, cap=cap)
+        with open(spec) as fh:
+            data = json.load(fh)
+        return data, lambda cap: load_group_file(spec, cap=cap)
     if spec.lower() in PACKAGED_NAMES:
-        return packaged_group(spec, cap=cap)
+        return packaged_source(spec)
     raise SpecError(
         f"spec {spec!r} is neither gmpn:m,p,n, an existing file, "
         f"nor a packaged name {sorted(PACKAGED_NAMES)}"
     )
 
 
+def packaged_source(name: str):
+    """(definition data, build) for a packaged group."""
+    return packaged_definition(name), lambda cap: packaged_group(name, cap=cap)
+
+
+def build_spec(spec: str, cap: int) -> Group:
+    return parse_spec(spec)[1](cap)
+
+
 # ---------------------------------------------------------------------------
 # cache
 
 
-def group_digest(G: Group) -> str:
-    blob = json.dumps(group_to_json(G), sort_keys=True, separators=(",", ":"))
+def group_digest(definition: dict) -> str:
+    """Content hash of a canonical group definition (see
+    reflection_groups.group_definition), which needs no built group."""
+    blob = json.dumps(definition, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def fresh_bundle() -> dict:
-    return {"version": CACHE_VERSION, "table": None, "classify": {}, "dims": {}}
+    return {
+        "version": CACHE_VERSION,
+        "order": None,
+        "table": None,
+        "classify": {},
+        "dims": {},
+    }
 
 
 def cache_load(cache_dir: str, digest: str) -> dict:
@@ -172,19 +198,50 @@ def cfg_of(mu6: bool):
 
 
 class GroupStore:
-    """Read-through cache around one group's derived artifacts."""
+    """Read-through cache around one group's derived artifacts.
 
-    def __init__(self, G: Group, cache_dir: str):
-        self.G = G
+    The group is built only when something is missing from the cache.  An
+    order above cap is refused as building the group would refuse it:
+    monomial groups have a closed-form order, and the bundle records the
+    order of a matrix group.
+    """
+
+    def __init__(self, source, cache_dir: str, cap: int):
+        data, self._build = source
+        self.definition = group_definition(data)
+        self.cap = cap
         self.cache_dir = cache_dir
-        self.digest = group_digest(G)
+        self.digest = group_digest(self.definition)
         self.bundle = cache_load(cache_dir, self.digest)
-        if self.bundle["table"] is not None:
-            prefill_table(G, self.bundle["table"])
+        if self.definition["kind"] == "imprimitive":
+            d = self.definition
+            order = imprimitive_order(d["m"], d["p"], d["n"])
+        else:
+            order = self.bundle["order"]
+        if order is not None:
+            refuse_over_cap(self.definition, order, cap)
+        self._group = None
+
+    @property
+    def name(self) -> str:
+        return self.definition["name"]
+
+    @property
+    def provenance(self) -> str:
+        return self.definition.get("provenance", "paper")
+
+    @property
+    def G(self) -> Group:
+        if self._group is None:
+            self._group = self._build(self.cap)
+            if self.bundle["table"] is not None:
+                prefill_table(self._group, self.bundle["table"])
+        return self._group
 
     def _save(self):
         if self.bundle["table"] is None:
             self.bundle["table"] = table_payload(self.G)
+        self.bundle["order"] = self.G.order
         cache_store(self.cache_dir, self.digest, self.bundle)
 
     def rows(self, mu6: bool):
@@ -246,32 +303,30 @@ def group_summary(G: Group) -> dict:
 
 
 def cmd_group(args) -> int:
-    G = parse_spec(args.spec, args.max_order)
+    G = build_spec(args.spec, args.max_order)
     emit_json(group_summary(G))
     return 0
 
 
 def cmd_dims(args) -> int:
-    G = parse_spec(args.spec, args.max_order)
-    store = GroupStore(G, args.cache_dir)
+    store = GroupStore(parse_spec(args.spec), args.cache_dir, args.max_order)
     payload = {"dimension": store.dimension(args.mu6)}
-    if G.provenance == "external":
+    if store.provenance == "external":
         payload["provenance"] = "external"
     emit_json(payload)
     return 0
 
 
 def cmd_classify(args) -> int:
-    G = parse_spec(args.spec, args.max_order)
-    store = GroupStore(G, args.cache_dir)
+    store = GroupStore(parse_spec(args.spec), args.cache_dir, args.max_order)
     rows = store.rows(args.mu6)
     if args.csv:
         emit_csv(rows)
         return 0
     emit_json(
         {
-            "group": G.name,
-            "provenance": G.provenance,
+            "group": store.name,
+            "provenance": store.provenance,
             "field": cfg_key(args.mu6),
             "rows": rows,
         }
@@ -363,7 +418,7 @@ def _suite_formulas(G, cap: int, workers: int) -> dict:
 def cmd_verify(args) -> int:
     G = None
     if args.spec is not None:
-        G = parse_spec(args.spec, args.max_order)
+        G = build_spec(args.spec, args.max_order)
     elif args.suite != "formulas":
         raise SpecError(f"the {args.suite} suite needs a group spec")
 
@@ -391,17 +446,16 @@ def _table_row(name: str, cache_dir: str, cap: int) -> dict:
     if short is None:
         return {"name": name, "status": ABSENT}
     try:
-        G = packaged_group(short, cap=cap)
+        store = GroupStore(packaged_source(short), cache_dir, cap)
+        dim_generic = store.dimension(False)
+        dim_sixth = store.dimension(True)
     except TooLarge as exc:
         return {"name": name, "status": f"skipped ({exc})"}
-    store = GroupStore(G, cache_dir)
-    dim_generic = store.dimension(False)
-    dim_sixth = store.dimension(True)
     expected = EXPECTED_DIMS[name]
     match = (dim_generic, dim_sixth) == expected
     return {
         "name": name,
-        "provenance": G.provenance,
+        "provenance": store.provenance,
         "status": "verified" if match else "mismatch",
         "dim_generic": dim_generic,
         "dim_sixth_root": dim_sixth,
@@ -423,12 +477,11 @@ def cmd_reproduce(args) -> int:
     else:
         rows = [_table_row_job(j) for j in jobs]
     for spec in args.specs:
-        G = parse_spec(spec, args.max_order)
-        store = GroupStore(G, args.cache_dir)
+        store = GroupStore(parse_spec(spec), args.cache_dir, args.max_order)
         rows.append(
             {
-                "name": G.name,
-                "provenance": G.provenance,
+                "name": store.name,
+                "provenance": store.provenance,
                 "status": "computed",
                 "dim_generic": store.dimension(False),
                 "dim_sixth_root": store.dimension(True),

@@ -36,7 +36,7 @@ from .admissibility import (
     rel_set,
 )
 from .exact_arith import z_span_member
-from .reflection_groups import Group, hyperplanes
+from .reflection_groups import Group, bfs, hyperplanes
 from .transversality import small_orbit, transv_table
 
 
@@ -45,9 +45,9 @@ from .transversality import small_orbit, transv_table
 
 
 def rel_supports(G: Group, B):
-    """Group-element supports of the relation vectors, one frozenset per
-    entry of rel_set(G, B): the reflections at the nonzero positions below
-    N, plus the identity when slot N is nonzero.
+    """Group-element supports of the relation vectors, one frozenset of
+    element indices per entry of rel_set(G, B): the reflections at the
+    nonzero positions below N, plus the identity when slot N is nonzero.
 
     Reading the support off the vector loses nothing: the plus and minus
     sets of a sigma term never overlap, since a reflection mapping both
@@ -210,21 +210,11 @@ def check_F(G: Group, B):
 def _hyperplane_orbits(G: Group):
     """Orbits of hyperplane ids under the full group, by generator BFS."""
     acts = [G.hyperplane_action(g) for g in G.generators]
-    size = len(hyperplanes(G))
-    unseen = set(range(size))
+    unseen = set(range(len(hyperplanes(G))))
     orbs = []
     while unseen:
-        start = min(unseen)
-        comp = {start}
-        queue = [start]
-        while queue:
-            h = queue.pop()
-            for act in acts:
-                img = act[h]
-                if img not in comp:
-                    comp.add(img)
-                    queue.append(img)
-        unseen -= comp
+        comp, _ = bfs([min(unseen)], acts, lambda h, act: act[h])
+        unseen.difference_update(comp)
         orbs.append(frozenset(comp))
     return orbs
 

@@ -1,18 +1,28 @@
 """Complex reflection groups: the monomial three-parameter family and explicit
 unitary matrix groups, with hyperplanes, orbits, stabilizers, and subgroups.
 
-Group elements come in two shapes.  Monomial elements store a permutation and
-an exponent vector (column l carries zeta_m^{exps[l]} in row perm[l]); matrix
-elements store exact cyclotomic entries.  Both are immutable and hashable so
-group enumeration can deduplicate by value.
+After closure a group element is an index 0..|G|-1.  Each index carries a
+permutation of the finite point set P = W.{e_1, ..., e_n}: for the monomial
+family P is the m*n vectors zeta^k e_i, for a matrix group it is found by
+applying the generators to points.  The first n points are e_1, ..., e_n,
+so the first n entries of a permutation (its frame) identify the element:
+column j of its matrix is the point e_j maps to.  A product is a tuple
+composition and a dictionary lookup, and the hyperplane action is one
+|G| x #H table filled along a breadth-first search over the generators.
+
+Monomial and MatrixElem are the value types of single elements, used for
+generators, in tests, and by G.element(i); they are built on demand and
+never stored beside the index arrays.  Monomial elements store a
+permutation and an exponent vector (column l carries zeta_m^{exps[l]} in
+row perm[l]); matrix elements store exact cyclotomic entries.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from importlib import resources
 from itertools import permutations, product
+from operator import itemgetter
 from math import factorial, gcd
 
 from .errors import (
@@ -24,6 +34,8 @@ from .errors import (
 from .exact_arith import CycNumber, SpanBasis, zeta
 
 DEFAULT_CAP = 200_000
+_ZERO = CycNumber.rational(0)
+_ONE = CycNumber.rational(1)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +58,8 @@ class Monomial:
     def __mul__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
-        assert other.m == self.m
+        if other.m != self.m:
+            raise InternalInconsistency("monomials over different m multiplied")
         p, a = self.perm, self.exps
         q, b = other.perm, other.exps
         n = len(p)
@@ -109,7 +122,8 @@ class MatrixElem:
             for row in entries
         )
         n = len(rows)
-        assert all(len(r) == n for r in rows)
+        if any(len(r) != n for r in rows):
+            raise InvalidParameters("matrix entries must form a square array")
         object.__setattr__(self, "entries", rows)
 
     def __setattr__(self, name, value):
@@ -190,7 +204,8 @@ def element_order(g) -> int:
     while not h.is_identity():
         h = h * g
         k += 1
-        assert k <= 10_000
+        if k > 10_000:
+            raise InternalInconsistency("element order exceeds 10000")
     return k
 
 
@@ -229,15 +244,50 @@ def reflection_from_root(root, eigenvalue) -> MatrixElem:
 
 
 # ---------------------------------------------------------------------------
+# breadth-first closure
+
+
+def bfs(seeds, labels, step, limit=None, refuse=None):
+    """Breadth-first closure of the seeds under step(state, label).
+
+    Returns (states, tree): every state reached, in discovery order with the
+    seeds first, and per state None for a seed or the pair (position of the
+    state it was reached from, label) for the rest.  Reaching more than
+    limit states raises the exception refuse.
+    """
+    states = list(seeds)
+    seen = set(states)
+    tree = [None] * len(states)
+    k = 0
+    while k < len(states):
+        cur = states[k]
+        for lab in labels:
+            nxt = step(cur, lab)
+            if nxt not in seen:
+                if limit is not None and len(states) >= limit:
+                    raise refuse
+                seen.add(nxt)
+                states.append(nxt)
+                tree.append((k, lab))
+        k += 1
+    return states, tree
+
+
+def _closure_refusal(cap: int) -> TooLarge:
+    return TooLarge(f"group closure exceeds cap {cap}")
+
+
+# ---------------------------------------------------------------------------
 # hyperplanes and subgroups
 
 
 class Hyperplane:
     """Reflecting hyperplane with its distinguished reflection and a root.
 
-    For monomial groups, key is a structural tag: ("diag", i) for z_i = 0 and
-    ("pair", i, j, k) for z_i = zeta^k z_j with i < j (0-based).  Matrix-group
-    hyperplanes have key None and are identified by id alone.
+    dist_reflection is an element index.  For monomial groups, key is a
+    structural tag: ("diag", i) for z_i = 0 and ("pair", i, j, k) for
+    z_i = zeta^k z_j with i < j (0-based).  Matrix-group hyperplanes have
+    key None and are identified by id alone.
     """
 
     __slots__ = ("id", "label", "key", "dist_reflection", "root", "order_m", "group")
@@ -256,7 +306,7 @@ class Hyperplane:
 
 
 class Subgroup:
-    """Subgroup given by an explicit element set."""
+    """Subgroup given by an explicit set of element indices."""
 
     __slots__ = ("generators", "elements")
 
@@ -280,15 +330,21 @@ class Subgroup:
 
 
 class Group:
-    """A concrete complex reflection group with fully enumerated elements."""
+    """A concrete complex reflection group with fully enumerated elements.
+
+    Elements are the indices 0..order-1, the identity first; perms[i] is
+    the permutation of the point set carried by element i.
+    """
 
     def __init__(
         self,
         kind,
         name,
+        definition,
+        dim,
+        perms,
         generators,
-        elements,
-        identity,
+        points=None,
         *,
         m=None,
         p=None,
@@ -298,36 +354,95 @@ class Group:
     ):
         self.kind = kind
         self.name = name
-        self.generators = list(generators)
-        self.elements = list(elements)
-        self.identity = identity
+        self.definition = definition
+        self.dim = dim
         self.m, self.p, self.n = m, p, n
         self.cyclotomic_order = cyclotomic_order
         self.provenance = provenance
-        self.order = len(self.elements)
-        self._elem_index = {g: i for i, g in enumerate(self.elements)}
-        assert len(self._elem_index) == self.order
+        self.order = len(perms)
+        self._perms = perms
+        self._points = points
+        self._point_ids = None
+        # the frame of a sequence: its first dim entries, as a tuple (an
+        # int when dim is 1, as itemgetter returns it)
+        self._frame = itemgetter(*range(dim))
+        self._index = {self._frame(perm): i for i, perm in enumerate(perms)}
+        if len(self._index) != self.order:
+            raise InternalInconsistency("two group elements share one frame")
+        self.identity = 0
+        self.generators = tuple(self._index[self._frame(g)] for g in generators)
         self.reducible = kind == "imprimitive" and (m, p, n) == (2, 2, 2)
         self._hyperplanes = None
         self._reflections = None
         self._refl_index = None
         self._refl_hyp = None
         self._dist_index = None
-        self._label_index = None
-        self._action_cache = {}
-        self._actions_complete = False
+        self._actions = None
         self._classes = None
         self._transv_table = None
+        self._orbit_records = None
         self._adm_cache = {}
-
-    def __contains__(self, g):
-        return g in self._elem_index
-
-    def elem_index(self, g) -> int:
-        return self._elem_index[g]
 
     def __repr__(self):
         return f"Group({self.name}, order={self.order})"
+
+    # -- elements -----------------------------------------------------------
+
+    @property
+    def elements(self):
+        return range(self.order)
+
+    @property
+    def npoints(self) -> int:
+        """Size of the point set the elements permute."""
+        return len(self._perms[0])
+
+    def mul(self, a: int, b: int) -> int:
+        """Index of the product a*b: (a*b)(e_j) = a(b(e_j))."""
+        return self._index[itemgetter(*self._perms[b][: self.dim])(self._perms[a])]
+
+    def inv(self, a: int) -> int:
+        pa = self._perms[a]
+        return self._index[self._frame([pa.index(j) for j in range(self.dim)])]
+
+    def conj(self, w: int, g: int) -> int:
+        """Index of w g w^-1."""
+        return self.mul(self.mul(w, g), self.inv(w))
+
+    def element(self, i: int):
+        """The value of element i, a Monomial or a MatrixElem, built anew."""
+        frame = self._perms[i][: self.dim]
+        if self.kind == "imprimitive":
+            n = self.dim
+            return Monomial(self.m, [x % n for x in frame], [x // n for x in frame])
+        cols = [self._points[x] for x in frame]
+        return MatrixElem([[col[r] for col in cols] for r in range(self.dim)])
+
+    def index_of(self, g) -> int:
+        """Index of the element with value g (a Monomial or a MatrixElem)."""
+        n = self.dim
+        frame = None
+        if self.kind == "imprimitive":
+            if isinstance(g, Monomial) and g.m == self.m and g.dim == n:
+                frame = [e * n + t for t, e in zip(g.perm, g.exps)]
+        elif isinstance(g, MatrixElem) and g.dim == n:
+            if self._point_ids is None:
+                self._point_ids = {v: x for x, v in enumerate(self._points)}
+            frame = [
+                self._point_ids.get(tuple(row[j] for row in g.entries))
+                for j in range(n)
+            ]
+        i = None if frame is None else self._index.get(self._frame(frame))
+        if i is None:
+            raise InvalidParameters(f"{g!r} is not an element of {self.name}")
+        return i
+
+    def _trace(self, g: int):
+        frame = self._perms[g][: self.dim]
+        t = self._points[frame[0]][0]
+        for j in range(1, self.dim):
+            t = t + self._points[frame[j]][j]
+        return t
 
     # -- reflections and hyperplanes --------------------------------------
 
@@ -351,7 +466,7 @@ class Group:
         ident = tuple(range(n))
 
         def add_refl(g, hid):
-            refls.append(g)
+            refls.append(self.index_of(g))
             refl_hyp.append(hid)
 
         if p != m:
@@ -360,7 +475,10 @@ class Group:
                 t_i = Monomial(m, ident, tuple(p if l == i else 0 for l in range(n)))
                 hid = len(hyps)
                 hyps.append(
-                    Hyperplane(hid, f"H_{i+1}", ("diag", i), t_i, root, m // p, self)
+                    Hyperplane(
+                        hid, f"H_{i+1}", ("diag", i), self.index_of(t_i), root,
+                        m // p, self,
+                    )
                 )
                 for k in range(1, m // p):
                     add_refl(
@@ -385,56 +503,55 @@ class Group:
                     hid = len(hyps)
                     label = f"H_{i+1},{j+1}^{k}" if m > 1 else f"H_{i+1},{j+1}"
                     hyps.append(
-                        Hyperplane(hid, label, ("pair", i, j, k), s, root, 2, self)
+                        Hyperplane(
+                            hid, label, ("pair", i, j, k), self.index_of(s), root,
+                            2, self,
+                        )
                     )
                     add_refl(s, hid)
         self._hyperplanes = hyps
         self._reflections = refls
         self._refl_hyp = refl_hyp
-        self._label_index = {h.key: h.id for h in hyps}
 
     def _build_hyperplanes_matrix(self):
-        one = CycNumber.rational(1)
-        refl_elems = []
-        for g in self.elements:
-            if g.is_identity():
-                continue
-            nz = [
-                [g.entries[i][j] - (one if i == j else 0) for j in range(g.dim)]
-                for i in range(g.dim)
-            ]
-            span = SpanBasis(g.dim)
-            for row in nz:
-                span.add(row)
-            if span.rank == 1:
-                refl_elems.append(g)
-        # group by fixed space, via the normalized root
+        """Rank-1 scan: g is a reflection when g - I has rank one.  Column j
+        of g - I is the point e_j maps to, minus e_j, and vanishes exactly
+        when g fixes e_j; the rank is one when every nonzero column is
+        proportional to the first."""
+        n = self.dim
+        points = self._points
         by_root = {}
         root_order = []
-        for g in refl_elems:
-            col = None
-            for j in range(g.dim):
-                cand = [
-                    g.entries[i][j] - (one if i == j else 0) for i in range(g.dim)
-                ]
-                if any(cand):
-                    col = cand
-                    break
-            lead = next(x for x in col if x)
-            col = tuple(x / lead for x in col)
-            if col not in by_root:
-                by_root[col] = []
-                root_order.append(col)
-            by_root[col].append(g)
+        for g in range(1, self.order):
+            cols = []
+            for j, x in enumerate(self._perms[g][:n]):
+                if x != j:
+                    col = list(points[x])
+                    col[j] = col[j] - _ONE
+                    cols.append(col)
+            col = cols[0]
+            a = next(i for i, x in enumerate(col) if x)
+            if any(
+                u * v[a] != x * col[a]
+                for v in cols[1:]
+                for u, x in zip(col, v)
+            ):
+                continue
+            # group by fixed space, via the normalized root
+            lead = col[a]
+            root = tuple(x / lead for x in col)
+            if root not in by_root:
+                by_root[root] = []
+                root_order.append(root)
+            by_root[root].append(g)
         hyps = []
         refls = []
         refl_hyp = []
         for root in root_order:
             members = by_root[root]
             m_h = len(members) + 1
-            want = zeta(m_h)
-            dim = members[0].dim
-            dist = [g for g in members if g.trace() == want + (dim - 1)]
+            want = zeta(m_h) + (n - 1)
+            dist = [g for g in members if self._trace(g) == want]
             if len(dist) != 1:
                 raise InternalInconsistency(
                     f"distinguished reflection not unique for root {root}"
@@ -447,14 +564,15 @@ class Group:
         self._hyperplanes = hyps
         self._reflections = refls
         self._refl_hyp = refl_hyp
-        self._label_index = None
 
     @property
     def reflections(self):
+        """Element indices of the reflections, grouped by hyperplane."""
         self._build_hyperplanes()
         return self._reflections
 
-    def reflection_index(self, g) -> int:
+    def reflection_index(self, g: int) -> int:
+        """Position in the reflection list of the reflection with index g."""
         self._build_hyperplanes()
         return self._refl_index[g]
 
@@ -470,65 +588,50 @@ class Group:
 
     # -- action on hyperplanes ---------------------------------------------
 
-    def _act_monomial(self, w, hid):
-        key = self._hyperplanes[hid].key
-        if key[0] == "diag":
-            return self._label_index[("diag", w.perm[key[1]])]
-        _, i, j, k = key
-        u, v = w.perm[i], w.perm[j]
-        lam = (k + w.exps[i] - w.exps[j]) % self.m
-        if u > v:
-            u, v, lam = v, u, (-lam) % self.m
-        return self._label_index[("pair", u, v, lam)]
+    def _generator_action(self, s):
+        """Row of one generator: s r_H s^-1 is the distinguished reflection
+        of sH, since conjugation keeps the eigenvalue."""
+        out = []
+        for h in self._hyperplanes:
+            hid = self._dist_index.get(self.conj(s, h.dist_reflection))
+            if hid is None:
+                raise InternalInconsistency(
+                    "conjugate of a distinguished reflection is not "
+                    "a known distinguished reflection"
+                )
+            out.append(hid)
+        return tuple(out)
 
-    def hyperplane_action(self, w):
-        """Permutation of hyperplane ids induced by w, cached per element."""
-        self._build_hyperplanes()
-        got = self._action_cache.get(w)
-        if got is not None:
-            return got
-        if self.kind == "imprimitive":
-            out = tuple(
-                self._act_monomial(w, hid) for hid in range(len(self._hyperplanes))
+    def action_table(self):
+        """The |G| x #H table: row w lists the image of every hyperplane id
+        under w.  Filled along a breadth-first search over the generators,
+        composing each parent row with a generator row."""
+        if self._actions is None:
+            self._build_hyperplanes()
+            gens = self.generators
+            gen_rows = [self._generator_action(s) for s in gens]
+            # right multiplication by generator k, as in mul
+            getters = [itemgetter(*self._perms[s][: self.dim]) for s in gens]
+            perms, index = self._perms, self._index
+            states, tree = bfs(
+                [self.identity],
+                range(len(gens)),
+                lambda g, k: index[getters[k](perms[g])],
             )
-        else:
-            w_inv = w.inv()
-            out = []
-            for h in self._hyperplanes:
-                conj = w * h.dist_reflection * w_inv
-                hid = self._dist_index.get(conj)
-                if hid is None:
-                    raise InternalInconsistency(
-                        "conjugate of a distinguished reflection is not "
-                        "a known distinguished reflection"
-                    )
-                out.append(hid)
-            out = tuple(out)
-        self._action_cache[w] = out
-        return out
+            if len(states) != self.order:
+                raise InternalInconsistency(
+                    f"generators reach {len(states)} of {self.order} elements"
+                )
+            rows = [None] * self.order
+            rows[self.identity] = tuple(range(len(self._hyperplanes)))
+            for g, (parent, k) in zip(states[1:], tree[1:]):
+                rows[g] = tuple(map(rows[states[parent]].__getitem__, gen_rows[k]))
+            self._actions = rows
+        return self._actions
 
-    def ensure_all_actions(self):
-        """Fill the action cache for every element at once by composing
-        generator actions along a breadth-first traversal.  Much cheaper
-        than conjugating hyperplane by hyperplane per element."""
-        if self._actions_complete:
-            return
-        self._build_hyperplanes()
-        gen_acts = [(s, self.hyperplane_action(s)) for s in self.generators]
-        size = len(self._hyperplanes)
-        acts = {self.identity: tuple(range(size))}
-        queue = [self.identity]
-        while queue:
-            g = queue.pop(0)
-            ag = acts[g]
-            for s, a_s in gen_acts:
-                h = g * s
-                if h not in acts:
-                    acts[h] = tuple(ag[a_s[i]] for i in range(size))
-                    queue.append(h)
-        assert len(acts) == self.order
-        self._action_cache.update(acts)
-        self._actions_complete = True
+    def hyperplane_action(self, w: int):
+        """Permutation of hyperplane ids induced by element w."""
+        return self.action_table()[w]
 
     # -- conjugacy classes of reflections ----------------------------------
 
@@ -539,23 +642,18 @@ class Group:
         self._build_hyperplanes()
         if self._classes is not None:
             return self._classes
-        unseen = set(range(len(self._reflections)))
-        gens = [(g, g.inv()) for g in self.generators]
+        refls, index = self._reflections, self._refl_index
+
+        def conjugate(r, g):
+            return index[self.conj(g, refls[r])]
+
+        unseen = set(range(len(refls)))
         classes = []
         while unseen:
-            start = min(unseen)
-            members = {start}
-            queue = [self._reflections[start]]
-            while queue:
-                s = queue.pop(0)
-                for g, g_inv in gens:
-                    c = g * s * g_inv
-                    idx = self._refl_index[c]
-                    if idx not in members:
-                        members.add(idx)
-                        queue.append(c)
-            assert members <= unseen
-            unseen -= members
+            members, _ = bfs([min(unseen)], self.generators, conjugate)
+            if not unseen.issuperset(members):
+                raise InternalInconsistency("reflection classes overlap")
+            unseen.difference_update(members)
             classes.append(tuple(sorted(members)))
         classes.sort(key=lambda c: c[0])
         self._classes = classes
@@ -572,44 +670,77 @@ class Group:
 # constructors
 
 
-def build_imprimitive(m: int, p: int, n: int, cap: int = DEFAULT_CAP) -> Group:
-    """The monomial group with parameters (m, p, n): monomial matrices with
-    entries in the m-th roots of unity whose entry product is an (m/p)-th
-    root of unity."""
+def imprimitive_order(m: int, p: int, n: int) -> int:
+    """Order of the monomial group (m, p, n), after validating the
+    parameters."""
     if m < 1 or p < 1 or m % p != 0:
         raise InvalidParameters(f"p must divide m, got (m, p) = ({m}, {p})")
     if n < 2:
         raise InvalidParameters("rank parameter n must be at least 2")
-    order = factorial(n) * m ** n // p
-    if order > cap:
-        raise TooLarge(f"|G({m},{p},{n})| = {order} exceeds cap {cap}")
-    elements = []
-    for perm in permutations(range(n)):
-        for exps in product(range(m), repeat=n):
-            if sum(exps) % p == 0:
-                elements.append(Monomial(m, perm, exps))
-    assert len(elements) == order
+    return factorial(n) * m ** n // p
+
+
+def refuse_over_cap(definition: dict, order: int, cap: int):
+    """Raise the TooLarge error that building the defined group under cap
+    raises, when its known order exceeds cap."""
+    if order <= cap:
+        return
+    if definition["kind"] == "imprimitive":
+        raise TooLarge(f"|{definition['name']}| = {order} exceeds cap {cap}")
+    raise _closure_refusal(cap)
+
+
+def _monomial_perm(m, n, perm, exps):
+    # the point zeta^k e_l has index k*n + l
+    return tuple(
+        ((k + e) % m) * n + t for k in range(m) for t, e in zip(perm, exps)
+    )
+
+
+def build_imprimitive(m: int, p: int, n: int, cap: int = DEFAULT_CAP) -> Group:
+    """The monomial group with parameters (m, p, n): monomial matrices with
+    entries in the m-th roots of unity whose entry product is an (m/p)-th
+    root of unity."""
+    definition = group_definition({"kind": "imprimitive", "m": m, "p": p, "n": n})
+    order = imprimitive_order(m, p, n)
+    refuse_over_cap(definition, order, cap)
+    # (perm, exps) is the permutation matrix of perm times the diagonal
+    # matrix of exps, so its point permutation is one composition
+    diagonals = [
+        itemgetter(*_monomial_perm(m, n, range(n), exps))
+        for exps in product(range(m), repeat=n)
+        if sum(exps) % p == 0
+    ]
+    perms = [
+        diag(_monomial_perm(m, n, perm, [0] * n))
+        for perm in permutations(range(n))
+        for diag in diagonals
+    ]
+    if len(perms) != order:
+        raise InternalInconsistency(
+            f"enumerated {len(perms)} elements, closed form says {order}"
+        )
     ident = tuple(range(n))
     gens = []
     for i in range(n - 1):
         perm = list(ident)
         perm[i], perm[i + 1] = i + 1, i
-        gens.append(Monomial(m, perm, [0] * n))
+        gens.append((perm, [0] * n))
     if m > 1:
         perm = list(ident)
         perm[0], perm[1] = 1, 0
         exps = [0] * n
         exps[0], exps[1] = -1, 1
-        gens.append(Monomial(m, perm, exps))
+        gens.append((perm, exps))
     if p != m:
-        gens.append(Monomial(m, ident, [p] + [0] * (n - 1)))
-    identity = Monomial(m, ident, [0] * n)
+        gens.append((ident, [p] + [0] * (n - 1)))
     return Group(
         "imprimitive",
-        f"G({m},{p},{n})",
-        gens,
-        elements,
-        identity,
+        definition["name"],
+        definition,
+        n,
+        perms,
+        [_monomial_perm(m, n, perm, exps) for perm, exps in gens],
         m=m,
         p=p,
         n=n,
@@ -617,10 +748,29 @@ def build_imprimitive(m: int, p: int, n: int, cap: int = DEFAULT_CAP) -> Group:
     )
 
 
+def _apply(g: MatrixElem, v):
+    """g v, skipping zero entries."""
+    out = []
+    for row in g.entries:
+        acc = None
+        for a, x in zip(row, v):
+            if a and x:
+                t = a * x
+                acc = t if acc is None else acc + t
+        out.append(_ZERO if acc is None else acc)
+    return tuple(out)
+
+
+
 def build_matrix_group(
     gens, cap: int = DEFAULT_CAP, name: str = "matrix-group", provenance: str = "paper"
 ) -> Group:
-    """Closure of unitary generator matrices under multiplication."""
+    """Closure of unitary generator matrices under multiplication.
+
+    The generators are applied to points once, from e_1, ..., e_n until the
+    point set P closes; the closure itself then runs on their permutations
+    of P, in the breadth-first order of right multiplication by the
+    generators."""
     gens = [g if isinstance(g, MatrixElem) else MatrixElem(g) for g in gens]
     if not gens:
         raise InvalidParameters("at least one generator required")
@@ -633,32 +783,38 @@ def build_matrix_group(
                 "non-unitary generator: the construction requires matrices "
                 "unitary for the standard Hermitian form"
             )
-    ident = identity_matrix(dim)
-    elements = [ident]
-    index = {ident: 0}
-    queue = [ident]
-    while queue:
-        g = queue.pop(0)
-        for s in gens:
-            h = g * s
-            if h not in index:
-                if len(elements) >= cap:
-                    raise TooLarge(f"group closure exceeds cap {cap}")
-                index[h] = len(elements)
-                elements.append(h)
-                queue.append(h)
-    amb = 1
-    for o in {e.order for g in gens for row in g.entries for e in row}:
-        amb = amb * o // gcd(amb, o)
+    refuse = _closure_refusal(cap)
+    basis = [tuple(_ONE if i == j else _ZERO for i in range(dim)) for j in range(dim)]
+    images = {}
+
+    def apply(v, s):
+        w = images[v, s] = _apply(gens[s], v)
+        return w
+
+    labels = range(len(gens))
+    points, _ = bfs(basis, labels, apply, limit=dim * cap, refuse=refuse)
+    ids = {v: x for x, v in enumerate(points)}
+    gen_perms = [tuple(ids[images[v, s]] for v in points) for s in labels]
+    perms, _ = bfs(
+        [tuple(range(len(points)))],
+        gen_perms,
+        lambda g, s: tuple(map(g.__getitem__, s)),
+        limit=cap,
+        refuse=refuse,
+    )
+    definition = _matrix_definition(name, provenance, gens)
     return Group(
         "matrix",
         name,
-        gens,
-        elements,
-        ident,
-        cyclotomic_order=amb,
+        definition,
+        dim,
+        perms,
+        gen_perms,
+        points,
+        cyclotomic_order=definition["cyclotomic_order"],
         provenance=provenance,
     )
+
 
 
 # ---------------------------------------------------------------------------
@@ -670,60 +826,39 @@ def hyperplanes(G: Group):
     return list(G._hyperplanes)
 
 
-def act_on_hyperplane(w, H: Hyperplane) -> Hyperplane:
+def act_on_hyperplane(w: int, H: Hyperplane) -> Hyperplane:
     G = H.group
     return G._hyperplanes[G.hyperplane_action(w)[H.id]]
 
 
 def stabilizer(G: Group, B) -> Subgroup:
-    """Setwise stabilizer of a collection of hyperplane ids."""
-    G.ensure_all_actions()
-    B = frozenset(B)
-    members = []
-    for g in G.elements:
-        act = G.hyperplane_action(g)
-        if frozenset(act[h] for h in B) == B:
-            members.append(g)
-    sub = Subgroup(members, members)
-    return sub
+    """Setwise stabilizer of a collection of hyperplane ids: a scan over
+    the action table that keeps the elements mapping every member of the
+    collection into it, one member at a time."""
+    bset = frozenset(B)
+    rows = G.action_table()
+    members = G.elements
+    for h in bset:
+        members = [g for g in members if rows[g][h] in bset]
+    return Subgroup(members, members)
 
 
 def orbit(G: Group, B):
-    """Orbit of a collection under the hyperplane action, as sorted tuples.
-
-    The orbit-stabilizer identity is asserted against an explicit stabilizer
-    scan.
-    """
-    start = tuple(sorted(B))
-    seen = {start}
-    out = [start]
-    queue = [start]
-    while queue:
-        cur = queue.pop(0)
-        for g in G.generators:
-            act = G.hyperplane_action(g)
-            nxt = tuple(sorted(act[h] for h in cur))
-            if nxt not in seen:
-                seen.add(nxt)
-                out.append(nxt)
-                queue.append(nxt)
-    assert len(out) * stabilizer(G, start).order == G.order
+    """Orbit of a collection under the hyperplane action, as sorted tuples,
+    in breadth-first order from B."""
+    acts = [G.hyperplane_action(g) for g in G.generators]
+    out, _ = bfs(
+        [tuple(sorted(B))], acts, lambda cur, act: tuple(sorted(act[h] for h in cur))
+    )
     return out
 
 
 def subgroup_closure(G: Group, gens) -> Subgroup:
     """Smallest subgroup of G containing the given elements."""
     for g in gens:
-        assert g in G, "generators must lie in the parent group"
-    elements = {G.identity}
-    queue = [G.identity]
-    while queue:
-        g = queue.pop(0)
-        for s in gens:
-            h = g * s
-            if h not in elements:
-                elements.add(h)
-                queue.append(h)
+        if not 0 <= g < G.order:
+            raise InternalInconsistency(f"generator {g!r} is not an element index")
+    elements, _ = bfs([G.identity], gens, G.mul)
     return Subgroup(gens, elements)
 
 
@@ -735,14 +870,15 @@ def small_generating_set(G: Group, sub: Subgroup):
     """
     gens = []
     have = {G.identity}
-    for g in sorted(sub.elements, key=G.elem_index):
+    for g in sorted(sub.elements):
         if g in have:
             continue
         gens.append(g)
         have = subgroup_closure(G, gens).elements
         if len(have) == sub.order:
             break
-    assert len(have) == sub.order
+    if len(have) != sub.order:
+        raise InternalInconsistency("members do not generate their subgroup")
     return gens
 
 
@@ -755,40 +891,54 @@ _EXTERNAL_NOTE = (
 )
 
 
-def group_to_json(G: Group) -> dict:
-    if G.kind == "imprimitive":
-        return {
-            "name": G.name,
-            "kind": "imprimitive",
-            "m": G.m,
-            "p": G.p,
-            "n": G.n,
-        }
+def _matrix_definition(name, provenance, gens) -> dict:
+    amb = 1
+    for o in {e.order for g in gens for row in g.entries for e in row}:
+        amb = amb * o // gcd(amb, o)
     out = {
-        "name": G.name,
+        "name": name,
         "kind": "matrix",
-        "cyclotomic_order": G.cyclotomic_order,
-        "provenance": G.provenance,
+        "cyclotomic_order": amb,
+        "provenance": provenance,
         "generators": [
-            [[x.to_json() for x in row] for row in g.entries] for g in G.generators
+            [[x.to_json() for x in row] for row in g.entries] for g in gens
         ],
     }
-    if G.provenance == "external":
+    if provenance == "external":
         out["note"] = _EXTERNAL_NOTE
     return out
+
+
+def _generators_from_json(data: dict):
+    return [
+        MatrixElem([[CycNumber.from_json(x) for x in row] for row in g])
+        for g in data["generators"]
+    ]
+
+
+def group_definition(data: dict) -> dict:
+    """The canonical definition JSON of the group that data describes,
+    equal to group_to_json of the built group, without building it."""
+    if data["kind"] == "imprimitive":
+        m, p, n = data["m"], data["p"], data["n"]
+        name = f"G({m},{p},{n})"
+        return {"name": name, "kind": "imprimitive", "m": m, "p": p, "n": n}
+    return _matrix_definition(
+        data.get("name", "matrix-group"),
+        data.get("provenance", "paper"),
+        _generators_from_json(data),
+    )
+
+
+def group_to_json(G: Group) -> dict:
+    return G.definition
 
 
 def group_from_json(data: dict, cap: int = DEFAULT_CAP) -> Group:
     if data["kind"] == "imprimitive":
         return build_imprimitive(data["m"], data["p"], data["n"], cap=cap)
-    gens = [
-        MatrixElem(
-            [[CycNumber.from_json(x) for x in row] for row in g]
-        )
-        for g in data["generators"]
-    ]
     return build_matrix_group(
-        gens,
+        _generators_from_json(data),
         cap=cap,
         name=data.get("name", "matrix-group"),
         provenance=data.get("provenance", "paper"),
@@ -808,12 +958,16 @@ _PACKAGED = {
 }
 
 
-def packaged_group(name: str, cap: int = DEFAULT_CAP) -> Group:
-    """Load one of the shipped matrix groups by short name."""
+def packaged_definition(name: str) -> dict:
+    """The definition JSON of one of the shipped matrix groups."""
     key = name.lower()
     if key not in _PACKAGED:
         raise InvalidParameters(
             f"unknown packaged group {name!r}; have {sorted(_PACKAGED)}"
         )
-    ref = resources.files("bct").joinpath(_PACKAGED[key])
-    return group_from_json(json.loads(ref.read_text()), cap=cap)
+    return json.loads(resources.files("bct").joinpath(_PACKAGED[key]).read_text())
+
+
+def packaged_group(name: str, cap: int = DEFAULT_CAP) -> Group:
+    """Load one of the shipped matrix groups by short name."""
+    return group_from_json(packaged_definition(name), cap=cap)

@@ -58,7 +58,7 @@ def is_transverse(G: Group, H1: Hyperplane, H2: Hyperplane) -> bool:
     """Whether no root of a third hyperplane lies in span(root(H1), root(H2)).
 
     For monomial groups a combinatorial shortcut by hyperplane type is
-    asserted against the span criterion.
+    checked against the span criterion.
     """
     if H1.id == H2.id:
         raise NotDistinct(f"transversality needs distinct hyperplanes, got {H1}")
@@ -66,7 +66,11 @@ def is_transverse(G: Group, H1: Hyperplane, H2: Hyperplane) -> bool:
     got = _root_span_transverse(G, H1, H2)
     if G.kind == "imprimitive":
         fast = _imprimitive_transverse(G, H1, H2)
-        assert fast == got, (H1.label, H2.label)
+        if fast != got:
+            raise InternalInconsistency(
+                f"transversality of ({H1.label}, {H2.label}): type shortcut "
+                f"says {fast}, span criterion says {got}"
+            )
     return got
 
 
@@ -134,8 +138,11 @@ def transv_table(G: Group) -> TransvTable:
     # mapping lists of (i,j) and (j,i) are each other's inverses
     refls = G.reflections
     for (i, j), lst in mapped.items():
-        back = {G.reflection_index(refls[r].inv()) for r in lst}
-        assert back == set(mapped.get((j, i), ())), (i, j)
+        back = {G.reflection_index(G.inv(refls[r])) for r in lst}
+        if back != set(mapped.get((j, i), ())):
+            raise InternalInconsistency(
+                f"mapping reflections of ({i}, {j}) and ({j}, {i}) are not inverse"
+            )
     tbl = TransvTable(G, size, [frozenset(r) for r in transverse], mapped)
     G._transv_table = tbl
     return tbl
@@ -187,13 +194,20 @@ def collection_orbits(G: Group):
         if B in seen:
             continue
         orb = orbit(G, B)
-        assert set(orb) <= universe, "orbit left the set of transverse collections"
+        if not universe.issuperset(orb):
+            raise InternalInconsistency(
+                f"the orbit of {B} leaves the set of transverse collections"
+            )
         seen.update(orb)
         rep = min(orb)
         stab = stabilizer(G, rep).order
-        assert len(orb) * stab == G.order
+        if len(orb) * stab != G.order:
+            raise InternalInconsistency(
+                f"orbit-stabilizer fails for {rep}: {len(orb)} * {stab} != {G.order}"
+            )
         records.append(OrbitRecord(rep, len(orb), stab, len(rep)))
-    assert len(seen) == len(cols)
+    if len(seen) != len(cols):
+        raise InternalInconsistency("the orbits do not cover the collections")
     records.sort(key=lambda r: (r.cardinality, r.representative))
     return records
 

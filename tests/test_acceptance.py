@@ -241,7 +241,7 @@ def test_criterion_7_computational_results(g4, g23, g25, g26):
         assert g25.reflection_class_of(i) != g25.reflection_class_of(j)
         power, order = g, 1
         while power != g25.identity:
-            power = power * g
+            power = g25.mul(power, g)
             order += 1
         assert order == 6, (i, j)
 

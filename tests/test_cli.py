@@ -10,6 +10,8 @@ import pytest
 
 import bct.cli as cli
 from bct.cli import main
+from bct.errors import TooLarge
+from bct.reflection_groups import DEFAULT_CAP, group_definition, group_to_json
 
 
 def run(capsys, argv):
@@ -187,6 +189,94 @@ def test_cache_distinguishes_groups(capsys, cache):
     assert a == {"dimension": 24}
     assert b == {"dimension": 264}
     assert len(os.listdir(cache)) == 2
+
+
+# Digests of the group definitions before the integer-indexed group core,
+# which computed them from the built group; cache keys must not move.
+DIGESTS = {
+    "g4": "b3716010bb40e2b4cdca63a9b2eb82a450761866e9f762cefbb34749a6141953",
+    "g23": "da034cf3693419dace4e076085f098e73165edd3743f487600c8e68cfd32c76c",
+    "g25": "5ad44df401f67f1c18ad2323063acac95e43d37b7caa5b07420e7fa5b812efed",
+    "g26": "a0362f46999c760a88d3e6380d18509401f0a7e2297ff01378e07f5f822c1aa7",
+    "gmpn:2,1,5": "af01126ecd50676b7bacae91bbb7a6de6ca43c3dd2000da09f14fc047a19b7d2",
+}
+
+
+def test_group_digest_unchanged_and_needs_no_group(monkeypatch):
+    def boom(*a, **k):
+        raise AssertionError("the digest built a group")
+
+    monkeypatch.setattr(cli, "packaged_group", boom)
+    monkeypatch.setattr(cli, "build_imprimitive", boom)
+    for spec, want in DIGESTS.items():
+        data, _ = cli.parse_spec(spec)
+        assert cli.group_digest(group_definition(data)) == want, spec
+
+
+def test_group_definition_matches_built_group():
+    for spec in ("g4", "gmpn:2,1,3"):
+        data, build = cli.parse_spec(spec)
+        assert group_definition(data) == group_to_json(build(DEFAULT_CAP))
+
+
+def test_cache_hit_builds_no_group(capsys, cache, monkeypatch):
+    base = ["--cache-dir", cache]
+    argvs = [
+        base + [command, spec] + flag
+        for command in ("dims", "classify")
+        for spec in ("g4", "gmpn:2,1,3")
+        for flag in ([], ["--mu6"])
+    ]
+    cold = [run(capsys, argv) for argv in argvs]
+
+    def boom(*a, **k):
+        raise AssertionError("group built despite a cache hit")
+
+    for name in ("build_imprimitive", "packaged_group", "load_group_file"):
+        monkeypatch.setattr(cli, name, boom)
+    warm = [run(capsys, argv) for argv in argvs]
+    assert warm == cold
+    assert all(code == 0 for code, _, _ in warm)
+
+
+def test_version_one_bundle_is_a_miss(capsys, cache):
+    argv = ["--cache-dir", cache, "dims", "gmpn:2,2,3"]
+    first = run_json(capsys, argv)
+    assert first == {"dimension": 105}
+    (entry,) = os.listdir(cache)
+    path = os.path.join(cache, entry)
+    with open(path, "rb") as fh:
+        bundle = pickle.load(fh)
+    assert bundle["version"] == cli.CACHE_VERSION == 2
+    assert bundle["order"] == 24
+    forged = dict(bundle, dims={"generic": 999})
+    with open(path, "wb") as fh:
+        pickle.dump(forged, fh)
+    # the current version is served as it stands, forged value included
+    assert run_json(capsys, argv) == {"dimension": 999}
+    with open(path, "wb") as fh:
+        pickle.dump(dict(forged, version=1), fh)
+    assert run_json(capsys, argv) == first
+
+
+def test_max_order_refuses_cached_groups(capsys, cache):
+    base = ["--cache-dir", cache]
+    assert run_json(capsys, base + ["dims", "g4"])["dimension"] == 56
+    assert run_json(capsys, base + ["dims", "gmpn:2,2,3"]) == {"dimension": 105}
+    for spec, message in [
+        ("g4", "group closure exceeds cap 23"),
+        ("gmpn:2,2,3", "|G(2,2,3)| = 24 exceeds cap 23"),
+    ]:
+        code, out, err = run(capsys, base + ["--max-order", "23", "dims", spec])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "TooLarge", "message": message}
+        # the same text as building the group under that cap gives
+        with pytest.raises(TooLarge) as exc:
+            cli.build_spec(spec, 23)
+        assert str(exc.value) == message
+    # at exactly the order the cached group is served
+    got = run_json(capsys, base + ["--max-order", "24", "dims", "g4"])
+    assert got["dimension"] == 56
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ def split_by_stab_coset(G, B, vec):
             continue
         w = G.identity if k == len(vec) - 1 else refls[k]
         for idx, r in enumerate(reps):
-            if r.inv() * w in stab_el:
+            if G.mul(G.inv(r), w) in stab_el:
                 pieces[idx].append((k, vec[k]))
                 break
         else:

@@ -1,0 +1,154 @@
+"""The integer-indexed group core against independent references.
+
+Two oracles: a breadth-first closure over MatrixElem products with
+today's rank-1 hyperplane scan, kept here as the reference for element
+order, hyperplane order, roots and distinguished reflections; and a
+differential check that builds each small monomial group twice, from
+parameters and as a matrix group from its generators' matrices.
+"""
+
+from collections import Counter
+from math import factorial
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bct.admissibility import GENERIC, classify_orbits, dim_from_rows, mu_sixth
+from bct.exact_arith import CycNumber, SpanBasis, zeta
+from bct.freeness import freeness_verdict
+from bct.reflection_groups import (
+    MatrixElem,
+    build_imprimitive,
+    build_matrix_group,
+    hyperplanes,
+    identity_matrix,
+    packaged_definition,
+    packaged_group,
+)
+
+# ---------------------------------------------------------------------------
+# reference: closure over matrix products
+
+
+def reference_closure(gens):
+    """Elements in the breadth-first order of right multiplication."""
+    ident = identity_matrix(gens[0].dim)
+    elements, seen, queue = [ident], {ident}, [ident]
+    while queue:
+        g = queue.pop(0)
+        for s in gens:
+            h = g * s
+            if h not in seen:
+                seen.add(h)
+                elements.append(h)
+                queue.append(h)
+    return elements
+
+
+def reference_hyperplanes(elements):
+    """(root, distinguished reflection, member positions) per hyperplane:
+    the rank-1 scan of g - I over the elements in order, roots from the
+    first nonzero column scaled by its leading entry."""
+    one = CycNumber.rational(1)
+    n = elements[0].dim
+    by_root, order = {}, []
+    for pos, g in enumerate(elements):
+        if g.is_identity():
+            continue
+        rows = [
+            [g.entries[i][j] - (one if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+        span = SpanBasis(n)
+        for row in rows:
+            span.add(row)
+        if span.rank != 1:
+            continue
+        col = next(
+            c for c in ([rows[i][j] for i in range(n)] for j in range(n)) if any(c)
+        )
+        lead = next(x for x in col if x)
+        root = tuple(x / lead for x in col)
+        if root not in by_root:
+            by_root[root] = []
+            order.append(root)
+        by_root[root].append(pos)
+    out = []
+    for root in order:
+        members = by_root[root]
+        want = zeta(len(members) + 1) + (n - 1)
+        (dist,) = [p for p in members if elements[p].trace() == want]
+        out.append((root, dist, members))
+    return out
+
+
+def test_packaged_groups_pinned_to_matrix_closure():
+    for name in ("g4", "g23"):
+        G = packaged_group(name)
+        gens = [
+            MatrixElem([[CycNumber.from_json(x) for x in row] for row in g])
+            for g in packaged_definition(name)["generators"]
+        ]
+        ref = reference_closure(gens)
+        assert G.order == len(ref)
+        assert [G.element(i) for i in G.elements] == ref
+        assert [G.index_of(g) for g in ref] == list(G.elements)
+        assert [G.element(s) for s in G.generators] == gens
+        ref_hyps = reference_hyperplanes(ref)
+        hyps = hyperplanes(G)
+        assert [h.root for h in hyps] == [root for root, _, _ in ref_hyps]
+        assert [h.dist_reflection for h in hyps] == [d for _, d, _ in ref_hyps]
+        assert list(G.reflections) == [p for _, _, ms in ref_hyps for p in ms]
+        # products and inverses agree with the matrices
+        for a in range(0, G.order, 7):
+            for b in range(0, G.order, 11):
+                assert G.element(G.mul(a, b)) == ref[a] * ref[b]
+            assert G.element(G.inv(a)) == ref[a].inv()
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: monomial build against matrix build
+
+SMALL = [
+    (m, p, n)
+    for m in range(1, 9)
+    for p in range(1, m + 1)
+    if m % p == 0
+    for n in range(2, 6)
+    if factorial(n) * m**n // p <= 200
+]
+
+
+def table_rows(G, cfg):
+    rows = [rec.as_row() for rec in classify_orbits(G, cfg)]
+    shape = Counter(
+        tuple(sorted((k, v) for k, v in row.items() if k != "representative"))
+        for row in rows
+    )
+    return shape, dim_from_rows(G.order, rows)
+
+
+def freeness_rows(report):
+    return Counter(
+        tuple(sorted((k, v) for k, v in row.items() if k != "representative"))
+        for row in report.orbit_checks
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(SMALL))
+def test_monomial_and_matrix_builds_agree(params):
+    mono = build_imprimitive(*params)
+    mat = build_matrix_group(
+        [mono.element(s).to_matrix() for s in mono.generators], name="matrix"
+    )
+    assert mat.order == mono.order
+    assert len(hyperplanes(mat)) == len(hyperplanes(mono))
+    for cfg in (GENERIC, mu_sixth()):
+        assert table_rows(mat, cfg) == table_rows(mono, cfg)
+    got, want = freeness_verdict(mat), freeness_verdict(mono)
+    assert got.verdict == want.verdict == "free"
+    # the monomial build is routed by its kind; the matrix build has to
+    # earn the verdict orbit by orbit
+    assert (want.route, got.route) == ("monomial-family", "collection-dichotomy")
+    assert freeness_rows(got) == freeness_rows(want)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bct.errors import NotDistinct
+from bct.errors import InternalInconsistency, NotDistinct
 from bct.reflection_groups import (
     build_imprimitive,
     hyperplanes,
@@ -81,7 +81,7 @@ def test_coordinate_hyperplanes_mapped_by_all_kappa_reflections():
         s = G.reflections[ridx]
         hid = G.reflection_hyperplane(ridx)
         assert hyperplanes(G)[hid].key[:3] == ("pair", 0, 1)
-        assert s * s == G.identity
+        assert G.mul(s, s) == G.identity
 
 
 def test_sym3_single_mapping_transposition():
@@ -92,7 +92,7 @@ def test_sym3_single_mapping_transposition():
     assert len(mapped) == 1
     s = G.reflections[mapped[0]]
     # the transposition swapping columns 2 and 3
-    assert s.perm == (0, 2, 1)
+    assert G.element(s).perm == (0, 2, 1)
 
 
 def test_nontransverse_cell_with_empty_mapping_list():
@@ -131,14 +131,13 @@ def test_table_equivariance_under_relabeling():
         tbl = transv_table(G)
         for w in rng.sample(G.elements, 5):
             act = G.hyperplane_action(w)
-            w_inv = w.inv()
             for i in range(tbl.size):
                 for j in range(tbl.size):
                     if i == j:
                         continue
                     assert tbl.transverse(i, j) == tbl.transverse(act[i], act[j])
                     got = {
-                        G.reflection_index(w * G.reflections[r] * w_inv)
+                        G.reflection_index(G.conj(w, G.reflections[r]))
                         for r in tbl.mapped_by(i, j)
                     }
                     assert got == set(tbl.mapped_by(act[i], act[j]))
@@ -220,3 +219,17 @@ def test_small_orbit_contains_fixed_collection():
         )
     )
     assert B in small_orbit(G, B)
+
+
+def test_tampered_action_row_is_caught():
+    # an element whose row claims it fixes every hyperplane joins every
+    # stabilizer, so the orbit-stabilizer identity fails, under python -O too
+    G = build_imprimitive(2, 2, 3)
+    table = G.action_table()
+    assert collection_orbits(G)
+    ident = tuple(range(len(hyperplanes(G))))
+    skip = set(G.generators) | set(G.reflections)
+    w = next(g for g in G.elements if g not in skip and table[g] != ident)
+    table[w] = ident
+    with pytest.raises(InternalInconsistency, match="orbit-stabilizer"):
+        collection_orbits(G)

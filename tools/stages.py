@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Wall time and counters of each stage of the group pipeline, as JSON.
+
+    python tools/stages.py SPEC [SPEC ...]
+
+A SPEC is anything the CLI accepts: gmpn:m,p,n, a packaged name (g4, g23,
+g25, g26) or a group-definition file.  Each group runs through the stages
+in order, in this process, so every stage reuses what the earlier ones
+built:
+
+    build         closure of the generators
+    hyperplanes   reflections, hyperplanes, distinguished reflections
+    actions       the |G| x #H hyperplane-action table
+    table         the transversality table
+    orbits        orbits of transverse collections, with stabilizers
+    classify      admissibility of every orbit, generic parameters
+    classify_mu6  the same with the ratio specialized to a sixth root
+
+Counters: the group order, the size of the point set the elements
+permute, the hyperplane count, the number of transverse collections and
+of their orbits, and both dimensions.  Standard library only.
+"""
+
+import json
+import pathlib
+import resource
+import sys
+import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from bct.admissibility import (  # noqa: E402
+    GENERIC,
+    classify_orbits,
+    dim_from_rows,
+    mu_sixth,
+    orbit_records,
+)
+from bct.cli import build_spec  # noqa: E402
+from bct.reflection_groups import DEFAULT_CAP, hyperplanes  # noqa: E402
+from bct.transversality import transv_table  # noqa: E402
+
+
+def stages(spec: str) -> dict:
+    times = {}
+
+    def timed(name, fn):
+        start = time.perf_counter()
+        out = fn()
+        times[name] = round(time.perf_counter() - start, 4)
+        return out
+
+    G = timed("build", lambda: build_spec(spec, DEFAULT_CAP))
+    hyps = timed("hyperplanes", lambda: hyperplanes(G))
+    timed("actions", G.action_table)
+    timed("table", lambda: transv_table(G))
+    records = timed("orbits", lambda: orbit_records(G))
+    generic = timed("classify", lambda: classify_orbits(G, GENERIC))
+    sixth = timed("classify_mu6", lambda: classify_orbits(G, mu_sixth()))
+    times["total"] = round(sum(times.values()), 4)
+    return {
+        "spec": spec,
+        "group": G.name,
+        "stages_s": times,
+        "counters": {
+            "order": G.order,
+            "points": G.npoints,
+            "hyperplanes": len(hyps),
+            "collections": sum(r.orbit_size for r in records),
+            "orbits": len(records),
+            "dim_generic": dim_from_rows(G.order, [r.as_row() for r in generic]),
+            "dim_sixth_root": dim_from_rows(G.order, [r.as_row() for r in sixth]),
+        },
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
+        ),
+    }
+
+
+def main(argv) -> int:
+    if not argv:
+        sys.exit(__doc__)
+    print(json.dumps([stages(spec) for spec in argv], indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
