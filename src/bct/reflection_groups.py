@@ -31,7 +31,7 @@ from .errors import (
     InvalidRoot,
     TooLarge,
 )
-from .exact_arith import CycNumber, SpanBasis, zeta
+from .exact_arith import CycNumber, zeta
 
 DEFAULT_CAP = 200_000
 _ZERO = CycNumber.rational(0)
@@ -761,7 +761,6 @@ def _apply(g: MatrixElem, v):
     return tuple(out)
 
 
-
 def build_matrix_group(
     gens, cap: int = DEFAULT_CAP, name: str = "matrix-group", provenance: str = "paper"
 ) -> Group:
@@ -814,7 +813,6 @@ def build_matrix_group(
         cyclotomic_order=definition["cyclotomic_order"],
         provenance=provenance,
     )
-
 
 
 # ---------------------------------------------------------------------------
