@@ -10,7 +10,8 @@ freeness report routes each group to the argument certifying (or
 refuting) that the algebra is a free module of the predicted rank.
 
 All arithmetic is exact: cyclotomic integers, rationals, and Laurent
-polynomials in the loop parameter.  Nothing is floating point.
+polynomials with integer coefficients in the loop and class parameters.
+Nothing is floating point.
 """
 
 from .admissibility import (

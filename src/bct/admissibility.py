@@ -30,7 +30,6 @@ from .reflection_groups import (
     hyperplanes,
     orbit,
     small_generating_set,
-    stabilizer,
     subgroup_closure,
 )
 from .transversality import OrbitRecord, collection_orbits, small_orbit, transv_table
@@ -272,7 +271,6 @@ class _Workspace:
         self._span = None
         self._residues = None
         self._dp = None
-        self._stab = None
         self._kb = None
         self._a2b = None
 
@@ -322,9 +320,7 @@ class _Workspace:
         return self._dp
 
     def stab(self) -> Subgroup:
-        if self._stab is None:
-            self._stab = stabilizer(self.G, self.B)
-        return self._stab
+        return self.G.stabilizer_of(self.B)
 
     def kb(self) -> Subgroup:
         if self._kb is None:

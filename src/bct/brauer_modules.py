@@ -6,9 +6,12 @@ representation V0 per collection in the orbit of B, and each hyperplane
 H acts through an operator assembled blockwise from a three-case rule
 (scaling by delta on blocks whose collection contains H, zero on blocks
 transverse to H, and a weighted sum of reflections otherwise).  All
-scalars are Laurent polynomials in delta and one parameter per
-reflection class, so every identity checked here is exact and holds
-before any specialization.
+scalars are Laurent polynomials with integer coefficients in delta and
+one parameter per reflection class, so every identity checked here is
+exact and holds before any specialization.  Group elements act by
+permuting the basis, so multiplying by one is a re-indexing of an
+operator's entries, and multiplying by delta or one class parameter is a
+shift of one exponent.
 
 The checks offered are the five defining relations of the algebra on
 such a module, and the census identity equating the algebra dimension
@@ -28,13 +31,7 @@ from .admissibility import (
 )
 from .errors import InternalInconsistency, NotAdmissible, NotAdmissiblePair
 from .exact_arith import LaurentScalar
-from .reflection_groups import (
-    Group,
-    bfs,
-    hyperplanes,
-    small_generating_set,
-    stabilizer,
-)
+from .reflection_groups import Group, bfs, hyperplanes, small_generating_set
 from .transversality import transv_table
 
 
@@ -54,11 +51,14 @@ def delta_scalar(G: Group) -> LaurentScalar:
     return LaurentScalar.variable(scalar_ring_size(G), 0)
 
 
+def mu_slot(G: Group, refl_idx: int) -> int:
+    """Variable slot of the class parameter of the given reflection."""
+    return 1 + G.reflection_class_of(refl_idx)
+
+
 def mu_scalar(G: Group, refl_idx: int) -> LaurentScalar:
     """The class parameter of the given reflection."""
-    return LaurentScalar.variable(
-        scalar_ring_size(G), 1 + G.reflection_class_of(refl_idx)
-    )
+    return LaurentScalar.variable(scalar_ring_size(G), mu_slot(G, refl_idx))
 
 
 def _one(G: Group) -> LaurentScalar:
@@ -66,15 +66,24 @@ def _one(G: Group) -> LaurentScalar:
 
 
 def op_compose(a, b):
-    """Matrix product a*b of two sparse operators."""
+    """Matrix product a*b of two sparse operators.
+
+    Operators share few distinct entry objects (delta, the class
+    parameters and their sums), so each product of two entry objects is
+    formed once per call; both stay alive in a and b, so their ids are
+    stable keys."""
     rows_of_b = {}
     for (i, j), c in b.items():
         rows_of_b.setdefault(i, []).append((j, c))
+    products = {}
     out = {}
     for (i, k), ca in a.items():
         for j, cb in rows_of_b.get(k, ()):
+            pair = (id(ca), id(cb))
+            v = products.get(pair)
+            if v is None:
+                v = products[pair] = ca * cb
             key = (i, j)
-            v = ca * cb
             s = out.get(key)
             out[key] = v if s is None else s + v
     return {k: v for k, v in out.items() if v}
@@ -88,10 +97,35 @@ def op_add(a, b):
     return {k: v for k, v in out.items() if v}
 
 
-def op_scale(a, scalar):
-    if not scalar:
-        return {}
-    return {k: v * scalar for k, v in a.items()}
+def op_shift(a, slot: int):
+    """The operator times the variable in `slot` (delta is slot 0); each
+    distinct entry object is shifted once, as in op_compose."""
+    shifted = {}
+    out = {}
+    for k, v in a.items():
+        s = shifted.get(id(v))
+        if s is None:
+            s = shifted[id(v)] = v.shift(slot)
+        out[k] = s
+    return out
+
+
+def op_permute(a, rows, cols=None):
+    """Re-index a sparse operator: entry (i, j) moves to (rows[i], cols[j]),
+    or to (rows[i], j) without cols.  For rows = M.perm_of(g) this is
+    op_of(g) * a; for cols = perm_inverse(M.perm_of(h)) it is a * op_of(h).
+    Both permutations must be bijections, which perm_of checks."""
+    if cols is None:
+        return {(rows[i], j): v for (i, j), v in a.items()}
+    return {(rows[i], cols[j]): v for (i, j), v in a.items()}
+
+
+def perm_inverse(p):
+    """The inverse permutation q, with q[p[i]] = i."""
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +153,8 @@ class StabRep:
         self._perm_fn = perm_fn
         self._memo = {}
 
-        idp = tuple(range(degree))
-        assert self.perm(G.identity) == idp
+        if self.perm(G.identity) != tuple(range(degree)):
+            raise InternalInconsistency("the identity does not act trivially")
         pool = sorted(stab.elements)
         rng = random.Random(2)
         sample = small_generating_set(G, stab) + rng.sample(
@@ -130,12 +164,16 @@ class StabRep:
             pa = self.perm(a)
             for b in sample:
                 pb = self.perm(b)
-                assert self.perm(G.mul(a, b)) == tuple(pa[k] for k in pb)
+                if self.perm(G.mul(a, b)) != tuple(pa[k] for k in pb):
+                    raise InternalInconsistency(
+                        f"Stab(B) representation is not multiplicative on {a}, {b}"
+                    )
 
     def perm(self, h):
         out = self._memo.get(h)
         if out is None:
-            assert h in self.stab.elements
+            if h not in self.stab.elements:
+                raise InternalInconsistency(f"element {h} is not in Stab(B)")
             out = tuple(self._perm_fn(h))
             self._memo[h] = out
         return out
@@ -158,7 +196,7 @@ class StabRep:
 
 def trivial_rep(G: Group, B) -> StabRep:
     """Degree-1 representation with every element of Stab(B) acting as 1."""
-    return StabRep(G, stabilizer(G, B), 1, lambda h: (0,))
+    return StabRep(G, G.stabilizer_of(B), 1, lambda h: (0,))
 
 
 def quotient_regular_rep(G: Group, B, cfg: FieldConfig = GENERIC) -> StabRep:
@@ -185,7 +223,7 @@ def quotient_regular_rep(G: Group, B, cfg: FieldConfig = GENERIC) -> StabRep:
             f"B={B}: twisting character is non-trivial; the quotient regular "
             "representation requires K_B to act trivially"
         )
-    stab = stabilizer(G, B)
+    stab = G.stabilizer_of(B)
     kb = k_subgroup(G, B)
     reps = []
     coset_index = {}
@@ -196,12 +234,16 @@ def quotient_regular_rep(G: Group, B, cfg: FieldConfig = GENERIC) -> StabRep:
         reps.append(g)
         for k in kb.elements:
             coset_index[G.mul(g, k)] = idx
-    assert len(reps) == rec.quotient_size
+    if len(reps) != rec.quotient_size:
+        raise InternalInconsistency(
+            f"B={B}: {len(reps)} cosets of K_B, classified {rec.quotient_size}"
+        )
     rep = StabRep(
         G, stab, len(reps), lambda h: tuple(coset_index[G.mul(h, r)] for r in reps)
     )
     for k in small_generating_set(G, kb):
-        assert rep.perm(k) == tuple(range(len(reps)))
+        if rep.perm(k) != tuple(range(len(reps))):
+            raise InternalInconsistency(f"B={B}: K_B does not act trivially")
     return rep
 
 
@@ -228,8 +270,7 @@ class InducedModule:
         "dim",
         "eps",
         "_block_index",
-        "_op_memo",
-        "_stab_elements",
+        "_perm_memo",
         "_rep_inverses",
     )
 
@@ -243,8 +284,7 @@ class InducedModule:
         self.dim = len(blocks) * v0.degree
         self.eps = eps
         self._block_index = {b: t for t, b in enumerate(blocks)}
-        self._op_memo = {}
-        self._stab_elements = v0.stab.elements
+        self._perm_memo = {}
         self._rep_inverses = [G.inv(w) for w in coset_reps]
 
     def transport(self, tgt: int, g: int, src: int) -> int:
@@ -252,28 +292,35 @@ class InducedModule:
         G = self.group
         return G.mul(G.mul(self._rep_inverses[tgt], g), self.coset_reps[src])
 
-    def op_of(self, g):
-        """Sparse matrix of a group element on the whole module."""
-        out = self._op_memo.get(g)
+    def perm_of(self, g):
+        """Basis permutation of a group element: the tuple p such that g
+        maps basis vector c to basis vector p[c].  Memoized per element."""
+        out = self._perm_memo.get(g)
         if out is not None:
             return out
-        G = self.group
-        act = G.hyperplane_action(g)
+        act = self.group.hyperplane_action(g)
         deg = self.degree
-        one = _one(G)
-        out = {}
+        out = [None] * self.dim
         for src, bcol in enumerate(self.blocks):
             img = tuple(sorted(act[h] for h in bcol))
             tgt = self._block_index[img]
-            h = self.transport(tgt, g, src)
-            assert h in self._stab_elements
-            p = self.v0.perm(h)
+            # StabRep.perm raises unless w_t^-1 g w_s lies in Stab(B)
+            p = self.v0.perm(self.transport(tgt, g, src))
             base_r = tgt * deg
             base_c = src * deg
             for j in range(deg):
-                out[(base_r + p[j], base_c + j)] = one
-        self._op_memo[g] = out
+                out[base_c + j] = base_r + p[j]
+        out = tuple(out)
+        if len(set(out)) != self.dim:
+            raise InternalInconsistency(f"element {g} does not permute the basis")
+        self._perm_memo[g] = out
         return out
+
+    def op_of(self, g):
+        """Sparse matrix of a group element on the whole module: the
+        permutation matrix of perm_of(g)."""
+        one = _one(self.group)
+        return {(r, c): one for c, r in enumerate(self.perm_of(g))}
 
     def __repr__(self):
         return (
@@ -306,7 +353,8 @@ def induce(G: Group, B, v0: StabRep) -> InducedModule:
     for the pair to define a module.
     """
     B = tuple(sorted(B))
-    assert v0.group is G and v0.stab.elements == stabilizer(G, B).elements
+    if v0.group is not G or v0.stab.elements != G.stabilizer_of(B).elements:
+        raise InternalInconsistency(f"B={B}: V0 is not a representation of Stab(B)")
     blocks, coset_reps = _orbit_with_witnesses(G, B)
     module = InducedModule(G, B, v0, blocks, coset_reps, eps=None)
     _check_rel_annihilation(module)
@@ -330,14 +378,12 @@ def _check_rel_annihilation(module: InducedModule):
             if not coeff:
                 continue
             if k == nrefl:
-                term = {(j, j): one * coeff for j in range(deg)}
+                scale = one * coeff
+                term = {(j, j): scale for j in range(deg)}
             else:
-                s = G.reflections[k]
                 scale = one * coeff if k in rb else mu_scalar(G, k) * coeff
-                op = module.op_of(s)
-                term = {
-                    key: val * scale for key, val in op.items() if key[1] < deg
-                }
+                p = module.perm_of(G.reflections[k])
+                term = {(p[j], j): scale for j in range(deg)}
             acc = op_add(acc, term)
         if acc:
             raise NotAdmissiblePair(
@@ -351,7 +397,7 @@ def _eps_operator(module: InducedModule, hid: int):
 
     When several members of a block's collection are non-transverse with
     the hyperplane, each choice must give the same block (a consequence
-    of the relation vectors annihilating every block); asserted, not
+    of the relation vectors annihilating every block); checked, not
     assumed.
     """
     G = module.group
@@ -375,7 +421,10 @@ def _eps_operator(module: InducedModule, hid: int):
                 s = G.reflections[ridx]
                 act = G.hyperplane_action(s)
                 img = tuple(sorted(act[h] for h in bcol))
-                assert hid in img
+                if hid not in img:
+                    raise InternalInconsistency(
+                        f"reflection #{ridx} does not bring hyperplane {hid} into the block"
+                    )
                 tgt = module._block_index[img]
                 p = module.v0.perm(module.transport(tgt, s, src))
                 mus = mu_scalar(G, ridx)
@@ -387,7 +436,10 @@ def _eps_operator(module: InducedModule, hid: int):
                 block_op = {k: v for k, v in block_op.items() if v}
             choices.append(block_op)
         for other in choices[1:]:
-            assert other == choices[0]
+            if other != choices[0]:
+                raise InternalInconsistency(
+                    f"eps of hyperplane {hid} depends on the member chosen in {bcol}"
+                )
         out.update(choices[0])
     return out
 
@@ -420,19 +472,35 @@ class RelationReport:
         return f"RelationReport({self.results})"
 
 
+def b5_rhs(M: InducedModule, h1: int, h2: int):
+    """Right-hand side of B5 for a non-transverse pair: the sum over the
+    reflections r mapping h2 to h1 of mu_r * r * eps(h2), each term a
+    re-indexing of eps(h2) shifted in the exponent of mu_r."""
+    G = M.group
+    e2 = M.eps[h2]
+    out = {}
+    for ridx in transv_table(G).mapped_by(h2, h1):
+        term = op_permute(e2, M.perm_of(G.reflections[ridx]))
+        out = op_add(out, op_shift(term, mu_slot(G, ridx)))
+    return out
+
+
 def verify_defining_relations(M: InducedModule, seed: int = 0) -> RelationReport:
     """Check the five defining relations as exact sparse-matrix identities.
 
     The conjugation relation is verified on the group generators, which
     settles it for every element since both sides are multiplicative in
     w, and spot-checked on a seeded random sample of full elements.
-    Failures are reported, never raised.
+    Products with group elements (B2, B3, the right-hand side of B5) are
+    re-indexings through the basis permutations, entry for entry the
+    sparse products; products of two hyperplane operators (B1, B4, the
+    left-hand side of B5) are sparse products.  Failures are reported,
+    never raised.
     """
     G = M.group
     table = transv_table(G)
     labels = [h.label for h in hyperplanes(G)]
     nh = len(labels)
-    delta = delta_scalar(G)
     results = {name: True for name in ("B1", "B2", "B3", "B4", "B5")}
     first = None
 
@@ -444,7 +512,7 @@ def verify_defining_relations(M: InducedModule, seed: int = 0) -> RelationReport
 
     for hid in range(nh):
         e = M.eps[hid]
-        if op_compose(e, e) != op_scale(e, delta):
+        if op_compose(e, e) != op_shift(e, 0):
             fail("B1", f"eps({labels[hid]})^2 != delta*eps({labels[hid]})")
             break
 
@@ -452,13 +520,12 @@ def verify_defining_relations(M: InducedModule, seed: int = 0) -> RelationReport
     pool = G.elements
     elems = list(G.generators) + rng.sample(pool, min(10, len(pool)))
     for w in elems:
-        wop = M.op_of(w)
-        winv = M.op_of(G.inv(w))
+        rows = M.perm_of(w)
+        cols = perm_inverse(M.perm_of(G.inv(w)))
         act = G.hyperplane_action(w)
         done = False
         for hid in range(nh):
-            lhs = op_compose(op_compose(wop, M.eps[hid]), winv)
-            if lhs != M.eps[act[hid]]:
+            if op_permute(M.eps[hid], rows, cols) != M.eps[act[hid]]:
                 fail(
                     "B2",
                     f"w*eps({labels[hid]})*w^-1 != eps(w H) for w={G.element(w)!r}",
@@ -471,7 +538,7 @@ def verify_defining_relations(M: InducedModule, seed: int = 0) -> RelationReport
     for ridx, s in enumerate(G.reflections):
         hid = G.reflection_hyperplane(ridx)
         e = M.eps[hid]
-        if op_compose(M.op_of(s), e) != e:
+        if op_permute(e, M.perm_of(s)) != e:
             fail("B3", f"r*eps({labels[hid]}) != eps({labels[hid]}) for r#{ridx}")
             break
 
@@ -493,16 +560,7 @@ def verify_defining_relations(M: InducedModule, seed: int = 0) -> RelationReport
         for h2 in range(nh):
             if h1 == h2 or table.transverse(h1, h2):
                 continue
-            e2 = M.eps[h2]
-            lhs = op_compose(M.eps[h1], e2)
-            rhs = {}
-            for ridx in table.mapped_by(h2, h1):
-                term = op_scale(
-                    op_compose(M.op_of(G.reflections[ridx]), e2),
-                    mu_scalar(G, ridx),
-                )
-                rhs = op_add(rhs, term)
-            if lhs != rhs:
+            if op_compose(M.eps[h1], M.eps[h2]) != b5_rhs(M, h1, h2):
                 fail(
                     "B5",
                     f"eps({labels[h1]})*eps({labels[h2]}) != "

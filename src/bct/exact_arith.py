@@ -1,8 +1,10 @@
-"""Exact arithmetic: cyclotomic numbers, Laurent coefficients, linear algebra
-over exact fields, and integer-lattice membership via the Smith normal form.
+"""Exact arithmetic: cyclotomic numbers, integer Laurent polynomials, linear
+algebra over exact fields, and integer-lattice membership via the Smith
+normal form.
 
-Everything is exact.  Scalars are Fractions or CycNumbers, lattice work uses
-arbitrary-precision integers, and no floating point appears anywhere.
+Everything is exact.  Field scalars are Fractions or CycNumbers; the Laurent
+polynomials that carry module operators have int coefficients, lattice work
+uses arbitrary-precision integers, and no floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add
 
-from .errors import DivisionByZero, OrderMismatch
+from .errors import DivisionByZero, InternalInconsistency, OrderMismatch
 
 __all__ = [
     "CycNumber",
@@ -415,13 +418,26 @@ def zeta(n: int, k: int = 1) -> CycNumber:
 # Laurent coefficients
 
 
-class LaurentScalar:
-    """Sparse Laurent polynomial over cyclotomic coefficients.
+def _laurent(nvars: int, terms: dict) -> "LaurentScalar":
+    """A LaurentScalar over terms already clean: int coefficients, none
+    zero, exponent tuples of length nvars."""
+    out = object.__new__(LaurentScalar)
+    _set = object.__setattr__
+    _set(out, "nvars", nvars)
+    _set(out, "terms", terms)
+    return out
 
-    Terms map integer exponent tuples to CycNumbers.  Slot 0 of every tuple
-    is the delta exponent; the remaining slots are the per-reflection-class
-    parameters.  Negative exponents are allowed and zero coefficients are
-    never stored, so equality is plain dict equality.
+
+class LaurentScalar:
+    """Sparse Laurent polynomial with integer coefficients.
+
+    Terms map integer exponent tuples to nonzero ints.  Slot 0 of every
+    tuple is the delta exponent; the remaining slots are the
+    per-reflection-class parameters.  Negative exponents are allowed and
+    zero coefficients are never stored, so equality is plain dict equality.
+    A coefficient that is not an int (a Fraction or a CycNumber included)
+    is refused: the operators of induced permutation modules never need
+    one.
     """
 
     __slots__ = ("nvars", "terms")
@@ -430,11 +446,14 @@ class LaurentScalar:
         clean = {}
         if terms:
             for exps, c in terms.items():
-                if not isinstance(c, CycNumber):
-                    c = CycNumber.rational(c)
+                if not isinstance(c, int):
+                    raise TypeError(f"Laurent coefficients are integers, not {c!r}")
                 if c:
                     exps = tuple(exps)
-                    assert len(exps) == nvars
+                    if len(exps) != nvars:
+                        raise InternalInconsistency(
+                            f"exponent tuple {exps} in a ring of {nvars} variables"
+                        )
                     clean[exps] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
@@ -443,22 +462,20 @@ class LaurentScalar:
         raise AttributeError("LaurentScalar is immutable")
 
     @classmethod
-    def zero(cls, nvars: int) -> "LaurentScalar":
-        return cls(nvars)
-
-    @classmethod
     def one(cls, nvars: int) -> "LaurentScalar":
         return cls(nvars, {(0,) * nvars: 1})
-
-    @classmethod
-    def constant(cls, nvars: int, c) -> "LaurentScalar":
-        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, slot: int, power: int = 1) -> "LaurentScalar":
         exps = [0] * nvars
         exps[slot] = power
         return cls(nvars, {tuple(exps): 1})
+
+    def _same_ring(self, other):
+        if other.nvars != self.nvars:
+            raise InternalInconsistency(
+                f"Laurent scalars over {self.nvars} and {other.nvars} variables"
+            )
 
     def __bool__(self):
         return bool(self.terms)
@@ -472,52 +489,52 @@ class LaurentScalar:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        assert isinstance(other, LaurentScalar) and other.nvars == self.nvars
+        if not isinstance(other, LaurentScalar):
+            return NotImplemented
+        self._same_ring(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e)
-            terms[e] = c if s is None else s + c
-        return LaurentScalar(self.nvars, terms)
+            s = terms.get(e, 0) + c
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]
+        return _laurent(self.nvars, terms)
 
     def __neg__(self):
-        return LaurentScalar(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _laurent(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycNumber)):
-            return LaurentScalar(
-                self.nvars, {e: c * other for e, c in self.terms.items()}
-            )
-        assert isinstance(other, LaurentScalar) and other.nvars == self.nvars
+        if isinstance(other, int):
+            if not other:
+                return _laurent(self.nvars, {})
+            return _laurent(self.nvars, {e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, LaurentScalar):
+            return NotImplemented
+        self._same_ring(other)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                c = c1 * c2
-                s = terms.get(e)
-                terms[e] = c if s is None else s + c
-        return LaurentScalar(self.nvars, terms)
+                e = tuple(map(add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return _laurent(self.nvars, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
-    def specialize(self, values) -> CycNumber:
-        """Ring map sending variable i to values[i]; an explicit homomorphism,
-        never an in-place substitution.  Values must be invertible wherever a
-        negative exponent occurs."""
-        assert len(values) == self.nvars
-        vals = [
-            v if isinstance(v, CycNumber) else CycNumber.rational(v) for v in values
-        ]
-        out = CycNumber.rational(0)
-        for exps, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exps):
-                if e:
-                    term = term * (v ** e)
-            out = out + term
-        return out
+    def shift(self, slot: int, power: int = 1) -> "LaurentScalar":
+        """The product with variable `slot` raised to `power`: every
+        exponent tuple moves by `power` in that slot, and no coefficient
+        changes."""
+        return _laurent(
+            self.nvars,
+            {
+                e[:slot] + (e[slot] + power,) + e[slot + 1 :]: c
+                for e, c in self.terms.items()
+            },
+        )
 
     def __repr__(self):
         if not self.terms:

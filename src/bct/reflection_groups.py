@@ -382,6 +382,7 @@ class Group:
         self._transv_table = None
         self._orbit_records = None
         self._adm_cache = {}
+        self._stabilizers = {}
 
     def __repr__(self):
         return f"Group({self.name}, order={self.order})"
@@ -632,6 +633,16 @@ class Group:
     def hyperplane_action(self, w: int):
         """Permutation of hyperplane ids induced by element w."""
         return self.action_table()[w]
+
+    def stabilizer_of(self, B) -> "Subgroup":
+        """Setwise stabilizer of a collection of hyperplane ids, scanned by
+        `stabilizer` once per collection and kept (collection_orbits keeps
+        the stabilizers of the orbit representatives it checks)."""
+        key = tuple(sorted(B))
+        sub = self._stabilizers.get(key)
+        if sub is None:
+            sub = self._stabilizers[key] = stabilizer(self, key)
+        return sub
 
     # -- conjugacy classes of reflections ----------------------------------
 

@@ -200,12 +200,15 @@ def collection_orbits(G: Group):
             )
         seen.update(orb)
         rep = min(orb)
-        stab = stabilizer(G, rep).order
-        if len(orb) * stab != G.order:
+        # scanned afresh for the check, then kept for G.stabilizer_of
+        stab = stabilizer(G, rep)
+        if len(orb) * stab.order != G.order:
             raise InternalInconsistency(
-                f"orbit-stabilizer fails for {rep}: {len(orb)} * {stab} != {G.order}"
+                f"orbit-stabilizer fails for {rep}: {len(orb)} * {stab.order} "
+                f"!= {G.order}"
             )
-        records.append(OrbitRecord(rep, len(orb), stab, len(rep)))
+        G._stabilizers[rep] = stab
+        records.append(OrbitRecord(rep, len(orb), stab.order, len(rep)))
     if len(seen) != len(cols):
         raise InternalInconsistency("the orbits do not cover the collections")
     records.sort(key=lambda r: (r.cardinality, r.representative))

@@ -2,17 +2,26 @@
 
 import pytest
 
+from bct import reflection_groups, transversality
 from bct.admissibility import classify_orbits, mu_sixth
 from bct.brauer_modules import (
+    b5_rhs,
     delta_scalar,
     induce,
+    mu_scalar,
+    op_add,
+    op_compose,
+    op_permute,
+    op_shift,
+    perm_inverse,
     quotient_regular_rep,
     semisimplicity_census,
     trivial_rep,
     verify_defining_relations,
 )
 from bct.errors import NotAdmissible, NotAdmissiblePair
-from bct.reflection_groups import hyperplanes
+from bct.reflection_groups import build_imprimitive, hyperplanes, packaged_group
+from bct.transversality import transv_table
 
 
 def by_label(G):
@@ -98,6 +107,86 @@ def test_perturbed_module_fails_first_relation(gmpn):
     assert not report.results["B1"]
     assert report.first_counterexample.startswith("B1")
     assert not report.all_pass
+
+
+def test_swapped_eps_fails_conjugation_not_first_relation(gmpn):
+    # eps of two hyperplanes of one orbit exchanged: each operator still
+    # squares to delta times itself, but w*eps(H)*w^-1 = eps(wH) breaks
+    G = gmpn(1, 1, 3)
+    lab = by_label(G)
+    B = (lab["H_1,2"],)
+    M = induce(G, B, quotient_regular_rep(G, B))
+    a, b = lab["H_1,2"], lab["H_1,3"]
+    M.eps[a], M.eps[b] = M.eps[b], M.eps[a]
+    report = verify_defining_relations(M)
+    assert report.results["B1"] is True
+    assert report.results["B2"] is False
+    assert report.first_counterexample.startswith("B2")
+
+
+def _modules(G):
+    for rec in classify_orbits(G):
+        if rec.quotient_size:
+            B = rec.orbit.representative
+            yield induce(G, B, quotient_regular_rep(G, B))
+
+
+@pytest.mark.parametrize("spec", [(1, 1, 3), (2, 2, 3), "g4"])
+def test_reindexing_matches_sparse_products(gmpn, spec):
+    """B2, B3 and the right-hand side of B5 are checked by re-indexing
+    eps through basis permutations; each must equal the sparse product
+    with the permutation matrices of op_of, kept here as the reference."""
+    G = packaged_group(spec) if isinstance(spec, str) else gmpn(*spec)
+    table = transv_table(G)
+    nh = len(hyperplanes(G))
+    delta = delta_scalar(G)
+    modules = 0
+    for M in _modules(G):
+        for hid in range(nh):
+            e = M.eps[hid]
+            assert op_shift(e, 0) == {k: v * delta for k, v in e.items()}
+        for w in G.elements:
+            w_inv = G.inv(w)
+            rows, cols = M.perm_of(w), perm_inverse(M.perm_of(w_inv))
+            wop, winv = M.op_of(w), M.op_of(w_inv)
+            for hid in range(nh):
+                e = M.eps[hid]
+                want = op_compose(op_compose(wop, e), winv)
+                assert op_permute(e, rows, cols) == want
+        for ridx, s in enumerate(G.reflections):
+            e = M.eps[G.reflection_hyperplane(ridx)]
+            assert op_permute(e, M.perm_of(s)) == op_compose(M.op_of(s), e)
+        for h1 in range(nh):
+            for h2 in range(nh):
+                if h1 == h2 or table.transverse(h1, h2):
+                    continue
+                want = {}
+                for ridx in table.mapped_by(h2, h1):
+                    prod = op_compose(M.op_of(G.reflections[ridx]), M.eps[h2])
+                    mu = mu_scalar(G, ridx)
+                    want = op_add(want, {k: v * mu for k, v in prod.items()})
+                assert b5_rhs(M, h1, h2) == want
+        modules += 1
+    assert modules >= 2
+
+
+def test_stabilizer_scanned_once_per_collection(monkeypatch):
+    """Orbit records, admissibility, Stab(B) representations and induction
+    share one stabilizer per collection."""
+    calls = []
+    scan = reflection_groups.stabilizer
+
+    def counted(G, B):
+        calls.append(tuple(B))
+        return scan(G, B)
+
+    monkeypatch.setattr(reflection_groups, "stabilizer", counted)
+    monkeypatch.setattr(transversality, "stabilizer", counted)
+    G = build_imprimitive(2, 1, 3)
+    recs = classify_orbits(G)
+    for M in _modules(G):
+        assert verify_defining_relations(M).all_pass
+    assert sorted(calls) == sorted(r.orbit.representative for r in recs)
 
 
 def test_report_serialization_shape(gmpn):

@@ -445,6 +445,25 @@ def test_dims_same_under_optimize(tmp_path, cli_env):
     assert outs[1] == outs[0]
 
 
+def test_verify_same_under_optimize(tmp_path, cli_env):
+    """The invariants of induced modules raise instead of asserting, so
+    the relation checks print the same bytes under ``python -O``."""
+    outs = []
+    for tag, flags in [("plain", []), ("optimized", ["-O"])]:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "bct.cli",
+             "--cache-dir", str(tmp_path / tag),
+             "verify", "--suite", "relations", "gmpn:1,1,3"],
+            capture_output=True,
+            cwd=tmp_path,
+            env=cli_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert json.loads(outs[0])["all_pass"] is True
+    assert outs[1] == outs[0]
+
+
 def test_parallel_matches_serial(tmp_path, cli_env):
     runs = []
     for tag, extra in [("serial", []), ("pool", ["--parallel", "2"])]:
