@@ -11,7 +11,7 @@ Subcommands:
 Group specs are either "gmpn:m,p,n" for the monomial series or a path to a
 group-definition JSON file.  Reports are deterministic JSON on stdout; the
 classify table can also be projected to CSV.  Expensive per-group artifacts
-(transversality table, orbit rows, dimensions) are cached on disk keyed by
+(the group order, orbit rows, dimensions) are cached on disk keyed by
 a content hash of the group definition, which is computed without building
 the group; a cache hit builds nothing.
 """
@@ -51,9 +51,9 @@ from .reflection_groups import (
     packaged_group,
     refuse_over_cap,
 )
-from .transversality import TransvTable, transv_table
+from .transversality import check_all_pairs
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 CSV_COLUMNS = [
     "cardinality",
@@ -134,7 +134,6 @@ def fresh_bundle() -> dict:
     return {
         "version": CACHE_VERSION,
         "order": None,
-        "table": None,
         "classify": {},
         "dims": {},
     }
@@ -164,29 +163,6 @@ def cache_store(cache_dir: str, digest: str, bundle: dict):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def table_payload(G: Group) -> dict:
-    tbl = transv_table(G)
-    return {
-        "size": tbl.size,
-        "transverse": [sorted(tbl.row(i)) for i in range(tbl.size)],
-        "mapped": {cell: list(v) for cell, v in tbl._mapped.items()},
-    }
-
-
-def prefill_table(G: Group, data: dict):
-    if G._transv_table is not None:
-        return
-    G._build_hyperplanes()
-    if data["size"] != len(G._hyperplanes):
-        return
-    G._transv_table = TransvTable(
-        G,
-        data["size"],
-        [frozenset(r) for r in data["transverse"]],
-        {tuple(cell): tuple(v) for cell, v in data["mapped"].items()},
-    )
 
 
 def cfg_key(mu6: bool) -> str:
@@ -234,13 +210,9 @@ class GroupStore:
     def G(self) -> Group:
         if self._group is None:
             self._group = self._build(self.cap)
-            if self.bundle["table"] is not None:
-                prefill_table(self._group, self.bundle["table"])
         return self._group
 
     def _save(self):
-        if self.bundle["table"] is None:
-            self.bundle["table"] = table_payload(self.G)
         self.bundle["order"] = self.G.order
         cache_store(self.cache_dir, self.digest, self.bundle)
 
@@ -421,6 +393,9 @@ def cmd_verify(args) -> int:
         G = build_spec(args.spec, args.max_order)
     elif args.suite != "formulas":
         raise SpecError(f"the {args.suite} suite needs a group spec")
+    if args.suite != "formulas":
+        # the per-orbit transversality table against the all-pairs oracle
+        check_all_pairs(G)
 
     if args.suite == "relations":
         body = _suite_relations(G)

@@ -35,6 +35,7 @@ from .admissibility import (
     rel_bar,
     rel_set,
 )
+from .errors import InternalInconsistency
 from .exact_arith import z_span_member
 from .reflection_groups import Group, bfs, hyperplanes
 from .transversality import small_orbit, transv_table
@@ -133,8 +134,10 @@ class TauVector:
 
     def __init__(self, vector, h_plus, h_minus, source):
         vector = tuple(vector)
-        assert vector[-1] == 0, "tau never touches the identity position"
-        assert all(x in (-1, 0, 1) for x in vector)
+        if vector[-1] != 0:
+            raise InternalInconsistency("tau touches the identity position")
+        if any(x not in (-1, 0, 1) for x in vector):
+            raise InternalInconsistency(f"tau entry outside -1, 0, 1: {vector}")
         self.vector = vector
         self.h_plus = h_plus
         self.h_minus = h_minus
@@ -165,11 +168,14 @@ def rel_tau(G: Group, B):
             if table.transverse(k, i) or table.transverse(k, j):
                 continue
             vec = [0] * (nrefl + 1)
-            for s in table.mapped_by(k, i):
-                assert s not in rb, "tau support never meets the collection"
+            plus, minus = table.mapped_by(k, i), table.mapped_by(k, j)
+            if rb.intersection(plus) or rb.intersection(minus):
+                raise InternalInconsistency(
+                    f"tau support of H{k} meets the collection {sorted(bset)}"
+                )
+            for s in plus:
                 vec[s] += 1
-            for s in table.mapped_by(k, j):
-                assert s not in rb
+            for s in minus:
                 vec[s] -= 1
             if any(vec):
                 out.append(TauVector(vec, i, j, k))
@@ -400,7 +406,10 @@ def freeness_verdict(G: Group) -> FreenessReport:
     dim_generic = dim_from_rows(G.order, [rec.as_row() for rec in recs])
     dim_sixth = dim_brauer(G, mu_sixth())
     if dim_generic != dim_sixth:
-        assert dim_generic < dim_sixth, "specialization can only add relations"
+        if dim_generic > dim_sixth:
+            raise InternalInconsistency(
+                f"specialization removed relations: {dim_generic} > {dim_sixth}"
+            )
         return FreenessReport(
             G.name, "not_free", "dimension-jump",
             witness={"dim_generic": dim_generic, "dim_sixth_root": dim_sixth},

@@ -12,13 +12,14 @@ mapping the first hyperplane onto the second.  Everything downstream
 
 from .errors import InternalInconsistency, NotDistinct
 from .exact_arith import SpanBasis
-from .reflection_groups import Group, Hyperplane, orbit, stabilizer
+from .reflection_groups import Group, Hyperplane, bfs, orbit, stabilizer
 
 __all__ = [
     "TransvTable",
     "OrbitRecord",
     "is_transverse",
     "transv_table",
+    "check_all_pairs",
     "enumerate_collections",
     "collection_orbits",
     "small_orbit",
@@ -82,11 +83,13 @@ class TransvTable:
     fail (some non-transverse pairs are mapped by no reflection at all).
     """
 
-    __slots__ = ("group", "size", "_transverse", "_mapped")
+    __slots__ = ("group", "size", "pair_orbits", "_transverse", "_mapped")
 
-    def __init__(self, group, size, transverse, mapped):
+    def __init__(self, group, size, transverse, mapped, pair_orbits):
         self.group = group
         self.size = size
+        # how many pair orbits the span criterion decided
+        self.pair_orbits = pair_orbits
         self._transverse = transverse
         self._mapped = mapped
 
@@ -109,8 +112,36 @@ class TransvTable:
         return f"TransvTable({self.group.name}, size={self.size})"
 
 
+def _pair_orbits(G: Group, size: int):
+    """The orbits of the unordered pairs (i, j), i < j, of hyperplane ids
+    under the generators' rows of the action table.  Each orbit is listed
+    from its smallest pair, and the orbits come in the order of those
+    pairs."""
+    table = G.action_table()
+    gen_rows = [table[s] for s in G.generators]
+
+    def step(pair, row):
+        a, b = row[pair[0]], row[pair[1]]
+        return (a, b) if a < b else (b, a)
+
+    seen = set()
+    orbits = []
+    for i in range(size):
+        for j in range(i + 1, size):
+            if (i, j) not in seen:
+                members, _ = bfs([(i, j)], gen_rows, step)
+                seen.update(members)
+                orbits.append(members)
+    return orbits
+
+
 def transv_table(G: Group) -> TransvTable:
-    """Build (once per group) the full transversality/mapping table."""
+    """Build (once per group) the full transversality/mapping table.
+
+    W permutes the flats of its arrangement, so whether H_i meets H_j in a
+    flat on no third hyperplane is constant on each W-orbit of pairs: the
+    span criterion runs once per pair orbit.  On monomial groups the type
+    shortcut still answers every pair and must agree with it."""
     if G._transv_table is not None:
         return G._transv_table
     G._build_hyperplanes()
@@ -125,16 +156,27 @@ def transv_table(G: Group) -> TransvTable:
                 mapped.setdefault((i, j), []).append(ridx)
     mapped = {cell: tuple(v) for cell, v in mapped.items()}
     transverse = [set() for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            if is_transverse(G, hyps[i], hyps[j]):
-                if (i, j) in mapped or (j, i) in mapped:
+    orbits = _pair_orbits(G, size)
+    for members in orbits:
+        i, j = members[0]
+        flag = _root_span_transverse(G, hyps[i], hyps[j])
+        for a, b in members:
+            if G.kind == "imprimitive":
+                fast = _imprimitive_transverse(G, hyps[a], hyps[b])
+                if fast != flag:
                     raise InternalInconsistency(
-                        f"transverse pair ({hyps[i].label}, {hyps[j].label}) "
+                        f"transversality of ({hyps[a].label}, {hyps[b].label}): "
+                        f"type shortcut says {fast}, span criterion on its "
+                        f"pair orbit says {flag}"
+                    )
+            if flag:
+                if (a, b) in mapped or (b, a) in mapped:
+                    raise InternalInconsistency(
+                        f"transverse pair ({hyps[a].label}, {hyps[b].label}) "
                         "has a mapping reflection"
                     )
-                transverse[i].add(j)
-                transverse[j].add(i)
+                transverse[a].add(b)
+                transverse[b].add(a)
     # mapping lists of (i,j) and (j,i) are each other's inverses
     refls = G.reflections
     for (i, j), lst in mapped.items():
@@ -143,9 +185,26 @@ def transv_table(G: Group) -> TransvTable:
             raise InternalInconsistency(
                 f"mapping reflections of ({i}, {j}) and ({j}, {i}) are not inverse"
             )
-    tbl = TransvTable(G, size, [frozenset(r) for r in transverse], mapped)
+    tbl = TransvTable(
+        G, size, [frozenset(r) for r in transverse], mapped, len(orbits)
+    )
     G._transv_table = tbl
     return tbl
+
+
+def check_all_pairs(G: Group):
+    """Compare the table with is_transverse, the span criterion run on every
+    pair; a disagreeing cell raises InternalInconsistency."""
+    tbl = transv_table(G)
+    hyps = G._hyperplanes
+    for i in range(tbl.size):
+        for j in range(i + 1, tbl.size):
+            got = is_transverse(G, hyps[i], hyps[j])
+            if got != tbl.transverse(i, j):
+                raise InternalInconsistency(
+                    f"table cell ({hyps[i].label}, {hyps[j].label}) says "
+                    f"{not got}, the all-pairs span criterion says {got}"
+                )
 
 
 def enumerate_collections(G: Group):

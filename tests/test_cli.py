@@ -11,7 +11,13 @@ import pytest
 import bct.cli as cli
 from bct.cli import main
 from bct.errors import TooLarge
-from bct.reflection_groups import DEFAULT_CAP, group_definition, group_to_json
+from bct.reflection_groups import (
+    DEFAULT_CAP,
+    build_imprimitive,
+    group_definition,
+    group_to_json,
+)
+from bct.transversality import transv_table
 
 
 def run(capsys, argv):
@@ -247,7 +253,7 @@ def test_version_one_bundle_is_a_miss(capsys, cache):
     path = os.path.join(cache, entry)
     with open(path, "rb") as fh:
         bundle = pickle.load(fh)
-    assert bundle["version"] == cli.CACHE_VERSION == 2
+    assert bundle["version"] == cli.CACHE_VERSION == 3
     assert bundle["order"] == 24
     forged = dict(bundle, dims={"generic": 999})
     with open(path, "wb") as fh:
@@ -257,6 +263,29 @@ def test_version_one_bundle_is_a_miss(capsys, cache):
     with open(path, "wb") as fh:
         pickle.dump(dict(forged, version=1), fh)
     assert run_json(capsys, argv) == first
+
+
+def test_version_two_bundle_is_a_miss(capsys, cache):
+    # version 2 bundles carried a transversality table; none is read now
+    argv = ["--cache-dir", cache, "dims", "gmpn:2,2,3"]
+    first = run_json(capsys, argv)
+    (entry,) = os.listdir(cache)
+    path = os.path.join(cache, entry)
+    with open(path, "rb") as fh:
+        bundle = pickle.load(fh)
+    forged = dict(bundle, version=2, dims={"generic": 999}, table=None)
+    with open(path, "wb") as fh:
+        pickle.dump(forged, fh)
+    assert run_json(capsys, argv) == first
+
+
+def test_stored_bundle_has_no_table(capsys, cache):
+    run_json(capsys, ["--cache-dir", cache, "classify", "g4"])
+    (entry,) = os.listdir(cache)
+    with open(os.path.join(cache, entry), "rb") as fh:
+        bundle = pickle.load(fh)
+    assert "table" not in bundle
+    assert set(bundle) == {"version", "order", "classify", "dims"}
 
 
 def test_max_order_refuses_cached_groups(capsys, cache):
@@ -347,6 +376,21 @@ def test_verify_freeness_monomial(capsys):
     assert report["verdict"] == "free"
     assert report["route"] == "monomial-family"
     assert all(row["dichotomy"] for row in report["orbit_checks"])
+
+
+@pytest.mark.parametrize("suite", ["relations", "freeness", "g26"])
+def test_verify_checks_table_against_all_pairs_oracle(capsys, monkeypatch, suite):
+    G = build_imprimitive(2, 1, 3)
+    tbl = transv_table(G)
+    i = next(i for i in range(tbl.size) if tbl.row(i))
+    tbl._transverse[i] = tbl._transverse[i] - {tbl.row(i)[0]}
+    monkeypatch.setattr(cli, "build_spec", lambda spec, cap: G)
+    code, out, err = run(capsys, ["verify", "--suite", suite, "gmpn:2,1,3"])
+    assert code == 1
+    assert out == ""
+    report = json.loads(err)
+    assert report["error"] == "InternalInconsistency"
+    assert "all-pairs" in report["message"]
 
 
 def test_verify_g26_suite_rejects_wrong_shape(capsys):
@@ -461,6 +505,25 @@ def test_verify_same_under_optimize(tmp_path, cli_env):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert json.loads(outs[0])["all_pass"] is True
+    assert outs[1] == outs[0]
+
+
+def test_verify_freeness_same_under_optimize(tmp_path, cli_env):
+    """The freeness invariants raise instead of asserting, so the verdict
+    prints the same bytes under ``python -O``."""
+    outs = []
+    for tag, flags in [("plain", []), ("optimized", ["-O"])]:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "bct.cli",
+             "--cache-dir", str(tmp_path / tag),
+             "verify", "--suite", "freeness", "g4"],
+            capture_output=True,
+            cwd=tmp_path,
+            env=cli_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert json.loads(outs[0])["report"]["route"] == "collection-dichotomy"
     assert outs[1] == outs[0]
 
 

@@ -1,9 +1,11 @@
 """Transversality tables, collection enumeration, and orbits."""
 
 import random
+from math import factorial
 
 import pytest
 
+from bct import transversality
 from bct.errors import InternalInconsistency, NotDistinct
 from bct.reflection_groups import (
     build_imprimitive,
@@ -11,6 +13,7 @@ from bct.reflection_groups import (
     packaged_group,
 )
 from bct.transversality import (
+    check_all_pairs,
     collection_orbits,
     enumerate_collections,
     is_transverse,
@@ -123,6 +126,85 @@ def test_table_diagonal_rejected(g25):
         tbl.transverse(0, 0)
     with pytest.raises(NotDistinct):
         tbl.mapped_by(3, 3)
+
+
+# every G(m,p,n) of order at most 200 with m <= 12: that is every one of
+# rank three or more, and the rank-two ones whose span tests over Q(zeta_m)
+# stay cheap (G(23,23,2) alone takes 16 s for its 253 pairs on one core of
+# a 2-vCPU host)
+SMALL_MONOMIAL = [
+    (m, p, n)
+    for n in range(2, 6)
+    for m in range(1, 13)
+    for p in range(1, m + 1)
+    if m % p == 0 and factorial(n) * m ** n // p <= 200
+]
+
+
+def assert_table_is_all_pairs_oracle(G):
+    hyps = hyperplanes(G)
+    tbl = transv_table(G)
+    for i in range(len(hyps)):
+        for j in range(i + 1, len(hyps)):
+            want = is_transverse(G, hyps[i], hyps[j])
+            assert tbl.transverse(i, j) is want
+            assert tbl.transverse(j, i) is want
+    pairs = len(hyps) * (len(hyps) - 1) // 2
+    assert min(1, pairs) <= tbl.pair_orbits <= pairs
+
+
+@pytest.mark.parametrize("name", ["g4", "g23", "g25", "g26"])
+def test_per_orbit_table_equals_all_pairs_oracle_on_matrix_groups(
+    name, request
+):
+    shared = name in ("g25", "g26")
+    G = request.getfixturevalue(name) if shared else packaged_group(name)
+    assert_table_is_all_pairs_oracle(G)
+
+
+def test_per_orbit_table_equals_all_pairs_oracle_on_small_monomial_groups():
+    assert len(SMALL_MONOMIAL) == 44
+    for m, p, n in SMALL_MONOMIAL:
+        assert_table_is_all_pairs_oracle(build_imprimitive(m, p, n))
+
+
+def test_pair_orbits_counted():
+    # G(2,2,3) = type A3: all 15 pairs of its 6 hyperplanes fall into two
+    # orbits, the commuting pairs and the pairs meeting at angle pi/3
+    G = build_imprimitive(2, 2, 3)
+    assert transv_table(G).pair_orbits == 2
+    assert transv_table(packaged_group("g4")).pair_orbits == 1
+
+
+def test_tampered_pair_orbit_flag_is_caught(monkeypatch):
+    # flipping the span verdict of one pair orbit leaves the type shortcut
+    # disagreeing on every pair of that orbit, under python -O too
+    G = build_imprimitive(3, 1, 3)
+    span = transversality._root_span_transverse
+    flipped = []
+
+    def tampered(G, H1, H2):
+        got = span(G, H1, H2)
+        if not flipped:
+            flipped.append((H1.id, H2.id))
+            return not got
+        return got
+
+    monkeypatch.setattr(transversality, "_root_span_transverse", tampered)
+    with pytest.raises(InternalInconsistency, match="type shortcut"):
+        transv_table(G)
+    assert flipped == [(0, 1)]
+
+
+def test_all_pairs_check_catches_a_wrong_cell():
+    G = build_imprimitive(2, 1, 3)
+    tbl = transv_table(G)
+    check_all_pairs(G)
+    i = next(i for i in range(tbl.size) if tbl.row(i))
+    j = tbl.row(i)[0]
+    tbl._transverse[i] = tbl._transverse[i] - {j}
+    with pytest.raises(InternalInconsistency, match="all-pairs"):
+        check_all_pairs(G)
 
 
 def test_table_equivariance_under_relabeling():

@@ -11,14 +11,15 @@ built:
     build         closure of the generators
     hyperplanes   reflections, hyperplanes, distinguished reflections
     actions       the |G| x #H hyperplane-action table
-    table         the transversality table
+    table         the transversality table, one span test per pair orbit
     orbits        orbits of transverse collections, with stabilizers
     classify      admissibility of every orbit, generic parameters
     classify_mu6  the same with the ratio specialized to a sixth root
 
 Counters: the group order, the size of the point set the elements
-permute, the hyperplane count, the number of transverse collections and
-of their orbits, and both dimensions.  Standard library only.
+permute, the hyperplane count, the number of orbits of hyperplane pairs
+(each decided by one span test), the number of transverse collections
+and of their orbits, and both dimensions.  Standard library only.
 """
 
 import json
@@ -53,7 +54,7 @@ def stages(spec: str) -> dict:
     G = timed("build", lambda: build_spec(spec, DEFAULT_CAP))
     hyps = timed("hyperplanes", lambda: hyperplanes(G))
     timed("actions", G.action_table)
-    timed("table", lambda: transv_table(G))
+    table = timed("table", lambda: transv_table(G))
     records = timed("orbits", lambda: orbit_records(G))
     generic = timed("classify", lambda: classify_orbits(G, GENERIC))
     sixth = timed("classify_mu6", lambda: classify_orbits(G, mu_sixth()))
@@ -66,6 +67,7 @@ def stages(spec: str) -> dict:
             "order": G.order,
             "points": G.npoints,
             "hyperplanes": len(hyps),
+            "pair_orbits": table.pair_orbits,
             "collections": sum(r.orbit_size for r in records),
             "orbits": len(records),
             "dim_generic": dim_from_rows(G.order, [r.as_row() for r in generic]),
