@@ -74,12 +74,14 @@ class FieldConfig:
     __slots__ = ("mode", "exponent")
 
     def __init__(self, mode, exponent=None):
-        assert mode in ("generic", "mu_sixth_root")
         if mode == "mu_sixth_root":
-            assert exponent is not None
+            if exponent is None:
+                raise InvalidParameters("mu_sixth_root needs an exponent")
             exponent = exponent % 6
-        else:
-            assert exponent is None
+        elif mode != "generic":
+            raise InvalidParameters(f"unknown field mode {mode!r}")
+        elif exponent is not None:
+            raise InvalidParameters("the generic mode takes no exponent")
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "exponent", exponent)
 
@@ -88,7 +90,8 @@ class FieldConfig:
 
     @property
     def mu(self) -> CycNumber:
-        assert self.mode == "mu_sixth_root"
+        if self.mode != "mu_sixth_root":
+            raise InvalidParameters("the generic mode has no specialized mu")
         return zeta(6, self.exponent)
 
     def __repr__(self):
@@ -156,16 +159,35 @@ def _rb_positions(G: Group, B):
     )
 
 
-def _vector_of_term(term, nrefl, rb):
-    """Integer theta-vector of a sigma term; entries live in {-1,0,1}."""
-    vec = [0] * (nrefl + 1)
-    for s in term.plus:
-        assert s not in rb, "sigma support never meets the collection's reflections"
+def signed_vector(size, plus, minus, avoid=frozenset()):
+    """Integer vector with +1 at each index of plus and -1 at each index of
+    minus.  Relation supports never meet the collection's reflections, so
+    an index of plus or minus inside avoid raises InternalInconsistency."""
+    vec = [0] * size
+    for s in plus:
         vec[s] += 1
-    for s in term.minus:
-        assert s not in rb
+    for s in minus:
         vec[s] -= 1
+    hit = [s for s in (*plus, *minus) if s in avoid]
+    if hit:
+        raise InternalInconsistency(
+            f"relation support meets the collection's reflections {sorted(hit)}"
+        )
     return tuple(vec)
+
+
+def _relation_vectors(ws, terms):
+    """The r - 1 vectors for r in R_B, then the signed vector of every
+    (plus, minus) pair in terms, zero vectors and duplicates dropped."""
+    size = ws.nrefl + 1
+    vecs = [signed_vector(size, (i,), (ws.nrefl,)) for i in ws.rb]
+    seen = set(vecs)
+    for plus, minus in terms:
+        vec = signed_vector(size, plus, minus, ws.rb_set)
+        if any(vec) and vec not in seen:
+            seen.add(vec)
+            vecs.append(vec)
+    return vecs
 
 
 def rel_set(G: Group, B):
@@ -174,21 +196,9 @@ def rel_set(G: Group, B):
     B.  Zero vectors are dropped and duplicates removed."""
     ws = _workspace(G, B)
     if ws.rel_vectors is None:
-        nrefl = ws.nrefl
-        vecs = []
-        seen = set()
-        for i in ws.rb:
-            vec = [0] * (nrefl + 1)
-            vec[i] = 1
-            vec[nrefl] = -1
-            vecs.append(tuple(vec))
-            seen.add(tuple(vec))
-        for term in sigma_triples(G, ws.B):
-            vec = _vector_of_term(term, nrefl, ws.rb_set)
-            if any(vec) and vec not in seen:
-                seen.add(vec)
-                vecs.append(vec)
-        ws.rel_vectors = vecs
+        ws.rel_vectors = _relation_vectors(
+            ws, ((t.plus, t.minus) for t in sigma_triples(G, ws.B))
+        )
     return list(ws.rel_vectors)
 
 
@@ -203,51 +213,38 @@ def rel_bar(G: Group, B):
     """
     ws = _workspace(G, B)
     if ws.rel_bar_vectors is None:
-        table = ws.table
-        nrefl = ws.nrefl
-        bset = frozenset(ws.B)
-        vecs = []
-        seen = set()
-        for i in ws.rb:
-            vec = [0] * (nrefl + 1)
-            vec[i] = 1
-            vec[nrefl] = -1
-            vecs.append(tuple(vec))
-            seen.add(tuple(vec))
-        acts = [G.hyperplane_action(s) for s in G.reflections]
-        for bp in small_orbit(G, ws.B):
-            pset = frozenset(bp)
-            if pset == bset:
-                continue
-            movers = [
-                s
-                for s in range(nrefl)
-                if frozenset(acts[s][h] for h in ws.B) == pset
-            ]
-            assert movers, "every small-orbit member is a one-reflection image"
-            rows = [h for h in ws.B if h not in pset]
-            cols = [h for h in bp if h not in bset]
-            cell = {
-                (hr, hc): [s for s in table.mapped_by(hr, hc) if s in set(movers)]
-                for hr in rows
-                for hc in cols
-            }
-            for hc in cols:
-                bad = [hr for hr in rows if not table.transverse(hr, hc)]
-                for h1, h2 in permutations(bad, 2):
-                    vec = [0] * (nrefl + 1)
-                    for s in cell[(h1, hc)]:
-                        assert s not in ws.rb_set
-                        vec[s] += 1
-                    for s in cell[(h2, hc)]:
-                        assert s not in ws.rb_set
-                        vec[s] -= 1
-                    vec = tuple(vec)
-                    if any(vec) and vec not in seen:
-                        seen.add(vec)
-                        vecs.append(vec)
-        ws.rel_bar_vectors = vecs
+        ws.rel_bar_vectors = _relation_vectors(ws, _projected_sigmas(G, ws))
     return list(ws.rel_bar_vectors)
+
+
+def _projected_sigmas(G, ws):
+    """(plus, minus) reflection lists of the projected sigma differences
+    behind rel_bar, in rel_bar's order."""
+    table = ws.table
+    bset = frozenset(ws.B)
+    acts = [G.hyperplane_action(s) for s in G.reflections]
+    for bp in small_orbit(G, ws.B):
+        pset = frozenset(bp)
+        if pset == bset:
+            continue
+        movers = {
+            s for s in range(ws.nrefl) if frozenset(acts[s][h] for h in ws.B) == pset
+        }
+        if not movers:
+            raise InternalInconsistency(
+                f"small-orbit member {bp} of {ws.B} is no one-reflection image"
+            )
+        rows = [h for h in ws.B if h not in pset]
+        cols = [h for h in bp if h not in bset]
+        cell = {
+            (hr, hc): tuple(s for s in table.mapped_by(hr, hc) if s in movers)
+            for hr in rows
+            for hc in cols
+        }
+        for hc in cols:
+            bad = [hr for hr in rows if not table.transverse(hr, hc)]
+            for h1, h2 in permutations(bad, 2):
+                yield cell[(h1, hc)], cell[(h2, hc)]
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +266,10 @@ class _Workspace:
         self.rel_vectors = None
         self.rel_bar_vectors = None
         self._span = None
-        self._residues = None
-        self._dp = None
+        self._classes = None
+        self._p_pairs = None
         self._kb = None
-        self._a2b = None
+        self._a2 = None
 
     def span(self) -> SpanBasis:
         if self._span is None:
@@ -282,42 +279,32 @@ class _Workspace:
             self._span = basis
         return self._span
 
-    def residues(self):
-        """Reduction of every basis unit vector against the span; two
-        units differ inside the span exactly when their residues agree."""
-        if self._residues is None:
+    def classes(self):
+        """The units 0..N grouped by their reduction against the span, as
+        {residue: members} in order of first member.  Two units differ by
+        a span element exactly when their residues agree."""
+        if self._classes is None:
             span = self.span()
-            res = []
+            classes = {}
             for i in range(self.nrefl + 1):
                 unit = [Fraction(0)] * (self.nrefl + 1)
                 unit[i] = Fraction(1)
-                res.append(tuple(span.reduce(unit)))
-            self._residues = res
-        return self._residues
+                classes.setdefault(tuple(span.reduce(unit)), []).append(i)
+            self._classes = classes
+        return self._classes
 
-    def d_and_p(self):
-        if self._dp is None:
-            res = self.residues()
-            classes = {}
-            for i, r in enumerate(res):
-                classes.setdefault(r, []).append(i)
-            d_vecs = []
-            p_pairs = []
-            for members in classes.values():
-                for i, j in permutations(members, 2):
-                    vec = [0] * (self.nrefl + 1)
-                    vec[i] = 1
-                    vec[j] = -1
-                    d_vecs.append(tuple(vec))
-                    if (
-                        i < self.nrefl
-                        and j < self.nrefl
-                        and i not in self.rb_set
-                        and j not in self.rb_set
-                    ):
-                        p_pairs.append((i, j))
-            self._dp = (d_vecs, p_pairs)
-        return self._dp
+    def p_pairs(self):
+        """Ordered pairs of reflections outside R_B that share a class."""
+        if self._p_pairs is None:
+            self._p_pairs = [
+                pair
+                for members in self.classes().values()
+                for pair in permutations(
+                    [i for i in members if i < self.nrefl and i not in self.rb_set],
+                    2,
+                )
+            ]
+        return self._p_pairs
 
     def stab(self) -> Subgroup:
         return self.G.stabilizer_of(self.B)
@@ -333,47 +320,52 @@ class _Workspace:
         literal = any(
             sum(1 for x in vec if x) == 1 for vec in rel_bar(self.G, self.B)
         )
-        span_hit = any(not any(r) for r in self.residues())
+        span_hit = any(not any(r) for r in self.classes())
         return literal, span_hit
 
     def a2(self):
-        d_vecs, p_pairs = self.d_and_p()
-        span = self.span()
-        d_span = SpanBasis(self.nrefl + 1)
-        for vec in d_vecs:
-            fv = [Fraction(x) for x in vec]
-            assert span.contains(fv), "difference vectors live in the span"
-            d_span.add(fv)
-        span_eq = d_span.rank == span.rank
-        if self._a2b is None:
+        """(D spans the span of rel_bar, R_B and D0 generate K_B).
+
+        D holds the differences of units inside one class.  They span
+        |C| - 1 dimensions per class C, on disjoint supports, so D spans
+        the span of rel_bar exactly when that span's rank plus the number
+        of classes is N+1.
+        """
+        if self._a2 is None:
+            span = self.span()
+            classes = self.classes()
+            for members in classes.values():
+                for i in members[1:]:
+                    star = signed_vector(self.nrefl + 1, (i,), (members[0],))
+                    if not span.contains(star):
+                        raise InternalInconsistency(
+                            f"collection {self.B}: units {members[0]} and {i} "
+                            "share a class but differ outside the span"
+                        )
+            span_eq = span.rank + len(classes) == self.nrefl + 1
             G = self.G
             refls = G.reflections
             stab_elements = self.stab().elements
             products = set()
-            in_stab = True
-            for i, j in p_pairs:
+            sub_eq = True
+            for i, j in self.p_pairs():
                 g = G.mul(G.inv(refls[j]), refls[i])
                 if g not in stab_elements:
-                    in_stab = False
+                    sub_eq = False
                     break
                 products.add(g)
-            if in_stab:
+            if sub_eq:
                 gens = [refls[i] for i in self.rb] + sorted(products)
                 closure = subgroup_closure(G, gens)
-                self._a2b = closure.elements == self.kb().elements
-            else:
-                self._a2b = False
-        return span_eq, self._a2b
+                sub_eq = closure.elements == self.kb().elements
+            self._a2 = (span_eq, sub_eq)
+        return self._a2
 
     def conditional(self) -> bool:
-        span_eq, sub_eq = self.a2()
-        if not (span_eq and sub_eq):
+        if not all(self.a2()):
             return False
-        _, p_pairs = self.d_and_p()
-        return any(
-            self.G.reflection_class_of(i) != self.G.reflection_class_of(j)
-            for i, j in p_pairs
-        )
+        cls = self.G.reflection_class_of
+        return any(cls(i) != cls(j) for i, j in self.p_pairs())
 
 
 def _workspace(G: Group, B) -> _Workspace:
@@ -445,7 +437,12 @@ def d_and_p(G: Group, B):
     and a flag telling whether every product landed in Stab(B).
     """
     ws = _workspace(G, B)
-    d_vecs, p_pairs = ws.d_and_p()
+    d_vecs = [
+        signed_vector(ws.nrefl + 1, (i,), (j,))
+        for members in ws.classes().values()
+        for i, j in permutations(members, 2)
+    ]
+    p_pairs = list(ws.p_pairs())
     refls = G.reflections
     stab_elements = ws.stab().elements
     products = []
@@ -487,62 +484,51 @@ def d0_ideal_dim(G: Group, B, mu: CycNumber) -> int:
     cyclotomic field of order six, with left and right multiplication by
     stabilizer generators acting as basis permutations.
     """
-    mu_pow = CycNumber.rational(1)
-    for _ in range(6):
-        mu_pow = mu_pow * mu
-    assert mu_pow == CycNumber.rational(1), "mu must be a sixth root of unity"
-    ws = _workspace(G, B)
-    span_eq, sub_eq = ws.a2()
-    assert span_eq and sub_eq, "the ideal reduction needs property A2"
+    if mu**6 != CycNumber.rational(1):
+        raise InvalidParameters(f"mu = {mu} is not a sixth root of unity")
+    if not all(check_A2(G, B)):
+        raise InvalidParameters(f"collection {tuple(B)} lacks property A2")
+    _, p_pairs, d0 = d_and_p(G, B)
+    if not d0["in_stab"]:
+        raise InternalInconsistency("a D0 product leaves Stab(B) under A2")
 
     classes = G.reflection_classes
     dist = {
         G.reflection_index(H.dist_reflection) for H in hyperplanes(G)
     }
-    if len(classes) == 2:
-        assert dist <= set(classes[0]) or dist <= set(classes[1])
-        orb1 = set(classes[0]) if dist <= set(classes[0]) else set(classes[1])
-    else:
-        assert len(classes) == 1
-        orb1 = set(classes[0])
+    orb1 = next((set(c) for c in classes if dist <= set(c)), None)
+    if len(classes) > 2 or orb1 is None:
+        raise InternalInconsistency(
+            "the distinguished reflections fill one of at most two classes"
+        )
 
-    stab = ws.stab()
+    stab = _workspace(G, B).stab()
     members = sorted(stab.elements)
-    assert members[0] == G.identity
+    if members[0] != G.identity:
+        raise InternalInconsistency("the identity sorts first in Stab(B)")
     pos = {g: k for k, g in enumerate(members)}
     size = len(members)
 
     zero = CycNumber.rational(0)
     one = CycNumber.rational(1)
-    refls = G.reflections
-    _, p_pairs = ws.d_and_p()
-    seeds = []
-    seen = set()
-    for i in ws.rb:
-        key = (pos[refls[i]], one)
-        if key not in seen:
-            seen.add(key)
-            seeds.append(key)
-    for i, j in p_pairs:
-        g = G.mul(G.inv(refls[j]), refls[i])
-        assert g in stab.elements
+
+    def ratio(i, j):
         if (i in orb1) == (j in orb1):
-            ratio = one
-        elif i in orb1:
-            ratio = mu.inv()
-        else:
-            ratio = mu
-        key = (pos[g], ratio)
-        if key not in seen:
-            seen.add(key)
-            seeds.append(key)
+            return one
+        return mu.inv() if i in orb1 else mu
+
+    # (stabilizer position, ratio) pairs, first occurrences in order
+    seeds = dict.fromkeys(
+        [(pos[r], one) for r in d0["rb"]]
+        + [(pos[g], ratio(i, j)) for (i, j), g in zip(p_pairs, d0["products"])]
+    )
 
     basis = SpanBasis(size)
     work = []
-    for k, ratio in seeds:
+    for k, c in seeds:
         vec = [zero] * size
         vec[k] = vec[k] + one
-        vec[0] = vec[0] - ratio
+        vec[0] = vec[0] - c
         if basis.add(vec):
             work.append(basis.rows[-1])
 

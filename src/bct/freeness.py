@@ -34,6 +34,7 @@ from .admissibility import (
     mu_sixth,
     rel_bar,
     rel_set,
+    signed_vector,
 )
 from .errors import InternalInconsistency
 from .exact_arith import z_span_member
@@ -167,16 +168,9 @@ def rel_tau(G: Group, B):
         for k in sorted(bset):
             if table.transverse(k, i) or table.transverse(k, j):
                 continue
-            vec = [0] * (nrefl + 1)
-            plus, minus = table.mapped_by(k, i), table.mapped_by(k, j)
-            if rb.intersection(plus) or rb.intersection(minus):
-                raise InternalInconsistency(
-                    f"tau support of H{k} meets the collection {sorted(bset)}"
-                )
-            for s in plus:
-                vec[s] += 1
-            for s in minus:
-                vec[s] -= 1
+            vec = signed_vector(
+                nrefl + 1, table.mapped_by(k, i), table.mapped_by(k, j), rb
+            )
             if any(vec):
                 out.append(TauVector(vec, i, j, k))
     return out

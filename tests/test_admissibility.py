@@ -1,10 +1,16 @@
 """Collection classification: relation vectors, K_B, A1/A2, dimensions."""
 
 import random
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from bct.admissibility import (
+    GENERIC,
+    FieldConfig,
+    _Workspace,
+    _workspace,
     check_A1,
     check_A2,
     classify,
@@ -20,14 +26,17 @@ from bct.admissibility import (
     mu_sixth,
     rel_bar,
     rel_set,
+    signed_vector,
 )
 from bct.errors import InternalInconsistency, InvalidParameters
-from bct.exact_arith import zeta
+from bct.exact_arith import CycNumber, SpanBasis, zeta
 from bct.reflection_groups import (
     Monomial,
     act_on_hyperplane,
+    build_imprimitive,
     element_order,
     hyperplanes,
+    packaged_group,
 )
 from bct.transversality import collection_orbits, enumerate_collections
 
@@ -51,6 +60,13 @@ def test_rel_set_singleton_s3(gmpn):
     # single hyperplane: only the r - 1 vector, no sigma terms
     assert rel_set(G, B) == [expect]
     assert rel_bar(G, B) == [expect]
+
+
+def test_signed_vector_rejects_support_in_collection():
+    assert signed_vector(4, (0,), (2,)) == (1, 0, -1, 0)
+    assert signed_vector(4, (1,), (1,), frozenset({0})) == (0, 0, 0, 0)
+    with pytest.raises(InternalInconsistency):
+        signed_vector(4, (0,), (2,), frozenset({2}))
 
 
 def test_empty_collection(gmpn):
@@ -137,6 +153,58 @@ def test_flags_exclusive_and_no_divergence(g25, g26):
         for rec in classify_orbits(G):
             assert not (rec.a1 and rec.a2_span and rec.a2_subgroup)
             assert not rec.a1_span_divergence
+
+
+# the sweep of the transversality all-pairs oracle: every G(m,p,n) of order
+# at most 200 with m <= 12
+SMALL_MONOMIAL = [
+    (m, p, n)
+    for n in range(2, 6)
+    for m in range(1, 13)
+    for p in range(1, m + 1)
+    if m % p == 0 and factorial(n) * m ** n // p <= 200
+]
+
+
+def assert_a2_count_matches_difference_span(G):
+    """A2's span half, counted from the residue classes, against the
+    span of the difference vectors themselves."""
+    for rec in classify_orbits(G):
+        B = rec.orbit.representative
+        span = _workspace(G, B).span()
+        d_vecs, _, _ = d_and_p(G, B)
+        d_span = SpanBasis(len(G.reflections) + 1)
+        for vec in d_vecs:
+            fv = [Fraction(x) for x in vec]
+            assert span.contains(fv)
+            d_span.add(fv)
+        assert check_A2(G, B)[0] is (d_span.rank == span.rank), (G.name, B)
+
+
+@pytest.mark.parametrize("name", ["g4", "g23", "g25", "g26"])
+def test_a2_count_matches_difference_span_on_matrix_groups(name, request):
+    shared = name in ("g25", "g26")
+    G = request.getfixturevalue(name) if shared else packaged_group(name)
+    assert_a2_count_matches_difference_span(G)
+
+
+def test_a2_count_matches_difference_span_on_small_monomial_groups():
+    assert len(SMALL_MONOMIAL) == 44
+    for m, p, n in SMALL_MONOMIAL:
+        assert_a2_count_matches_difference_span(build_imprimitive(m, p, n))
+
+
+def test_merged_residue_classes_are_caught(gmpn):
+    # a private workspace, so the one shared through the group stays clean
+    G = gmpn(3, 1, 3)
+    B = classify_orbits(G)[2].orbit.representative
+    ws = _Workspace(G, B)
+    classes = list(ws.classes().items())
+    assert len(classes) >= 2
+    (r0, c0), (_, c1) = classes[:2]
+    ws._classes = {r0: sorted(c0 + c1), **dict(classes[2:])}
+    with pytest.raises(InternalInconsistency):
+        ws.a2()
 
 
 # -- classification tables ---------------------------------------------------
@@ -242,6 +310,30 @@ def test_conditional_pair_ideal_dimension(g25):
     want = stab - stab // kb
     for mu in (zeta(6, 1), zeta(6, 0)):
         assert d0_ideal_dim(g25, rep, mu) == want == 53
+
+
+def test_d0_ideal_dim_rejects_bad_arguments(g25, g26):
+    rep = classify_orbits(g25)[2].orbit.representative
+    with pytest.raises(InvalidParameters):
+        d0_ideal_dim(g25, rep, zeta(5, 1))
+    # the pair orbit of the 1296-element group satisfies A1, so not A2
+    pair = classify_orbits(g26)[3]
+    assert pair.a1 and not (pair.a2_span and pair.a2_subgroup)
+    with pytest.raises(InvalidParameters):
+        d0_ideal_dim(g26, pair.orbit.representative, zeta(6, 1))
+
+
+def test_field_config_rejects_bad_arguments():
+    with pytest.raises(InvalidParameters):
+        FieldConfig("sixth_root", 1)
+    with pytest.raises(InvalidParameters):
+        FieldConfig("mu_sixth_root")
+    with pytest.raises(InvalidParameters):
+        FieldConfig("generic", 1)
+    with pytest.raises(InvalidParameters):
+        GENERIC.mu
+    assert mu_sixth(7).mu == zeta(6, 1)
+    assert mu_sixth(7).mu ** 6 == CycNumber.rational(1)
 
 
 # -- dimensions --------------------------------------------------------------

@@ -470,60 +470,46 @@ def test_console_script_runs(tmp_path, cli_env):
     assert json.loads(proc.stdout) == {"dimension": 105}
 
 
-def test_dims_same_under_optimize(tmp_path, cli_env):
-    """``python -O`` strips asserts; the dimension and the checks behind it
-    must not depend on them."""
+def _conditional_quotient(payload):
+    (row,) = [r for r in payload["rows"] if r["conditional"]]
+    return row["quotient_size"]
+
+
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        (["dims", "gmpn:2,2,3"], lambda got: got == {"dimension": 105}),
+        (
+            ["verify", "--suite", "relations", "gmpn:1,1,3"],
+            lambda got: got["all_pass"] is True,
+        ),
+        (
+            ["verify", "--suite", "freeness", "g4"],
+            lambda got: got["report"]["route"] == "collection-dichotomy",
+        ),
+        # the one row decided both by A2 and by the sixth-root specialization
+        (
+            ["classify", "--mu6", "g25"],
+            lambda got: _conditional_quotient(got) == 1,
+        ),
+    ],
+    ids=["dims", "verify-relations", "verify-freeness", "classify-mu6"],
+)
+def test_same_under_optimize(tmp_path, cli_env, argv, check):
+    """``python -O`` strips asserts; the invariants behind every command
+    raise instead, so each prints the same bytes under ``-O``."""
     outs = []
     for tag, flags in [("plain", []), ("optimized", ["-O"])]:
         proc = subprocess.run(
             [sys.executable, *flags, "-m", "bct.cli",
-             "--cache-dir", str(tmp_path / tag), "dims", "gmpn:2,2,3"],
-            capture_output=True,
-            text=True,
-            cwd=tmp_path,
-            env=cli_env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    assert json.loads(outs[0]) == {"dimension": 105}
-    assert outs[1] == outs[0]
-
-
-def test_verify_same_under_optimize(tmp_path, cli_env):
-    """The invariants of induced modules raise instead of asserting, so
-    the relation checks print the same bytes under ``python -O``."""
-    outs = []
-    for tag, flags in [("plain", []), ("optimized", ["-O"])]:
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "bct.cli",
-             "--cache-dir", str(tmp_path / tag),
-             "verify", "--suite", "relations", "gmpn:1,1,3"],
-            capture_output=True,
-            cwd=tmp_path,
-            env=cli_env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    assert json.loads(outs[0])["all_pass"] is True
-    assert outs[1] == outs[0]
-
-
-def test_verify_freeness_same_under_optimize(tmp_path, cli_env):
-    """The freeness invariants raise instead of asserting, so the verdict
-    prints the same bytes under ``python -O``."""
-    outs = []
-    for tag, flags in [("plain", []), ("optimized", ["-O"])]:
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "bct.cli",
-             "--cache-dir", str(tmp_path / tag),
-             "verify", "--suite", "freeness", "g4"],
+             "--cache-dir", str(tmp_path / tag), *argv],
             capture_output=True,
             cwd=tmp_path,
             env=cli_env,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
-    assert json.loads(outs[0])["report"]["route"] == "collection-dichotomy"
+    assert check(json.loads(outs[0]))
     assert outs[1] == outs[0]
 
 
