@@ -259,7 +259,8 @@ class _Workspace:
         self.B = tuple(sorted(B))
         self.table = transv_table(G)
         for h in self.B:
-            assert 0 <= h < self.table.size
+            if not 0 <= h < self.table.size:
+                raise InvalidParameters(f"hyperplane {h} out of range")
         self.nrefl = len(G.reflections)
         self.rb = _rb_positions(G, self.B)
         self.rb_set = frozenset(self.rb)
@@ -411,7 +412,8 @@ def _k_subgroup(G: Group, B, stab: Subgroup) -> Subgroup:
         sub_gens = small_generating_set(G, sub)
         for w in small_generating_set(G, stab):
             for g in sub_gens:
-                assert G.conj(w, g) in sub, "K_B must be normal in Stab(B)"
+                if G.conj(w, g) not in sub:
+                    raise InternalInconsistency("K_B must be normal in Stab(B)")
     return sub
 
 
@@ -573,7 +575,8 @@ class AdmissibilityRecord:
     def __init__(self, **kw):
         for name in self.__slots__:
             setattr(self, name, kw.pop(name))
-        assert not kw
+        if kw:
+            raise InvalidParameters(f"unknown record fields {sorted(kw)}")
 
     def as_row(self):
         return {
@@ -606,7 +609,8 @@ def _imprimitive_closed_form(G: Group, B) -> bool:
         return all(k[0] == "pair" for k in keys)
     labels = {}
     for k in keys:
-        assert k[0] == "pair"
+        if k[0] != "pair":
+            raise InternalInconsistency(f"hyperplane {k} in a (2,2,n) group")
         labels.setdefault((k[1], k[2]), set()).add(k[3])
     if any(len(v) == 2 for v in labels.values()):
         return all(len(v) == 2 for v in labels.values())
@@ -645,7 +649,10 @@ def _classify(G, B, cfg, orbit_rec) -> AdmissibilityRecord:
         orbit_rec = OrbitRecord(min(orb), len(orb), stab_order, len(ws.B))
     kb_order = ws.kb().order
     stab_order = orbit_rec.stab_order
-    assert stab_order % kb_order == 0
+    if stab_order % kb_order:
+        raise InternalInconsistency(
+            f"|K_B| = {kb_order} does not divide |Stab(B)| = {stab_order}"
+        )
 
     admissible_now = (
         admissible_mu6 if cfg.mode == "mu_sixth_root" else admissible_generic
@@ -750,7 +757,8 @@ def dim_gmpn_formula(m: int, p: int, n: int) -> int:
     )
     base = factorial(n) * m**n // p
     diag = 0 if p == m else factorial(n) * m ** (n - 1) * n
-    assert (m ** (n + 1)) % p == 0
+    if (m ** (n + 1)) % p:
+        raise InternalInconsistency(f"{p} does not divide {m}^{n + 1}")
     return base + diag + (m ** (n + 1) // p) * matchings
 
 
@@ -810,7 +818,8 @@ def kb_membership_gmpn(G: Group, elem, B) -> bool:
     if shape is None:
         raise InvalidParameters(f"collection {tuple(B)} has no closed-form shape")
     kind, blocks = shape
-    assert 0 <= elem < G.order
+    if not 0 <= elem < G.order:
+        raise InvalidParameters(f"element {elem} out of range")
 
     act = G.hyperplane_action(elem)
     value = G.element(elem)
@@ -845,7 +854,8 @@ def kb_membership_gmpn(G: Group, elem, B) -> bool:
         got = ok
 
     expected = elem in k_subgroup(G, B)
-    assert got == expected, (
-        f"matrix membership disagrees with closure on {value!r} for B={tuple(B)}"
-    )
+    if got != expected:
+        raise InternalInconsistency(
+            f"matrix membership disagrees with closure on {value!r} for B={tuple(B)}"
+        )
     return got

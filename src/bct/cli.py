@@ -8,52 +8,34 @@ Subcommands:
                      formulas, g26)
     reproduce-table  consolidated dimension table over the shipped groups
 
-Group specs are either "gmpn:m,p,n" for the monomial series or a path to a
-group-definition JSON file.  Reports are deterministic JSON on stdout; the
-classify table can also be projected to CSV.  Expensive per-group artifacts
-(the group order, orbit rows, dimensions) are cached on disk keyed by
-a content hash of the group definition, which is computed without building
-the group; a cache hit builds nothing.
+Group specs are either "gmpn:m,p,n" for the monomial series, a packaged
+name (g4, g23, g25, g26) or a path to a group-definition JSON file.
+Reports are deterministic JSON on stdout; the classify table can also be
+projected to CSV.  Expensive per-group artifacts (the group order, orbit
+rows, dimensions) are cached on disk as one JSON file per group, keyed by a
+content hash of the group definition, which is computed without building
+the group.  A cache hit builds nothing and imports no compute module: this
+module imports the group core, admissibility, the module and freeness
+layers and multiprocessing only where a command uses them.
 """
 
 import argparse
-import csv
 import hashlib
 import io
 import json
 import os
-import pickle
 import sys
-import tempfile
-from multiprocessing import Pool
 
-from .admissibility import (
-    GENERIC,
-    classify_orbits,
-    dim_brauer,
-    dim_from_rows,
-    dim_g22n_formula,
-    dim_gmpn_formula,
-    mu_sixth,
-)
-from .brauer_modules import induce, quotient_regular_rep, verify_defining_relations
-from .errors import BctError, InvalidParameters, TooLarge
-from .freeness import freeness_verdict, g26_geometry_suite
-from .reflection_groups import (
+from .definitions import (
     DEFAULT_CAP,
-    Group,
-    build_imprimitive,
     group_definition,
-    hyperplanes,
     imprimitive_order,
-    load_group_file,
     packaged_definition,
-    packaged_group,
     refuse_over_cap,
 )
-from .transversality import check_all_pairs
+from .errors import BctError, InvalidParameters, TooLarge
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 CSV_COLUMNS = [
     "cardinality",
@@ -97,11 +79,11 @@ def parse_spec(spec: str):
         except ValueError:
             raise SpecError(f"non-integer parameters in {spec!r}")
         data = {"kind": "imprimitive", "m": m, "p": p, "n": n}
-        return data, lambda cap: build_imprimitive(m, p, n, cap=cap)
+        return data, _builder("build_imprimitive", m, p, n)
     if os.path.exists(spec):
         with open(spec) as fh:
             data = json.load(fh)
-        return data, lambda cap: load_group_file(spec, cap=cap)
+        return data, _builder("load_group_file", spec)
     if spec.lower() in PACKAGED_NAMES:
         return packaged_source(spec)
     raise SpecError(
@@ -112,10 +94,22 @@ def parse_spec(spec: str):
 
 def packaged_source(name: str):
     """(definition data, build) for a packaged group."""
-    return packaged_definition(name), lambda cap: packaged_group(name, cap=cap)
+    return packaged_definition(name), _builder("packaged_group", name)
 
 
-def build_spec(spec: str, cap: int) -> Group:
+def _builder(constructor: str, *args):
+    """build(cap) calling the named reflection_groups constructor, which
+    imports the group core only when a group is built."""
+
+    def build(cap):
+        from . import reflection_groups
+
+        return getattr(reflection_groups, constructor)(*args, cap=cap)
+
+    return build
+
+
+def build_spec(spec: str, cap: int):
     return parse_spec(spec)[1](cap)
 
 
@@ -125,7 +119,7 @@ def build_spec(spec: str, cap: int) -> Group:
 
 def group_digest(definition: dict) -> str:
     """Content hash of a canonical group definition (see
-    reflection_groups.group_definition), which needs no built group."""
+    definitions.group_definition), which needs no built group."""
     blob = json.dumps(definition, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -140,24 +134,36 @@ def fresh_bundle() -> dict:
 
 
 def cache_load(cache_dir: str, digest: str) -> dict:
-    path = os.path.join(cache_dir, digest + ".pkl")
+    """The bundle stored for digest; a missing or malformed file, or one of
+    another version, gives a fresh bundle (a miss).  Bundles are plain
+    JSON, so loading one never runs code."""
+    path = os.path.join(cache_dir, digest + ".json")
     try:
         with open(path, "rb") as fh:
-            bundle = pickle.load(fh)
-    except (OSError, pickle.PickleError, EOFError):
+            bundle = json.load(fh)
+    except (OSError, ValueError):
         return fresh_bundle()
-    if not isinstance(bundle, dict) or bundle.get("version") != CACHE_VERSION:
-        return fresh_bundle()
+    fresh = fresh_bundle()
+    if (
+        not isinstance(bundle, dict)
+        or bundle.keys() != fresh.keys()
+        or bundle["version"] != CACHE_VERSION
+        or not isinstance(bundle["classify"], dict)
+        or not isinstance(bundle["dims"], dict)
+    ):
+        return fresh
     return bundle
 
 
 def cache_store(cache_dir: str, digest: str, bundle: dict):
+    import tempfile
+
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, digest + ".pkl")
+    path = os.path.join(cache_dir, digest + ".json")
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(bundle, fh)
+        with os.fdopen(fd, "w") as fh:
+            json.dump(bundle, fh, separators=(",", ":"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -167,10 +173,6 @@ def cache_store(cache_dir: str, digest: str, bundle: dict):
 
 def cfg_key(mu6: bool) -> str:
     return "mu_sixth_root" if mu6 else "generic"
-
-
-def cfg_of(mu6: bool):
-    return mu_sixth() if mu6 else GENERIC
 
 
 class GroupStore:
@@ -207,7 +209,7 @@ class GroupStore:
         return self.definition.get("provenance", "paper")
 
     @property
-    def G(self) -> Group:
+    def G(self):
         if self._group is None:
             self._group = self._build(self.cap)
         return self._group
@@ -220,7 +222,9 @@ class GroupStore:
         key = cfg_key(mu6)
         got = self.bundle["classify"].get(key)
         if got is None:
-            recs = classify_orbits(self.G, cfg_of(mu6))
+            from .admissibility import GENERIC, classify_orbits, mu_sixth
+
+            recs = classify_orbits(self.G, mu_sixth() if mu6 else GENERIC)
             got = [rec.as_row() for rec in recs]
             self.bundle["classify"][key] = got
             self._save()
@@ -230,6 +234,8 @@ class GroupStore:
         key = cfg_key(mu6)
         got = self.bundle["dims"].get(key)
         if got is None:
+            from .admissibility import dim_from_rows
+
             got = dim_from_rows(self.G.order, self.rows(mu6))
             self.bundle["dims"][key] = got
             self._save()
@@ -245,6 +251,8 @@ def emit_json(payload: dict):
 
 
 def emit_csv(rows):
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -258,7 +266,9 @@ def emit_csv(rows):
     sys.stdout.write(out.getvalue())
 
 
-def group_summary(G: Group) -> dict:
+def group_summary(G) -> dict:
+    from .reflection_groups import hyperplanes
+
     return {
         "name": G.name,
         "kind": G.kind,
@@ -306,7 +316,10 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _suite_relations(G: Group) -> dict:
+def _suite_relations(G) -> dict:
+    from .admissibility import classify_orbits
+    from .brauer_modules import induce, quotient_regular_rep, verify_defining_relations
+
     orbits = []
     ok = True
     for rec in classify_orbits(G):
@@ -340,6 +353,9 @@ ANCHORS = [(2, 3), (3, 15), (4, 105), (5, 945)]
 
 
 def _formula_case(case) -> dict:
+    from .admissibility import dim_brauer, dim_g22n_formula, dim_gmpn_formula
+    from .reflection_groups import build_imprimitive
+
     m, p, n, cap = case
     G = build_imprimitive(m, p, n, cap=cap)
     enumerated = dim_brauer(G)
@@ -358,6 +374,9 @@ def _formula_case(case) -> dict:
 
 
 def _suite_formulas(G, cap: int, workers: int) -> dict:
+    from .admissibility import dim_brauer
+    from .reflection_groups import build_imprimitive
+
     if G is not None:
         if G.kind != "imprimitive":
             raise InvalidParameters(
@@ -367,6 +386,8 @@ def _suite_formulas(G, cap: int, workers: int) -> dict:
         return {"cases": cases, "all_pass": all(c["agree"] for c in cases)}
     work = [(m, p, n, cap) for m, p, n in FORMULA_SWEEP + DOUBLED_SWEEP]
     if workers > 1:
+        from multiprocessing import Pool
+
         with Pool(workers) as pool:
             cases = pool.map(_formula_case, work)
     else:
@@ -394,14 +415,20 @@ def cmd_verify(args) -> int:
     elif args.suite != "formulas":
         raise SpecError(f"the {args.suite} suite needs a group spec")
     if args.suite != "formulas":
+        from .transversality import check_all_pairs
+
         # the per-orbit transversality table against the all-pairs oracle
         check_all_pairs(G)
 
     if args.suite == "relations":
         body = _suite_relations(G)
     elif args.suite == "freeness":
+        from .freeness import freeness_verdict
+
         body = {"report": freeness_verdict(G).as_dict(), "all_pass": True}
     elif args.suite == "g26":
+        from .freeness import g26_geometry_suite
+
         report = g26_geometry_suite(G)
         body = {"report": report, "all_pass": report["all_pass"]}
     else:
@@ -447,6 +474,8 @@ def _table_row_job(job):
 def cmd_reproduce(args) -> int:
     jobs = [(name, args.cache_dir, args.max_order) for name in TABLE_NAMES]
     if args.parallel > 1:
+        from multiprocessing import Pool
+
         with Pool(args.parallel) as pool:
             rows = pool.map(_table_row_job, jobs)
     else:
@@ -544,12 +573,6 @@ def main(argv=None) -> int:
     except BctError as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 1
-    except AssertionError as exc:
-        print(
-            json.dumps({"error": "AssertionError", "message": str(exc)}),
             file=sys.stderr,
         )
         return 1

@@ -1,0 +1,98 @@
+"""Group definitions: the canonical JSON that names a group and keys the
+cache, the packaged definitions, and the order cap with its refusals.
+
+This module loads only the standard library and bct.errors, so the command
+line can hash a definition, refuse a group over the cap and serve a cache
+hit without loading the group core or the exact arithmetic.  Only the
+definition of a matrix group needs them: its generator entries are written
+in canonical cyclotomic form.
+"""
+
+import json
+from importlib import resources
+from math import factorial, gcd
+
+from .errors import InvalidParameters, TooLarge
+
+DEFAULT_CAP = 200_000
+
+_PACKAGED = {
+    "g25": "data/g25.json",
+    "g26": "data/g26.json",
+    "g4": "data/external/g04.json",
+    "g23": "data/external/g23.json",
+}
+
+_EXTERNAL_NOTE = (
+    "generator data sourced outside the primary reference; "
+    "results derived from it are reported as externally checked"
+)
+
+
+def imprimitive_order(m: int, p: int, n: int) -> int:
+    """Order of the monomial group (m, p, n), after validating the
+    parameters."""
+    if m < 1 or p < 1 or m % p != 0:
+        raise InvalidParameters(f"p must divide m, got (m, p) = ({m}, {p})")
+    if n < 2:
+        raise InvalidParameters("rank parameter n must be at least 2")
+    return factorial(n) * m ** n // p
+
+
+def _closure_refusal(cap: int) -> TooLarge:
+    return TooLarge(f"group closure exceeds cap {cap}")
+
+
+def refuse_over_cap(definition: dict, order: int, cap: int):
+    """Raise the TooLarge error that building the defined group under cap
+    raises, when its known order exceeds cap."""
+    if order <= cap:
+        return
+    if definition["kind"] == "imprimitive":
+        raise TooLarge(f"|{definition['name']}| = {order} exceeds cap {cap}")
+    raise _closure_refusal(cap)
+
+
+def _matrix_definition(name, provenance, gens) -> dict:
+    """The definition of the matrix group generated by the MatrixElem gens."""
+    amb = 1
+    for o in {e.order for g in gens for row in g.entries for e in row}:
+        amb = amb * o // gcd(amb, o)
+    out = {
+        "name": name,
+        "kind": "matrix",
+        "cyclotomic_order": amb,
+        "provenance": provenance,
+        "generators": [
+            [[x.to_json() for x in row] for row in g.entries] for g in gens
+        ],
+    }
+    if provenance == "external":
+        out["note"] = _EXTERNAL_NOTE
+    return out
+
+
+def group_definition(data: dict) -> dict:
+    """The canonical definition JSON of the group that data describes,
+    equal to group_to_json of the built group, without building it."""
+    if data["kind"] == "imprimitive":
+        m, p, n = data["m"], data["p"], data["n"]
+        name = f"G({m},{p},{n})"
+        return {"name": name, "kind": "imprimitive", "m": m, "p": p, "n": n}
+    from .reflection_groups import _generators_from_json
+
+    return _matrix_definition(
+        data.get("name", "matrix-group"),
+        data.get("provenance", "paper"),
+        _generators_from_json(data),
+    )
+
+
+def packaged_definition(name: str) -> dict:
+    """The definition JSON of one of the shipped matrix groups."""
+    key = name.lower()
+    if key not in _PACKAGED:
+        raise InvalidParameters(
+            f"unknown packaged group {name!r}; have {sorted(_PACKAGED)}"
+        )
+    return json.loads(resources.files("bct").joinpath(_PACKAGED[key]).read_text())

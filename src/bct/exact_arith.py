@@ -14,7 +14,12 @@ from functools import lru_cache
 from math import gcd
 from operator import add
 
-from .errors import DivisionByZero, InternalInconsistency, OrderMismatch
+from .errors import (
+    DivisionByZero,
+    InternalInconsistency,
+    InvalidParameters,
+    OrderMismatch,
+)
 
 __all__ = [
     "CycNumber",
@@ -37,7 +42,8 @@ _ONE = Fraction(1)
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    assert n >= 1
+    if n < 1:
+        raise InvalidParameters(f"euler_phi needs n >= 1, got {n}")
     result, m, k = n, n, 2
     while k * k <= m:
         if m % k == 0:
@@ -65,7 +71,7 @@ def _prime_factors(n: int) -> tuple[int, ...]:
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # quotient over Z, asserting the remainder vanishes
+    # quotient over Z; the remainder must vanish
     num = list(num)
     dd = len(den) - 1
     lead = den[-1]
@@ -74,12 +80,14 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
         c = num[i]
         if c == 0:
             continue
-        assert c % lead == 0
+        if c % lead:
+            raise InternalInconsistency("inexact polynomial division")
         f = c // lead
         quot[i - dd] = f
         for j, d in enumerate(den):
             num[i - dd + j] -= f * d
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise InternalInconsistency("polynomial division leaves a remainder")
     return quot
 
 
@@ -93,7 +101,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
-    assert len(poly) == euler_phi(n) + 1
+    if len(poly) != euler_phi(n) + 1:
+        raise InternalInconsistency(f"cyclotomic polynomial {n} has wrong degree")
     return tuple(poly)
 
 
@@ -104,7 +113,8 @@ class _CycContext:
         self.n = n
         self.phi = euler_phi(n)
         cp = cyclotomic_polynomial(n)
-        assert cp[-1] == 1
+        if cp[-1] != 1:
+            raise InternalInconsistency(f"cyclotomic polynomial {n} is not monic")
         # x^phi = -(cp[0] + cp[1] x + ... + cp[phi-1] x^{phi-1})
         top = tuple(Fraction(-c) for c in cp[:-1])
         pows = [
@@ -159,7 +169,8 @@ class _CycContext:
             aug += [_ONE if t == i else _ZERO for t in range(self.phi)]
             rows.append(aug)
         reduced, rank, pivots = _rref_rows(rows, limit_cols=phi_m)
-        assert rank == phi_m and pivots == list(range(phi_m))
+        if rank != phi_m or pivots != list(range(phi_m)):
+            raise InternalInconsistency(f"subfield basis of order {m} is singular")
         L = [tuple(r[phi_m:]) for r in reduced]
         self._descent[p] = (m, phi_m, L)
         return self._descent[p]
@@ -208,7 +219,10 @@ class CycNumber:
             coeffs = tuple(
                 c if isinstance(c, Fraction) else Fraction(c) for c in coeffs
             )
-            assert len(coeffs) == euler_phi(order)
+            if len(coeffs) != euler_phi(order):
+                raise InvalidParameters(
+                    f"order {order} needs {euler_phi(order)} coefficients"
+                )
             order, coeffs = _canonical_pair(order, coeffs)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
@@ -297,7 +311,8 @@ class CycNumber:
             for i in range(phi):
                 rows[i][j] = col[i]
         reduced, rank, pivots = _rref_rows(rows, limit_cols=phi)
-        assert rank == phi
+        if rank != phi:
+            raise InternalInconsistency("nonzero cyclotomic number not invertible")
         return CycNumber(self.order, tuple(reduced[j][phi] for j in range(phi)))
 
     def __truediv__(self, other):
@@ -328,7 +343,8 @@ class CycNumber:
         if n == 1:
             return self
         a %= n
-        assert gcd(a, n) == 1
+        if gcd(a, n) != 1:
+            raise InvalidParameters(f"zeta -> zeta^{a} is no automorphism of order {n}")
         ctx = _context(n)
         out = [_ZERO] * ctx.phi
         for i, c in enumerate(self.coeffs):
@@ -604,7 +620,8 @@ class SpanBasis:
 
     def reduce(self, v):
         v = list(v)
-        assert len(v) == self.ncols
+        if len(v) != self.ncols:
+            raise InvalidParameters(f"vector of length {len(v)}, span of {self.ncols}")
         for row, p in zip(self.rows, self.pivots):
             f = v[p]
             if f:
@@ -750,7 +767,8 @@ def z_span_member(v, L) -> bool:
     if not L:
         return not any(v)
     n = len(L[0])
-    assert len(v) == n and all(len(row) == n for row in L)
+    if len(v) != n or any(len(row) != n for row in L):
+        raise InvalidParameters("lattice rows and vector differ in length")
     mrows = len(L)
     _, D, T = smith_normal_form(L)
     w = [sum(v[i] * T[i][j] for i in range(n)) for j in range(n)]

@@ -20,20 +20,21 @@ row perm[l]); matrix elements store exact cyclotomic entries.
 from __future__ import annotations
 
 import json
-from importlib import resources
 from itertools import permutations, product
 from operator import itemgetter
-from math import factorial, gcd
 
-from .errors import (
-    InternalInconsistency,
-    InvalidParameters,
-    InvalidRoot,
-    TooLarge,
+from .definitions import (
+    DEFAULT_CAP,
+    _closure_refusal,
+    _matrix_definition,
+    group_definition,
+    imprimitive_order,
+    packaged_definition,
+    refuse_over_cap,
 )
+from .errors import InternalInconsistency, InvalidParameters, InvalidRoot
 from .exact_arith import CycNumber, zeta
 
-DEFAULT_CAP = 200_000
 _ZERO = CycNumber.rational(0)
 _ONE = CycNumber.rational(1)
 
@@ -271,10 +272,6 @@ def bfs(seeds, labels, step, limit=None, refuse=None):
                 tree.append((k, lab))
         k += 1
     return states, tree
-
-
-def _closure_refusal(cap: int) -> TooLarge:
-    return TooLarge(f"group closure exceeds cap {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -681,26 +678,6 @@ class Group:
 # constructors
 
 
-def imprimitive_order(m: int, p: int, n: int) -> int:
-    """Order of the monomial group (m, p, n), after validating the
-    parameters."""
-    if m < 1 or p < 1 or m % p != 0:
-        raise InvalidParameters(f"p must divide m, got (m, p) = ({m}, {p})")
-    if n < 2:
-        raise InvalidParameters("rank parameter n must be at least 2")
-    return factorial(n) * m ** n // p
-
-
-def refuse_over_cap(definition: dict, order: int, cap: int):
-    """Raise the TooLarge error that building the defined group under cap
-    raises, when its known order exceeds cap."""
-    if order <= cap:
-        return
-    if definition["kind"] == "imprimitive":
-        raise TooLarge(f"|{definition['name']}| = {order} exceeds cap {cap}")
-    raise _closure_refusal(cap)
-
-
 def _monomial_perm(m, n, perm, exps):
     # the point zeta^k e_l has index k*n + l
     return tuple(
@@ -894,49 +871,12 @@ def small_generating_set(G: Group, sub: Subgroup):
 # ---------------------------------------------------------------------------
 # serialization
 
-_EXTERNAL_NOTE = (
-    "generator data sourced outside the primary reference; "
-    "results derived from it are reported as externally checked"
-)
-
-
-def _matrix_definition(name, provenance, gens) -> dict:
-    amb = 1
-    for o in {e.order for g in gens for row in g.entries for e in row}:
-        amb = amb * o // gcd(amb, o)
-    out = {
-        "name": name,
-        "kind": "matrix",
-        "cyclotomic_order": amb,
-        "provenance": provenance,
-        "generators": [
-            [[x.to_json() for x in row] for row in g.entries] for g in gens
-        ],
-    }
-    if provenance == "external":
-        out["note"] = _EXTERNAL_NOTE
-    return out
-
 
 def _generators_from_json(data: dict):
     return [
         MatrixElem([[CycNumber.from_json(x) for x in row] for row in g])
         for g in data["generators"]
     ]
-
-
-def group_definition(data: dict) -> dict:
-    """The canonical definition JSON of the group that data describes,
-    equal to group_to_json of the built group, without building it."""
-    if data["kind"] == "imprimitive":
-        m, p, n = data["m"], data["p"], data["n"]
-        name = f"G({m},{p},{n})"
-        return {"name": name, "kind": "imprimitive", "m": m, "p": p, "n": n}
-    return _matrix_definition(
-        data.get("name", "matrix-group"),
-        data.get("provenance", "paper"),
-        _generators_from_json(data),
-    )
 
 
 def group_to_json(G: Group) -> dict:
@@ -957,24 +897,6 @@ def group_from_json(data: dict, cap: int = DEFAULT_CAP) -> Group:
 def load_group_file(path, cap: int = DEFAULT_CAP) -> Group:
     with open(path) as fh:
         return group_from_json(json.load(fh), cap=cap)
-
-
-_PACKAGED = {
-    "g25": "data/g25.json",
-    "g26": "data/g26.json",
-    "g4": "data/external/g04.json",
-    "g23": "data/external/g23.json",
-}
-
-
-def packaged_definition(name: str) -> dict:
-    """The definition JSON of one of the shipped matrix groups."""
-    key = name.lower()
-    if key not in _PACKAGED:
-        raise InvalidParameters(
-            f"unknown packaged group {name!r}; have {sorted(_PACKAGED)}"
-        )
-    return json.loads(resources.files("bct").joinpath(_PACKAGED[key]).read_text())
 
 
 def packaged_group(name: str, cap: int = DEFAULT_CAP) -> Group:

@@ -8,15 +8,14 @@ import sys
 
 import pytest
 
+import bct
+import bct.admissibility
 import bct.cli as cli
+import bct.reflection_groups
 from bct.cli import main
+from bct.definitions import DEFAULT_CAP, group_definition
 from bct.errors import TooLarge
-from bct.reflection_groups import (
-    DEFAULT_CAP,
-    build_imprimitive,
-    group_definition,
-    group_to_json,
-)
+from bct.reflection_groups import build_imprimitive, group_to_json
 from bct.transversality import transv_table
 
 
@@ -154,7 +153,7 @@ def test_cache_hit_is_byte_identical_and_skips_recompute(
     def boom(*a, **k):
         raise AssertionError("classification recomputed despite cache")
 
-    monkeypatch.setattr(cli, "classify_orbits", boom)
+    monkeypatch.setattr(bct.admissibility, "classify_orbits", boom)
     code, warm, _ = run(capsys, argv)
     assert code == 0
     assert warm == cold
@@ -166,7 +165,7 @@ def test_cache_corruption_recovers(capsys, cache):
     (entry,) = os.listdir(cache)
     path = os.path.join(cache, entry)
     with open(path, "wb") as fh:
-        fh.write(b"not a pickle")
+        fh.write(b"not json")
     assert run_json(capsys, argv) == first
 
 
@@ -175,9 +174,20 @@ def test_cache_version_mismatch_recovers(capsys, cache):
     first = run_json(capsys, argv)
     (entry,) = os.listdir(cache)
     path = os.path.join(cache, entry)
-    with open(path, "wb") as fh:
-        pickle.dump({"version": -1}, fh)
+    with open(path, "w") as fh:
+        json.dump({"version": -1}, fh)
     assert run_json(capsys, argv) == first
+
+
+def test_malformed_bundle_is_a_miss(capsys, cache):
+    argv = ["--cache-dir", cache, "dims", "gmpn:3,1,2"]
+    first = run_json(capsys, argv)
+    (entry,) = os.listdir(cache)
+    path = os.path.join(cache, entry)
+    for bad in ([], {"version": cli.CACHE_VERSION}, dict(cli.fresh_bundle(), dims=[])):
+        with open(path, "w") as fh:
+            json.dump(bad, fh)
+        assert run_json(capsys, argv) == first
 
 
 def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
@@ -212,8 +222,8 @@ def test_group_digest_unchanged_and_needs_no_group(monkeypatch):
     def boom(*a, **k):
         raise AssertionError("the digest built a group")
 
-    monkeypatch.setattr(cli, "packaged_group", boom)
-    monkeypatch.setattr(cli, "build_imprimitive", boom)
+    monkeypatch.setattr(bct.reflection_groups, "packaged_group", boom)
+    monkeypatch.setattr(bct.reflection_groups, "build_imprimitive", boom)
     for spec, want in DIGESTS.items():
         data, _ = cli.parse_spec(spec)
         assert cli.group_digest(group_definition(data)) == want, spec
@@ -239,7 +249,7 @@ def test_cache_hit_builds_no_group(capsys, cache, monkeypatch):
         raise AssertionError("group built despite a cache hit")
 
     for name in ("build_imprimitive", "packaged_group", "load_group_file"):
-        monkeypatch.setattr(cli, name, boom)
+        monkeypatch.setattr(bct.reflection_groups, name, boom)
     warm = [run(capsys, argv) for argv in argvs]
     assert warm == cold
     assert all(code == 0 for code, _, _ in warm)
@@ -251,17 +261,17 @@ def test_version_one_bundle_is_a_miss(capsys, cache):
     assert first == {"dimension": 105}
     (entry,) = os.listdir(cache)
     path = os.path.join(cache, entry)
-    with open(path, "rb") as fh:
-        bundle = pickle.load(fh)
-    assert bundle["version"] == cli.CACHE_VERSION == 3
+    with open(path) as fh:
+        bundle = json.load(fh)
+    assert bundle["version"] == cli.CACHE_VERSION == 4
     assert bundle["order"] == 24
     forged = dict(bundle, dims={"generic": 999})
-    with open(path, "wb") as fh:
-        pickle.dump(forged, fh)
+    with open(path, "w") as fh:
+        json.dump(forged, fh)
     # the current version is served as it stands, forged value included
     assert run_json(capsys, argv) == {"dimension": 999}
-    with open(path, "wb") as fh:
-        pickle.dump(dict(forged, version=1), fh)
+    with open(path, "w") as fh:
+        json.dump(dict(forged, version=1), fh)
     assert run_json(capsys, argv) == first
 
 
@@ -271,19 +281,35 @@ def test_version_two_bundle_is_a_miss(capsys, cache):
     first = run_json(capsys, argv)
     (entry,) = os.listdir(cache)
     path = os.path.join(cache, entry)
-    with open(path, "rb") as fh:
-        bundle = pickle.load(fh)
+    with open(path) as fh:
+        bundle = json.load(fh)
     forged = dict(bundle, version=2, dims={"generic": 999}, table=None)
-    with open(path, "wb") as fh:
-        pickle.dump(forged, fh)
+    with open(path, "w") as fh:
+        json.dump(forged, fh)
+    assert run_json(capsys, argv) == first
+
+
+def test_pickle_bundle_is_never_read(capsys, cache):
+    # bundles were pickles up to version 3; a leftover .pkl under the same
+    # digest is ignored, so a shared cache directory cannot run code
+    argv = ["--cache-dir", cache, "dims", "gmpn:2,2,3"]
+    first = run_json(capsys, argv)
+    (entry,) = os.listdir(cache)
+    assert entry.endswith(".json")
+    path = os.path.join(cache, entry)
+    with open(path) as fh:
+        bundle = json.load(fh)
+    os.unlink(path)
+    with open(path[: -len(".json")] + ".pkl", "wb") as fh:
+        pickle.dump(dict(bundle, dims={"generic": 999}), fh)
     assert run_json(capsys, argv) == first
 
 
 def test_stored_bundle_has_no_table(capsys, cache):
     run_json(capsys, ["--cache-dir", cache, "classify", "g4"])
     (entry,) = os.listdir(cache)
-    with open(os.path.join(cache, entry), "rb") as fh:
-        bundle = pickle.load(fh)
+    with open(os.path.join(cache, entry)) as fh:
+        bundle = json.load(fh)
     assert "table" not in bundle
     assert set(bundle) == {"version", "order", "classify", "dims"}
 
@@ -532,3 +558,63 @@ def test_parallel_matches_serial(tmp_path, cli_env):
         assert proc.returncode == 0, proc.stderr
         runs.append(proc.stdout)
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# imports
+
+
+def _loaded_modules(cli_env, cwd, argv=None):
+    """Modules a fresh interpreter has loaded after ``import bct.cli`` and,
+    when argv is given, after running that command."""
+    code = (
+        "import json, sys\n"
+        "import bct.cli\n"
+        "if len(sys.argv) > 1:\n"
+        "    assert bct.cli.main(sys.argv[1:]) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *(argv or [])],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=cli_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_cache_hit_imports_no_compute_layer(tmp_path, cli_env):
+    loaded = _loaded_modules(cli_env, tmp_path)
+    for name in ("bct.admissibility", "bct.reflection_groups",
+                 "multiprocessing", "pickle"):
+        assert name not in loaded, name
+    base = ["--cache-dir", str(tmp_path / "cache"), "dims"]
+    warm = {}
+    for spec in ("gmpn:2,1,3", "g4"):
+        cold = _loaded_modules(cli_env, tmp_path, base + [spec])
+        assert "bct.admissibility" in cold
+        for name in ("bct.brauer_modules", "bct.freeness", "multiprocessing"):
+            assert name not in cold, (spec, name)
+        warm[spec] = _loaded_modules(cli_env, tmp_path, base + [spec])
+        for name in ("bct.admissibility", "bct.transversality",
+                     "bct.brauer_modules", "bct.freeness"):
+            assert name not in warm[spec], (spec, name)
+    # a monomial group's definition needs neither the group core nor the
+    # exact arithmetic
+    assert {m for m in warm["gmpn:2,1,3"] if m.startswith("bct")} == {
+        "bct", "bct.cli", "bct.definitions", "bct.errors"
+    }
+
+
+def test_package_exports_resolve():
+    for name in bct.__all__:
+        assert getattr(bct, name) is not None, name
+        assert name in dir(bct), name
+    from bct import classify_orbits
+
+    assert classify_orbits is bct.admissibility.classify_orbits
+    assert bct.DEFAULT_CAP == cli.DEFAULT_CAP == 200_000
+    with pytest.raises(AttributeError):
+        bct.no_such_name

@@ -6,9 +6,18 @@ full row reduction that CycNumber.inv solves with.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
-from bct.exact_arith import SpanBasis, _rref_rows, zeta
+from bct.errors import InvalidParameters
+from bct.exact_arith import (
+    CycNumber,
+    SpanBasis,
+    _rref_rows,
+    euler_phi,
+    z_span_member,
+    zeta,
+)
 
 
 def frac_rows(rows):
@@ -41,6 +50,23 @@ def test_rref_cyclotomic_rank_one():
     # dependence oracle: the second row is z^2 times the first
     assert [z * z * x for x in row1] == row2
     assert span_of([row1, row2], 2).rank == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: euler_phi(0),
+        lambda: CycNumber(5, (1, 2)),
+        lambda: zeta(6).galois(3),
+        lambda: SpanBasis(3).reduce([1, 2]),
+        lambda: z_span_member([1], [[1, 2]]),
+    ],
+    ids=["euler_phi", "coeff_count", "galois", "span_width", "lattice_width"],
+)
+def test_bad_arguments_raise_invalid_parameters(call):
+    # argument checks raise instead of asserting, so `python -O` keeps them
+    with pytest.raises(InvalidParameters):
+        call()
 
 
 def test_in_span_examples():
