@@ -14,13 +14,15 @@ Vectors are integer tuples of length N+1 where N is the number of
 reflections: positions 0..N-1 follow the group's reflection list and
 position N is the identity slot.  The main entry points are classify(),
 which produces one record per collection, and dim_from_rows(), which sums
-the block sizes over an orbit table with a double-entry consistency check.
+the block sizes over an orbit table with a double-entry consistency check
+(it lives in definitions, so a cache hit can run it without this module).
 """
 
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
+from .definitions import dim_from_rows
 from .errors import InternalInconsistency, InvalidParameters
 from .exact_arith import CycNumber, SpanBasis, zeta
 from .reflection_groups import (
@@ -32,7 +34,12 @@ from .reflection_groups import (
     small_generating_set,
     subgroup_closure,
 )
-from .transversality import OrbitRecord, collection_orbits, small_orbit, transv_table
+from .transversality import (
+    OrbitRecord,
+    collection_orbits,
+    reflection_images,
+    transv_table,
+)
 
 __all__ = [
     "GENERIC",
@@ -153,10 +160,9 @@ def sigma_triples(G: Group, B):
 
 
 def _rb_positions(G: Group, B):
-    bset = frozenset(B)
-    return tuple(
-        i for i in range(len(G.reflections)) if G.reflection_hyperplane(i) in bset
-    )
+    """Positions in G.reflections of the reflections with hyperplane in B,
+    ascending."""
+    return tuple(sorted(i for h in set(B) for i in G.hyperplane_reflections(h)))
 
 
 def signed_vector(size, plus, minus, avoid=frozenset()):
@@ -222,18 +228,8 @@ def _projected_sigmas(G, ws):
     behind rel_bar, in rel_bar's order."""
     table = ws.table
     bset = frozenset(ws.B)
-    acts = [G.hyperplane_action(s) for s in G.reflections]
-    for bp in small_orbit(G, ws.B):
+    for bp, movers in sorted(ws.movers.items()):
         pset = frozenset(bp)
-        if pset == bset:
-            continue
-        movers = {
-            s for s in range(ws.nrefl) if frozenset(acts[s][h] for h in ws.B) == pset
-        }
-        if not movers:
-            raise InternalInconsistency(
-                f"small-orbit member {bp} of {ws.B} is no one-reflection image"
-            )
         rows = [h for h in ws.B if h not in pset]
         cols = [h for h in bp if h not in bset]
         cell = {
@@ -263,6 +259,11 @@ class _Workspace:
                 raise InvalidParameters(f"hyperplane {h} out of range")
         self.nrefl = len(G.reflections)
         self.rb = _rb_positions(G, self.B)
+        # {image B' != B: positions of the reflections mapping B to B'}
+        self.movers = {}
+        for s, img in enumerate(reflection_images(G, self.B)):
+            if img != self.B:
+                self.movers.setdefault(img, []).append(s)
         self.rb_set = frozenset(self.rb)
         self.rel_vectors = None
         self.rel_bar_vectors = None
@@ -312,7 +313,7 @@ class _Workspace:
 
     def kb(self) -> Subgroup:
         if self._kb is None:
-            self._kb = _k_subgroup(self.G, self.B, self.stab())
+            self._kb = _k_subgroup(self, self.stab())
         return self._kb
 
     def a1(self):
@@ -382,36 +383,23 @@ def _workspace(G: Group, B) -> _Workspace:
 # K_B
 
 
-def _k_subgroup(G: Group, B, stab: Subgroup) -> Subgroup:
-    bset = frozenset(B)
+def _k_subgroup(ws: _Workspace, stab: Subgroup) -> Subgroup:
+    G = ws.G
     refls = G.reflections
     rows = G.action_table()
-    gens = [refls[i] for i in _rb_positions(G, B)]
+    gens = [refls[i] for i in ws.rb]
     # cross products s2^-1 s1 for reflections with a common image of B
-    fibers = {}
-    for s in refls:
-        act = rows[s]
-        img = frozenset(act[h] for h in bset)
-        if img != bset:
-            fibers.setdefault(img, []).append(s)
-    for img, fiber in fibers.items():
-        outside = [h for h in bset if h not in img]
-        for s1, s2 in permutations(fiber, 2):
+    for img, fiber in ws.movers.items():
+        outside = [h for h in ws.B if h not in img]
+        for s1, s2 in permutations([refls[i] for i in fiber], 2):
             a1, a2 = rows[s1], rows[s2]
             if all(a1[h] != a2[h] for h in outside):
                 gens.append(G.mul(G.inv(s2), s1))
-    seen = set()
-    uniq = []
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            uniq.append(g)
-    sub = subgroup_closure(G, uniq)
-    # normal in the setwise stabilizer
+    sub = subgroup_closure(G, list(dict.fromkeys(gens)))
+    # normal in the setwise stabilizer: conjugates of the generators stay
     if sub.order > 1:
-        sub_gens = small_generating_set(G, sub)
         for w in small_generating_set(G, stab):
-            for g in sub_gens:
+            for g in sub.generators:
                 if G.conj(w, g) not in sub:
                     raise InternalInconsistency("K_B must be normal in Stab(B)")
     return sub
@@ -697,50 +685,20 @@ def classify_orbits(G: Group, cfg: FieldConfig = GENERIC):
 # dimensions
 
 
-def dim_from_rows(order: int, rows) -> int:
-    """Dimension of the Brauer-Chen algebra from an orbit table.
-
-    rows are AdmissibilityRecord.as_row() dicts, the empty collection
-    first, for a group of the given order.  The dimension is counted
-    twice: as the sum over admissible collections of |W| / |K_B|, and as
-    |W| plus the per-orbit block counts orbit_size^2 * quotient_size.
-    Every consistency check, the agreement of the two counts included,
-    raises InternalInconsistency.
-    """
-    first = rows[0]
-    if first["cardinality"] != 0 or first["quotient_size"] != order:
-        raise InternalInconsistency(
-            f"first orbit row is not the empty collection with quotient {order}"
-        )
-    total = 0
-    blocks = order
-    for row in rows:
-        quotient, kb_order = row["quotient_size"], row["kb_order"]
-        if quotient == 0:
-            continue
-        if order % kb_order:
-            raise InternalInconsistency(
-                f"|K_B| = {kb_order} does not divide |W| = {order}"
-            )
-        if quotient * kb_order != row["stab_order"]:
-            raise InternalInconsistency(
-                f"quotient {quotient} * |K_B| {kb_order} != "
-                f"|Stab| {row['stab_order']}"
-            )
-        total += row["orbit_size"] * (order // kb_order)
-        if row["cardinality"] > 0:
-            blocks += row["orbit_size"] ** 2 * quotient
-    if total != blocks:
-        raise InternalInconsistency(
-            f"dimension double-entry mismatch: {total} != {blocks}"
-        )
-    return total
-
-
 def dim_brauer(G: Group, cfg: FieldConfig = GENERIC) -> int:
     """Dimension of the Brauer-Chen algebra over the configured field,
     by dim_from_rows over the orbit classification."""
     return dim_from_rows(G.order, [rec.as_row() for rec in classify_orbits(G, cfg)])
+
+
+def _matchings_sum(n: int) -> int:
+    """Sum over r >= 1 of (number of r-edge matchings on n points)^2 times
+    (n - 2r)!, the part both closed forms share."""
+    return sum(
+        (factorial(n) // (factorial(r) * 2**r * factorial(n - 2 * r))) ** 2
+        * factorial(n - 2 * r)
+        for r in range(1, n // 2 + 1)
+    )
 
 
 def dim_gmpn_formula(m: int, p: int, n: int) -> int:
@@ -750,28 +708,18 @@ def dim_gmpn_formula(m: int, p: int, n: int) -> int:
         raise InvalidParameters(f"bad parameters ({m},{p},{n})")
     if (m, p) == (2, 2):
         raise InvalidParameters("the (2,2) family has its own closed form")
-    matchings = sum(
-        (factorial(n) // (factorial(r) * 2**r * factorial(n - 2 * r))) ** 2
-        * factorial(n - 2 * r)
-        for r in range(1, n // 2 + 1)
-    )
     base = factorial(n) * m**n // p
     diag = 0 if p == m else factorial(n) * m ** (n - 1) * n
     if (m ** (n + 1)) % p:
         raise InternalInconsistency(f"{p} does not divide {m}^{n + 1}")
-    return base + diag + (m ** (n + 1) // p) * matchings
+    return base + diag + (m ** (n + 1) // p) * _matchings_sum(n)
 
 
 def dim_g22n_formula(n: int) -> int:
     """Closed form for the dimension over the (2,2,n) monomial group."""
     if n < 3:
         raise InvalidParameters("the (2,2,n) closed form needs n >= 3")
-    matchings = sum(
-        (factorial(n) // (factorial(r) * 2**r * factorial(n - 2 * r))) ** 2
-        * factorial(n - 2 * r)
-        for r in range(1, n // 2 + 1)
-    )
-    return factorial(n) * 2 ** (n - 1) + (2**n + 1) * matchings
+    return factorial(n) * 2 ** (n - 1) + (2**n + 1) * _matchings_sum(n)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import random
 from .admissibility import (
     GENERIC,
     FieldConfig,
+    _rb_positions,
     classify,
     classify_orbits,
     dim_from_rows,
@@ -241,7 +242,7 @@ def quotient_regular_rep(G: Group, B, cfg: FieldConfig = GENERIC) -> StabRep:
     rep = StabRep(
         G, stab, len(reps), lambda h: tuple(coset_index[G.mul(h, r)] for r in reps)
     )
-    for k in small_generating_set(G, kb):
+    for k in kb.generators:
         if rep.perm(k) != tuple(range(len(reps))):
             raise InternalInconsistency(f"B={B}: K_B does not act trivially")
     return rep
@@ -370,7 +371,7 @@ def _check_rel_annihilation(module: InducedModule):
     B = module.B
     deg = module.degree
     nrefl = len(G.reflections)
-    rb = {i for h in B for i in G.hyperplane_reflections(h)}
+    rb = frozenset(_rb_positions(G, B))
     one = _one(G)
     for vec in rel_set(G, B):
         acc = {}

@@ -11,10 +11,11 @@ Subcommands:
 Group specs are either "gmpn:m,p,n" for the monomial series, a packaged
 name (g4, g23, g25, g26) or a path to a group-definition JSON file.
 Reports are deterministic JSON on stdout; the classify table can also be
-projected to CSV.  Expensive per-group artifacts (the group order, orbit
-rows, dimensions) are cached on disk as one JSON file per group, keyed by a
+projected to CSV.  Expensive per-group artifacts (the group order and the
+orbit rows) are cached on disk as one JSON file per group, keyed by a
 content hash of the group definition, which is computed without building
-the group.  A cache hit builds nothing and imports no compute module: this
+the group; a dimension is the double count over the rows, re-run on every
+hit.  A cache hit builds nothing and imports no compute module: this
 module imports the group core, admissibility, the module and freeness
 layers and multiprocessing only where a command uses them.
 """
@@ -28,6 +29,7 @@ import sys
 
 from .definitions import (
     DEFAULT_CAP,
+    dim_from_rows,
     group_definition,
     imprimitive_order,
     packaged_definition,
@@ -35,7 +37,7 @@ from .definitions import (
 )
 from .errors import BctError, InvalidParameters, TooLarge
 
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 
 CSV_COLUMNS = [
     "cardinality",
@@ -81,8 +83,17 @@ def parse_spec(spec: str):
         data = {"kind": "imprimitive", "m": m, "p": p, "n": n}
         return data, _builder("build_imprimitive", m, p, n)
     if os.path.exists(spec):
-        with open(spec) as fh:
-            data = json.load(fh)
+        try:
+            with open(spec) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise SpecError(f"cannot read a group definition from {spec!r}: {exc}")
+        kind = data.get("kind") if isinstance(data, dict) else None
+        if kind not in ("imprimitive", "matrix"):
+            raise SpecError(
+                f"{spec!r} is no group definition: it needs a JSON object whose "
+                '"kind" is "imprimitive" or "matrix"'
+            )
         return data, _builder("load_group_file", spec)
     if spec.lower() in PACKAGED_NAMES:
         return packaged_source(spec)
@@ -129,7 +140,6 @@ def fresh_bundle() -> dict:
         "version": CACHE_VERSION,
         "order": None,
         "classify": {},
-        "dims": {},
     }
 
 
@@ -149,7 +159,6 @@ def cache_load(cache_dir: str, digest: str) -> dict:
         or bundle.keys() != fresh.keys()
         or bundle["version"] != CACHE_VERSION
         or not isinstance(bundle["classify"], dict)
-        or not isinstance(bundle["dims"], dict)
     ):
         return fresh
     return bundle
@@ -231,15 +240,9 @@ class GroupStore:
         return got
 
     def dimension(self, mu6: bool) -> int:
-        key = cfg_key(mu6)
-        got = self.bundle["dims"].get(key)
-        if got is None:
-            from .admissibility import dim_from_rows
-
-            got = dim_from_rows(self.G.order, self.rows(mu6))
-            self.bundle["dims"][key] = got
-            self._save()
-        return got
+        # rows first: a miss builds the group and records its order
+        rows = self.rows(mu6)
+        return dim_from_rows(self.bundle["order"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +355,10 @@ DOUBLED_SWEEP = [(2, 2, n) for n in (3, 4, 5)]
 ANCHORS = [(2, 3), (3, 15), (4, 105), (5, 945)]
 
 
-def _formula_case(case) -> dict:
+def _formula_case(m: int, p: int, n: int, cap: int) -> dict:
     from .admissibility import dim_brauer, dim_g22n_formula, dim_gmpn_formula
     from .reflection_groups import build_imprimitive
 
-    m, p, n, cap = case
     G = build_imprimitive(m, p, n, cap=cap)
     enumerated = dim_brauer(G)
     formula = (
@@ -382,16 +384,16 @@ def _suite_formulas(G, cap: int, workers: int) -> dict:
             raise InvalidParameters(
                 "the formulas suite applies to monomial groups only"
             )
-        cases = [_formula_case((G.m, G.p, G.n, cap))]
+        cases = [_formula_case(G.m, G.p, G.n, cap)]
         return {"cases": cases, "all_pass": all(c["agree"] for c in cases)}
     work = [(m, p, n, cap) for m, p, n in FORMULA_SWEEP + DOUBLED_SWEEP]
     if workers > 1:
         from multiprocessing import Pool
 
         with Pool(workers) as pool:
-            cases = pool.map(_formula_case, work)
+            cases = pool.starmap(_formula_case, work)
     else:
-        cases = [_formula_case(w) for w in work]
+        cases = [_formula_case(*w) for w in work]
     anchors = []
     for n, expect in ANCHORS:
         got = next(
@@ -467,19 +469,15 @@ def _table_row(name: str, cache_dir: str, cap: int) -> dict:
     }
 
 
-def _table_row_job(job):
-    return _table_row(*job)
-
-
 def cmd_reproduce(args) -> int:
     jobs = [(name, args.cache_dir, args.max_order) for name in TABLE_NAMES]
     if args.parallel > 1:
         from multiprocessing import Pool
 
         with Pool(args.parallel) as pool:
-            rows = pool.map(_table_row_job, jobs)
+            rows = pool.starmap(_table_row, jobs)
     else:
-        rows = [_table_row_job(j) for j in jobs]
+        rows = [_table_row(*job) for job in jobs]
     for spec in args.specs:
         store = GroupStore(parse_spec(spec), args.cache_dir, args.max_order)
         rows.append(

@@ -1,5 +1,6 @@
 """Group definitions: the canonical JSON that names a group and keys the
-cache, the packaged definitions, and the order cap with its refusals.
+cache, the packaged definitions, the order cap with its refusals, and the
+dimension double count over an orbit table.
 
 This module loads only the standard library and bct.errors, so the command
 line can hash a definition, refuse a group over the cap and serve a cache
@@ -12,7 +13,7 @@ import json
 from importlib import resources
 from math import factorial, gcd
 
-from .errors import InvalidParameters, TooLarge
+from .errors import InternalInconsistency, InvalidParameters, TooLarge
 
 DEFAULT_CAP = 200_000
 
@@ -96,3 +97,43 @@ def packaged_definition(name: str) -> dict:
             f"unknown packaged group {name!r}; have {sorted(_PACKAGED)}"
         )
     return json.loads(resources.files("bct").joinpath(_PACKAGED[key]).read_text())
+
+
+def dim_from_rows(order: int, rows) -> int:
+    """Dimension of the Brauer-Chen algebra from an orbit table.
+
+    rows are AdmissibilityRecord.as_row() dicts, the empty collection
+    first, for a group of the given order.  The dimension is counted
+    twice: as the sum over admissible collections of |W| / |K_B|, and as
+    |W| plus the per-orbit block counts orbit_size^2 * quotient_size.
+    Every consistency check, the agreement of the two counts included,
+    raises InternalInconsistency.
+    """
+    first = rows[0]
+    if first["cardinality"] != 0 or first["quotient_size"] != order:
+        raise InternalInconsistency(
+            f"first orbit row is not the empty collection with quotient {order}"
+        )
+    total = 0
+    blocks = order
+    for row in rows:
+        quotient, kb_order = row["quotient_size"], row["kb_order"]
+        if quotient == 0:
+            continue
+        if order % kb_order:
+            raise InternalInconsistency(
+                f"|K_B| = {kb_order} does not divide |W| = {order}"
+            )
+        if quotient * kb_order != row["stab_order"]:
+            raise InternalInconsistency(
+                f"quotient {quotient} * |K_B| {kb_order} != "
+                f"|Stab| {row['stab_order']}"
+            )
+        total += row["orbit_size"] * (order // kb_order)
+        if row["cardinality"] > 0:
+            blocks += row["orbit_size"] ** 2 * quotient
+    if total != blocks:
+        raise InternalInconsistency(
+            f"dimension double-entry mismatch: {total} != {blocks}"
+        )
+    return total

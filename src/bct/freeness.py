@@ -26,6 +26,7 @@ from itertools import combinations
 
 from .admissibility import (
     GENERIC,
+    _rb_positions,
     check_A2,
     classify_orbits,
     d_and_p,
@@ -38,8 +39,8 @@ from .admissibility import (
 )
 from .errors import InternalInconsistency
 from .exact_arith import z_span_member
-from .reflection_groups import Group, bfs, hyperplanes
-from .transversality import small_orbit, transv_table
+from .reflection_groups import Group, hyperplanes, orbits
+from .transversality import reflection_images, small_orbit, transv_table
 
 
 # ---------------------------------------------------------------------------
@@ -86,26 +87,16 @@ def acceptable_hyperplanes(G: Group, B):
     member of B non-transverse with H all reflections mapping that member
     to H move B to one and the same collection."""
     table = transv_table(G)
-    refls = G.reflections
+    images = reflection_images(G, B)
     bset = frozenset(B)
-    bsort = tuple(sorted(bset))
     out = []
     for hid in range(table.size):
         if hid in bset:
             continue
-        clash = [h for h in bsort if not table.transverse(h, hid)]
-        if not clash:
-            continue
-        ok = True
-        for h in clash:
-            images = {
-                tuple(sorted(G.hyperplane_action(refls[s])[b] for b in bsort))
-                for s in table.mapped_by(h, hid)
-            }
-            if len(images) != 1:
-                ok = False
-                break
-        if ok:
+        clash = [h for h in bset if not table.transverse(h, hid)]
+        if clash and all(
+            len({images[s] for s in table.mapped_by(h, hid)}) == 1 for h in clash
+        ):
             out.append(hid)
     return out
 
@@ -161,11 +152,10 @@ def rel_tau(G: Group, B):
     non-transverse with both halves; zero differences are dropped."""
     table = transv_table(G)
     nrefl = len(G.reflections)
-    bset = frozenset(B)
-    rb = {s for h in bset for s in G.hyperplane_reflections(h)}
+    rb = frozenset(_rb_positions(G, B))
     out = []
     for i, j in acceptable_pairs(G, B):
-        for k in sorted(bset):
+        for k in sorted(set(B)):
             if table.transverse(k, i) or table.transverse(k, j):
                 continue
             vec = signed_vector(
@@ -207,18 +197,6 @@ def check_F(G: Group, B):
 # the geometric route for the 21-hyperplane group
 
 
-def _hyperplane_orbits(G: Group):
-    """Orbits of hyperplane ids under the full group, by generator BFS."""
-    acts = [G.hyperplane_action(g) for g in G.generators]
-    unseen = set(range(len(hyperplanes(G))))
-    orbs = []
-    while unseen:
-        comp, _ = bfs([min(unseen)], acts, lambda h, act: act[h])
-        unseen.difference_update(comp)
-        orbs.append(frozenset(comp))
-    return orbs
-
-
 def g26_geometry_suite(G: Group):
     """Named geometric checks behind the singleton-basis route.
 
@@ -245,7 +223,12 @@ def g26_geometry_suite(G: Group):
         "partners_linked": False,
     }
 
-    orbs = sorted(_hyperplane_orbits(G), key=len, reverse=True)
+    acts = [G.hyperplane_action(g) for g in G.generators]
+    orbs = sorted(
+        map(frozenset, orbits(range(len(hyps)), acts, lambda h, act: act[h])),
+        key=len,
+        reverse=True,
+    )
     if len(orbs) == 2:
         o1, o2 = orbs
         orders1 = {hyps[h].order_m for h in o1}

@@ -274,6 +274,27 @@ def bfs(seeds, labels, step, limit=None, refuse=None):
     return states, tree
 
 
+def orbits(points, labels, step):
+    """Partition of points into orbits under step(point, label).
+
+    Each orbit is the bfs closure of the first point not yet visited, in
+    discovery order.  An orbit that meets an earlier one means step does
+    not permute the points, and raises InternalInconsistency.
+    """
+    seen = set()
+    out = []
+    for x in points:
+        if x not in seen:
+            members, _ = bfs([x], labels, step)
+            if not seen.isdisjoint(members):
+                raise InternalInconsistency(
+                    f"the orbit of {x!r} meets an earlier orbit"
+                )
+            seen.update(members)
+            out.append(members)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # hyperplanes and subgroups
 
@@ -373,9 +394,11 @@ class Group:
         self._reflections = None
         self._refl_index = None
         self._refl_hyp = None
+        self._hyp_refls = None
         self._dist_index = None
         self._actions = None
         self._classes = None
+        self._class_of = None
         self._transv_table = None
         self._orbit_records = None
         self._adm_cache = {}
@@ -455,6 +478,10 @@ class Group:
             h.dist_reflection: h.id for h in self._hyperplanes
         }
         self._refl_index = {g: i for i, g in enumerate(self._reflections)}
+        hyp_refls = [[] for _ in self._hyperplanes]
+        for i, hid in enumerate(self._refl_hyp):
+            hyp_refls[hid].append(i)
+        self._hyp_refls = [tuple(r) for r in hyp_refls]
 
     def _build_hyperplanes_imprimitive(self):
         m, p, n = self.m, self.p, self.n
@@ -580,9 +607,9 @@ class Group:
         return self._refl_hyp[idx]
 
     def hyperplane_reflections(self, hid: int):
-        """Indices of the reflections whose hyperplane is hid."""
+        """Indices of the reflections whose hyperplane is hid, ascending."""
         self._build_hyperplanes()
-        return [i for i, h in enumerate(self._refl_hyp) if h == hid]
+        return self._hyp_refls[hid]
 
     # -- action on hyperplanes ---------------------------------------------
 
@@ -643,35 +670,34 @@ class Group:
 
     # -- conjugacy classes of reflections ----------------------------------
 
+    def _build_classes(self):
+        if self._classes is not None:
+            return
+        self._build_hyperplanes()
+        refls, index = self._reflections, self._refl_index
+        self._classes = [
+            tuple(sorted(members))
+            for members in orbits(
+                range(len(refls)),
+                self.generators,
+                lambda r, g: index[self.conj(g, refls[r])],
+            )
+        ]
+        self._class_of = {
+            r: ci for ci, members in enumerate(self._classes) for r in members
+        }
+
     @property
     def reflection_classes(self):
         """Partition of reflection indices into W-conjugacy classes, ordered
         by smallest member."""
-        self._build_hyperplanes()
-        if self._classes is not None:
-            return self._classes
-        refls, index = self._reflections, self._refl_index
-
-        def conjugate(r, g):
-            return index[self.conj(g, refls[r])]
-
-        unseen = set(range(len(refls)))
-        classes = []
-        while unseen:
-            members, _ = bfs([min(unseen)], self.generators, conjugate)
-            if not unseen.issuperset(members):
-                raise InternalInconsistency("reflection classes overlap")
-            unseen.difference_update(members)
-            classes.append(tuple(sorted(members)))
-        classes.sort(key=lambda c: c[0])
-        self._classes = classes
-        return classes
+        self._build_classes()
+        return self._classes
 
     def reflection_class_of(self, idx: int) -> int:
-        for ci, members in enumerate(self.reflection_classes):
-            if idx in members:
-                return ci
-        raise InternalInconsistency(f"reflection {idx} not classified")
+        """Position in reflection_classes of the class of reflection idx."""
+        self._build_classes()
+        return self._class_of[idx]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ mapping the first hyperplane onto the second.  Everything downstream
 
 from .errors import InternalInconsistency, NotDistinct
 from .exact_arith import SpanBasis
-from .reflection_groups import Group, Hyperplane, bfs, orbit, stabilizer
+from .reflection_groups import Group, Hyperplane, orbit, orbits, stabilizer
 
 __all__ = [
     "TransvTable",
@@ -22,6 +22,7 @@ __all__ = [
     "check_all_pairs",
     "enumerate_collections",
     "collection_orbits",
+    "reflection_images",
     "small_orbit",
 ]
 
@@ -118,21 +119,16 @@ def _pair_orbits(G: Group, size: int):
     from its smallest pair, and the orbits come in the order of those
     pairs."""
     table = G.action_table()
-    gen_rows = [table[s] for s in G.generators]
 
     def step(pair, row):
         a, b = row[pair[0]], row[pair[1]]
         return (a, b) if a < b else (b, a)
 
-    seen = set()
-    orbits = []
-    for i in range(size):
-        for j in range(i + 1, size):
-            if (i, j) not in seen:
-                members, _ = bfs([(i, j)], gen_rows, step)
-                seen.update(members)
-                orbits.append(members)
-    return orbits
+    return orbits(
+        ((i, j) for i in range(size) for j in range(i + 1, size)),
+        [table[s] for s in G.generators],
+        step,
+    )
 
 
 def transv_table(G: Group) -> TransvTable:
@@ -274,12 +270,14 @@ def collection_orbits(G: Group):
     return records
 
 
+def reflection_images(G: Group, B):
+    """The image of the collection B under each reflection, as a sorted
+    tuple, in the order of G.reflections."""
+    rows = G.action_table()
+    return [tuple(sorted(rows[s][h] for h in B)) for s in G.reflections]
+
+
 def small_orbit(G: Group, B):
     """Images of the collection B under every single reflection, deduplicated
     and sorted.  Ranges over the collections one reflection away from B."""
-    B = tuple(sorted(B))
-    images = set()
-    for s in G.reflections:
-        act = G.hyperplane_action(s)
-        images.add(tuple(sorted(act[h] for h in B)))
-    return sorted(images)
+    return sorted(set(reflection_images(G, B)))

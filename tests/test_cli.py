@@ -1,5 +1,6 @@
 """Command-line interface: output shapes, caching, exit codes, suites."""
 
+import ast
 import json
 import os
 import pickle
@@ -184,7 +185,8 @@ def test_malformed_bundle_is_a_miss(capsys, cache):
     first = run_json(capsys, argv)
     (entry,) = os.listdir(cache)
     path = os.path.join(cache, entry)
-    for bad in ([], {"version": cli.CACHE_VERSION}, dict(cli.fresh_bundle(), dims=[])):
+    wrong_type = dict(cli.fresh_bundle(), classify=[])
+    for bad in ([], {"version": cli.CACHE_VERSION}, wrong_type):
         with open(path, "w") as fh:
             json.dump(bad, fh)
         assert run_json(capsys, argv) == first
@@ -263,16 +265,29 @@ def test_version_one_bundle_is_a_miss(capsys, cache):
     path = os.path.join(cache, entry)
     with open(path) as fh:
         bundle = json.load(fh)
-    assert bundle["version"] == cli.CACHE_VERSION == 4
+    assert bundle["version"] == cli.CACHE_VERSION == 5
     assert bundle["order"] == 24
-    forged = dict(bundle, dims={"generic": 999})
+    rows = bundle["classify"]["generic"]
+    k = next(i for i, r in enumerate(rows) if r["cardinality"] and r["quotient_size"])
+    forged = dict(bundle, classify={"generic": rows[:k] + rows[k + 1:]})
     with open(path, "w") as fh:
         json.dump(forged, fh)
-    # the current version is served as it stands, forged value included
-    assert run_json(capsys, argv) == {"dimension": 999}
+    # the current version is served as it stands, forged rows included: an
+    # admissible orbit dropped keeps the double count consistent, and the
+    # dimension loses that orbit's share
+    lost = rows[k]["orbit_size"] * 24 // rows[k]["kb_order"]
+    assert run_json(capsys, argv) == {"dimension": 105 - lost}
     with open(path, "w") as fh:
         json.dump(dict(forged, version=1), fh)
     assert run_json(capsys, argv) == first
+    # every hit re-runs the double count, which refuses a wrong |K_B|
+    bad = [dict(r) for r in rows]
+    bad[k]["kb_order"] *= 2
+    with open(path, "w") as fh:
+        json.dump(dict(bundle, classify={"generic": bad}), fh)
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InternalInconsistency"
 
 
 def test_version_two_bundle_is_a_miss(capsys, cache):
@@ -311,7 +326,7 @@ def test_stored_bundle_has_no_table(capsys, cache):
     with open(os.path.join(cache, entry)) as fh:
         bundle = json.load(fh)
     assert "table" not in bundle
-    assert set(bundle) == {"version", "order", "classify", "dims"}
+    assert set(bundle) == {"version", "order", "classify"}
 
 
 def test_max_order_refuses_cached_groups(capsys, cache):
@@ -338,8 +353,17 @@ def test_max_order_refuses_cached_groups(capsys, cache):
 # exit codes
 
 
-def test_unparseable_spec_is_a_usage_error(capsys):
-    for bad in ["nonsense", "gmpn:2,2", "gmpn:a,b,c", "gmpn:1,2,3,4"]:
+def test_unparseable_spec_is_a_usage_error(capsys, tmp_path):
+    files = {
+        "not_json.json": "not json",
+        "list.json": "[1, 2]",
+        "no_kind.json": '{"name": "G(2,1,2)", "m": 2, "p": 1, "n": 2}',
+        "other_kind.json": '{"kind": "coxeter"}',
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    bad_files = [str(tmp_path)] + [str(tmp_path / name) for name in files]
+    for bad in ["nonsense", "gmpn:2,2", "gmpn:a,b,c", "gmpn:1,2,3,4"] + bad_files:
         with pytest.raises(SystemExit) as exc:
             main(["dims", bad])
         assert exc.value.code == 2
@@ -618,3 +642,20 @@ def test_package_exports_resolve():
     assert bct.DEFAULT_CAP == cli.DEFAULT_CAP == 200_000
     with pytest.raises(AttributeError):
         bct.no_such_name
+
+
+def test_package_has_no_assert():
+    # python -O strips assert statements, so an invariant checked by one
+    # would go unchecked; the package raises instead
+    pkg = os.path.dirname(bct.__file__)
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [
+                f"{name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assert)
+            ]
+    assert found == []

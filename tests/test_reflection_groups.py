@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bct.errors import InvalidParameters, InvalidRoot, TooLarge
+from bct.errors import InternalInconsistency, InvalidParameters, InvalidRoot, TooLarge
 from bct.exact_arith import CycNumber, zeta
 from bct.reflection_groups import (
     MatrixElem,
@@ -16,6 +16,7 @@ from bct.reflection_groups import (
     hermitian_inner,
     hyperplanes,
     orbit,
+    orbits,
     reflection_from_root,
     stabilizer,
     subgroup_closure,
@@ -124,6 +125,26 @@ def test_packaged_g25_g26(g25, g26):
     assert sorted(h.order_m for h in hyperplanes(g26)).count(3) == 12
     assert [len(c) for c in g25.reflection_classes] == [12, 12]
     assert [len(c) for c in g26.reflection_classes] == [12, 12, 9]
+
+
+def test_stored_reflection_lookups_match_scans(g25, g26):
+    for G in (g25, g26, build_imprimitive(3, 1, 3)):
+        nrefl = len(G.reflections)
+        for hid in range(len(hyperplanes(G))):
+            scan = [i for i in range(nrefl) if G.reflection_hyperplane(i) == hid]
+            assert list(G.hyperplane_reflections(hid)) == scan
+        for i in range(nrefl):
+            scan = next(
+                ci for ci, members in enumerate(G.reflection_classes) if i in members
+            )
+            assert G.reflection_class_of(i) == scan
+
+
+def test_orbits_partition_and_refuse_a_non_permutation():
+    # x -> x + 2 mod 6 splits 0..5 into evens and odds
+    assert orbits(range(6), [2], lambda x, k: (x + k) % 6) == [[0, 2, 4], [1, 3, 5]]
+    with pytest.raises(InternalInconsistency, match="meets an earlier orbit"):
+        orbits(range(3), [0], lambda x, _: 0)
 
 
 def test_act_identity_and_monomial_example():

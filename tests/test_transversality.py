@@ -17,6 +17,7 @@ from bct.transversality import (
     collection_orbits,
     enumerate_collections,
     is_transverse,
+    reflection_images,
     small_orbit,
     transv_table,
 )
@@ -301,6 +302,15 @@ def test_small_orbit_contains_fixed_collection():
         )
     )
     assert B in small_orbit(G, B)
+
+
+def test_small_orbit_is_the_set_of_reflection_images(g26):
+    for G in (g26, build_imprimitive(4, 2, 3)):
+        for rec in collection_orbits(G):
+            B = rec.representative
+            images = reflection_images(G, B)
+            assert len(images) == len(G.reflections)
+            assert small_orbit(G, B) == sorted(set(images))
 
 
 def test_tampered_action_row_is_caught():
