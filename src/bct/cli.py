@@ -11,13 +11,16 @@ Subcommands:
 Group specs are either "gmpn:m,p,n" for the monomial series, a packaged
 name (g4, g23, g25, g26) or a path to a group-definition JSON file.
 Reports are deterministic JSON on stdout; the classify table can also be
-projected to CSV.  Expensive per-group artifacts (the group order and the
-orbit rows) are cached on disk as one JSON file per group, keyed by a
-content hash of the group definition, which is computed without building
-the group; a dimension is the double count over the rows, re-run on every
-hit.  A cache hit builds nothing and imports no compute module: this
-module imports the group core, admissibility, the module and freeness
-layers and multiprocessing only where a command uses them.
+projected to CSV.  Expensive per-group artifacts (the group order, the
+largest cap under which the closure was refused, and the orbit rows) are
+cached on disk as one JSON file per group, keyed by a content hash of the
+group definition, which is computed without building the group: a
+packaged definition is hashed as shipped, and only a spec file is put
+into canonical form.  A dimension is the double count over the rows,
+re-run on every hit.  A cache hit, a recorded refusal included, builds
+nothing and imports no compute module: this module imports the group
+core, admissibility, the module and freeness layers and multiprocessing
+only where a command uses them.
 """
 
 import argparse
@@ -29,6 +32,7 @@ import sys
 
 from .definitions import (
     DEFAULT_CAP,
+    _closure_refusal,
     dim_from_rows,
     group_definition,
     imprimitive_order,
@@ -37,7 +41,7 @@ from .definitions import (
 )
 from .errors import BctError, InvalidParameters, TooLarge
 
-CACHE_VERSION = 5
+CACHE_VERSION = 6
 
 CSV_COLUMNS = [
     "cardinality",
@@ -64,13 +68,18 @@ PACKAGED_NAMES = frozenset(SHIPPED.values())
 ABSENT = "unverified (external data absent)"
 
 
+# the fields a spec file of each kind must hold
+SPEC_FIELDS = {"imprimitive": ("m", "p", "n"), "matrix": ("generators",)}
+
+
 class SpecError(Exception):
     """Unparseable group spec; reported as a usage error."""
 
 
 def parse_spec(spec: str):
-    """(definition data, build) for a group spec, where build(cap)
-    constructs the group; parsing builds nothing."""
+    """(canonical definition, build) for a group spec, where build(cap)
+    constructs the group; parsing builds nothing.  A packaged definition
+    ships in canonical form and is used as it is."""
     if spec.startswith("gmpn:"):
         body = spec[len("gmpn:"):]
         parts = body.split(",")
@@ -81,7 +90,7 @@ def parse_spec(spec: str):
         except ValueError:
             raise SpecError(f"non-integer parameters in {spec!r}")
         data = {"kind": "imprimitive", "m": m, "p": p, "n": n}
-        return data, _builder("build_imprimitive", m, p, n)
+        return group_definition(data), _builder("build_imprimitive", m, p, n)
     if os.path.exists(spec):
         try:
             with open(spec) as fh:
@@ -94,7 +103,13 @@ def parse_spec(spec: str):
                 f"{spec!r} is no group definition: it needs a JSON object whose "
                 '"kind" is "imprimitive" or "matrix"'
             )
-        return data, _builder("load_group_file", spec)
+        missing = [f for f in SPEC_FIELDS[kind] if f not in data]
+        if missing:
+            raise SpecError(
+                f"{spec!r} is no {kind} group definition: it lacks the "
+                f"field(s) {', '.join(map(repr, missing))}"
+            )
+        return group_definition(data), _builder("load_group_file", spec)
     if spec.lower() in PACKAGED_NAMES:
         return packaged_source(spec)
     raise SpecError(
@@ -104,7 +119,8 @@ def parse_spec(spec: str):
 
 
 def packaged_source(name: str):
-    """(definition data, build) for a packaged group."""
+    """(definition, build) for a packaged group; the shipped definition is
+    canonical, so neither hashing nor refusing it loads the group core."""
     return packaged_definition(name), _builder("packaged_group", name)
 
 
@@ -139,14 +155,27 @@ def fresh_bundle() -> dict:
     return {
         "version": CACHE_VERSION,
         "order": None,
+        # the largest cap under which building the group was refused
+        "refused_cap": None,
         "classify": {},
     }
 
 
+def _is_rows(rows) -> bool:
+    """rows is a non-empty list of dicts holding every CSV column as an
+    int or a bool."""
+    return isinstance(rows, list) and len(rows) > 0 and all(
+        isinstance(row, dict)
+        and all(isinstance(row.get(col), int) for col in CSV_COLUMNS)
+        for row in rows
+    )
+
+
 def cache_load(cache_dir: str, digest: str) -> dict:
-    """The bundle stored for digest; a missing or malformed file, or one of
-    another version, gives a fresh bundle (a miss).  Bundles are plain
-    JSON, so loading one never runs code."""
+    """The bundle stored for digest; a missing or malformed file (an order
+    or refusal record that is no int or null, or rows that are not
+    _is_rows), or one of another version, gives a fresh bundle (a miss).
+    Bundles are plain JSON, so loading one never runs code."""
     path = os.path.join(cache_dir, digest + ".json")
     try:
         with open(path, "rb") as fh:
@@ -158,7 +187,12 @@ def cache_load(cache_dir: str, digest: str) -> dict:
         not isinstance(bundle, dict)
         or bundle.keys() != fresh.keys()
         or bundle["version"] != CACHE_VERSION
+        or not all(
+            v is None or type(v) is int
+            for v in (bundle["order"], bundle["refused_cap"])
+        )
         or not isinstance(bundle["classify"], dict)
+        or not all(map(_is_rows, bundle["classify"].values()))
     ):
         return fresh
     return bundle
@@ -190,12 +224,12 @@ class GroupStore:
     The group is built only when something is missing from the cache.  An
     order above cap is refused as building the group would refuse it:
     monomial groups have a closed-form order, and the bundle records the
-    order of a matrix group.
+    order of a matrix group, or else the largest cap its closure was
+    refused under, which proves |G| above every cap up to it.
     """
 
     def __init__(self, source, cache_dir: str, cap: int):
-        data, self._build = source
-        self.definition = group_definition(data)
+        self.definition, self._build = source
         self.cap = cap
         self.cache_dir = cache_dir
         self.digest = group_digest(self.definition)
@@ -205,8 +239,11 @@ class GroupStore:
             order = imprimitive_order(d["m"], d["p"], d["n"])
         else:
             order = self.bundle["order"]
+        refused = self.bundle["refused_cap"]
         if order is not None:
             refuse_over_cap(self.definition, order, cap)
+        elif refused is not None and cap <= refused:
+            raise _closure_refusal(cap)
         self._group = None
 
     @property
@@ -220,7 +257,14 @@ class GroupStore:
     @property
     def G(self):
         if self._group is None:
-            self._group = self._build(self.cap)
+            try:
+                self._group = self._build(self.cap)
+            except TooLarge:
+                # the closed form refuses a monomial group before this, so
+                # a matrix group's closure passed the cap
+                self.bundle["refused_cap"] = self.cap
+                cache_store(self.cache_dir, self.digest, self.bundle)
+                raise
         return self._group
 
     def _save(self):

@@ -4,9 +4,10 @@ dimension double count over an orbit table.
 
 This module loads only the standard library and bct.errors, so the command
 line can hash a definition, refuse a group over the cap and serve a cache
-hit without loading the group core or the exact arithmetic.  Only the
-definition of a matrix group needs them: its generator entries are written
-in canonical cyclotomic form.
+hit without loading the group core or the exact arithmetic.  Only
+group_definition on a matrix group needs them: its generator entries are
+written in canonical cyclotomic form.  The packaged definitions ship in
+that form, so the command line hashes them as they are.
 """
 
 import json

@@ -14,7 +14,7 @@ import bct.admissibility
 import bct.cli as cli
 import bct.reflection_groups
 from bct.cli import main
-from bct.definitions import DEFAULT_CAP, group_definition
+from bct.definitions import DEFAULT_CAP, group_definition, packaged_definition
 from bct.errors import TooLarge
 from bct.reflection_groups import build_imprimitive, group_to_json
 from bct.transversality import transv_table
@@ -185,11 +185,31 @@ def test_malformed_bundle_is_a_miss(capsys, cache):
     first = run_json(capsys, argv)
     (entry,) = os.listdir(cache)
     path = os.path.join(cache, entry)
+    with open(path) as fh:
+        stored = json.load(fh)
     wrong_type = dict(cli.fresh_bundle(), classify=[])
-    for bad in ([], {"version": cli.CACHE_VERSION}, wrong_type):
+    empty_row = dict(stored, classify={"generic": [{}]})
+    text_row = dict(
+        stored, classify={"generic": [dict(r, kb_order="1") for r in
+                                      stored["classify"]["generic"]]}
+    )
+    no_rows = dict(stored, classify={"generic": []})
+    text_refusal = dict(stored, refused_cap="130")
+    text_order = dict(stored, order="18")
+    for bad in ([], {"version": cli.CACHE_VERSION}, wrong_type, empty_row,
+                text_row, no_rows, text_refusal, text_order):
         with open(path, "w") as fh:
             json.dump(bad, fh)
         assert run_json(capsys, argv) == first
+        # a miss recomputes the rows and stores a well-formed bundle again
+        with open(path) as fh:
+            assert json.load(fh) == stored
+    # a refusal record that is no int is a miss too where it is read
+    g4 = ["--cache-dir", cache, "--max-order", "30", "dims", "g4"]
+    digest = cli.group_digest(packaged_definition("g4"))
+    with open(os.path.join(cache, digest + ".json"), "w") as fh:
+        json.dump(dict(cli.fresh_bundle(), refused_cap="30"), fh)
+    assert run_json(capsys, g4)["dimension"] == 56
 
 
 def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
@@ -231,6 +251,16 @@ def test_group_digest_unchanged_and_needs_no_group(monkeypatch):
         assert cli.group_digest(group_definition(data)) == want, spec
 
 
+def test_packaged_definitions_ship_canonical():
+    # the cache hashes a packaged definition as shipped, without putting it
+    # into canonical form, so every shipped file must already be canonical
+    for name in ("g4", "g23", "g25", "g26"):
+        shipped = packaged_definition(name)
+        assert group_definition(shipped) == shipped, name
+        assert cli.group_digest(shipped) == DIGESTS[name], name
+        assert cli.parse_spec(name)[0] == shipped, name
+
+
 def test_group_definition_matches_built_group():
     for spec in ("g4", "gmpn:2,1,3"):
         data, build = cli.parse_spec(spec)
@@ -265,7 +295,7 @@ def test_version_one_bundle_is_a_miss(capsys, cache):
     path = os.path.join(cache, entry)
     with open(path) as fh:
         bundle = json.load(fh)
-    assert bundle["version"] == cli.CACHE_VERSION == 5
+    assert bundle["version"] == cli.CACHE_VERSION == 6
     assert bundle["order"] == 24
     rows = bundle["classify"]["generic"]
     k = next(i for i, r in enumerate(rows) if r["cardinality"] and r["quotient_size"])
@@ -326,7 +356,7 @@ def test_stored_bundle_has_no_table(capsys, cache):
     with open(os.path.join(cache, entry)) as fh:
         bundle = json.load(fh)
     assert "table" not in bundle
-    assert set(bundle) == {"version", "order", "classify"}
+    assert set(bundle) == {"version", "order", "refused_cap", "classify"}
 
 
 def test_max_order_refuses_cached_groups(capsys, cache):
@@ -349,6 +379,43 @@ def test_max_order_refuses_cached_groups(capsys, cache):
     assert got["dimension"] == 56
 
 
+def _refuses(capsys, argv, cap):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "TooLarge",
+        "message": f"group closure exceeds cap {cap}",
+    }
+
+
+def test_refused_closure_is_cached(capsys, cache, monkeypatch):
+    base = ["--cache-dir", cache]
+    _refuses(capsys, base + ["--max-order", "130", "dims", "g25"], 130)
+    (entry,) = os.listdir(cache)
+    path = os.path.join(cache, entry)
+    with open(path) as fh:
+        assert json.load(fh) == dict(cli.fresh_bundle(), refused_cap=130)
+
+    def boom(*a, **k):
+        raise AssertionError("group built despite a recorded refusal")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(bct.reflection_groups, "build_matrix_group", boom)
+        # the refusal under 130 proves |G25| > 100 as well
+        for cap in (130, 100):
+            _refuses(capsys, base + ["--max-order", str(cap), "dims", "g25"], cap)
+    # the same text as building the group under that cap gives
+    with pytest.raises(TooLarge) as exc:
+        cli.build_spec("g25", 100)
+    assert str(exc.value) == "group closure exceeds cap 100"
+    # a larger cap builds the group and stores its order
+    got = run_json(capsys, base + ["--max-order", "648", "dims", "g25"])
+    assert got == {"dimension": 3272}
+    with open(path) as fh:
+        bundle = json.load(fh)
+    assert (bundle["order"], bundle["refused_cap"]) == (648, 130)
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -359,7 +426,10 @@ def test_unparseable_spec_is_a_usage_error(capsys, tmp_path):
         "list.json": "[1, 2]",
         "no_kind.json": '{"name": "G(2,1,2)", "m": 2, "p": 1, "n": 2}',
         "other_kind.json": '{"kind": "coxeter"}',
+        "missing_p.json": '{"kind": "imprimitive", "m": 2}',
+        "no_generators.json": '{"kind": "matrix"}',
     }
+    missing = {"missing_p.json": "'p'", "no_generators.json": "'generators'"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     bad_files = [str(tmp_path)] + [str(tmp_path / name) for name in files]
@@ -367,7 +437,9 @@ def test_unparseable_spec_is_a_usage_error(capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["dims", bad])
         assert exc.value.code == 2
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err
+        assert missing.get(os.path.basename(bad), "") in err
 
 
 def test_order_cap_exits_nonzero(capsys):
@@ -626,8 +698,22 @@ def test_cache_hit_imports_no_compute_layer(tmp_path, cli_env):
                      "bct.brauer_modules", "bct.freeness"):
             assert name not in warm[spec], (spec, name)
     # a monomial group's definition needs neither the group core nor the
-    # exact arithmetic
-    assert {m for m in warm["gmpn:2,1,3"] if m.startswith("bct")} == {
+    # exact arithmetic, and a packaged one ships canonical
+    for spec in ("gmpn:2,1,3", "g4"):
+        assert {m for m in warm[spec] if m.startswith("bct")} == {
+            "bct", "bct.cli", "bct.definitions", "bct.errors"
+        }, spec
+
+
+def test_warm_table_builds_no_group(tmp_path, cli_env):
+    # G25 and G26 are refused at this cap; the warm run serves the recorded
+    # refusals as it serves G4's and G23's rows
+    argv = ["--cache-dir", str(tmp_path / "cache"), "--max-order", "130",
+            "reproduce-table"]
+    cold = _loaded_modules(cli_env, tmp_path, argv)
+    assert "bct.reflection_groups" in cold
+    warm = _loaded_modules(cli_env, tmp_path, argv)
+    assert {m for m in warm if m.startswith("bct")} == {
         "bct", "bct.cli", "bct.definitions", "bct.errors"
     }
 
