@@ -12,15 +12,16 @@ Group specs are either "gmpn:m,p,n" for the monomial series, a packaged
 name (g4, g23, g25, g26) or a path to a group-definition JSON file.
 Reports are deterministic JSON on stdout; the classify table can also be
 projected to CSV.  Expensive per-group artifacts (the group order, the
-largest cap under which the closure was refused, and the orbit rows) are
-cached on disk as one JSON file per group, keyed by a content hash of the
-group definition, which is computed without building the group: a
-packaged definition is hashed as shipped, and only a spec file is put
-into canonical form.  A dimension is the double count over the rows,
-re-run on every hit.  A cache hit, a recorded refusal included, builds
-nothing and imports no compute module: this module imports the group
-core, admissibility, the module and freeness layers and multiprocessing
-only where a command uses them.
+largest cap under which the closure was refused, and the orbit rows of
+both fields, which one miss stores together) are cached on disk as one
+JSON file per group, keyed by a content hash of the group definition,
+which is computed without building the group: a packaged definition is
+hashed as shipped, and only a spec file is put into canonical form.  A
+dimension is the double count over the rows, re-run on every hit.  A
+cache hit, a recorded refusal included, builds nothing and imports no
+compute module: this module imports the group core, admissibility, the
+module and freeness layers and multiprocessing only where a command uses
+them.
 """
 
 import argparse
@@ -68,8 +69,33 @@ PACKAGED_NAMES = frozenset(SHIPPED.values())
 ABSENT = "unverified (external data absent)"
 
 
-# the fields a spec file of each kind must hold
-SPEC_FIELDS = {"imprimitive": ("m", "p", "n"), "matrix": ("generators",)}
+def _is_list_of(v, test) -> bool:
+    return isinstance(v, list) and all(map(test, v))
+
+
+def _is_coeff(c) -> bool:
+    # an int (a bool is none here) or a string Fraction reads
+    from fractions import Fraction
+
+    try:
+        return type(c) is int or isinstance(c, str) and Fraction(c) is not None
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+def _is_entry(v) -> bool:
+    # a CycNumber.to_json dict; a matrix is a list of rows of entries
+    return isinstance(v, dict) and type(v.get("order")) is int and _is_list_of(
+        v.get("coeffs"), _is_coeff
+    )
+
+
+# the fields a spec file of each kind must hold, each with its type test
+SPEC_FIELDS = {
+    "imprimitive": dict.fromkeys("mpn", lambda v: type(v) is int),
+    "matrix": {"generators": lambda v: _is_list_of(
+        v, lambda g: _is_list_of(g, lambda row: _is_list_of(row, _is_entry)))},
+}
 
 
 class SpecError(Exception):
@@ -103,11 +129,11 @@ def parse_spec(spec: str):
                 f"{spec!r} is no group definition: it needs a JSON object whose "
                 '"kind" is "imprimitive" or "matrix"'
             )
-        missing = [f for f in SPEC_FIELDS[kind] if f not in data]
-        if missing:
+        bad = [f for f, test in SPEC_FIELDS[kind].items() if not test(data.get(f))]
+        if bad:
             raise SpecError(
-                f"{spec!r} is no {kind} group definition: it lacks the "
-                f"field(s) {', '.join(map(repr, missing))}"
+                f"{spec!r} is no {kind} group definition: it lacks the field(s) "
+                f"{', '.join(map(repr, bad))} or holds them with the wrong type"
             )
         return group_definition(data), _builder("load_group_file", spec)
     if spec.lower() in PACKAGED_NAMES:
@@ -221,11 +247,12 @@ def cfg_key(mu6: bool) -> str:
 class GroupStore:
     """Read-through cache around one group's derived artifacts.
 
-    The group is built only when something is missing from the cache.  An
-    order above cap is refused as building the group would refuse it:
-    monomial groups have a closed-form order, and the bundle records the
-    order of a matrix group, or else the largest cap its closure was
-    refused under, which proves |G| above every cap up to it.
+    The group is built only when something is missing from the cache, and
+    a miss on either field's rows stores the rows of both.  An order above
+    cap is refused as building the group would refuse it: monomial groups
+    have a closed-form order, and the bundle records the order of a matrix
+    group, or else the largest cap its closure was refused under, which
+    proves |G| above every cap up to it.
     """
 
     def __init__(self, source, cache_dir: str, cap: int):
@@ -272,16 +299,17 @@ class GroupStore:
         cache_store(self.cache_dir, self.digest, self.bundle)
 
     def rows(self, mu6: bool):
-        key = cfg_key(mu6)
-        got = self.bundle["classify"].get(key)
-        if got is None:
+        stored = self.bundle["classify"]
+        if cfg_key(mu6) not in stored:
             from .admissibility import GENERIC, classify_orbits, mu_sixth
 
-            recs = classify_orbits(self.G, mu_sixth() if mu6 else GENERIC)
-            got = [rec.as_row() for rec in recs]
-            self.bundle["classify"][key] = got
+            # a miss stores both fields: the second reuses the group and
+            # collection orbits the first built, so it costs next to nothing
+            for flag, cfg in ((False, GENERIC), (True, mu_sixth())):
+                recs = classify_orbits(self.G, cfg)
+                stored[cfg_key(flag)] = [rec.as_row() for rec in recs]
             self._save()
-        return got
+        return stored[cfg_key(mu6)]
 
     def dimension(self, mu6: bool) -> int:
         # rows first: a miss builds the group and records its order

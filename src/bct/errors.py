@@ -9,10 +9,6 @@ class DivisionByZero(BctError):
     """Exact division by a zero field element."""
 
 
-class OrderMismatch(BctError):
-    """Cyclotomic orders cannot be reconciled for the requested operation."""
-
-
 class InvalidParameters(BctError):
     """Arguments outside the supported parameter range."""
 

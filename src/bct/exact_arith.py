@@ -18,7 +18,6 @@ from .errors import (
     DivisionByZero,
     InternalInconsistency,
     InvalidParameters,
-    OrderMismatch,
 )
 
 __all__ = [
@@ -233,15 +232,6 @@ class CycNumber:
     @classmethod
     def rational(cls, q) -> "CycNumber":
         return cls(1, (Fraction(q),), _canonical=True)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.order == 1
-
-    def as_fraction(self) -> Fraction:
-        if self.order != 1:
-            raise OrderMismatch(f"not a rational number: {self}")
-        return self.coeffs[0]
 
     # -- arithmetic ---------------------------------------------------------
 

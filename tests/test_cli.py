@@ -13,6 +13,7 @@ import bct
 import bct.admissibility
 import bct.cli as cli
 import bct.reflection_groups
+from bct.admissibility import GENERIC, classify_orbits, mu_sixth
 from bct.cli import main
 from bct.definitions import DEFAULT_CAP, group_definition, packaged_definition
 from bct.errors import TooLarge
@@ -287,6 +288,68 @@ def test_cache_hit_builds_no_group(capsys, cache, monkeypatch):
     assert all(code == 0 for code, _, _ in warm)
 
 
+def _forbid_builds(patched):
+    def boom(*a, **k):
+        raise AssertionError("group built despite a cache hit")
+
+    for name in ("build_imprimitive", "packaged_group", "load_group_file"):
+        patched.setattr(bct.reflection_groups, name, boom)
+
+
+def _stored_bundle(cache):
+    (entry,) = os.listdir(cache)
+    with open(os.path.join(cache, entry)) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("first", [[], ["--mu6"]])
+@pytest.mark.parametrize("spec", ["gmpn:2,1,3", "g4"])
+def test_one_miss_stores_both_fields(capsys, tmp_path, monkeypatch, spec, first):
+    argvs = [
+        [command, spec] + flag
+        for command in ("dims", "classify")
+        for flag in ([], ["--mu6"])
+    ]
+    # each command on a cold cache of its own
+    cold = {
+        i: run(capsys, ["--cache-dir", str(tmp_path / f"cold{i}")] + argv)
+        for i, argv in enumerate(argvs)
+    }
+    shared = str(tmp_path / "shared")
+    run(capsys, ["--cache-dir", shared, "dims", spec] + first)
+    bundle = _stored_bundle(shared)
+    G = cli.build_spec(spec, DEFAULT_CAP)
+    assert bundle["classify"] == {
+        cli.cfg_key(mu6): [r.as_row() for r in classify_orbits(G, cfg)]
+        for mu6, cfg in ((False, GENERIC), (True, mu_sixth()))
+    }
+    _forbid_builds(monkeypatch)
+    for i, argv in enumerate(argvs):
+        got = run(capsys, ["--cache-dir", shared] + argv)
+        assert got == cold[i] and got[0] == 0, argv
+    assert _stored_bundle(shared) == bundle
+
+
+def test_one_field_bundle_is_served_and_completed(capsys, cache, monkeypatch):
+    # a bundle of the current version holding only the generic rows, as a
+    # miss stored it before one miss stored both fields
+    base = ["--cache-dir", cache]
+    generic = run(capsys, base + ["dims", "gmpn:2,1,3"])
+    mu6 = run(capsys, base + ["dims", "gmpn:2,1,3", "--mu6"])
+    bundle = _stored_bundle(cache)
+    (entry,) = os.listdir(cache)
+    one_field = dict(bundle, classify={"generic": bundle["classify"]["generic"]})
+    with open(os.path.join(cache, entry), "w") as fh:
+        json.dump(one_field, fh)
+    with monkeypatch.context() as patched:
+        _forbid_builds(patched)
+        assert run(capsys, base + ["dims", "gmpn:2,1,3"]) == generic
+    assert _stored_bundle(cache) == one_field
+    # the other field is a miss, which stores both
+    assert run(capsys, base + ["dims", "gmpn:2,1,3", "--mu6"]) == mu6
+    assert _stored_bundle(cache) == bundle
+
+
 def test_version_one_bundle_is_a_miss(capsys, cache):
     argv = ["--cache-dir", cache, "dims", "gmpn:2,2,3"]
     first = run_json(capsys, argv)
@@ -428,8 +491,22 @@ def test_unparseable_spec_is_a_usage_error(capsys, tmp_path):
         "other_kind.json": '{"kind": "coxeter"}',
         "missing_p.json": '{"kind": "imprimitive", "m": 2}',
         "no_generators.json": '{"kind": "matrix"}',
+        "text_m.json": '{"kind": "imprimitive", "m": "a", "p": 1, "n": 2}',
+        "float_m.json": '{"kind": "imprimitive", "m": 2.0, "p": 1, "n": 2}',
+        "bool_m.json": '{"kind": "imprimitive", "m": true, "p": 1, "n": 2}',
+        "text_entry.json": '{"kind": "matrix", "generators": [[["x"]]]}',
+        "int_generators.json": '{"kind": "matrix", "generators": 5}',
+        "null_coeff.json":
+            '{"kind": "matrix", "generators": [[[{"order": 1, "coeffs": [null]}]]]}',
+        "text_coeff.json":
+            '{"kind": "matrix", "generators": [[[{"order": 1, "coeffs": ["x"]}]]]}',
     }
+    # the field the message must name
     missing = {"missing_p.json": "'p'", "no_generators.json": "'generators'"}
+    missing.update(dict.fromkeys(["text_m.json", "float_m.json", "bool_m.json"], "'m'"))
+    missing.update(dict.fromkeys(
+        ["text_entry.json", "int_generators.json", "null_coeff.json",
+         "text_coeff.json"], "'generators'"))
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     bad_files = [str(tmp_path)] + [str(tmp_path / name) for name in files]
