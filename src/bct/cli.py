@@ -447,6 +447,18 @@ def _formula_case(m: int, p: int, n: int, cap: int) -> dict:
     }
 
 
+def _starmap(fn, jobs, workers: int) -> list:
+    """fn(*job) for every job, in order; on a process pool when workers > 1,
+    with never more workers than jobs."""
+    workers = min(workers, len(jobs))
+    if workers > 1:
+        from multiprocessing import Pool
+
+        with Pool(workers) as pool:
+            return pool.starmap(fn, jobs)
+    return [fn(*job) for job in jobs]
+
+
 def _suite_formulas(G, cap: int, workers: int) -> dict:
     from .admissibility import dim_brauer
     from .reflection_groups import build_imprimitive
@@ -459,13 +471,7 @@ def _suite_formulas(G, cap: int, workers: int) -> dict:
         cases = [_formula_case(G.m, G.p, G.n, cap)]
         return {"cases": cases, "all_pass": all(c["agree"] for c in cases)}
     work = [(m, p, n, cap) for m, p, n in FORMULA_SWEEP + DOUBLED_SWEEP]
-    if workers > 1:
-        from multiprocessing import Pool
-
-        with Pool(workers) as pool:
-            cases = pool.starmap(_formula_case, work)
-    else:
-        cases = [_formula_case(*w) for w in work]
+    cases = _starmap(_formula_case, work, workers)
     anchors = []
     for n, expect in ANCHORS:
         got = next(
@@ -543,13 +549,7 @@ def _table_row(name: str, cache_dir: str, cap: int) -> dict:
 
 def cmd_reproduce(args) -> int:
     jobs = [(name, args.cache_dir, args.max_order) for name in TABLE_NAMES]
-    if args.parallel > 1:
-        from multiprocessing import Pool
-
-        with Pool(args.parallel) as pool:
-            rows = pool.starmap(_table_row, jobs)
-    else:
-        rows = [_table_row(*job) for job in jobs]
+    rows = _starmap(_table_row, jobs, args.parallel)
     for spec in args.specs:
         store = GroupStore(parse_spec(spec), args.cache_dir, args.max_order)
         rows.append(
@@ -571,6 +571,13 @@ def cmd_reproduce(args) -> int:
 # entry point
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --max-order and --parallel: an integer >= 1."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bct",
@@ -584,13 +591,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-order",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_CAP,
         help=f"refuse groups larger than this (default {DEFAULT_CAP})",
     )
     parser.add_argument(
         "--parallel",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="K",
         help="worker count for independent per-group work",

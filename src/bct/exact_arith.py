@@ -5,6 +5,11 @@ normal form.
 Everything is exact.  Field scalars are Fractions or CycNumbers; the Laurent
 polynomials that carry module operators have int coefficients, lattice work
 uses arbitrary-precision integers, and no floating point appears anywhere.
+
+CycNumbers are canonical, so definitions, digests, repr and every value a
+caller sees do not depend on how they were computed.  Bulk work in one field
+(a matrix group's closure and hyperplane scan, every inverse) runs on the
+integer field values of _CycContext and is canonicalized on the way out.
 """
 
 from __future__ import annotations
@@ -106,7 +111,11 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 class _CycContext:
-    """Reduction data for one cyclotomic order, built once and cached."""
+    """The field Q(zeta_n), built once and cached: reduction data, and
+    integer arithmetic on values (numerators, den), phi ints on the power
+    basis over one den > 0 with gcd(content, den) = 1, so that equality and
+    hashing are tuple operations.  A value keeps order n; of and cyc convert
+    from and to canonical CycNumbers."""
 
     def __init__(self, n: int):
         self.n = n
@@ -115,43 +124,107 @@ class _CycContext:
         if cp[-1] != 1:
             raise InternalInconsistency(f"cyclotomic polynomial {n} is not monic")
         # x^phi = -(cp[0] + cp[1] x + ... + cp[phi-1] x^{phi-1})
-        top = tuple(Fraction(-c) for c in cp[:-1])
+        top = tuple(-c for c in cp[:-1])
         pows = [
-            tuple(_ONE if i == k else _ZERO for i in range(self.phi))
+            tuple(1 if i == k else 0 for i in range(self.phi))
             for k in range(self.phi)
         ]
         for _ in range(self.phi, max(n, 2 * self.phi - 1)):
             prev = pows[-1]
-            shifted = list((_ZERO,) + prev[:-1])
+            shifted = list((0,) + prev[:-1])
             carry = prev[-1]
             if carry:
                 for t in range(self.phi):
-                    if top[t]:
-                        shifted[t] += carry * top[t]
+                    shifted[t] += carry * top[t]
             pows.append(tuple(shifted))
         self.pows = pows  # x^k reduced mod Phi_n, 0 <= k < max(n, 2 phi - 1)
         self._descent: dict[int, tuple[int, int, list[tuple[Fraction, ...]]]] = {}
+        self.zero = ((0,) * self.phi, 1)
+        self.one = (pows[0], 1)
 
-    def mul(self, a, b):
+    def times(self, a, b):
+        """Product of two coefficient vectors reduced mod Phi_n, over any
+        exact coefficients."""
         phi = self.phi
-        out = [_ZERO] * phi
+        out = [0] * phi
         pows = self.pows
         for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                k = i + j
-                if k < phi:
-                    out[k] += ai * bj
-                else:
-                    c = ai * bj
-                    row = pows[k]
-                    for t in range(phi):
-                        if row[t]:
-                            out[t] += c * row[t]
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj and i + j < phi:
+                        out[i + j] += ai * bj
+                    elif bj:
+                        c = ai * bj
+                        for t, r in enumerate(pows[i + j]):
+                            if r:
+                                out[t] += c * r
         return tuple(out)
+
+    def spread(self, coeffs, k: int):
+        """sum_i coeffs[i] zeta^(k i): the lift of an order-(n/k) vector for
+        k | n, the image under zeta -> zeta^k for k a unit."""
+        out = [0] * self.phi
+        for i, c in enumerate(coeffs):
+            if c:
+                for t, r in enumerate(self.pows[k * i % self.n]):
+                    if r:
+                        out[t] += c * r
+        return tuple(out)
+
+    # -- the field: (numerators, den) pairs ----------------------------------
+
+    @staticmethod
+    def _value(nums, den):
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        if g == 1:
+            return tuple(nums), den
+        return tuple(c // g for c in nums), den // g
+
+    def of(self, x: "CycNumber"):
+        """The field value of x; x must lie in Q(zeta_n)."""
+        if self.n % x.order:
+            raise InvalidParameters(f"{x} does not lie in Q(zeta_{self.n})")
+        den = 1
+        for c in x.coeffs:
+            den = den * c.denominator // gcd(den, c.denominator)
+        nums = [c.numerator * (den // c.denominator) for c in x.coeffs]
+        return self._value(self.spread(nums, self.n // x.order), den)
+
+    def cyc(self, a) -> "CycNumber":
+        """The canonical CycNumber of the field value a."""
+        nums, den = a
+        return CycNumber(self.n, tuple(Fraction(c, den) for c in nums))
+
+    def mul(self, a, b):
+        return self._value(self.times(a[0], b[0]), a[1] * b[1])
+
+    def add(self, a, b):
+        (x, d), (y, e) = a, b
+        if d == e:
+            return self._value([u + v for u, v in zip(x, y)], d)
+        return self._value([u * e + v * d for u, v in zip(x, y)], d * e)
+
+    def sub(self, a, b):
+        return self.add(a, (tuple(-c for c in b[0]), b[1]))
+
+    def conj(self, a):
+        """Complex conjugate: zeta -> zeta^-1 maps Z[zeta] onto itself, so
+        it keeps the content and the normal form."""
+        return self.spread(a[0], self.n - 1), a[1]
+
+    def inv(self, a):
+        """a^-1 = prod_{k != 1} sigma_k(a) / N(a), through the norm N."""
+        nums, den = a
+        if not any(nums):
+            raise DivisionByZero("inverse of zero")
+        rest = self.one[0]
+        for k in range(2, self.n):
+            if gcd(k, self.n) == 1:
+                rest = self.times(rest, self.spread(nums, k))
+        norm = self.times(nums, rest)
+        if any(norm[1:]) or not norm[0]:
+            raise InternalInconsistency(f"norm of {a} is not a nonzero rational")
+        return self._value([c * den for c in rest], norm[0])
 
     def descent(self, p: int):
         """Row transform L with L * E = [I; 0], where the columns of E are the
@@ -164,7 +237,7 @@ class _CycContext:
         cols = [self.pows[(p * j) % self.n] for j in range(phi_m)]
         rows = []
         for i in range(self.phi):
-            aug = [cols[j][i] for j in range(phi_m)]
+            aug = [Fraction(cols[j][i]) for j in range(phi_m)]
             aug += [_ONE if t == i else _ZERO for t in range(self.phi)]
             rows.append(aug)
         reduced, rank, pivots = _rref_rows(rows, limit_cols=phi_m)
@@ -208,7 +281,9 @@ class CycNumber:
 
     Instances are canonical: the stored order is the smallest cyclotomic order
     able to express the value, so equality and hashing reduce to plain tuple
-    comparison.  All operations return new objects.
+    comparison.  Every result is canonical again; inv and conj run in the
+    integer field of the value's own order.  All operations return new
+    objects.
     """
 
     __slots__ = ("order", "coeffs")
@@ -243,7 +318,9 @@ class CycNumber:
         if self.order == other.order:
             return self.order, self.coeffs, other.coeffs
         n = self.order * other.order // gcd(self.order, other.order)
-        return n, _lift(self, n), _lift(other, n)
+        ctx = _context(n)
+        a, b = (ctx.spread(x.coeffs, n // x.order) for x in (self, other))
+        return n, a, b
 
     def __add__(self, other):
         co = self._common(other)
@@ -280,30 +357,13 @@ class CycNumber:
         n, a, b = co
         if n == 1:
             return CycNumber(1, (a[0] * b[0],), _canonical=True)
-        return CycNumber(n, _context(n).mul(a, b))
+        return CycNumber(n, _context(n).times(a, b))
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycNumber":
-        if not self:
-            raise DivisionByZero("inverse of zero")
-        if self.order == 1:
-            return CycNumber(1, (1 / self.coeffs[0],), _canonical=True)
         ctx = _context(self.order)
-        phi = ctx.phi
-        # solve (self * x) = 1 on the power basis
-        rows = []
-        for i in range(phi):
-            rows.append([_ZERO] * phi + [_ONE if i == 0 else _ZERO])
-        for j in range(phi):
-            basis_j = tuple(_ONE if t == j else _ZERO for t in range(phi))
-            col = ctx.mul(self.coeffs, basis_j)
-            for i in range(phi):
-                rows[i][j] = col[i]
-        reduced, rank, pivots = _rref_rows(rows, limit_cols=phi)
-        if rank != phi:
-            raise InternalInconsistency("nonzero cyclotomic number not invertible")
-        return CycNumber(self.order, tuple(reduced[j][phi] for j in range(phi)))
+        return ctx.cyc(ctx.inv(ctx.of(self)))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -330,21 +390,11 @@ class CycNumber:
     def galois(self, a: int) -> "CycNumber":
         """Image under the field automorphism zeta -> zeta^a, gcd(a, order) = 1."""
         n = self.order
-        if n == 1:
-            return self
-        a %= n
         if gcd(a, n) != 1:
             raise InvalidParameters(f"zeta -> zeta^{a} is no automorphism of order {n}")
         ctx = _context(n)
-        out = [_ZERO] * ctx.phi
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            row = ctx.pows[(a * i) % n]
-            for t in range(ctx.phi):
-                if row[t]:
-                    out[t] += c * row[t]
-        return CycNumber(n, tuple(out))
+        nums, den = ctx.of(self)
+        return ctx.cyc((ctx.spread(nums, a % n), den))
 
     def conj(self) -> "CycNumber":
         """Complex conjugate."""
@@ -397,21 +447,6 @@ class CycNumber:
     @classmethod
     def from_json(cls, d: dict) -> "CycNumber":
         return cls(d["order"], tuple(Fraction(c) for c in d["coeffs"]))
-
-
-def _lift(x: CycNumber, n: int):
-    # raw coefficient vector of x in the order-n basis (no canonicalization)
-    ctx = _context(n)
-    step = n // x.order
-    out = [_ZERO] * ctx.phi
-    for i, c in enumerate(x.coeffs):
-        if not c:
-            continue
-        row = ctx.pows[(i * step) % n]
-        for t in range(ctx.phi):
-            if row[t]:
-                out[t] += c * row[t]
-    return tuple(out)
 
 
 def zeta(n: int, k: int = 1) -> CycNumber:
@@ -568,8 +603,8 @@ def _rref_rows(rows, limit_cols=None):
     Returns (rows, rank, pivots) with every input row kept, the first rank
     of them nonzero; pivoting is restricted to the first limit_cols columns
     when given, so augmented tapes survive untouched.  The augmented solver
-    behind CycNumber.inv and _CycContext.descent; rank and membership
-    questions go through SpanBasis.
+    behind _CycContext.descent; rank and membership questions go through
+    SpanBasis.
     """
     rows = [list(r) for r in rows]
     if not rows:

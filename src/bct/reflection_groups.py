@@ -10,6 +10,12 @@ column j of its matrix is the point e_j maps to.  A product is a tuple
 composition and a dictionary lookup, and the hyperplane action is one
 |G| x #H table filled along a breadth-first search over the generators.
 
+A matrix group computes in Q(zeta_N), N its definition's cyclotomic order:
+its generator entries are lifted once to integer field values
+(exact_arith._CycContext), and P is found and stored in that form.  Values
+leave the field as canonical CycNumbers only in G.element, the query of
+G.index_of and the hyperplane roots.
+
 Monomial and MatrixElem are the value types of single elements, used for
 generators, in tests, and by G.element(i); they are built on demand and
 never stored beside the index arrays.  Monomial elements store a
@@ -33,10 +39,7 @@ from .definitions import (
     refuse_over_cap,
 )
 from .errors import InternalInconsistency, InvalidParameters, InvalidRoot
-from .exact_arith import CycNumber, zeta
-
-_ZERO = CycNumber.rational(0)
-_ONE = CycNumber.rational(1)
+from .exact_arith import CycNumber, _context, zeta
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +167,6 @@ class MatrixElem:
             for i in range(n)
             for j in range(n)
         )
-
-    def is_unitary(self):
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                acc = CycNumber.rational(0)
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * self.entries[j][k].conj()
-                if acc != (1 if i == j else 0):
-                    return False
-        return True
 
     def trace(self):
         t = self.entries[0][0]
@@ -381,6 +373,8 @@ class Group:
         self._perms = perms
         self._points = points
         self._point_ids = None
+        # the field Q(zeta_N) that holds the points of a matrix group
+        self._field = None if points is None else _context(cyclotomic_order)
         # the frame of a sequence: its first dim entries, as a tuple (an
         # int when dim is 1, as itemgetter returns it)
         self._frame = itemgetter(*range(dim))
@@ -437,7 +431,7 @@ class Group:
             n = self.dim
             return Monomial(self.m, [x % n for x in frame], [x // n for x in frame])
         cols = [self._points[x] for x in frame]
-        return MatrixElem([[col[r] for col in cols] for r in range(self.dim)])
+        return MatrixElem([[self._field.cyc(x) for x in row] for row in zip(*cols)])
 
     def index_of(self, g) -> int:
         """Index of the element with value g (a Monomial or a MatrixElem)."""
@@ -450,7 +444,7 @@ class Group:
             if self._point_ids is None:
                 self._point_ids = {v: x for x, v in enumerate(self._points)}
             frame = [
-                self._point_ids.get(tuple(row[j] for row in g.entries))
+                self._point_ids.get(tuple(self._field.of(r[j]) for r in g.entries))
                 for j in range(n)
             ]
         i = None if frame is None else self._index.get(self._frame(frame))
@@ -462,7 +456,7 @@ class Group:
         frame = self._perms[g][: self.dim]
         t = self._points[frame[0]][0]
         for j in range(1, self.dim):
-            t = t + self._points[frame[j]][j]
+            t = self._field.add(t, self._points[frame[j]][j])
         return t
 
     # -- reflections and hyperplanes --------------------------------------
@@ -542,9 +536,11 @@ class Group:
         """Rank-1 scan: g is a reflection when g - I has rank one.  Column j
         of g - I is the point e_j maps to, minus e_j, and vanishes exactly
         when g fixes e_j; the rank is one when every nonzero column is
-        proportional to the first."""
+        proportional to the first.  All of it runs in the group's field."""
         n = self.dim
         points = self._points
+        F = self._field
+        mul = F.mul
         by_root = {}
         root_order = []
         for g in range(1, self.order):
@@ -552,19 +548,19 @@ class Group:
             for j, x in enumerate(self._perms[g][:n]):
                 if x != j:
                     col = list(points[x])
-                    col[j] = col[j] - _ONE
+                    col[j] = F.sub(col[j], F.one)
                     cols.append(col)
             col = cols[0]
-            a = next(i for i, x in enumerate(col) if x)
+            a = next(i for i, x in enumerate(col) if any(x[0]))
             if any(
-                u * v[a] != x * col[a]
+                mul(u, v[a]) != mul(x, col[a])
                 for v in cols[1:]
                 for u, x in zip(col, v)
             ):
                 continue
             # group by fixed space, via the normalized root
-            lead = col[a]
-            root = tuple(x / lead for x in col)
+            lead = F.inv(col[a])
+            root = tuple(mul(x, lead) for x in col)
             if root not in by_root:
                 by_root[root] = []
                 root_order.append(root)
@@ -575,8 +571,9 @@ class Group:
         for root in root_order:
             members = by_root[root]
             m_h = len(members) + 1
-            want = zeta(m_h) + (n - 1)
+            want = F.of(zeta(m_h) + (n - 1))
             dist = [g for g in members if self._trace(g) == want]
+            root = tuple(map(F.cyc, root))
             if len(dist) != 1:
                 raise InternalInconsistency(
                     f"distinguished reflection not unique for root {root}"
@@ -762,16 +759,18 @@ def build_imprimitive(m: int, p: int, n: int, cap: int = DEFAULT_CAP) -> Group:
     )
 
 
-def _apply(g: MatrixElem, v):
-    """g v, skipping zero entries."""
+def _apply(F, rows, v):
+    """g v in the field F, for g given as rows of (column, entry) pairs
+    with every entry nonzero; zero entries of v are skipped."""
     out = []
-    for row in g.entries:
+    for row in rows:
         acc = None
-        for a, x in zip(row, v):
-            if a and x:
-                t = a * x
-                acc = t if acc is None else acc + t
-        out.append(_ZERO if acc is None else acc)
+        for k, a in row:
+            x = v[k]
+            if any(x[0]):
+                t = F.mul(a, x)
+                acc = t if acc is None else F.add(acc, t)
+        out.append(F.zero if acc is None else acc)
     return tuple(out)
 
 
@@ -781,27 +780,34 @@ def build_matrix_group(
     """Closure of unitary generator matrices under multiplication.
 
     The generators are applied to points once, from e_1, ..., e_n until the
-    point set P closes; the closure itself then runs on their permutations
+    point set P closes, in the field Q(zeta_N) of the definition's
+    cyclotomic order N; the closure itself then runs on their permutations
     of P, in the breadth-first order of right multiplication by the
     generators."""
     gens = [g if isinstance(g, MatrixElem) else MatrixElem(g) for g in gens]
     if not gens:
         raise InvalidParameters("at least one generator required")
     dim = gens[0].dim
+    definition = _matrix_definition(name, provenance, gens)
+    F = _context(definition["cyclotomic_order"])
+    basis = [tuple(F.one if i == j else F.zero for i in range(dim)) for j in range(dim)]
+    rows = []
     for g in gens:
         if g.dim != dim:
             raise InvalidParameters("generators must share one dimension")
-        if not g.is_unitary():
+        lifted = [[F.of(a) for a in row] for row in g.entries]
+        rows.append([[(k, a) for k, a in enumerate(r) if any(a[0])] for r in lifted])
+        # g g^H = I: g maps the conjugate of its row j to e_j
+        if [_apply(F, rows[-1], tuple(map(F.conj, r))) for r in lifted] != basis:
             raise InvalidParameters(
                 "non-unitary generator: the construction requires matrices "
                 "unitary for the standard Hermitian form"
             )
     refuse = _closure_refusal(cap)
-    basis = [tuple(_ONE if i == j else _ZERO for i in range(dim)) for j in range(dim)]
     images = {}
 
     def apply(v, s):
-        w = images[v, s] = _apply(gens[s], v)
+        w = images[v, s] = _apply(F, rows[s], v)
         return w
 
     labels = range(len(gens))
@@ -815,7 +821,6 @@ def build_matrix_group(
         limit=cap,
         refuse=refuse,
     )
-    definition = _matrix_definition(name, provenance, gens)
     return Group(
         "matrix",
         name,

@@ -733,6 +733,55 @@ def test_parallel_matches_serial(tmp_path, cli_env):
     assert runs[0] == runs[1]
 
 
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size and runs the
+    jobs in this process."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, jobs):
+        return [fn(*job) for job in jobs]
+
+
+def test_parallel_never_starts_more_workers_than_jobs(capsys, cache, monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    base = ["--cache-dir", cache, "--max-order", "30"]
+    for k, want in (("1000", [34]), ("2", [2]), ("1", [])):
+        RecordingPool.sizes.clear()
+        run_json(capsys, base + ["--parallel", k, "reproduce-table"])
+        assert RecordingPool.sizes == want
+    # the formula sweep, with every case stubbed out
+    monkeypatch.setattr(
+        cli, "_formula_case", lambda m, p, n, cap: {"m": m, "p": p, "n": n, "agree": True}
+    )
+    monkeypatch.setattr(cli, "ANCHORS", [])
+    RecordingPool.sizes.clear()
+    got = run_json(capsys, base + ["--parallel", "1000", "verify", "--suite", "formulas"])
+    jobs = len(cli.FORMULA_SWEEP + cli.DOUBLED_SWEEP)
+    assert RecordingPool.sizes == [jobs] and len(got["cases"]) == jobs
+
+
+@pytest.mark.parametrize("flag", ["--max-order", "--parallel"])
+@pytest.mark.parametrize("value", ["0", "-5", "x"])
+def test_nonpositive_flags_are_usage_errors(capsys, cache, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["--cache-dir", cache, flag, value, "dims", "gmpn:2,1,2"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # imports
 

@@ -1,12 +1,21 @@
-"""Cyclotomic number arithmetic: canonical form, field ops, serialization."""
+"""Cyclotomic number arithmetic: canonical form, field ops, serialization,
+and the integer field Q(zeta_N) that matrix groups compute in."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from bct.errors import DivisionByZero
-from bct.exact_arith import CycNumber, cyclotomic_polynomial, euler_phi, zeta
+from bct.errors import DivisionByZero, InvalidParameters
+from bct.exact_arith import (
+    CycNumber,
+    _context,
+    _rref_rows,
+    cyclotomic_polynomial,
+    euler_phi,
+    zeta,
+)
 
 
 def test_phi3_root():
@@ -115,3 +124,68 @@ def test_ring_axioms(a, b, c):
 def test_root_of_unity_powers(n, k):
     assert zeta(n) ** k == zeta(n, k)
     assert zeta(n, k) ** n == 1
+
+
+# ---------------------------------------------------------------------------
+# the integer field Q(zeta_N) of _CycContext against CycNumber
+
+FIELD_ORDERS = [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 17]
+
+
+def rref_inverse(x):
+    """The inverse by a phi x phi Fraction solve of x * y = 1 on the power
+    basis: the reference for the norm-based CycNumber.inv."""
+    ctx = _context(x.order)
+    phi = ctx.phi
+    rows = [[Fraction(0)] * phi + [Fraction(int(i == 0))] for i in range(phi)]
+    for j in range(phi):
+        col = ctx.times(x.coeffs, tuple(int(t == j) for t in range(phi)))
+        for i in range(phi):
+            rows[i][j] = Fraction(col[i])
+    reduced, rank, _ = _rref_rows(rows, limit_cols=phi)
+    assert rank == phi
+    return CycNumber(x.order, tuple(reduced[j][phi] for j in range(phi)))
+
+
+@st.composite
+def field_values(draw, n):
+    """A value of Q(zeta_n), written at a random divisor order of n."""
+    d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    coeffs = draw(st.lists(small_fracs, min_size=euler_phi(d), max_size=euler_phi(d)))
+    return CycNumber(d, tuple(coeffs))
+
+
+@pytest.mark.parametrize("n", FIELD_ORDERS)
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_field_agrees_with_cyc_numbers(n, data):
+    x, y = data.draw(field_values(n)), data.draw(field_values(n))
+    F = _context(n)
+    a, b = F.of(x), F.of(y)
+    for v, value in ((a, x), (b, y)):
+        nums, den = v
+        assert den > 0 and gcd(den, *nums) == 1
+        assert F.cyc(v) == value
+        assert F.cyc(v).order == value.order
+    assert F.cyc(F.mul(a, b)) == x * y
+    assert F.cyc(F.add(a, b)) == x + y
+    assert F.cyc(F.sub(a, b)) == x - y
+    assert F.cyc(F.conj(a)) == x.conj()
+    assert F.mul(a, b) == F.of(x * y)
+    if x:
+        assert F.cyc(F.inv(a)) == x.inv() == rref_inverse(x)
+        assert F.mul(a, F.inv(a)) == F.one
+
+
+@pytest.mark.parametrize("n", FIELD_ORDERS)
+def test_field_zero_has_no_inverse(n):
+    F = _context(n)
+    assert F.of(CycNumber.rational(0)) == F.zero
+    with pytest.raises(DivisionByZero):
+        F.inv(F.zero)
+
+
+def test_field_refuses_a_value_outside_it():
+    with pytest.raises(InvalidParameters):
+        _context(5).of(zeta(3))
+    assert _context(15).of(zeta(30)) == _context(15).of(-zeta(15, 8))

@@ -7,13 +7,17 @@ differential check that builds each small monomial group twice, from
 parameters and as a matrix group from its generators' matrices.
 """
 
+import hashlib
+import json
 from collections import Counter
 from math import factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bct.admissibility import GENERIC, classify_orbits, dim_from_rows, mu_sixth
+from bct.errors import TooLarge
 from bct.exact_arith import CycNumber, SpanBasis, zeta
 from bct.freeness import freeness_verdict
 from bct.reflection_groups import (
@@ -104,6 +108,51 @@ def test_packaged_groups_pinned_to_matrix_closure():
             for b in range(0, G.order, 11):
                 assert G.element(G.mul(a, b)) == ref[a] * ref[b]
             assert G.element(G.inv(a)) == ref[a].inv()
+
+
+# sha256 of the point list and of the hyperplane data, as built by the
+# CycNumber closure and rank-1 scan: (name, cap, points, hyperplanes)
+BUILD_PINS = [
+    ("g4", 24,
+     "19fdd4fd060ece21ff5ddbd37327820f040fe00877129dd44a3bd3cf8d4ef720",
+     "b7aa20a83efa32a748b1cd02e6fb1bd930ccbac87131de4d2ea6c9e1d6d15030"),
+    ("g23", 120,
+     "0ca634ef1d29f696a5ec9d7713f7282b9cf22372716270e929968ded3229ccbe",
+     "278e07b04db7f77d4582aa73449490719e74cdc050331fa51de131016432780b"),
+    ("g25", 648,
+     "ed96136b7f7ef0ed3b5cf6caace5e1862876205e2a867ebdca0272a20aaf9716",
+     "4ad2dfb498f49bc6a33f712217e69a080ffe1e2532c96c49c91fb32c5947dcd5"),
+    ("g26", 1296,
+     "ed96136b7f7ef0ed3b5cf6caace5e1862876205e2a867ebdca0272a20aaf9716",
+     "b34471bfa2aea421207f616de743e747b7b9e4145d73ed22c5ab89e2ee215a63"),
+]
+
+
+def sha256_json(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, cap, points_sha, hyps_sha", BUILD_PINS, ids=[p[0] for p in BUILD_PINS]
+)
+def test_build_exposes_pinned_points_and_hyperplanes(name, cap, points_sha, hyps_sha):
+    """Points in order as canonical CycNumber JSON, and per hyperplane its
+    root, distinguished reflection and reflections; the cap is the group
+    order, which the closure reaches without refusing."""
+    G = packaged_group(name, cap=cap)
+    points = [[G._field.cyc(x).to_json() for x in v] for v in G._points]
+    hyps = [
+        [[x.to_json() for x in h.root], h.dist_reflection, list(G._hyp_refls[h.id])]
+        for h in hyperplanes(G)
+    ]
+    assert (sha256_json(points), sha256_json(hyps)) == (points_sha, hyps_sha)
+
+
+@pytest.mark.parametrize("name", ["g25", "g26"])
+def test_closure_refused_under_cap(name):
+    with pytest.raises(TooLarge) as exc:
+        packaged_group(name, cap=130)
+    assert str(exc.value) == "group closure exceeds cap 130"
 
 
 # ---------------------------------------------------------------------------

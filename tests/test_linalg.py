@@ -1,7 +1,7 @@
 """Rank and span membership over exact fields, through SpanBasis.
 
 The property tests compare SpanBasis against _rref_rows, the independent
-full row reduction that CycNumber.inv solves with.
+full row reduction behind the subfield descent of canonical CycNumbers.
 """
 
 from fractions import Fraction
