@@ -32,8 +32,8 @@ from .admissibility import (
 )
 from .errors import InternalInconsistency, NotAdmissible, NotAdmissiblePair
 from .exact_arith import LaurentScalar
-from .reflection_groups import Group, bfs, hyperplanes, small_generating_set
-from .transversality import transv_table
+from .reflection_groups import Group, bfs, hyperplanes, orbits, small_generating_set
+from .transversality import _hyperplane_orbits, _pair_orbits, transv_table
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +489,23 @@ def b5_rhs(M: InducedModule, h1: int, h2: int):
 def verify_defining_relations(M: InducedModule, seed: int = 0) -> RelationReport:
     """Check the five defining relations as exact sparse-matrix identities.
 
-    The conjugation relation is verified on the group generators, which
-    settles it for every element since both sides are multiplicative in
-    w, and spot-checked on a seeded random sample of full elements.
+    The conjugation relation B2, w*eps(H)*w^-1 = eps(wH), is checked
+    first, on the group generators and on a seeded random sample of full
+    elements.  Both sides are multiplicative in w, so B2 on the
+    generators settles it for every element, and the sample spot-checks
+    that.  Conjugation by w then carries each relation at H, at (H, H')
+    or at a reflection r to the same relation at wH, at (wH, wH') or at
+    wrw^-1: transversality and the mapping reflections of a pair are
+    W-equivariant, and each class parameter is constant on a reflection
+    class.  So once B2 holds, B1 is checked on the smallest hyperplane of
+    each orbit, B3 on the smallest reflection of each class, B4 on the
+    smallest transverse pair of each orbit of unordered pairs, and B5 on
+    the smallest non-transverse pair of each orbit of ordered pairs.  If
+    B2 fails on any element checked, the same loops run over every
+    hyperplane, reflection and pair instead.  Either way representatives
+    are visited in ascending order, so the flags and the first
+    counterexample are those of the loops over every member.
+
     Products with group elements (B2, B3, the right-hand side of B5) are
     re-indexings through the basis permutations, entry for entry the
     sparse products; products of two hyperplane operators (B1, B4, the
@@ -511,65 +525,73 @@ def verify_defining_relations(M: InducedModule, seed: int = 0) -> RelationReport
         if first is None:
             first = f"{name}: {message}"
 
-    for hid in range(nh):
+    def conjugation_failure(w):
+        """The first hyperplane whose eps w does not carry to eps(wH)."""
+        rows = M.perm_of(w)
+        cols = perm_inverse(M.perm_of(G.inv(w)))
+        act = G.hyperplane_action(w)
+        for hid in range(nh):
+            if op_permute(M.eps[hid], rows, cols) != M.eps[act[hid]]:
+                return hid
+        return None
+
+    rng = random.Random(seed)
+    pool = G.elements
+    elems = list(G.generators) + rng.sample(pool, min(10, len(pool)))
+    conj_fail = next(
+        ((w, hid) for w in elems if (hid := conjugation_failure(w)) is not None),
+        None,
+    )
+
+    hids = range(nh)
+    ridxs = range(len(G.reflections))
+    pairs = [(i, j) for i in range(nh) for j in range(i + 1, nh)]
+    ordered = [(i, j) for i in range(nh) for j in range(nh) if i != j]
+    if conj_fail is None:
+        # one member per orbit, the smallest, in ascending order
+        gen_rows = [G.hyperplane_action(g) for g in G.generators]
+        hids = [o[0] for o in _hyperplane_orbits(G)]
+        ridxs = [c[0] for c in G.reflection_classes]
+        pairs = [o[0] for o in _pair_orbits(G, nh)]
+        ordered = [
+            o[0]
+            for o in orbits(ordered, gen_rows, lambda p, row: (row[p[0]], row[p[1]]))
+        ]
+
+    for hid in hids:
         e = M.eps[hid]
         if op_compose(e, e) != op_shift(e, 0):
             fail("B1", f"eps({labels[hid]})^2 != delta*eps({labels[hid]})")
             break
 
-    rng = random.Random(seed)
-    pool = G.elements
-    elems = list(G.generators) + rng.sample(pool, min(10, len(pool)))
-    for w in elems:
-        rows = M.perm_of(w)
-        cols = perm_inverse(M.perm_of(G.inv(w)))
-        act = G.hyperplane_action(w)
-        done = False
-        for hid in range(nh):
-            if op_permute(M.eps[hid], rows, cols) != M.eps[act[hid]]:
-                fail(
-                    "B2",
-                    f"w*eps({labels[hid]})*w^-1 != eps(w H) for w={G.element(w)!r}",
-                )
-                done = True
-                break
-        if done:
-            break
+    if conj_fail is not None:
+        w, hid = conj_fail
+        fail("B2", f"w*eps({labels[hid]})*w^-1 != eps(w H) for w={G.element(w)!r}")
 
-    for ridx, s in enumerate(G.reflections):
+    for ridx in ridxs:
         hid = G.reflection_hyperplane(ridx)
         e = M.eps[hid]
-        if op_permute(e, M.perm_of(s)) != e:
+        if op_permute(e, M.perm_of(G.reflections[ridx])) != e:
             fail("B3", f"r*eps({labels[hid]}) != eps({labels[hid]}) for r#{ridx}")
             break
 
-    done = False
-    for h1 in range(nh):
-        for h2 in range(h1 + 1, nh):
-            if not table.transverse(h1, h2):
-                continue
-            e1, e2 = M.eps[h1], M.eps[h2]
-            if op_compose(e1, e2) != op_compose(e2, e1):
-                fail("B4", f"eps({labels[h1]}) and eps({labels[h2]}) do not commute")
-                done = True
-                break
-        if done:
+    for h1, h2 in pairs:
+        if not table.transverse(h1, h2):
+            continue
+        e1, e2 = M.eps[h1], M.eps[h2]
+        if op_compose(e1, e2) != op_compose(e2, e1):
+            fail("B4", f"eps({labels[h1]}) and eps({labels[h2]}) do not commute")
             break
 
-    done = False
-    for h1 in range(nh):
-        for h2 in range(nh):
-            if h1 == h2 or table.transverse(h1, h2):
-                continue
-            if op_compose(M.eps[h1], M.eps[h2]) != b5_rhs(M, h1, h2):
-                fail(
-                    "B5",
-                    f"eps({labels[h1]})*eps({labels[h2]}) != "
-                    f"sum over mapping reflections",
-                )
-                done = True
-                break
-        if done:
+    for h1, h2 in ordered:
+        if table.transverse(h1, h2):
+            continue
+        if op_compose(M.eps[h1], M.eps[h2]) != b5_rhs(M, h1, h2):
+            fail(
+                "B5",
+                f"eps({labels[h1]})*eps({labels[h2]}) != "
+                f"sum over mapping reflections",
+            )
             break
 
     return RelationReport(results, first)

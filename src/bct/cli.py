@@ -225,19 +225,23 @@ def cache_load(cache_dir: str, digest: str) -> dict:
 
 
 def cache_store(cache_dir: str, digest: str, bundle: dict):
+    """Write the bundle for digest through a temporary file.  The cache only
+    saves work, so a store that fails (cache_dir is a file, is read-only,
+    or the disk is full) is one line on stderr and the command goes on."""
     import tempfile
 
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, digest + ".json")
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             json.dump(bundle, fh, separators=(",", ":"))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        os.replace(tmp, os.path.join(cache_dir, digest + ".json"))
+    except OSError as exc:
+        print(f"bct: cache not written: {exc}", file=sys.stderr)
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def cfg_key(mu6: bool) -> str:

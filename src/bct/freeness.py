@@ -39,8 +39,13 @@ from .admissibility import (
 )
 from .errors import InternalInconsistency
 from .exact_arith import z_span_member
-from .reflection_groups import Group, hyperplanes, orbits
-from .transversality import reflection_images, small_orbit, transv_table
+from .reflection_groups import Group, hyperplanes
+from .transversality import (
+    _hyperplane_orbits,
+    reflection_images,
+    small_orbit,
+    transv_table,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +228,7 @@ def g26_geometry_suite(G: Group):
         "partners_linked": False,
     }
 
-    acts = [G.hyperplane_action(g) for g in G.generators]
-    orbs = sorted(
-        map(frozenset, orbits(range(len(hyps)), acts, lambda h, act: act[h])),
-        key=len,
-        reverse=True,
-    )
+    orbs = sorted(map(frozenset, _hyperplane_orbits(G)), key=len, reverse=True)
     if len(orbs) == 2:
         o1, o2 = orbs
         orders1 = {hyps[h].order_m for h in o1}

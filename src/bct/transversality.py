@@ -113,6 +113,18 @@ class TransvTable:
         return f"TransvTable({self.group.name}, size={self.size})"
 
 
+def _hyperplane_orbits(G: Group):
+    """The orbits of the hyperplane ids under the generators' rows of the
+    action table.  Each orbit is listed from its smallest id, and the
+    orbits come in the order of those ids."""
+    table = G.action_table()
+    return orbits(
+        range(len(G._hyperplanes)),
+        [table[s] for s in G.generators],
+        lambda h, row: row[h],
+    )
+
+
 def _pair_orbits(G: Group, size: int):
     """The orbits of the unordered pairs (i, j), i < j, of hyperplane ids
     under the generators' rows of the action table.  Each orbit is listed

@@ -230,6 +230,41 @@ def test_cache_distinguishes_groups(capsys, cache):
     assert len(os.listdir(cache)) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "gmpn:2,1,3"],
+        ["classify", "gmpn:3,1,2"],
+        ["--max-order", "30", "reproduce-table"],
+        # the refusal record is lost, the refusal itself is not
+        ["--max-order", "20", "dims", "g4"],
+    ],
+    ids=["dims", "classify", "reproduce-table", "refusal"],
+)
+def test_unwritable_cache_keeps_the_answer(tmp_path, cli_env, argv):
+    """A regular file given as the cache directory can hold no bundle: the
+    command prints and exits as with a writable cache, and stderr adds one
+    line saying the cache was not written, with no traceback.  A file
+    stands in for an unwritable directory, which does not stop root."""
+    blocked = tmp_path / "blocked"
+    blocked.write_text("not a directory")
+    normal, got = (
+        subprocess.run(
+            [sys.executable, "-m", "bct.cli", "--cache-dir", str(cache_dir), *argv],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=cli_env,
+        )
+        for cache_dir in (tmp_path / "cache", blocked)
+    )
+    assert (got.returncode, got.stdout) == (normal.returncode, normal.stdout)
+    assert "Traceback" not in got.stderr
+    assert got.stderr.startswith("bct: cache not written: ")
+    assert got.stderr.endswith(normal.stderr)
+    assert blocked.read_text() == "not a directory"
+
+
 # Digests of the group definitions before the integer-indexed group core,
 # which computed them from the built group; cache keys must not move.
 DIGESTS = {
