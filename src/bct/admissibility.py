@@ -31,7 +31,6 @@ from .reflection_groups import (
     Subgroup,
     hyperplanes,
     orbit,
-    small_generating_set,
     subgroup_closure,
 )
 from .transversality import (
@@ -311,6 +310,13 @@ class _Workspace:
     def stab(self) -> Subgroup:
         return self.G.stabilizer_of(self.B)
 
+    def products(self):
+        """The products s_j^-1 s_i over p_pairs, and whether all of them
+        lie in Stab(B)."""
+        G, refls = self.G, self.G.reflections
+        products = [G.mul(G.inv(refls[j]), refls[i]) for i, j in self.p_pairs()]
+        return products, self.stab().elements.issuperset(products)
+
     def kb(self) -> Subgroup:
         if self._kb is None:
             self._kb = _k_subgroup(self, self.stab())
@@ -345,20 +351,11 @@ class _Workspace:
                             "share a class but differ outside the span"
                         )
             span_eq = span.rank + len(classes) == self.nrefl + 1
-            G = self.G
-            refls = G.reflections
-            stab_elements = self.stab().elements
-            products = set()
-            sub_eq = True
-            for i, j in self.p_pairs():
-                g = G.mul(G.inv(refls[j]), refls[i])
-                if g not in stab_elements:
-                    sub_eq = False
-                    break
-                products.add(g)
+            refls = self.G.reflections
+            products, sub_eq = self.products()
             if sub_eq:
-                gens = [refls[i] for i in self.rb] + sorted(products)
-                closure = subgroup_closure(G, gens)
+                gens = [refls[i] for i in self.rb] + sorted(set(products))
+                closure = subgroup_closure(self.G, gens)
                 sub_eq = closure.elements == self.kb().elements
             self._a2 = (span_eq, sub_eq)
         return self._a2
@@ -397,11 +394,10 @@ def _k_subgroup(ws: _Workspace, stab: Subgroup) -> Subgroup:
                 gens.append(G.mul(G.inv(s2), s1))
     sub = subgroup_closure(G, list(dict.fromkeys(gens)))
     # normal in the setwise stabilizer: conjugates of the generators stay
-    if sub.order > 1:
-        for w in small_generating_set(G, stab):
-            for g in sub.generators:
-                if G.conj(w, g) not in sub:
-                    raise InternalInconsistency("K_B must be normal in Stab(B)")
+    for w in stab.generators:
+        for g in sub.generators:
+            if G.conj(w, g) not in sub:
+                raise InternalInconsistency("K_B must be normal in Stab(B)")
     return sub
 
 
@@ -434,14 +430,7 @@ def d_and_p(G: Group, B):
     ]
     p_pairs = list(ws.p_pairs())
     refls = G.reflections
-    stab_elements = ws.stab().elements
-    products = []
-    in_stab = True
-    for i, j in p_pairs:
-        g = G.mul(G.inv(refls[j]), refls[i])
-        ok = g in stab_elements
-        in_stab = in_stab and ok
-        products.append(g)
+    products, in_stab = ws.products()
     d0 = {
         "products": products,
         "rb": [refls[i] for i in ws.rb],
@@ -522,11 +511,10 @@ def d0_ideal_dim(G: Group, B, mu: CycNumber) -> int:
         if basis.add(vec):
             work.append(basis.rows[-1])
 
-    gens = small_generating_set(G, stab)
     moves = []
-    for g in gens:
+    for g in stab.generators:
         moves.append([pos[G.mul(g, h)] for h in members])
-        moves.append([pos[G.mul(h, g)] for h in members])
+        moves.append([pos[x] for x in G.right_coset(members, g)])
     while work:
         vec = work.pop()
         for move in moves:

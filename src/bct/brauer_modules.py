@@ -32,7 +32,7 @@ from .admissibility import (
 )
 from .errors import InternalInconsistency, NotAdmissible, NotAdmissiblePair
 from .exact_arith import LaurentScalar
-from .reflection_groups import Group, bfs, hyperplanes, orbits, small_generating_set
+from .reflection_groups import Group, hyperplanes, orbit_walk, orbits
 from .transversality import _hyperplane_orbits, _pair_orbits, transv_table
 
 
@@ -139,10 +139,10 @@ class StabRep:
     The action is stored as a permutation per element (computed lazily),
     which covers every representation this package constructs: quotient
     regular representations and the trivial representation.  The
-    homomorphism property is verified at construction on a generating
-    set plus a seeded random sample; the annihilation requirement on the
-    relation vectors of B is checked by induce() before the
-    representation is used.
+    homomorphism property is verified at construction on the generators
+    stab keeps (its Schreier generators) plus a seeded random sample; the
+    annihilation requirement on the relation vectors of B is checked by
+    induce() before the representation is used.
     """
 
     __slots__ = ("group", "stab", "degree", "_perm_fn", "_memo")
@@ -158,9 +158,7 @@ class StabRep:
             raise InternalInconsistency("the identity does not act trivially")
         pool = sorted(stab.elements)
         rng = random.Random(2)
-        sample = small_generating_set(G, stab) + rng.sample(
-            pool, min(4, len(pool))
-        )
+        sample = list(stab.generators) + rng.sample(pool, min(4, len(pool)))
         for a in sample:
             pa = self.perm(a)
             for b in sample:
@@ -186,10 +184,8 @@ class StabRep:
 
     @property
     def images(self):
-        """Matrices of a small generating set of Stab(B)."""
-        return {
-            g: self.matrix(g) for g in small_generating_set(self.group, self.stab)
-        }
+        """Matrices of the generators stab keeps (Stab(B)'s Schreier ones)."""
+        return {g: self.matrix(g) for g in self.stab.generators}
 
     def __repr__(self):
         return f"StabRep(degree={self.degree}, stab_order={self.stab.order})"
@@ -229,12 +225,10 @@ def quotient_regular_rep(G: Group, B, cfg: FieldConfig = GENERIC) -> StabRep:
     reps = []
     coset_index = {}
     for g in sorted(stab.elements):
-        if g in coset_index:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for k in kb.elements:
-            coset_index[G.mul(g, k)] = idx
+        if g not in coset_index:
+            # K_B is normal in Stab(B), so the coset g K_B is K_B g
+            coset_index.update(dict.fromkeys(G.right_coset(kb.elements, g), len(reps)))
+            reps.append(g)
     if len(reps) != rec.quotient_size:
         raise InternalInconsistency(
             f"B={B}: {len(reps)} cosets of K_B, classified {rec.quotient_size}"
@@ -330,22 +324,6 @@ class InducedModule:
         )
 
 
-def _orbit_with_witnesses(G: Group, B):
-    """BFS orbit of B under the hyperplane action, with one witness
-    element per collection; B itself comes first with witness 1.  The
-    witness of a collection reached from a parent by generator g is g
-    times the parent's witness."""
-    blocks, tree = bfs(
-        [B],
-        G.generators,
-        lambda bcol, g: tuple(sorted(G.hyperplane_action(g)[h] for h in bcol)),
-    )
-    reps = [G.identity]
-    for parent, g in tree[1:]:
-        reps.append(G.mul(g, reps[parent]))
-    return blocks, reps
-
-
 def induce(G: Group, B, v0: StabRep) -> InducedModule:
     """Build the induced module of (B, V0) with its hyperplane operators.
 
@@ -356,7 +334,7 @@ def induce(G: Group, B, v0: StabRep) -> InducedModule:
     B = tuple(sorted(B))
     if v0.group is not G or v0.stab.elements != G.stabilizer_of(B).elements:
         raise InternalInconsistency(f"B={B}: V0 is not a representation of Stab(B)")
-    blocks, coset_reps = _orbit_with_witnesses(G, B)
+    blocks, coset_reps = orbit_walk(G, B)
     module = InducedModule(G, B, v0, blocks, coset_reps, eps=None)
     _check_rel_annihilation(module)
     module.eps = {
@@ -376,16 +354,11 @@ def _check_rel_annihilation(module: InducedModule):
     for vec in rel_set(G, B):
         acc = {}
         for k, coeff in enumerate(vec):
-            if not coeff:
-                continue
-            if k == nrefl:
-                scale = one * coeff
-                term = {(j, j): scale for j in range(deg)}
-            else:
-                scale = one * coeff if k in rb else mu_scalar(G, k) * coeff
-                p = module.perm_of(G.reflections[k])
-                term = {(p[j], j): scale for j in range(deg)}
-            acc = op_add(acc, term)
+            if coeff:
+                # slot nrefl is the identity, which fixes every basis vector
+                p = range(deg) if k == nrefl else module.perm_of(G.reflections[k])
+                scale = (mu_scalar(G, k) if k < nrefl and k not in rb else one) * coeff
+                acc = op_add(acc, {(p[j], j): scale for j in range(deg)})
         if acc:
             raise NotAdmissiblePair(
                 f"B={B}: relation vector {vec} does not annihilate the "

@@ -35,7 +35,9 @@ def imprimitive_order(m: int, p: int, n: int) -> int:
     """Order of the monomial group (m, p, n), after validating the
     parameters."""
     if m < 1 or p < 1 or m % p != 0:
-        raise InvalidParameters(f"p must divide m, got (m, p) = ({m}, {p})")
+        raise InvalidParameters(
+            f"need m >= 1 and p >= 1 with p dividing m, got (m, p) = ({m}, {p})"
+        )
     if n < 2:
         raise InvalidParameters("rank parameter n must be at least 2")
     return factorial(n) * m ** n // p

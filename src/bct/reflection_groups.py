@@ -316,7 +316,7 @@ class Hyperplane:
 
 
 class Subgroup:
-    """Subgroup given by an explicit set of element indices."""
+    """Subgroup given by its elements and the generators it was closed from."""
 
     __slots__ = ("generators", "elements")
 
@@ -415,6 +415,12 @@ class Group:
     def mul(self, a: int, b: int) -> int:
         """Index of the product a*b: (a*b)(e_j) = a(b(e_j))."""
         return self._index[itemgetter(*self._perms[b][: self.dim])(self._perms[a])]
+
+    def right_coset(self, elements, b: int):
+        """Indices of a*b for the a in elements, in order, as in mul."""
+        p = self._perms
+        frames = map(itemgetter(*p[b][: self.dim]), map(p.__getitem__, elements))
+        return map(self._index.__getitem__, frames)
 
     def inv(self, a: int) -> int:
         pa = self._perms[a]
@@ -656,9 +662,9 @@ class Group:
         return self.action_table()[w]
 
     def stabilizer_of(self, B) -> "Subgroup":
-        """Setwise stabilizer of a collection of hyperplane ids, scanned by
-        `stabilizer` once per collection and kept (collection_orbits keeps
-        the stabilizers of the orbit representatives it checks)."""
+        """Setwise stabilizer of a collection, with its Schreier generators,
+        built by `stabilizer` once per collection and kept (collection_orbits
+        keeps those of the orbit representatives it checks)."""
         key = tuple(sorted(B))
         sub = self._stabilizers.get(key)
         if sub is None:
@@ -848,26 +854,80 @@ def act_on_hyperplane(w: int, H: Hyperplane) -> Hyperplane:
     return G._hyperplanes[G.hyperplane_action(w)[H.id]]
 
 
-def stabilizer(G: Group, B) -> Subgroup:
-    """Setwise stabilizer of a collection of hyperplane ids: a scan over
-    the action table that keeps the elements mapping every member of the
-    collection into it, one member at a time."""
-    bset = frozenset(B)
+def orbit_walk(G: Group, B):
+    """(blocks, witnesses): the orbit of B as sorted tuples in breadth-first
+    order from sorted B, and per block an element mapping B onto it, s *
+    (the parent's) for a block first reached by generator s."""
     rows = G.action_table()
-    members = G.elements
-    for h in bset:
-        members = [g for g in members if rows[g][h] in bset]
-    return Subgroup(members, members)
+    step = lambda cur, s: tuple(sorted(rows[s][h] for h in cur))  # noqa: E731
+    blocks, tree = bfs([tuple(sorted(B))], G.generators, step)
+    witnesses = [G.identity]
+    for parent, s in tree[1:]:
+        witnesses.append(G.mul(s, witnesses[parent]))
+    return blocks, witnesses
 
 
 def orbit(G: Group, B):
     """Orbit of a collection under the hyperplane action, as sorted tuples,
     in breadth-first order from B."""
-    acts = [G.hyperplane_action(g) for g in G.generators]
-    out, _ = bfs(
-        [tuple(sorted(B))], acts, lambda cur, act: tuple(sorted(act[h] for h in cur))
+    return orbit_walk(G, B)[0]
+
+
+def stabilizer(G: Group, B) -> Subgroup:
+    """Setwise stabilizer of a collection of hyperplane ids: the elements
+    are a scan of the action table, checked by len(orbit) * |Stab| = |G|;
+    the generators are the Schreier elements u_sx^-1 s u_x of the orbit
+    walk (block x, witness u_x, generator s), sifted until their closure
+    has the scanned order, and that closure must equal the scan."""
+    bset = frozenset(B)
+    rows = G.action_table()
+    members = G.elements
+    for h in bset:
+        members = [g for g in members if rows[g][h] in bset]
+    blocks, witnesses = orbit_walk(G, B)
+    if len(blocks) * len(members) != G.order:
+        raise InternalInconsistency(
+            f"orbit-stabilizer fails for {blocks[0]}: {len(blocks)} * "
+            f"{len(members)} != {G.order}"
+        )
+    witness = dict(zip(blocks, witnesses))
+    schreier = (
+        G.mul(G.inv(witness[tuple(sorted(rows[s][h] for h in x))]), G.mul(s, u))
+        for x, u in witness.items()
+        for s in G.generators
     )
-    return out
+    scan = frozenset(members)
+    gens, closure = _sift(G, schreier, len(scan))
+    # the kept generators lie in their closure, so this puts them in the scan
+    if closure != scan:
+        raise InternalInconsistency(
+            f"the Schreier generators of Stab({blocks[0]}) do not close to its scan"
+        )
+    return Subgroup(gens, scan)
+
+
+def _sift(G: Group, candidates, order):
+    """(kept, closure): each candidate outside the closure of those kept
+    before it, and that closure, grown by Dimino's algorithm (whole cosets
+    of the old closure per kept element, so it at least doubles) until it
+    has order elements."""
+    closure = {G.identity}
+    kept = []
+    for x in candidates:
+        if len(closure) >= order:
+            break
+        if x in closure:
+            continue
+        kept.append(x)
+        old = list(closure)
+        reps = [G.identity]
+        for r in reps:
+            for s in kept:
+                y = G.mul(r, s)
+                if y not in closure:
+                    closure.update(G.right_coset(old, y))
+                    reps.append(y)
+    return kept, closure
 
 
 def subgroup_closure(G: Group, gens) -> Subgroup:
@@ -875,28 +935,7 @@ def subgroup_closure(G: Group, gens) -> Subgroup:
     for g in gens:
         if not 0 <= g < G.order:
             raise InternalInconsistency(f"generator {g!r} is not an element index")
-    elements, _ = bfs([G.identity], gens, G.mul)
-    return Subgroup(gens, elements)
-
-
-def small_generating_set(G: Group, sub: Subgroup):
-    """Short generating list for an explicitly enumerated subgroup.
-
-    Greedy: walk the members in element order and keep each one that
-    enlarges the closure of what was kept so far.
-    """
-    gens = []
-    have = {G.identity}
-    for g in sorted(sub.elements):
-        if g in have:
-            continue
-        gens.append(g)
-        have = subgroup_closure(G, gens).elements
-        if len(have) == sub.order:
-            break
-    if len(have) != sub.order:
-        raise InternalInconsistency("members do not generate their subgroup")
-    return gens
+    return Subgroup(gens, _sift(G, gens, G.order)[1])
 
 
 # ---------------------------------------------------------------------------

