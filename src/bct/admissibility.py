@@ -18,7 +18,6 @@ the block sizes over an orbit table with a double-entry consistency check
 (it lives in definitions, so a cache hit can run it without this module).
 """
 
-from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
@@ -276,7 +275,7 @@ class _Workspace:
         if self._span is None:
             basis = SpanBasis(self.nrefl + 1)
             for vec in rel_bar(self.G, self.B):
-                basis.add([Fraction(x) for x in vec])
+                basis.add(vec)
             self._span = basis
         return self._span
 
@@ -288,8 +287,8 @@ class _Workspace:
             span = self.span()
             classes = {}
             for i in range(self.nrefl + 1):
-                unit = [Fraction(0)] * (self.nrefl + 1)
-                unit[i] = Fraction(1)
+                unit = [0] * (self.nrefl + 1)
+                unit[i] = 1
                 classes.setdefault(tuple(span.reduce(unit)), []).append(i)
             self._classes = classes
         return self._classes

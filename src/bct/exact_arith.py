@@ -2,21 +2,23 @@
 algebra over exact fields, and integer-lattice membership via the Smith
 normal form.
 
-Everything is exact.  Field scalars are Fractions or CycNumbers; the Laurent
-polynomials that carry module operators have int coefficients, lattice work
-uses arbitrary-precision integers, and no floating point appears anywhere.
+Everything is exact.  Field scalars are ints, Fractions or CycNumbers; the
+Laurent polynomials that carry module operators have int coefficients,
+lattice work uses arbitrary-precision integers, and no floating point
+appears anywhere.
 
-CycNumbers are canonical, so definitions, digests, repr and every value a
-caller sees do not depend on how they were computed.  Bulk work in one field
-(a matrix group's closure and hyperplane scan, every inverse) runs on the
-integer field values of _CycContext and is canonicalized on the way out.
+A CycNumber holds one integer value representation, the (numerators, den)
+field values of _CycContext, at the smallest order able to express it: so
+definitions, digests, repr and every value a caller sees do not depend on
+how they were computed, and bulk work in one field (a matrix group's
+closure and hyperplane scan) runs on the same values without conversion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import add
 
 from .errors import (
@@ -35,10 +37,6 @@ __all__ = [
     "euler_phi",
     "cyclotomic_polynomial",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and per-order reduction data
@@ -115,7 +113,7 @@ class _CycContext:
     integer arithmetic on values (numerators, den), phi ints on the power
     basis over one den > 0 with gcd(content, den) = 1, so that equality and
     hashing are tuple operations.  A value keeps order n; of and cyc convert
-    from and to canonical CycNumbers."""
+    from and to canonical CycNumbers, which hold the same pair."""
 
     def __init__(self, n: int):
         self.n = n
@@ -138,7 +136,7 @@ class _CycContext:
                     shifted[t] += carry * top[t]
             pows.append(tuple(shifted))
         self.pows = pows  # x^k reduced mod Phi_n, 0 <= k < max(n, 2 phi - 1)
-        self._descent: dict[int, tuple[int, int, list[tuple[Fraction, ...]]]] = {}
+        self._descent: dict[int, tuple] = {}
         self.zero = ((0,) * self.phi, 1)
         self.one = (pows[0], 1)
 
@@ -181,19 +179,18 @@ class _CycContext:
         return tuple(c // g for c in nums), den // g
 
     def of(self, x: "CycNumber"):
-        """The field value of x; x must lie in Q(zeta_n)."""
+        """The field value of x; x must lie in Q(zeta_n).  The lift maps
+        Z[zeta_m] into Z[zeta_n] and meets Q(zeta_m) only there, so it
+        keeps gcd(content, den) = 1."""
         if self.n % x.order:
             raise InvalidParameters(f"{x} does not lie in Q(zeta_{self.n})")
-        den = 1
-        for c in x.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        nums = [c.numerator * (den // c.denominator) for c in x.coeffs]
-        return self._value(self.spread(nums, self.n // x.order), den)
+        if x.order == self.n:
+            return x.nums, x.den
+        return self.spread(x.nums, self.n // x.order), x.den
 
     def cyc(self, a) -> "CycNumber":
         """The canonical CycNumber of the field value a."""
-        nums, den = a
-        return CycNumber(self.n, tuple(Fraction(c, den) for c in nums))
+        return _cyc(self.n, *a)
 
     def mul(self, a, b):
         return self._value(self.times(a[0], b[0]), a[1] * b[1])
@@ -227,24 +224,27 @@ class _CycContext:
         return self._value([c * den for c in rest], norm[0])
 
     def descent(self, p: int):
-        """Row transform L with L * E = [I; 0], where the columns of E are the
-        basis powers of zeta_{n/p} written in the order-n basis.  An element x
-        lies in the subfield iff the tail of L*x vanishes."""
-        if p in self._descent:
-            return self._descent[p]
-        m = self.n // p
-        phi_m = euler_phi(m)
-        cols = [self.pows[(p * j) % self.n] for j in range(phi_m)]
-        rows = []
-        for i in range(self.phi):
-            aug = [Fraction(cols[j][i]) for j in range(phi_m)]
-            aug += [_ONE if t == i else _ZERO for t in range(self.phi)]
-            rows.append(aug)
-        reduced, rank, pivots = _rref_rows(rows, limit_cols=phi_m)
-        if rank != phi_m or pivots != list(range(phi_m)):
-            raise InternalInconsistency(f"subfield basis of order {m} is singular")
-        L = [tuple(r[phi_m:]) for r in reduced]
-        self._descent[p] = (m, phi_m, L)
+        """(m, D, head, tail) for m = n/p: integer rows, sparse as (column,
+        entry) pairs.  An element x lies in Q(zeta_m) iff every tail row
+        kills x, and then the head rows give D times its order-m vector.
+        Both come from a span of the basis powers zeta_m^j in the order-n
+        basis, tagged with e_j: x less its reduction is their combination."""
+        if p not in self._descent:
+            m = self.n // p
+            phi_m = euler_phi(m)
+            span = SpanBasis(self.phi + phi_m)
+            for j in range(phi_m):
+                span.add(self.pows[p * j % self.n] + tuple(-int(t == j) for t in range(phi_m)))
+            if max(span.pivots) >= self.phi:
+                raise InternalInconsistency(f"subfield basis of order {m} is singular")
+            cols = [span.reduce(self.pows[i] + (0,) * phi_m) for i in range(self.phi)]
+            D = lcm(*(x.denominator for col in cols for x in col))
+            rows = [
+                tuple((i, int(col[r] * D)) for i, col in enumerate(cols) if col[r])
+                for r in range(self.phi + phi_m)
+            ]
+            tail = [rows[r] for r in range(self.phi) if r not in span.pivots]
+            self._descent[p] = (m, D, tuple(rows[self.phi :]), tuple(tail))
         return self._descent[p]
 
 
@@ -253,124 +253,140 @@ def _context(n: int) -> _CycContext:
     return _CycContext(n)
 
 
-def _canonical_pair(order, coeffs):
-    # smallest order able to express the value
-    while order > 1:
-        ctx = _context(order)
-        for p in _prime_factors(order):
-            m, phi_m, L = ctx.descent(p)
-            z = [
-                sum((r * c for r, c in zip(row, coeffs) if r and c), _ZERO)
-                for row in L
-            ]
-            if any(z[phi_m:]):
-                continue
-            order, coeffs = m, tuple(z[:phi_m])
-            break
-        else:
-            break
-    return order, coeffs
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 
 
+def _new(order, nums, den) -> "CycNumber":
+    out = object.__new__(CycNumber)
+    _set = object.__setattr__
+    _set(out, "order", order)
+    _set(out, "nums", nums)
+    _set(out, "den", den)
+    return out
+
+
+def _cyc(order, nums, den, descend=True) -> "CycNumber":
+    """The CycNumber nums/den of Q(zeta_order), den > 0, at the smallest
+    order able to express it unless descend is False (the caller knows
+    the order is smallest already)."""
+    if descend and order > 1:
+        if not any(nums):
+            return _new(1, (0,), 1)
+        while order > 1:
+            ctx = _context(order)
+            for p in _prime_factors(order):
+                m, D, head, tail = ctx.descent(p)
+                if any(sum(c * nums[j] for j, c in row) for row in tail):
+                    continue
+                nums = [sum(c * nums[j] for j, c in row) for row in head]
+                order, den = m, den * D
+                break
+            else:
+                break
+    return _new(order, *_CycContext._value(nums, den))
+
+
+def _operand(x):
+    if isinstance(x, CycNumber):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return _new(1, (x.numerator,), x.denominator)
+    return None
+
+
+def _lift(x, y):
+    """(order, nums of x, nums of y) in the smaller field holding both."""
+    if x.order == y.order:
+        return x.order, x.nums, y.nums
+    n = lcm(x.order, y.order)
+    ctx = _context(n)
+    return n, ctx.spread(x.nums, n // x.order), ctx.spread(y.nums, n // y.order)
+
+
 class CycNumber:
-    """Element of Q(zeta_n) on the power basis 1, zeta, ..., zeta^{phi(n)-1}.
+    """Element of Q(zeta_n): integers nums on the power basis 1, zeta, ...,
+    zeta^{phi(n)-1} over one denominator den > 0 with gcd(den, *nums) = 1,
+    the field values of _CycContext.
 
     Instances are canonical: the stored order is the smallest cyclotomic order
     able to express the value, so equality and hashing reduce to plain tuple
-    comparison.  Every result is canonical again; inv and conj run in the
-    integer field of the value's own order.  All operations return new
-    objects.
+    comparison.  Arithmetic runs on the integers; coeffs, the Fraction view,
+    is read only to print and serialize.  All operations return new objects.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, order, coeffs, _canonical=False):
-        if not _canonical:
-            coeffs = tuple(
-                c if isinstance(c, Fraction) else Fraction(c) for c in coeffs
+    def __new__(cls, order, coeffs):
+        coeffs = tuple(map(Fraction, coeffs))
+        if len(coeffs) != euler_phi(order):
+            raise InvalidParameters(
+                f"order {order} needs {euler_phi(order)} coefficients"
             )
-            if len(coeffs) != euler_phi(order):
-                raise InvalidParameters(
-                    f"order {order} needs {euler_phi(order)} coefficients"
-                )
-            order, coeffs = _canonical_pair(order, coeffs)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        den = lcm(*(c.denominator for c in coeffs))
+        return _cyc(order, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNumber is immutable")
 
     @classmethod
     def rational(cls, q) -> "CycNumber":
-        return cls(1, (Fraction(q),), _canonical=True)
+        return _operand(q if isinstance(q, (int, Fraction)) else Fraction(q))
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _common(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycNumber.rational(other)
-        elif not isinstance(other, CycNumber):
-            return None
-        if self.order == other.order:
-            return self.order, self.coeffs, other.coeffs
-        n = self.order * other.order // gcd(self.order, other.order)
-        ctx = _context(n)
-        a, b = (ctx.spread(x.coeffs, n // x.order) for x in (self, other))
-        return n, a, b
+    def _sum(self, other, sign):
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        n, a, b = _lift(self, other)
+        d, e = sign * self.den, other.den
+        nums = [x * e + y * d for x, y in zip(a, b)]
+        # a rational term leaves the other one's order as it is
+        return _cyc(n, nums, self.den * e, descend=1 not in (self.order, other.order))
 
     def __add__(self, other):
-        co = self._common(other)
-        if co is None:
-            return NotImplemented
-        n, a, b = co
-        if n == 1:
-            return CycNumber(1, (a[0] + b[0],), _canonical=True)
-        return CycNumber(n, tuple(x + y for x, y in zip(a, b)))
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNumber(
-            self.order, tuple(-c for c in self.coeffs), _canonical=True
-        )
+        return _new(self.order, tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other):
-        co = self._common(other)
-        if co is None:
-            return NotImplemented
-        n, a, b = co
-        if n == 1:
-            return CycNumber(1, (a[0] - b[0],), _canonical=True)
-        return CycNumber(n, tuple(x - y for x, y in zip(a, b)))
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        co = self._common(other)
-        if co is None:
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        n, a, b = co
-        if n == 1:
-            return CycNumber(1, (a[0] * b[0],), _canonical=True)
-        return CycNumber(n, _context(n).times(a, b))
+        den = self.den * other.den
+        if other.order == 1 or self.order == 1:
+            # a nonzero rational factor keeps the other one's order
+            q, x = (other, self) if other.order == 1 else (self, other)
+            if not q.nums[0]:
+                return q
+            return _cyc(x.order, [q.nums[0] * c for c in x.nums], den, descend=False)
+        n, a, b = _lift(self, other)
+        return _cyc(n, _context(n).times(a, b), den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycNumber":
+        # Q(x) = Q(1/x), so the inverse keeps the smallest order
         ctx = _context(self.order)
-        return ctx.cyc(ctx.inv(ctx.of(self)))
+        return _new(self.order, *ctx.inv((self.nums, self.den)))
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycNumber.rational(other)
-        if not isinstance(other, CycNumber):
-            return NotImplemented
-        return self * other.inv()
+        other = _operand(other)
+        return NotImplemented if other is None else self * other.inv()
 
     def __rtruediv__(self, other):
         return self.inv() * other
@@ -388,13 +404,14 @@ class CycNumber:
         return out
 
     def galois(self, a: int) -> "CycNumber":
-        """Image under the field automorphism zeta -> zeta^a, gcd(a, order) = 1."""
+        """Image under the field automorphism zeta -> zeta^a, gcd(a, order) = 1.
+
+        It maps Z[zeta] and every subfield onto itself, so it keeps the
+        smallest order and the content."""
         n = self.order
         if gcd(a, n) != 1:
             raise InvalidParameters(f"zeta -> zeta^{a} is no automorphism of order {n}")
-        ctx = _context(n)
-        nums, den = ctx.of(self)
-        return ctx.cyc((ctx.spread(nums, a % n), den))
+        return _new(n, _context(n).spread(self.nums, a % n), self.den)
 
     def conj(self) -> "CycNumber":
         """Complex conjugate."""
@@ -403,19 +420,20 @@ class CycNumber:
     # -- comparisons --------------------------------------------------------
 
     def __bool__(self):
-        return any(self.coeffs)
+        # zero is canonical only at order 1
+        return self.order > 1 or self.nums[0] != 0
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.order == 1 and self.coeffs[0] == other
-        if not isinstance(other, CycNumber):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.nums, self.den, self.order) == (other.nums, other.den, other.order)
 
     def __hash__(self):
         if self.order == 1:
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+            # equal to the hash of the same int or Fraction
+            return hash(Fraction(self.nums[0], self.den) if self.den > 1 else self.nums[0])
+        return hash((self.order, self.nums, self.den))
 
     def __repr__(self):
         return f"CycNumber({self.order}, {self.coeffs})"
@@ -446,13 +464,12 @@ class CycNumber:
 
     @classmethod
     def from_json(cls, d: dict) -> "CycNumber":
-        return cls(d["order"], tuple(Fraction(c) for c in d["coeffs"]))
+        return cls(d["order"], d["coeffs"])
 
 
 def zeta(n: int, k: int = 1) -> CycNumber:
     """The root of unity e^{2 pi i k / n}."""
-    ctx = _context(n)
-    return CycNumber(n, ctx.pows[k % n])
+    return _cyc(n, _context(n).pows[k % n], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -600,46 +617,19 @@ class LaurentScalar:
 # linear algebra over exact fields
 
 
-def _rref_rows(rows, limit_cols=None):
-    """Row-reduce a copy over any exact field (Fraction or CycNumber).
-
-    Returns (rows, rank, pivots) with every input row kept, the first rank
-    of them nonzero; pivoting is restricted to the first limit_cols columns
-    when given, so augmented tapes survive untouched.  The augmented solver
-    behind _CycContext.descent; rank and membership questions go through
-    SpanBasis.
-    """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, 0, []
-    ncols = len(rows[0]) if limit_cols is None else limit_cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        if lead != 1:
-            rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, r, pivots
+def _div(x, d):
+    """x / d, exact on int input too: an int when d divides x, else a
+    Fraction, never a float."""
+    if type(x) is int and type(d) is int:
+        q, r = divmod(x, d)
+        return Fraction(x, d) if r else q
+    return x / d
 
 
 class SpanBasis:
-    """Grow-only reduced echelon basis; add() reports whether the span grew."""
+    """Grow-only reduced echelon basis over Fractions, CycNumbers, or ints
+    (which stay ints where pivots divide); add() reports whether the span
+    grew."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
@@ -670,7 +660,7 @@ class SpanBasis:
             return False
         lead = v[p]
         if lead != 1:
-            v = [x / lead for x in v]
+            v = [_div(x, lead) for x in v]
         for i, row in enumerate(self.rows):
             f = row[p]
             if f:

@@ -878,7 +878,9 @@ def stabilizer(G: Group, B) -> Subgroup:
     are a scan of the action table, checked by len(orbit) * |Stab| = |G|;
     the generators are the Schreier elements u_sx^-1 s u_x of the orbit
     walk (block x, witness u_x, generator s), sifted until their closure
-    has the scanned order, and that closure must equal the scan."""
+    has the scanned order, and that closure must equal the scan.  A
+    G-invariant B keeps G's generators, which action_table found to reach
+    all of G."""
     bset = frozenset(B)
     rows = G.action_table()
     members = G.elements
@@ -890,13 +892,15 @@ def stabilizer(G: Group, B) -> Subgroup:
             f"orbit-stabilizer fails for {blocks[0]}: {len(blocks)} * "
             f"{len(members)} != {G.order}"
         )
+    scan = frozenset(members)
+    if len(blocks) == 1:
+        return Subgroup(G.generators, scan)
     witness = dict(zip(blocks, witnesses))
     schreier = (
         G.mul(G.inv(witness[tuple(sorted(rows[s][h] for h in x))]), G.mul(s, u))
         for x, u in witness.items()
         for s in G.generators
     )
-    scan = frozenset(members)
     gens, closure = _sift(G, schreier, len(scan))
     # the kept generators lie in their closure, so this puts them in the scan
     if closure != scan:

@@ -37,6 +37,22 @@ def gmpn():
     return build
 
 
+@pytest.fixture(scope="session")
+def sweep_group():
+    """Cached builder for the G(m,p,n) sweeps: the sweeps share each
+    group's transversality table, apart from gmpn's groups, which some
+    tests tamper with."""
+    cache = {}
+
+    def build(m, p, n):
+        key = (m, p, n)
+        if key not in cache:
+            cache[key] = build_imprimitive(m, p, n)
+        return cache[key]
+
+    return build
+
+
 @pytest.fixture
 def cli_env():
     """Environment for running ``python -m bct.cli`` in a fresh interpreter.

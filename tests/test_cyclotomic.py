@@ -11,11 +11,11 @@ from bct.errors import DivisionByZero, InvalidParameters
 from bct.exact_arith import (
     CycNumber,
     _context,
-    _rref_rows,
     cyclotomic_polynomial,
     euler_phi,
     zeta,
 )
+from cyc_reference import rref_rows
 
 
 def test_phi3_root():
@@ -142,7 +142,7 @@ def rref_inverse(x):
         col = ctx.times(x.coeffs, tuple(int(t == j) for t in range(phi)))
         for i in range(phi):
             rows[i][j] = Fraction(col[i])
-    reduced, rank, _ = _rref_rows(rows, limit_cols=phi)
+    reduced, rank, _ = rref_rows(rows, limit_cols=phi)
     assert rank == phi
     return CycNumber(x.order, tuple(reduced[j][phi] for j in range(phi)))
 

@@ -7,6 +7,7 @@ import pytest
 from bct.brauer_modules import StabRep
 from bct.errors import InternalInconsistency
 from bct.reflection_groups import (
+    _sift,
     bfs,
     build_imprimitive,
     orbit,
@@ -17,11 +18,12 @@ from bct.reflection_groups import (
 )
 from bct.transversality import collection_orbits
 
-# the G(m,p,n) of the transversality sweeps: order at most 200, m <= 12
+# the G(m,p,n) of the A2 sweep, whose transversality tables this one
+# reuses: order at most 200, m <= 40
 SMALL_MONOMIAL = [
     (m, p, n)
     for n in range(2, 6)
-    for m in range(1, 13)
+    for m in range(1, 41)
     for p in range(1, m + 1)
     if m % p == 0 and factorial(n) * m ** n // p <= 200
 ]
@@ -66,10 +68,51 @@ def test_stabilizer_generators_on_matrix_groups(name, request):
     assert_stabilizer_invariants(G)
 
 
-def test_stabilizer_generators_on_small_monomial_groups():
-    assert len(SMALL_MONOMIAL) == 44
+def test_stabilizer_generators_on_small_monomial_groups(sweep_group):
+    assert len(SMALL_MONOMIAL) == 99
     for m, p, n in SMALL_MONOMIAL:
-        assert_stabilizer_invariants(build_imprimitive(m, p, n))
+        assert_stabilizer_invariants(sweep_group(m, p, n))
+
+
+# every G(m,p,n) of order at most 200
+ALL_SMALL_MONOMIAL = [
+    (m, p, n)
+    for n in range(2, 6)
+    for m in range(1, 101)
+    for p in range(1, m + 1)
+    if m % p == 0 and factorial(n) * m ** n // p <= 200
+]
+
+
+def assert_invariant_collection_keeps_the_sift(G):
+    # the empty collection is G-invariant: its one block has the identity
+    # as witness, and the Schreier elements that a sift would read
+    blocks, witnesses = orbit_walk(G, ())
+    assert blocks == [()] and witnesses == [G.identity]
+    schreier = [G.mul(G.inv(u), G.mul(s, u)) for u in witnesses for s in G.generators]
+    stab = stabilizer(G, ())
+    assert stab.generators == tuple(_sift(G, schreier, G.order)[0])
+    assert stab.elements == frozenset(G.elements)
+
+
+@pytest.mark.parametrize("name", ["g4", "g23", "g25", "g26"])
+def test_invariant_collection_keeps_the_sift_on_matrix_groups(name, request):
+    shared = name in ("g25", "g26")
+    G = request.getfixturevalue(name) if shared else packaged_group(name)
+    assert_invariant_collection_keeps_the_sift(G)
+
+
+def test_invariant_collection_keeps_the_sift_on_small_monomial_groups(
+    sweep_group,
+):
+    for m, p, n in SMALL_MONOMIAL:
+        assert_invariant_collection_keeps_the_sift(sweep_group(m, p, n))
+    # beyond the sweep, without action tables: the sift keeps every
+    # generator of every G(m,p,n) of order at most 200
+    assert len(ALL_SMALL_MONOMIAL) == 164
+    for m, p, n in ALL_SMALL_MONOMIAL:
+        G = build_imprimitive(m, p, n) if m > 40 else sweep_group(m, p, n)
+        assert tuple(_sift(G, G.generators, G.order)[0]) == G.generators
 
 
 def test_stab_rep_twisted_on_a_generator_is_not_multiplicative(gmpn):

@@ -12,6 +12,8 @@ built:
     hyperplanes   reflections, hyperplanes, distinguished reflections
     actions       the |G| x #H hyperplane-action table
     table         the transversality table, one span test per pair orbit
+    all_pairs     check_all_pairs: the span test on every pair (and the
+                  type shortcut on monomial groups), as verify runs it
     orbits        orbits of transverse collections, with stabilizers:
                   the action-table scan and the Schreier generators
                   sifted from the orbit walk
@@ -41,7 +43,7 @@ from bct.admissibility import (  # noqa: E402
 )
 from bct.cli import build_spec  # noqa: E402
 from bct.reflection_groups import DEFAULT_CAP, hyperplanes  # noqa: E402
-from bct.transversality import transv_table  # noqa: E402
+from bct.transversality import check_all_pairs, transv_table  # noqa: E402
 
 
 def stages(spec: str) -> dict:
@@ -57,6 +59,7 @@ def stages(spec: str) -> dict:
     hyps = timed("hyperplanes", lambda: hyperplanes(G))
     timed("actions", G.action_table)
     table = timed("table", lambda: transv_table(G))
+    timed("all_pairs", lambda: check_all_pairs(G))
     records = timed("orbits", lambda: orbit_records(G))
     generic = timed("classify", lambda: classify_orbits(G, GENERIC))
     sixth = timed("classify_mu6", lambda: classify_orbits(G, mu_sixth()))
