@@ -179,9 +179,8 @@ class _CycContext:
         return tuple(c // g for c in nums), den // g
 
     def of(self, x: "CycNumber"):
-        """The field value of x; x must lie in Q(zeta_n).  The lift maps
-        Z[zeta_m] into Z[zeta_n] and meets Q(zeta_m) only there, so it
-        keeps gcd(content, den) = 1."""
+        """The field value of x; x must lie in Q(zeta_n).  Z[zeta_n] meets
+        Q(zeta_m) in Z[zeta_m], so the lift keeps gcd(content, den) = 1."""
         if self.n % x.order:
             raise InvalidParameters(f"{x} does not lie in Q(zeta_{self.n})")
         if x.order == self.n:
@@ -227,14 +226,16 @@ class _CycContext:
         """(m, D, head, tail) for m = n/p: integer rows, sparse as (column,
         entry) pairs.  An element x lies in Q(zeta_m) iff every tail row
         kills x, and then the head rows give D times its order-m vector.
-        Both come from a span of the basis powers zeta_m^j in the order-n
-        basis, tagged with e_j: x less its reduction is their combination."""
+        Both come from the span of the rows (zeta_m^j, -e_j), zeta_m^j in
+        the order-n basis: (x, 0) reduces to (0, y) exactly when x is
+        sum_j y_j zeta_m^j."""
         if p not in self._descent:
             m = self.n // p
             phi_m = euler_phi(m)
             span = SpanBasis(self.phi + phi_m)
             for j in range(phi_m):
-                span.add(self.pows[p * j % self.n] + tuple(-int(t == j) for t in range(phi_m)))
+                tag = tuple(-int(t == j) for t in range(phi_m))
+                span.add(self.pows[p * j % self.n] + tag)
             if max(span.pivots) >= self.phi:
                 raise InternalInconsistency(f"subfield basis of order {m} is singular")
             cols = [span.reduce(self.pows[i] + (0,) * phi_m) for i in range(self.phi)]
@@ -296,7 +297,8 @@ def _operand(x):
 
 
 def _lift(x, y):
-    """(order, nums of x, nums of y) in the smaller field holding both."""
+    """(order, nums of x, nums of y) in the smallest cyclotomic field
+    holding both."""
     if x.order == y.order:
         return x.order, x.nums, y.nums
     n = lcm(x.order, y.order)
@@ -430,10 +432,10 @@ class CycNumber:
         return (self.nums, self.den, self.order) == (other.nums, other.den, other.order)
 
     def __hash__(self):
-        if self.order == 1:
-            # equal to the hash of the same int or Fraction
-            return hash(Fraction(self.nums[0], self.den) if self.den > 1 else self.nums[0])
-        return hash((self.order, self.nums, self.den))
+        if self.order > 1:
+            return hash((self.order, self.nums, self.den))
+        # equal to the hash of the same int or Fraction
+        return hash(Fraction(self.nums[0], self.den) if self.den > 1 else self.nums[0])
 
     def __repr__(self):
         return f"CycNumber({self.order}, {self.coeffs})"
