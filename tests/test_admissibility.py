@@ -154,8 +154,6 @@ def test_flags_exclusive_and_no_divergence(g25, g26):
             assert not rec.a1_span_divergence
 
 
-# the sweep of the transversality all-pairs oracle: every G(m,p,n) of order
-# at most 200 with m <= 12
 # every G(m,p,n) of order at most 200 with m <= 40: every one of rank three
 # or more, and the rank-two ones through G(40,40,2).  The sweep stops there
 # because its cost is the transversality table, one span test over

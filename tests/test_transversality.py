@@ -131,10 +131,11 @@ def test_table_diagonal_rejected(g25):
 
 
 # every G(m,p,n) of order at most 200 with phi(m) <= 10: every one of rank
-# three or more, and the rank-two ones through G(30,30,2).  The sweep stops
-# there because its cost is the span test of every root against every
-# pair, over Q(zeta_m): 2 s for these 69 groups on a 2-vCPU host, where
-# G(23,23,2) (phi 22) alone takes 0.8 s and G(37,37,2) 9 s
+# three or more, and the rank-two ones with m <= 12 or m in 14, 15, 16, 18,
+# 20, 22, 24, 30.  The sweep stops there because its cost is the span test
+# of every root against every pair, over Q(zeta_m): about 2 s for these 69
+# groups on a 2-vCPU host, where G(23,23,2) (phi 22) alone takes 0.8 s and
+# G(37,37,2) 9 s
 SMALL_MONOMIAL = [
     (m, p, n)
     for n in range(2, 6)
