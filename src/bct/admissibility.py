@@ -510,9 +510,10 @@ def d0_ideal_dim(G: Group, B, mu: CycNumber) -> int:
         if basis.add(vec):
             work.append(basis.rows[-1])
 
+    left = G.left_mul(members)
     moves = []
     for g in stab.generators:
-        moves.append([pos[G.mul(g, h)] for h in members])
+        moves.append([pos[x] for x in left(g)])
         moves.append([pos[x] for x in G.right_coset(members, g)])
     while work:
         vec = work.pop()

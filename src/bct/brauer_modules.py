@@ -134,58 +134,28 @@ def perm_inverse(p):
 
 
 class StabRep:
-    """Permutation representation of Stab(B) on a fixed basis.
-
-    The action is stored as a permutation per element (computed lazily),
-    which covers every representation this package constructs: quotient
-    regular representations and the trivial representation.  The
-    homomorphism property is verified at construction on the generators
-    stab keeps (its Schreier generators) plus a seeded random sample; the
-    annihilation requirement on the relation vectors of B is checked by
-    induce() before the representation is used.
+    """The regular representation of Stab(B)/N pulled back to Stab(B), for
+    a normal subgroup N (the kernel): K_B for the quotient regular
+    representation, Stab(B) for the trivial one.  Data only: basis vector
+    i is the coset r_i N, with r_i the smallest member of its coset, in
+    the order of those members.  induce() checks the action.
     """
 
-    __slots__ = ("group", "stab", "degree", "_perm_fn", "_memo")
+    __slots__ = ("group", "stab", "kernel", "reps", "degree")
 
-    def __init__(self, G: Group, stab, degree: int, perm_fn):
+    def __init__(self, G: Group, stab, kernel):
         self.group = G
         self.stab = stab
-        self.degree = degree
-        self._perm_fn = perm_fn
-        self._memo = {}
-
-        if self.perm(G.identity) != tuple(range(degree)):
-            raise InternalInconsistency("the identity does not act trivially")
-        pool = sorted(stab.elements)
-        rng = random.Random(2)
-        sample = list(stab.generators) + rng.sample(pool, min(4, len(pool)))
-        for a in sample:
-            pa = self.perm(a)
-            for b in sample:
-                pb = self.perm(b)
-                if self.perm(G.mul(a, b)) != tuple(pa[k] for k in pb):
-                    raise InternalInconsistency(
-                        f"Stab(B) representation is not multiplicative on {a}, {b}"
-                    )
-
-    def perm(self, h):
-        out = self._memo.get(h)
-        if out is None:
-            if h not in self.stab.elements:
-                raise InternalInconsistency(f"element {h} is not in Stab(B)")
-            out = tuple(self._perm_fn(h))
-            self._memo[h] = out
-        return out
-
-    def matrix(self, h):
-        """Sparse permutation matrix of one element."""
-        one = _one(self.group)
-        return {(i, j): one for j, i in enumerate(self.perm(h))}
-
-    @property
-    def images(self):
-        """Matrices of the generators stab keeps (Stab(B)'s Schreier ones)."""
-        return {g: self.matrix(g) for g in self.stab.generators}
+        self.kernel = kernel
+        coset_of = G.left_mul(sorted(kernel.elements))
+        seen = set()
+        reps = []
+        for g in sorted(stab.elements):
+            if g not in seen:
+                seen.update(coset_of(g))
+                reps.append(g)
+        self.reps = tuple(reps)
+        self.degree = len(reps)
 
     def __repr__(self):
         return f"StabRep(degree={self.degree}, stab_order={self.stab.order})"
@@ -193,7 +163,8 @@ class StabRep:
 
 def trivial_rep(G: Group, B) -> StabRep:
     """Degree-1 representation with every element of Stab(B) acting as 1."""
-    return StabRep(G, G.stabilizer_of(B), 1, lambda h: (0,))
+    stab = G.stabilizer_of(B)
+    return StabRep(G, stab, stab)
 
 
 def quotient_regular_rep(G: Group, B, cfg: FieldConfig = GENERIC) -> StabRep:
@@ -220,25 +191,11 @@ def quotient_regular_rep(G: Group, B, cfg: FieldConfig = GENERIC) -> StabRep:
             f"B={B}: twisting character is non-trivial; the quotient regular "
             "representation requires K_B to act trivially"
         )
-    stab = G.stabilizer_of(B)
-    kb = k_subgroup(G, B)
-    reps = []
-    coset_index = {}
-    for g in sorted(stab.elements):
-        if g not in coset_index:
-            # K_B is normal in Stab(B), so the coset g K_B is K_B g
-            coset_index.update(dict.fromkeys(G.right_coset(kb.elements, g), len(reps)))
-            reps.append(g)
-    if len(reps) != rec.quotient_size:
+    rep = StabRep(G, G.stabilizer_of(B), k_subgroup(G, B))
+    if rep.degree != rec.quotient_size:
         raise InternalInconsistency(
-            f"B={B}: {len(reps)} cosets of K_B, classified {rec.quotient_size}"
+            f"B={B}: {rep.degree} cosets of K_B, classified {rec.quotient_size}"
         )
-    rep = StabRep(
-        G, stab, len(reps), lambda h: tuple(coset_index[G.mul(h, r)] for r in reps)
-    )
-    for k in kb.generators:
-        if rep.perm(k) != tuple(range(len(reps))):
-            raise InternalInconsistency(f"B={B}: K_B does not act trivially")
     return rep
 
 
@@ -247,12 +204,14 @@ def quotient_regular_rep(G: Group, B, cfg: FieldConfig = GENERIC) -> StabRep:
 
 
 class InducedModule:
-    """The module induced from (B, V0), with explicit sparse operators.
+    """The module induced from (B, V0), with explicit sparse operators: by
+    transitivity of induction, W permuting the left cosets of V0's kernel N.
 
-    Basis: one block of V0-coordinates per collection in the orbit of B,
-    block t spanned by w_t * (embedded V0) where w_t maps B to the t-th
-    collection.  Block 0 is B itself with w_0 = 1.  Group elements, the
-    coset representatives w_t included, are element indices.
+    Basis vector c = t*deg + i is the coset x_c N with x_c = w_t r_i: w_t,
+    the orbit walk's witness, maps B onto the t-th collection of its orbit
+    (w_0 = 1), and r_i is V0's i-th coset representative.  One table maps
+    every element of W to the basis vector of its coset, so g sends c to
+    the table entry of g x_c.  Group elements are element indices.
     """
 
     __slots__ = (
@@ -260,55 +219,47 @@ class InducedModule:
         "B",
         "v0",
         "blocks",
-        "coset_reps",
         "degree",
         "dim",
         "eps",
-        "_block_index",
+        "_table",
+        "_translates",
         "_perm_memo",
-        "_rep_inverses",
     )
 
-    def __init__(self, G, B, v0, blocks, coset_reps, eps):
+    def __init__(self, G, B, v0, blocks, witnesses):
         self.group = G
         self.B = B
         self.v0 = v0
         self.blocks = blocks
-        self.coset_reps = coset_reps
         self.degree = v0.degree
-        self.dim = len(blocks) * v0.degree
-        self.eps = eps
-        self._block_index = {b: t for t, b in enumerate(blocks)}
+        self.eps = None
+        translate = G.left_mul(v0.reps)
+        basis = [x for w in witnesses for x in translate(w)]
+        self.dim = len(basis)
+        coset_of = G.left_mul(sorted(v0.kernel.elements))
+        table = [None] * G.order
+        for c, x in enumerate(basis):
+            for y in coset_of(x):
+                table[y] = c
+        # with dim * |N| labels, a full table labels each element once
+        if self.dim * v0.kernel.order != G.order or None in table:
+            raise InternalInconsistency(
+                f"B={B}: the {self.dim} basis cosets do not partition the group"
+            )
+        self._table = table
+        self._translates = G.left_mul(basis)
         self._perm_memo = {}
-        self._rep_inverses = [G.inv(w) for w in coset_reps]
-
-    def transport(self, tgt: int, g: int, src: int) -> int:
-        """The element w_tgt^-1 g w_src of Stab(B)."""
-        G = self.group
-        return G.mul(G.mul(self._rep_inverses[tgt], g), self.coset_reps[src])
 
     def perm_of(self, g):
         """Basis permutation of a group element: the tuple p such that g
         maps basis vector c to basis vector p[c].  Memoized per element."""
         out = self._perm_memo.get(g)
-        if out is not None:
-            return out
-        act = self.group.hyperplane_action(g)
-        deg = self.degree
-        out = [None] * self.dim
-        for src, bcol in enumerate(self.blocks):
-            img = tuple(sorted(act[h] for h in bcol))
-            tgt = self._block_index[img]
-            # StabRep.perm raises unless w_t^-1 g w_s lies in Stab(B)
-            p = self.v0.perm(self.transport(tgt, g, src))
-            base_r = tgt * deg
-            base_c = src * deg
-            for j in range(deg):
-                out[base_c + j] = base_r + p[j]
-        out = tuple(out)
-        if len(set(out)) != self.dim:
-            raise InternalInconsistency(f"element {g} does not permute the basis")
-        self._perm_memo[g] = out
+        if out is None:
+            out = tuple(map(self._table.__getitem__, self._translates(g)))
+            if len(set(out)) != self.dim:
+                raise InternalInconsistency(f"element {g} does not permute the basis")
+            self._perm_memo[g] = out
         return out
 
     def op_of(self, g):
@@ -334,13 +285,44 @@ def induce(G: Group, B, v0: StabRep) -> InducedModule:
     B = tuple(sorted(B))
     if v0.group is not G or v0.stab.elements != G.stabilizer_of(B).elements:
         raise InternalInconsistency(f"B={B}: V0 is not a representation of Stab(B)")
-    blocks, coset_reps = orbit_walk(G, B)
-    module = InducedModule(G, B, v0, blocks, coset_reps, eps=None)
+    module = InducedModule(G, B, v0, *orbit_walk(G, B))
+    _check_stab_action(module)
     _check_rel_annihilation(module)
     module.eps = {
         hid: _eps_operator(module, hid) for hid in range(len(hyperplanes(G)))
     }
     return module
+
+
+def _stab_sample(stab):
+    """The elements of Stab(B) its action is checked on: the generators
+    stab keeps (its Schreier generators) plus four seeded members."""
+    pool = sorted(stab.elements)
+    return list(stab.generators) + random.Random(2).sample(pool, min(4, len(pool)))
+
+
+def _check_stab_action(module: InducedModule):
+    """Stab(B) acts as a representation: the identity fixes every basis
+    vector, perm_of is multiplicative on _stab_sample, and the generators
+    of V0's kernel fix block 0."""
+    G = module.group
+    if module.perm_of(G.identity) != tuple(range(module.dim)):
+        raise InternalInconsistency("the identity does not act trivially")
+    sample = _stab_sample(module.v0.stab)
+    for a in sample:
+        pa = module.perm_of(a)
+        for b in sample:
+            pb = module.perm_of(b)
+            if module.perm_of(G.mul(a, b)) != tuple(map(pa.__getitem__, pb)):
+                raise InternalInconsistency(
+                    f"Stab(B) representation is not multiplicative on {a}, {b}"
+                )
+    block0 = tuple(range(module.degree))
+    for k in module.v0.kernel.generators:
+        if module.perm_of(k)[: module.degree] != block0:
+            raise InternalInconsistency(
+                f"B={module.B}: the kernel of V0 does not fix block 0"
+            )
 
 
 def _check_rel_annihilation(module: InducedModule):
@@ -394,17 +376,14 @@ def _eps_operator(module: InducedModule, hid: int):
             for ridx in table.mapped_by(hp, hid):
                 s = G.reflections[ridx]
                 act = G.hyperplane_action(s)
-                img = tuple(sorted(act[h] for h in bcol))
-                if hid not in img:
+                if hid not in [act[h] for h in bcol]:
                     raise InternalInconsistency(
                         f"reflection #{ridx} does not bring hyperplane {hid} into the block"
                     )
-                tgt = module._block_index[img]
-                p = module.v0.perm(module.transport(tgt, s, src))
+                p = module.perm_of(s)
                 mus = mu_scalar(G, ridx)
-                base_r = tgt * deg
-                for j in range(deg):
-                    key = (base_r + p[j], base_c + j)
+                for c in range(base_c, base_c + deg):
+                    key = (p[c], c)
                     prev = block_op.get(key)
                     block_op[key] = mus if prev is None else prev + mus
                 block_op = {k: v for k, v in block_op.items() if v}

@@ -26,7 +26,7 @@ row perm[l]); matrix elements store exact cyclotomic entries.
 from __future__ import annotations
 
 import json
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from operator import itemgetter
 
 from .definitions import (
@@ -421,6 +421,20 @@ class Group:
         p = self._perms
         frames = map(itemgetter(*p[b][: self.dim]), map(p.__getitem__, elements))
         return map(self._index.__getitem__, frames)
+
+    def left_mul(self, xs):
+        """The map g -> an iterator over the indices of g*x for the x in xs,
+        in order, as in mul.  The frame of g*x is g's permutation read at
+        x's frame, so one getter of all those frames is built here, and a
+        call reads g's permutation once and looks up one frame per x."""
+        p, index, dim = self._perms, self._index, self.dim
+        cols = [j for x in xs for j in p[x][:dim]]
+        n = len(cols)
+        # two more columns keep the getter's result a tuple; islice drops them
+        get = itemgetter(*cols, 0, 0)
+        if dim == 1:
+            return lambda g: map(index.__getitem__, islice(get(p[g]), n))
+        return lambda g: map(index.__getitem__, zip(*[islice(get(p[g]), n)] * dim))
 
     def inv(self, a: int) -> int:
         pa = self._perms[a]
@@ -847,11 +861,6 @@ def build_matrix_group(
 def hyperplanes(G: Group):
     G._build_hyperplanes()
     return list(G._hyperplanes)
-
-
-def act_on_hyperplane(w: int, H: Hyperplane) -> Hyperplane:
-    G = H.group
-    return G._hyperplanes[G.hyperplane_action(w)[H.id]]
 
 
 def orbit_walk(G: Group, B):

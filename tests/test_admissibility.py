@@ -32,7 +32,6 @@ from bct.errors import InternalInconsistency, InvalidParameters
 from bct.exact_arith import CycNumber, SpanBasis, zeta
 from bct.reflection_groups import (
     Monomial,
-    act_on_hyperplane,
     element_order,
     hyperplanes,
     packaged_group,
@@ -118,7 +117,7 @@ def test_k_subgroup_conjugation_equivariant(gmpn):
         for B in rng.sample(colls, 6):
             w = rng.choice(elems)
             wB = tuple(
-                sorted(act_on_hyperplane(w, hyperplanes(G)[h]).id for h in B)
+                sorted(hyperplanes(G)[G.hyperplane_action(w)[h]].id for h in B)
             )
             left = k_subgroup(G, wB).elements
             right = frozenset(G.conj(w, g) for g in k_subgroup(G, B).elements)

@@ -62,12 +62,16 @@ def test_empty_collection_module(gmpn):
 
 
 def test_stab_rep_images_are_permutation_matrices(gmpn):
+    # V0 is block 0 of the induced module, which Stab(B) maps to itself
     G = gmpn(1, 1, 4)
     B = (by_label(G)["H_1,2"],)
     v0 = quotient_regular_rep(G, B)
-    for mat in v0.images.values():
-        cols = [c for _, c in mat]
-        assert sorted(cols) == list(range(v0.degree))
+    M = induce(G, B, v0)
+    block0 = range(v0.degree)
+    for g in v0.stab.generators:
+        mat = {(r, c): v for (r, c), v in M.op_of(g).items() if c in block0}
+        assert sorted(r for r, _ in mat) == list(block0)
+        assert sorted(c for _, c in mat) == list(block0)
         assert all(val == val * 1 and bool(val) for val in mat.values())
 
 

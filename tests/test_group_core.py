@@ -201,3 +201,23 @@ def test_monomial_and_matrix_builds_agree(params):
     # earn the verdict orbit by orbit
     assert (want.route, got.route) == ("monomial-family", "collection-dichotomy")
     assert freeness_rows(got) == freeness_rows(want)
+
+
+@pytest.mark.parametrize("build", ["gmpn:2,1,3", "gmpn:2,2,2", "g4", "rank 1"])
+def test_batched_products_match_mul(build):
+    """left_mul(xs)(g) and right_coset(xs, g) list g*x and x*g for every x
+    of a fixed list, as mul does one at a time, also for rank 1, where a
+    frame is an int, and for lists of no and of one element."""
+    if build == "rank 1":
+        G = build_matrix_group([MatrixElem([[zeta(3)]])])
+        assert G.dim == 1
+    elif build == "g4":
+        G = packaged_group("g4")
+    else:
+        G = build_imprimitive(*map(int, build[5:].split(",")))
+    last = G.order - 1
+    for xs in ([], [last], [last, 0, 1, 1], list(G.elements)):
+        left = G.left_mul(xs)
+        for g in G.elements:
+            assert list(left(g)) == [G.mul(g, x) for x in xs]
+            assert list(G.right_coset(xs, g)) == [G.mul(x, g) for x in xs]

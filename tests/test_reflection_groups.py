@@ -11,7 +11,6 @@ from bct.reflection_groups import (
     Monomial,
     build_imprimitive,
     build_matrix_group,
-    act_on_hyperplane,
     element_order,
     hermitian_inner,
     hyperplanes,
@@ -150,9 +149,9 @@ def test_orbits_partition_and_refuse_a_non_permutation():
 def test_act_identity_and_monomial_example():
     g = build_imprimitive(3, 1, 3)
     h23 = next(h for h in hyperplanes(g) if h.key == ("pair", 1, 2, 0))
-    assert act_on_hyperplane(g.identity, h23) is h23
+    assert hyperplanes(g)[g.hyperplane_action(g.identity)[h23.id]] is h23
     w = g.index_of(Monomial(3, (1, 0, 2), (0, 0, 0)))
-    assert act_on_hyperplane(w, h23).key == ("pair", 0, 2, 0)
+    assert hyperplanes(g)[g.hyperplane_action(w)[h23.id]].key == ("pair", 0, 2, 0)
 
 
 def test_act_g26_t2_moves_pair_hyperplane(g26):
@@ -162,8 +161,8 @@ def test_act_g26_t2_moves_pair_hyperplane(g26):
         for h in hyperplanes(g26)
         if h.root == (CycNumber.rational(1), CycNumber.rational(-1), CycNumber.rational(0))
     )
-    img1 = act_on_hyperplane(t2, h12)
-    img2 = act_on_hyperplane(g26.mul(t2, t2), h12)
+    img1 = hyperplanes(g26)[g26.hyperplane_action(t2)[h12.id]]
+    img2 = hyperplanes(g26)[g26.hyperplane_action(g26.mul(t2, t2))[h12.id]]
     # the orbit under t2 runs through both twisted forms z_1 = zeta^k z_2
     kappas = set()
     for img in (img1, img2):
@@ -180,7 +179,7 @@ def test_monomial_action_matches_conjugation():
     for _ in range(40):
         w = rng.choice(g.elements)
         h = rng.choice(hs)
-        img = act_on_hyperplane(w, h)
+        img = hs[g.hyperplane_action(w)[h.id]]
         wm = g.element(w).to_matrix()
         conj = wm * g.element(h.dist_reflection).to_matrix() * wm.inv()
         assert conj == g.element(img.dist_reflection).to_matrix()
@@ -193,7 +192,7 @@ def test_conjugate_of_distinguished_is_distinguished():
         for _ in range(30):
             w = rng.choice(g.elements)
             h = rng.choice(hs)
-            img = act_on_hyperplane(w, h)
+            img = hs[g.hyperplane_action(w)[h.id]]
             wv = g.element(w)
             conj = wv * g.element(h.dist_reflection) * wv.inv()
             assert conj == g.element(img.dist_reflection)
@@ -214,7 +213,7 @@ def test_commutation_equivalences():
                 h1 = hs[g.reflection_hyperplane(a)]
                 h2 = hs[g.reflection_hyperplane(b)]
                 commute = g.mul(r1, r2) == g.mul(r2, r1)
-                fixes = act_on_hyperplane(r1, h2) is h2
+                fixes = hs[g.hyperplane_action(r1)[h2.id]] is h2
                 geo = h1 is h2 or not hermitian_inner(h1.root, h2.root)
                 assert commute == fixes == geo
 

@@ -4,7 +4,12 @@ from math import factorial
 
 import pytest
 
-from bct.brauer_modules import StabRep
+from bct.brauer_modules import (
+    _check_stab_action,
+    _stab_sample,
+    induce,
+    quotient_regular_rep,
+)
 from bct.errors import InternalInconsistency
 from bct.reflection_groups import (
     _sift,
@@ -117,25 +122,18 @@ def test_invariant_collection_keeps_the_sift_on_small_monomial_groups(
 
 
 def test_stab_rep_twisted_on_a_generator_is_not_multiplicative(gmpn):
-    # the regular representation of Stab(()) = G(2,1,4), with one Schreier
-    # generator made to act as the identity; the seeded sample alone does
-    # not meet it
+    # the regular representation of Stab(()) = G(2,1,4), induced to the
+    # module on the cosets of the trivial K_(), with one Schreier generator
+    # made to act as the identity; the seeded sample alone does not meet it
     G = gmpn(2, 1, 4)
-    stab = G.stabilizer_of(())
-    members = sorted(stab.elements)
-    pos = {g: k for k, g in enumerate(members)}
-
-    def regular(h):
-        return tuple(pos[G.mul(h, g)] for g in members)
-
-    assert StabRep(G, stab, len(members), regular).degree == G.order
+    M = induce(G, (), quotient_regular_rep(G, ()))
+    assert M.degree == M.dim == G.order
+    stab = M.v0.stab
     twisted = stab.generators[-1]
-
-    def perm_fn(h):
-        return tuple(range(len(members))) if h == twisted else regular(h)
-
+    assert twisted not in _stab_sample(stab)[len(stab.generators):]
+    M._perm_memo[twisted] = tuple(range(M.dim))
     with pytest.raises(InternalInconsistency, match="not multiplicative"):
-        StabRep(G, stab, len(members), perm_fn)
+        _check_stab_action(M)
 
 
 def test_swapped_action_rows_break_the_schreier_closure():
