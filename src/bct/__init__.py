@@ -24,10 +24,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "admissibility": (
-        "GENERIC",
         "AdmissibilityRecord",
-        "FieldConfig",
-        "check_A1",
         "check_A2",
         "classify",
         "classify_orbits",
@@ -36,7 +33,6 @@ _EXPORTS = {
         "dim_g22n_formula",
         "dim_gmpn_formula",
         "k_subgroup",
-        "mu_sixth",
         "rel_bar",
         "rel_set",
     ),

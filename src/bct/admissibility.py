@@ -23,7 +23,7 @@ from math import factorial
 
 from .definitions import dim_from_rows
 from .errors import InternalInconsistency, InvalidParameters
-from .exact_arith import CycNumber, SpanBasis, zeta
+from .exact_arith import CycNumber, SpanBasis
 from .reflection_groups import (
     Group,
     Monomial,
@@ -40,11 +40,8 @@ from .transversality import (
 )
 
 __all__ = [
-    "GENERIC",
     "AdmissibilityRecord",
-    "FieldConfig",
     "SigmaTerm",
-    "check_A1",
     "check_A2",
     "classify",
     "classify_orbits",
@@ -56,61 +53,11 @@ __all__ = [
     "dim_gmpn_formula",
     "k_subgroup",
     "kb_membership_gmpn",
-    "mu_sixth",
     "orbit_records",
     "rel_bar",
     "rel_set",
     "sigma_triples",
 ]
-
-
-# ---------------------------------------------------------------------------
-# coefficient-field configuration
-
-
-class FieldConfig:
-    """Coefficient-field mode.
-
-    "generic" keeps every parameter mu_c an independent invertible
-    indeterminate; "mu_sixth_root" specializes the cross-class ratio mu to
-    zeta_6^exponent while delta stays transcendental.
-    """
-
-    __slots__ = ("mode", "exponent")
-
-    def __init__(self, mode, exponent=None):
-        if mode == "mu_sixth_root":
-            if exponent is None:
-                raise InvalidParameters("mu_sixth_root needs an exponent")
-            exponent = exponent % 6
-        elif mode != "generic":
-            raise InvalidParameters(f"unknown field mode {mode!r}")
-        elif exponent is not None:
-            raise InvalidParameters("the generic mode takes no exponent")
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "exponent", exponent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldConfig is immutable")
-
-    @property
-    def mu(self) -> CycNumber:
-        if self.mode != "mu_sixth_root":
-            raise InvalidParameters("the generic mode has no specialized mu")
-        return zeta(6, self.exponent)
-
-    def __repr__(self):
-        if self.mode == "generic":
-            return "FieldConfig(generic)"
-        return f"FieldConfig(mu=zeta6^{self.exponent})"
-
-
-GENERIC = FieldConfig("generic")
-
-
-def mu_sixth(exponent: int = 1) -> FieldConfig:
-    """Field mode with mu specialized to zeta_6^exponent."""
-    return FieldConfig("mu_sixth_root", exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +385,6 @@ def d_and_p(G: Group, B):
     return d_vecs, p_pairs, d0
 
 
-def check_A1(G: Group, B) -> bool:
-    """Whether the rel_bar list literally contains a basis vector, which
-    forces e_B to vanish on every module."""
-    literal, _ = _workspace(G, B).a1()
-    return literal
-
-
 def check_A2(G: Group, B):
     """(span equality of rel_bar and D, subgroup equality with K_B)."""
     return _workspace(G, B).a2()
@@ -532,7 +472,10 @@ def d0_ideal_dim(G: Group, B, mu: CycNumber) -> int:
 
 
 class AdmissibilityRecord:
-    """Everything classify() decides about one collection."""
+    """Everything classify() decides about one collection.  Every check is
+    field-independent; a field only picks which admissibility flag holds:
+    admissible_generic for independent parameters, admissible_mu6 with the
+    cross-class ratio mu at a primitive sixth root of unity (mu6)."""
 
     __slots__ = (
         "orbit",
@@ -540,8 +483,6 @@ class AdmissibilityRecord:
         "admissible_generic",
         "admissible_mu6",
         "conditional",
-        "quotient_size",
-        "chi_nontrivial",
         "a1",
         "a2_span",
         "a2_subgroup",
@@ -554,7 +495,12 @@ class AdmissibilityRecord:
         if kw:
             raise InvalidParameters(f"unknown record fields {sorted(kw)}")
 
-    def as_row(self):
+    def quotient(self, mu6=False) -> int:
+        """|Stab(B)/K_B| when B is admissible over the field, else 0."""
+        admissible = self.admissible_mu6 if mu6 else self.admissible_generic
+        return self.orbit.stab_order // self.kb_order if admissible else 0
+
+    def as_row(self, mu6=False):
         return {
             "representative": list(self.orbit.representative),
             "cardinality": self.orbit.cardinality,
@@ -564,13 +510,13 @@ class AdmissibilityRecord:
             "admissible_generic": self.admissible_generic,
             "admissible_mu6": self.admissible_mu6,
             "conditional": self.conditional,
-            "quotient_size": self.quotient_size,
+            "quotient_size": self.quotient(mu6),
         }
 
     def __repr__(self):
         return (
             f"AdmissibilityRecord(B={self.orbit.representative}, "
-            f"kb={self.kb_order}, q={self.quotient_size})"
+            f"kb={self.kb_order}, q={self.quotient()}, q_mu6={self.quotient(True)})"
         )
 
 
@@ -593,12 +539,12 @@ def _imprimitive_closed_form(G: Group, B) -> bool:
     return True
 
 
-def classify(G: Group, B, cfg: FieldConfig = GENERIC) -> AdmissibilityRecord:
+def classify(G: Group, B) -> AdmissibilityRecord:
     """Run every admissibility check on one collection."""
-    return _classify(G, B, cfg, None)
+    return _classify(G, B, None)
 
 
-def _classify(G, B, cfg, orbit_rec) -> AdmissibilityRecord:
+def _classify(G, B, orbit_rec) -> AdmissibilityRecord:
     ws = _workspace(G, B)
     literal, span_hit = ws.a1()
     a2_span, a2_sub = ws.a2()
@@ -624,30 +570,16 @@ def _classify(G, B, cfg, orbit_rec) -> AdmissibilityRecord:
         stab_order = ws.stab().order
         orbit_rec = OrbitRecord(min(orb), len(orb), stab_order, len(ws.B))
     kb_order = ws.kb().order
-    stab_order = orbit_rec.stab_order
-    if stab_order % kb_order:
+    if orbit_rec.stab_order % kb_order:
         raise InternalInconsistency(
-            f"|K_B| = {kb_order} does not divide |Stab(B)| = {stab_order}"
+            f"|K_B| = {kb_order} does not divide |Stab(B)| = {orbit_rec.stab_order}"
         )
-
-    admissible_now = (
-        admissible_mu6 if cfg.mode == "mu_sixth_root" else admissible_generic
-    )
-    quotient = stab_order // kb_order if admissible_now else 0
-    chi_nontrivial = bool(
-        cond
-        and cfg.mode == "mu_sixth_root"
-        and cfg.exponent % 6 != 0
-        and admissible_now
-    )
     return AdmissibilityRecord(
         orbit=orbit_rec,
         kb_order=kb_order,
         admissible_generic=admissible_generic,
         admissible_mu6=admissible_mu6,
         conditional=cond,
-        quotient_size=quotient,
-        chi_nontrivial=chi_nontrivial,
         a1=literal,
         a2_span=a2_span,
         a2_subgroup=a2_sub,
@@ -656,27 +588,27 @@ def _classify(G, B, cfg, orbit_rec) -> AdmissibilityRecord:
 
 
 def orbit_records(G: Group):
-    """collection_orbits(G), computed once per group: the orbit split does
-    not depend on the field configuration."""
+    """collection_orbits(G), computed once per group."""
     if G._orbit_records is None:
         G._orbit_records = collection_orbits(G)
     return G._orbit_records
 
 
-def classify_orbits(G: Group, cfg: FieldConfig = GENERIC):
+def classify_orbits(G: Group):
     """One AdmissibilityRecord per orbit of transverse collections,
     ordered by (cardinality, representative)."""
-    return [_classify(G, rec.representative, cfg, rec) for rec in orbit_records(G)]
+    return [_classify(G, rec.representative, rec) for rec in orbit_records(G)]
 
 
 # ---------------------------------------------------------------------------
 # dimensions
 
 
-def dim_brauer(G: Group, cfg: FieldConfig = GENERIC) -> int:
-    """Dimension of the Brauer-Chen algebra over the configured field,
-    by dim_from_rows over the orbit classification."""
-    return dim_from_rows(G.order, [rec.as_row() for rec in classify_orbits(G, cfg)])
+def dim_brauer(G: Group, mu6=False) -> int:
+    """Dimension of the Brauer-Chen algebra with generic parameters, or
+    with mu at a primitive sixth root of unity when mu6, by dim_from_rows
+    over the orbit classification."""
+    return dim_from_rows(G.order, [rec.as_row(mu6) for rec in classify_orbits(G)])
 
 
 def _matchings_sum(n: int) -> int:

@@ -21,8 +21,6 @@ with the sum of squared dimensions of the simple modules.
 import random
 
 from .admissibility import (
-    GENERIC,
-    FieldConfig,
     _rb_positions,
     classify,
     classify_orbits,
@@ -111,22 +109,11 @@ def op_shift(a, slot: int):
     return out
 
 
-def op_permute(a, rows, cols=None):
-    """Re-index a sparse operator: entry (i, j) moves to (rows[i], cols[j]),
-    or to (rows[i], j) without cols.  For rows = M.perm_of(g) this is
-    op_of(g) * a; for cols = perm_inverse(M.perm_of(h)) it is a * op_of(h).
-    Both permutations must be bijections, which perm_of checks."""
-    if cols is None:
-        return {(rows[i], j): v for (i, j), v in a.items()}
-    return {(rows[i], cols[j]): v for (i, j), v in a.items()}
-
-
-def perm_inverse(p):
-    """The inverse permutation q, with q[p[i]] = i."""
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
+def op_permute(a, rows):
+    """Re-index a sparse operator: entry (i, j) moves to (rows[i], j).  For
+    rows = M.perm_of(g) this is op_of(g) * a; perm_of checks that rows is a
+    bijection."""
+    return {(rows[i], j): v for (i, j), v in a.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -167,34 +154,33 @@ def trivial_rep(G: Group, B) -> StabRep:
     return StabRep(G, stab, stab)
 
 
-def quotient_regular_rep(G: Group, B, cfg: FieldConfig = GENERIC) -> StabRep:
+def quotient_regular_rep(G: Group, B) -> StabRep:
     """Regular representation of Stab(B)/K_B pulled back to Stab(B).
 
     Contains every irreducible constituent that can appear in an
     admissible pair over B, so relation checks on the induced module
-    cover all simple modules at once.  Refuses collections that are not
-    admissible under cfg, and conditional collections whose twisting
-    character is non-trivial (the regular quotient assumes K_B acts
-    trivially).
+    cover all simple modules at once.  Refuses B exactly when its generic
+    quotient is 0, which covers both fields: they agree outside conditional
+    collections, and at a sixth root a conditional collection's twisting
+    character is non-trivial, while the regular quotient assumes K_B acts
+    trivially.
     """
     B = tuple(sorted(B))
-    rec = classify(G, B, cfg)
-    if rec.quotient_size == 0:
+    rec = classify(G, B)
+    quotient = rec.quotient()
+    if quotient == 0:
         detail = (
-            "conditional collection needs the sixth-root field configuration"
+            "conditional collection: not admissible for generic parameters, "
+            "and at a sixth root its twisting character is non-trivial, while "
+            "the quotient regular representation requires K_B to act trivially"
             if rec.conditional
             else "collection is not admissible"
         )
         raise NotAdmissible(f"B={B}: {detail}")
-    if rec.chi_nontrivial:
-        raise NotAdmissible(
-            f"B={B}: twisting character is non-trivial; the quotient regular "
-            "representation requires K_B to act trivially"
-        )
     rep = StabRep(G, G.stabilizer_of(B), k_subgroup(G, B))
-    if rep.degree != rec.quotient_size:
+    if rep.degree != quotient:
         raise InternalInconsistency(
-            f"B={B}: {rep.degree} cosets of K_B, classified {rec.quotient_size}"
+            f"B={B}: {rep.degree} cosets of K_B, classified {quotient}"
         )
     return rep
 
@@ -478,13 +464,21 @@ def verify_defining_relations(M: InducedModule, seed: int = 0) -> RelationReport
             first = f"{name}: {message}"
 
     def conjugation_failure(w):
-        """The first hyperplane whose eps w does not carry to eps(wH)."""
-        rows = M.perm_of(w)
-        cols = perm_inverse(M.perm_of(G.inv(w)))
+        """The first hyperplane whose eps w does not carry to eps(wH).
+
+        perm_of(w^-1) inverts p = perm_of(w), so w*eps(H)*w^-1 moves entry
+        (i, j) to (p[i], p[j]); each entry is looked up in eps(wH), with
+        the identity test first since eps entries share objects."""
+        p = M.perm_of(w)
         act = G.hyperplane_action(w)
         for hid in range(nh):
-            if op_permute(M.eps[hid], rows, cols) != M.eps[act[hid]]:
+            e, target = M.eps[hid], M.eps[act[hid]]
+            if len(e) != len(target):
                 return hid
+            for (i, j), v in e.items():
+                x = target.get((p[i], p[j]))
+                if x is not v and x != v:
+                    return hid
         return None
 
     rng = random.Random(seed)
@@ -553,20 +547,19 @@ def verify_defining_relations(M: InducedModule, seed: int = 0) -> RelationReport
 # census
 
 
-def semisimplicity_census(G: Group, cfg: FieldConfig = GENERIC):
-    """(sum of squared simple-module dimensions, algebra dimension).
+def semisimplicity_census(G: Group, mu6=False):
+    """(sum of squared simple-module dimensions, algebra dimension), with
+    generic parameters or with mu at a primitive sixth root when mu6.
 
-    Each admissible orbit contributes orbit_size^2 * quotient_size: the
+    Each admissible orbit contributes orbit_size^2 * quotient: the
     simple modules over that orbit are indexed by the irreducibles of
     the quotient Stab(B)/K_B, and induction scales dimensions by the
     orbit size.  The two numbers must agree; a mismatch is an internal
     error, not a report entry.
     """
-    recs = classify_orbits(G, cfg)
-    ss = sum(
-        r.orbit.orbit_size**2 * r.quotient_size for r in recs if r.quotient_size
-    )
-    dim = dim_from_rows(G.order, [r.as_row() for r in recs])
+    recs = classify_orbits(G)
+    ss = sum(r.orbit.orbit_size**2 * r.quotient(mu6) for r in recs)
+    dim = dim_from_rows(G.order, [r.as_row(mu6) for r in recs])
     if ss != dim:
         raise InternalInconsistency(
             f"census mismatch for {G.name}: sum of squares {ss} != dimension {dim}"

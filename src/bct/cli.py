@@ -54,6 +54,9 @@ CSV_COLUMNS = [
     "conditional",
     "quotient_size",
 ]
+# the keys of AdmissibilityRecord.as_row, in order, and its bool columns
+ROW_KEYS = ["representative", *CSV_COLUMNS]
+FLAG_COLUMNS = frozenset({"admissible_generic", "admissible_mu6", "conditional"})
 
 # dimension table for the shipped exceptional groups; other table rows
 # need generator data that is not packaged
@@ -187,14 +190,24 @@ def fresh_bundle() -> dict:
     }
 
 
-def _is_rows(rows) -> bool:
-    """rows is a non-empty list of dicts holding every CSV column as an
-    int or a bool."""
-    return isinstance(rows, list) and len(rows) > 0 and all(
+def _is_row(row) -> bool:
+    """row holds exactly ROW_KEYS, in order: the representative as a list
+    of cardinality ints, the FLAG_COLUMNS as bools and the other columns
+    as ints (a bool is none here)."""
+    return (
         isinstance(row, dict)
-        and all(isinstance(row.get(col), int) for col in CSV_COLUMNS)
-        for row in rows
+        and list(row) == ROW_KEYS
+        and all(
+            type(row[c]) is (bool if c in FLAG_COLUMNS else int) for c in CSV_COLUMNS
+        )
+        and _is_list_of(row["representative"], lambda h: type(h) is int)
+        and len(row["representative"]) == row["cardinality"]
     )
+
+
+def _is_rows(rows) -> bool:
+    """rows is a non-empty list of _is_row dicts."""
+    return isinstance(rows, list) and len(rows) > 0 and all(map(_is_row, rows))
 
 
 def cache_load(cache_dir: str, digest: str) -> dict:
@@ -244,7 +257,7 @@ def cache_store(cache_dir: str, digest: str, bundle: dict):
             os.unlink(tmp)
 
 
-def cfg_key(mu6: bool) -> str:
+def field_key(mu6: bool) -> str:
     return "mu_sixth_root" if mu6 else "generic"
 
 
@@ -304,16 +317,15 @@ class GroupStore:
 
     def rows(self, mu6: bool):
         stored = self.bundle["classify"]
-        if cfg_key(mu6) not in stored:
-            from .admissibility import GENERIC, classify_orbits, mu_sixth
+        if field_key(mu6) not in stored:
+            from .admissibility import classify_orbits
 
-            # a miss stores both fields: the second reuses the group and
-            # collection orbits the first built, so it costs next to nothing
-            for flag, cfg in ((False, GENERIC), (True, mu_sixth())):
-                recs = classify_orbits(self.G, cfg)
-                stored[cfg_key(flag)] = [rec.as_row() for rec in recs]
+            # a miss stores both fields from one classification
+            recs = classify_orbits(self.G)
+            for flag in (False, True):
+                stored[field_key(flag)] = [rec.as_row(flag) for rec in recs]
             self._save()
-        return stored[cfg_key(mu6)]
+        return stored[field_key(mu6)]
 
     def dimension(self, mu6: bool) -> int:
         # rows first: a miss builds the group and records its order
@@ -388,7 +400,7 @@ def cmd_classify(args) -> int:
         {
             "group": store.name,
             "provenance": store.provenance,
-            "field": cfg_key(args.mu6),
+            "field": field_key(args.mu6),
             "rows": rows,
         }
     )
@@ -403,7 +415,7 @@ def _suite_relations(G) -> dict:
     ok = True
     for rec in classify_orbits(G):
         B = rec.orbit.representative
-        if rec.quotient_size == 0:
+        if rec.quotient() == 0:
             continue
         module = induce(G, B, quotient_regular_rep(G, B))
         report = verify_defining_relations(module)

@@ -25,14 +25,11 @@ wrong test here.
 from itertools import combinations
 
 from .admissibility import (
-    GENERIC,
     _rb_positions,
     check_A2,
     classify_orbits,
     d_and_p,
-    dim_brauer,
     dim_from_rows,
-    mu_sixth,
     rel_bar,
     rel_set,
     signed_vector,
@@ -365,14 +362,15 @@ def freeness_verdict(G: Group) -> FreenessReport:
     """Decide freeness for one group and say which certificate did it.
 
     Monomial groups are free with the collection basis.  For the others
-    the dimension over the generic configuration is compared with the
-    dimension at a primitive sixth root: a jump rules freeness out.  With
+    the dimension for generic parameters is compared with the dimension
+    at a primitive sixth root, both from one classification: a jump rules
+    freeness out.  With
     equal dimensions, a group of the dedicated 21-hyperplane shape is
     free on the singleton basis; otherwise the orbit-by-orbit dichotomy
     must hold everywhere, and a group failing both paths stays
     unverified.
     """
-    recs = classify_orbits(G, GENERIC)
+    recs = classify_orbits(G)
     rows = _orbit_checks(G, recs)
     if G.kind == "imprimitive":
         return FreenessReport(
@@ -380,8 +378,10 @@ def freeness_verdict(G: Group) -> FreenessReport:
             orbit_checks=rows,
         )
 
-    dim_generic = dim_from_rows(G.order, [rec.as_row() for rec in recs])
-    dim_sixth = dim_brauer(G, mu_sixth())
+    dim_generic, dim_sixth = (
+        dim_from_rows(G.order, [rec.as_row(mu6) for rec in recs])
+        for mu6 in (False, True)
+    )
     if dim_generic != dim_sixth:
         if dim_generic > dim_sixth:
             raise InternalInconsistency(

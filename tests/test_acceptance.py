@@ -12,7 +12,6 @@ from math import factorial
 import pytest
 
 from bct.admissibility import (
-    GENERIC,
     classify_orbits,
     d_and_p,
     d0_ideal_dim,
@@ -20,7 +19,6 @@ from bct.admissibility import (
     dim_g22n_formula,
     dim_gmpn_formula,
     k_subgroup,
-    mu_sixth,
 )
 from bct.brauer_modules import (
     induce,
@@ -72,9 +70,9 @@ def g23():
     return packaged_group("g23")
 
 
-def timed_dim(G, cfg=GENERIC):
+def timed_dim(G, mu6=False):
     t0 = time.perf_counter()
-    dim = dim_brauer(G, cfg)
+    dim = dim_brauer(G, mu6)
     return dim, time.perf_counter() - t0
 
 
@@ -83,39 +81,38 @@ def timed_dim(G, cfg=GENERIC):
 
 def test_criterion_1_dimension_table(g25, g26):
     checks = [
-        (g25, GENERIC, 3272),
-        (g25, mu_sixth(), 3416),
-        (g26, GENERIC, 12312),
-        (g26, mu_sixth(), 12312),
+        (g25, False, 3272),
+        (g25, True, 3416),
+        (g26, False, 12312),
+        (g26, True, 12312),
     ]
     worst = 0.0
-    for G, cfg, expect in checks:
-        dim, elapsed = timed_dim(G, cfg)
-        assert dim == expect, (G.name, cfg.mode, dim)
+    for G, mu6, expect in checks:
+        dim, elapsed = timed_dim(G, mu6)
+        assert dim == expect, (G.name, mu6, dim)
         assert elapsed < TEN_MINUTES, (G.name, elapsed)
         worst = max(worst, elapsed)
     announce(1, f"dims 3272/3416 and 12312/12312, slowest {worst:.1f}s")
 
 
 def test_criterion_2_orbit_tables(g25, g26):
-    def shape(recs):
+    def shape(recs, mu6=False):
         return [
-            (r.orbit.cardinality, r.orbit.orbit_size, r.quotient_size)
+            (r.orbit.cardinality, r.orbit.orbit_size, r.quotient(mu6))
             for r in recs
         ]
 
     recs = classify_orbits(g25)
     assert shape(recs) == [(0, 1, 648), (1, 12, 18), (2, 12, 0), (3, 4, 2)]
     assert [r.conditional for r in recs] == [False, False, True, False]
-    recs6 = classify_orbits(g25, mu_sixth())
-    assert shape(recs6) == [(0, 1, 648), (1, 12, 18), (2, 12, 1), (3, 4, 2)]
+    assert shape(recs, True) == [(0, 1, 648), (1, 12, 18), (2, 12, 1), (3, 4, 2)]
 
     recs = classify_orbits(g26)
     assert shape(recs) == [(0, 1, 1296), (1, 12, 36), (1, 9, 72), (2, 36, 0)]
     pair = recs[3]
     assert pair.a1, "the size-2 orbit dies at the e_B level"
     assert not pair.admissible_generic and not pair.admissible_mu6
-    assert shape(classify_orbits(g26, mu_sixth()))[3] == (2, 36, 0)
+    assert shape(recs, True)[3] == (2, 36, 0)
     announce(2, "orbit tables (card, orbit, quotient) match exactly")
 
 
@@ -178,7 +175,7 @@ def test_criterion_5_defining_relations(sweep_groups, g26):
     for key in keys:
         G = sweep_groups[key]
         for rec in classify_orbits(G):
-            if rec.quotient_size == 0:
+            if rec.quotient() == 0:
                 continue
             B = rec.orbit.representative
             M = induce(G, B, quotient_regular_rep(G, B))
@@ -212,9 +209,9 @@ def test_criterion_6_semisimplicity_census(sweep_groups, g25, g26):
         ss, dim = semisimplicity_census(sweep_groups[key])
         assert ss == dim, key
         groups += 1
-    for cfg in (GENERIC, mu_sixth()):
-        ss, dim = semisimplicity_census(g25, cfg)
-        assert ss == dim == (3272 if cfg is GENERIC else 3416)
+    for mu6 in (False, True):
+        ss, dim = semisimplicity_census(g25, mu6)
+        assert ss == dim == (3416 if mu6 else 3272)
         groups += 1
     ss, dim = semisimplicity_census(g26)
     assert ss == dim == 12312

@@ -7,11 +7,8 @@ from math import factorial
 import pytest
 
 from bct.admissibility import (
-    GENERIC,
-    FieldConfig,
     _Workspace,
     _workspace,
-    check_A1,
     check_A2,
     classify,
     classify_orbits,
@@ -23,13 +20,13 @@ from bct.admissibility import (
     dim_gmpn_formula,
     k_subgroup,
     kb_membership_gmpn,
-    mu_sixth,
     rel_bar,
     rel_set,
     signed_vector,
 )
+from bct.cli import ROW_KEYS
 from bct.errors import InternalInconsistency, InvalidParameters
-from bct.exact_arith import CycNumber, SpanBasis, zeta
+from bct.exact_arith import SpanBasis, zeta
 from bct.reflection_groups import (
     Monomial,
     element_order,
@@ -73,12 +70,12 @@ def test_empty_collection(gmpn):
     assert rel_bar(G, ()) == []
     d, p, d0 = d_and_p(G, ())
     assert d == [] and p == [] and d0["products"] == []
-    assert not check_A1(G, ())
     assert check_A2(G, ()) == (True, True)
     rec = classify(G, ())
+    assert not rec.a1
     assert rec.kb_order == 1
     assert rec.admissible_generic and rec.admissible_mu6
-    assert rec.quotient_size == G.order
+    assert rec.quotient() == rec.quotient(True) == G.order
 
 
 # -- K_B ---------------------------------------------------------------------
@@ -131,10 +128,10 @@ def test_unit_vector_collection_not_admissible(gmpn):
     G = gmpn(3, 1, 3)
     lab = by_label(G)
     B = tuple(sorted((lab["H_1"], lab["H_2,3^0"])))
-    assert check_A1(G, B)
     rec = classify(G, B)
+    assert rec.a1
     assert not rec.admissible_generic and not rec.admissible_mu6
-    assert rec.quotient_size == 0
+    assert rec.quotient() == rec.quotient(True) == 0
 
 
 def test_mixed_doubling_not_admissible(gmpn):
@@ -221,7 +218,7 @@ def test_classification_table_g25(g25):
             r.kb_order,
             r.admissible_generic,
             r.conditional,
-            r.quotient_size,
+            r.quotient(),
         )
         for r in recs
     ]
@@ -235,13 +232,10 @@ def test_classification_table_g25(g25):
     assert pair.admissible_mu6 and not pair.a1
     assert pair.a2_span and pair.a2_subgroup
 
-    mu6 = classify_orbits(g25, mu_sixth())
-    assert mu6[2].quotient_size == 1
-    assert mu6[2].chi_nontrivial
-    assert not mu6[1].chi_nontrivial
-    # mu = 1 keeps the pair orbit but the character is trivial
-    mu0 = classify_orbits(g25, mu_sixth(0))
-    assert mu0[2].quotient_size == 1 and not mu0[2].chi_nontrivial
+    # at a sixth root the pair orbit survives; its twisting character is
+    # non-trivial exactly because it is conditional
+    assert [r.quotient(True) for r in recs] == [648, 18, 1, 2]
+    assert pair.conditional and not recs[1].conditional
 
 
 def test_classification_table_g26(g26):
@@ -252,7 +246,7 @@ def test_classification_table_g26(g26):
             r.orbit.orbit_size,
             r.orbit.stab_order,
             r.kb_order,
-            r.quotient_size,
+            r.quotient(),
         )
         for r in recs
     ]
@@ -276,8 +270,12 @@ def test_monomial_orbits_classify_cleanly(gmpn):
 
 
 def test_record_row_projection(gmpn):
-    row = classify(gmpn(1, 1, 3), ()).as_row()
-    assert list(row) == [
+    rec = classify(gmpn(1, 1, 3), ())
+    # the field is an argument of quotient(), never a stored slot
+    with pytest.raises(AttributeError):
+        rec.quotient_size
+    # the cache accepts exactly these keys, in this order
+    assert list(rec.as_row()) == list(rec.as_row(True)) == ROW_KEYS == [
         "representative",
         "cardinality",
         "orbit_size",
@@ -324,30 +322,17 @@ def test_d0_ideal_dim_rejects_bad_arguments(g25, g26):
         d0_ideal_dim(g26, pair.orbit.representative, zeta(6, 1))
 
 
-def test_field_config_rejects_bad_arguments():
-    with pytest.raises(InvalidParameters):
-        FieldConfig("sixth_root", 1)
-    with pytest.raises(InvalidParameters):
-        FieldConfig("mu_sixth_root")
-    with pytest.raises(InvalidParameters):
-        FieldConfig("generic", 1)
-    with pytest.raises(InvalidParameters):
-        GENERIC.mu
-    assert mu_sixth(7).mu == zeta(6, 1)
-    assert mu_sixth(7).mu ** 6 == CycNumber.rational(1)
-
-
 # -- dimensions --------------------------------------------------------------
 
 
 def test_dimension_g25(g25):
     assert dim_brauer(g25) == 3272
-    assert dim_brauer(g25, mu_sixth()) == 3416
+    assert dim_brauer(g25, mu6=True) == 3416
 
 
 def test_dimension_g26(g26):
     assert dim_brauer(g26) == 12312
-    assert dim_brauer(g26, mu_sixth()) == 12312
+    assert dim_brauer(g26, mu6=True) == 12312
 
 
 def test_dimension_formulas_match_enumeration(gmpn):
@@ -356,7 +341,7 @@ def test_dimension_formulas_match_enumeration(gmpn):
         assert dim_gmpn_formula(m, p, n) == want
         G = gmpn(m, p, n)
         assert dim_brauer(G) == want
-        assert dim_brauer(G, mu_sixth()) == want
+        assert dim_brauer(G, mu6=True) == want
     assert dim_gmpn_formula(1, 1, 2) == 3
     assert dim_gmpn_formula(1, 1, 5) == 945
 

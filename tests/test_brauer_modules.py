@@ -3,8 +3,9 @@
 import pytest
 
 from bct import reflection_groups, transversality
-from bct.admissibility import classify_orbits, mu_sixth
+from bct.admissibility import classify_orbits, k_subgroup
 from bct.brauer_modules import (
+    StabRep,
     b5_rhs,
     delta_scalar,
     induce,
@@ -13,7 +14,6 @@ from bct.brauer_modules import (
     op_compose,
     op_permute,
     op_shift,
-    perm_inverse,
     quotient_regular_rep,
     semisimplicity_census,
     trivial_rep,
@@ -83,12 +83,12 @@ def test_relations_on_all_admissible_orbits(gmpn, params):
     G = gmpn(*params)
     for rec in classify_orbits(G):
         B = rec.orbit.representative
-        if rec.quotient_size == 0:
+        if rec.quotient() == 0:
             with pytest.raises(NotAdmissible):
                 quotient_regular_rep(G, B)
             continue
         v0 = quotient_regular_rep(G, B)
-        assert v0.degree == rec.quotient_size
+        assert v0.degree == rec.quotient()
         M = induce(G, B, v0)
         assert M.dim == (G.order // rec.orbit.stab_order) * v0.degree
         report = verify_defining_relations(M)
@@ -130,7 +130,7 @@ def test_swapped_eps_fails_conjugation_not_first_relation(gmpn):
 
 def _modules(G):
     for rec in classify_orbits(G):
-        if rec.quotient_size:
+        if rec.quotient():
             B = rec.orbit.representative
             yield induce(G, B, quotient_regular_rep(G, B))
 
@@ -139,7 +139,9 @@ def _modules(G):
 def test_reindexing_matches_sparse_products(gmpn, spec):
     """B2, B3 and the right-hand side of B5 are checked by re-indexing
     eps through basis permutations; each must equal the sparse product
-    with the permutation matrices of op_of, kept here as the reference."""
+    with the permutation matrices of op_of, kept here as the reference.
+    B2 moves entry (i, j) of eps to (p[i], p[j]) for p = perm_of(w): one
+    permutation for both sides of w*eps*w^-1."""
     G = packaged_group(spec) if isinstance(spec, str) else gmpn(*spec)
     table = transv_table(G)
     nh = len(hyperplanes(G))
@@ -150,13 +152,12 @@ def test_reindexing_matches_sparse_products(gmpn, spec):
             e = M.eps[hid]
             assert op_shift(e, 0) == {k: v * delta for k, v in e.items()}
         for w in G.elements:
-            w_inv = G.inv(w)
-            rows, cols = M.perm_of(w), perm_inverse(M.perm_of(w_inv))
-            wop, winv = M.op_of(w), M.op_of(w_inv)
+            p = M.perm_of(w)
+            wop, winv = M.op_of(w), M.op_of(G.inv(w))
             for hid in range(nh):
                 e = M.eps[hid]
                 want = op_compose(op_compose(wop, e), winv)
-                assert op_permute(e, rows, cols) == want
+                assert {(p[i], p[j]): v for (i, j), v in e.items()} == want
         for ridx, s in enumerate(G.reflections):
             e = M.eps[G.reflection_hyperplane(ridx)]
             assert op_permute(e, M.perm_of(s)) == op_compose(M.op_of(s), e)
@@ -215,13 +216,13 @@ def test_pair_orbit_of_1296_group_refused(g26):
 def test_conditional_collection_gates(g25):
     cond = [r for r in classify_orbits(g25) if r.conditional][0]
     B = cond.orbit.representative
-    with pytest.raises(NotAdmissible):
+    # refused for both fields: not admissible for generic parameters, and
+    # at a sixth root the twisting character is non-trivial
+    with pytest.raises(NotAdmissible, match="twisting character is non-trivial"):
         quotient_regular_rep(g25, B)
-    with pytest.raises(NotAdmissible):
-        quotient_regular_rep(g25, B, mu_sixth(1))
     # with the trivial character the representation exists, but the
     # formal scalar ring never specializes, so induction still refuses
-    v0 = quotient_regular_rep(g25, B, mu_sixth(0))
+    v0 = StabRep(g25, g25.stabilizer_of(B), k_subgroup(g25, B))
     assert v0.degree == 1
     with pytest.raises(NotAdmissiblePair):
         induce(g25, B, v0)
@@ -245,5 +246,5 @@ def test_census_small_groups(gmpn):
 
 def test_census_packaged_groups(g25, g26):
     assert semisimplicity_census(g25) == (3272, 3272)
-    assert semisimplicity_census(g25, mu_sixth()) == (3416, 3416)
+    assert semisimplicity_census(g25, mu6=True) == (3416, 3416)
     assert semisimplicity_census(g26) == (12312, 12312)

@@ -13,7 +13,7 @@ import bct
 import bct.admissibility
 import bct.cli as cli
 import bct.reflection_groups
-from bct.admissibility import GENERIC, classify_orbits, mu_sixth
+from bct.admissibility import classify_orbits
 from bct.cli import main
 from bct.definitions import DEFAULT_CAP, group_definition, packaged_definition
 from bct.errors import TooLarge
@@ -213,6 +213,48 @@ def test_malformed_bundle_is_a_miss(capsys, cache):
     assert run_json(capsys, g4)["dimension"] == 56
 
 
+def test_tampered_rows_are_a_miss(capsys, cache):
+    """Each row must hold exactly the keys of as_row, in order, with the
+    representative a list of cardinality ints, the flags bools and the
+    other columns ints; any other row is a miss, never printed."""
+    argv = ["--cache-dir", cache, "classify", "gmpn:2,2,3"]
+    code, first, _ = run(capsys, argv)
+    assert code == 0
+    (entry,) = os.listdir(cache)
+    path = os.path.join(cache, entry)
+    with open(path) as fh:
+        stored = json.load(fh)
+    rows = stored["classify"]["generic"]
+    k = next(i for i, r in enumerate(rows) if r["cardinality"])
+
+    def junk_key(r):
+        r = {c: v for c, v in r.items() if c != "representative"}
+        return dict(r, junk=1)
+
+    def reordered(r):
+        return dict(reversed(list(r.items())))
+
+    every_row = [junk_key, reordered, lambda r: dict(r, junk=1)]
+    one_row = [
+        {"conditional": 5},
+        {"admissible_generic": 1},
+        {"kb_order": True},
+        {"quotient_size": 2.0},
+        {"representative": rows[k]["representative"] + [0]},
+        {"representative": [str(h) for h in rows[k]["representative"]]},
+        {"representative": None},
+    ]
+    tampers = [[tamper(r) for r in rows] for tamper in every_row] + [
+        rows[:k] + [dict(rows[k], **change)] + rows[k + 1:] for change in one_row
+    ]
+    for bad in tampers:
+        with open(path, "w") as fh:
+            json.dump(dict(stored, classify=dict(stored["classify"], generic=bad)), fh)
+        assert run(capsys, argv) == (0, first, "")
+        with open(path) as fh:
+            assert json.load(fh) == stored
+
+
 def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
     envdir = tmp_path / "envcache"
     monkeypatch.setenv("BCT_CACHE_DIR", str(envdir))
@@ -354,9 +396,9 @@ def test_one_miss_stores_both_fields(capsys, tmp_path, monkeypatch, spec, first)
     run(capsys, ["--cache-dir", shared, "dims", spec] + first)
     bundle = _stored_bundle(shared)
     G = cli.build_spec(spec, DEFAULT_CAP)
+    recs = classify_orbits(G)
     assert bundle["classify"] == {
-        cli.cfg_key(mu6): [r.as_row() for r in classify_orbits(G, cfg)]
-        for mu6, cfg in ((False, GENERIC), (True, mu_sixth()))
+        cli.field_key(mu6): [r.as_row(mu6) for r in recs] for mu6 in (False, True)
     }
     _forbid_builds(monkeypatch)
     for i, argv in enumerate(argvs):

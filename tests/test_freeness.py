@@ -94,7 +94,7 @@ def test_mixed_triple_witness(gmpn):
     labs = {h.id: h.label for h in hyperplanes(G)}
     assert sorted(labs[h] for h in B) == ["H_1,2^0", "H_1,2^1", "H_3,4^0"]
     recs = {r.orbit.representative: r for r in classify_orbits(G)}
-    assert recs[B].quotient_size == 0
+    assert recs[B].quotient() == 0
 
     refls = G.reflections
     hits = []
@@ -184,7 +184,7 @@ def test_tau_operators_annihilate_block0(gmpn):
     checked = 0
     for rec in classify_orbits(G):
         B = rec.orbit.representative
-        if rec.quotient_size == 0 or not B:
+        if rec.quotient() == 0 or not B:
             continue
         taus = rel_tau(G, B)
         if not taus:
@@ -230,7 +230,7 @@ def test_relation_coset_pieces_kill_block0(gmpn):
     seen_relations = 0
     for rec in classify_orbits(G):
         B = rec.orbit.representative
-        if rec.quotient_size == 0 or not B:
+        if rec.quotient() == 0 or not B:
             continue
         f1, f2a, f2b = check_F(G, B)
         assert f2a

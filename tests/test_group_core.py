@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bct.admissibility import GENERIC, classify_orbits, dim_from_rows, mu_sixth
+from bct.admissibility import classify_orbits, dim_from_rows
 from bct.errors import TooLarge
 from bct.exact_arith import CycNumber, SpanBasis, zeta
 from bct.freeness import freeness_verdict
@@ -168,13 +168,26 @@ SMALL = [
 ]
 
 
-def table_rows(G, cfg):
-    rows = [rec.as_row() for rec in classify_orbits(G, cfg)]
-    shape = Counter(
-        tuple(sorted((k, v) for k, v in row.items() if k != "representative"))
-        for row in rows
-    )
-    return shape, dim_from_rows(G.order, rows)
+def table_rows(G):
+    """(row shapes, dimension) of both fields, from one classification.
+    The fields differ only on conditional orbits, which a sixth root
+    admits and generic parameters do not."""
+    recs = classify_orbits(G)
+    for rec in recs:
+        q = rec.orbit.stab_order // rec.kb_order
+        if rec.conditional:
+            assert (rec.quotient(False), rec.quotient(True)) == (0, q)
+        else:
+            assert rec.quotient(True) == rec.quotient(False)
+    out = []
+    for mu6 in (False, True):
+        rows = [rec.as_row(mu6) for rec in recs]
+        shape = Counter(
+            tuple(sorted((k, v) for k, v in row.items() if k != "representative"))
+            for row in rows
+        )
+        out.append((shape, dim_from_rows(G.order, rows)))
+    return out
 
 
 def freeness_rows(report):
@@ -193,14 +206,19 @@ def test_monomial_and_matrix_builds_agree(params):
     )
     assert mat.order == mono.order
     assert len(hyperplanes(mat)) == len(hyperplanes(mono))
-    for cfg in (GENERIC, mu_sixth()):
-        assert table_rows(mat, cfg) == table_rows(mono, cfg)
+    assert table_rows(mat) == table_rows(mono)
     got, want = freeness_verdict(mat), freeness_verdict(mono)
     assert got.verdict == want.verdict == "free"
     # the monomial build is routed by its kind; the matrix build has to
     # earn the verdict orbit by orbit
     assert (want.route, got.route) == ("monomial-family", "collection-dichotomy")
     assert freeness_rows(got) == freeness_rows(want)
+
+
+@pytest.mark.parametrize("name", ["g4", "g23", "g25", "g26"])
+def test_packaged_fields_differ_only_on_conditional_orbits(name):
+    (_, generic), (_, sixth) = table_rows(packaged_group(name))
+    assert (generic == sixth) == (name != "g25")
 
 
 @pytest.mark.parametrize("build", ["gmpn:2,1,3", "gmpn:2,2,2", "g4", "rank 1"])

@@ -17,13 +17,13 @@ built:
     orbits        orbits of transverse collections, with stabilizers:
                   the action-table scan and the Schreier generators
                   sifted from the orbit walk
-    classify      admissibility of every orbit, generic parameters
-    classify_mu6  the same with the ratio specialized to a sixth root
+    classify      admissibility of every orbit, for both fields at once
 
 Counters: the group order, the size of the point set the elements
 permute, the hyperplane count, the number of orbits of hyperplane pairs
 (each decided by one span test), the number of transverse collections
-and of their orbits, and both dimensions.  Standard library only.
+and of their orbits, and both dimensions, read off the one classification.
+Standard library only.
 """
 
 import json
@@ -35,10 +35,8 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from bct.admissibility import (  # noqa: E402
-    GENERIC,
     classify_orbits,
     dim_from_rows,
-    mu_sixth,
     orbit_records,
 )
 from bct.cli import build_spec  # noqa: E402
@@ -61,8 +59,7 @@ def stages(spec: str) -> dict:
     table = timed("table", lambda: transv_table(G))
     timed("all_pairs", lambda: check_all_pairs(G))
     records = timed("orbits", lambda: orbit_records(G))
-    generic = timed("classify", lambda: classify_orbits(G, GENERIC))
-    sixth = timed("classify_mu6", lambda: classify_orbits(G, mu_sixth()))
+    recs = timed("classify", lambda: classify_orbits(G))
     times["total"] = round(sum(times.values()), 4)
     return {
         "spec": spec,
@@ -75,8 +72,8 @@ def stages(spec: str) -> dict:
             "pair_orbits": table.pair_orbits,
             "collections": sum(r.orbit_size for r in records),
             "orbits": len(records),
-            "dim_generic": dim_from_rows(G.order, [r.as_row() for r in generic]),
-            "dim_sixth_root": dim_from_rows(G.order, [r.as_row() for r in sixth]),
+            "dim_generic": dim_from_rows(G.order, [r.as_row() for r in recs]),
+            "dim_sixth_root": dim_from_rows(G.order, [r.as_row(True) for r in recs]),
         },
         "peak_rss_mb": round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
