@@ -26,7 +26,6 @@ from .errors import InternalInconsistency, InvalidParameters
 from .exact_arith import CycNumber, SpanBasis
 from .reflection_groups import (
     Group,
-    Monomial,
     Subgroup,
     hyperplanes,
     orbit,
@@ -52,7 +51,6 @@ __all__ = [
     "dim_g22n_formula",
     "dim_gmpn_formula",
     "k_subgroup",
-    "kb_membership_gmpn",
     "orbit_records",
     "rel_bar",
     "rel_set",
@@ -640,90 +638,3 @@ def dim_g22n_formula(n: int) -> int:
     if n < 3:
         raise InvalidParameters("the (2,2,n) closed form needs n >= 3")
     return factorial(n) * 2 ** (n - 1) + (2**n + 1) * _matchings_sum(n)
-
-
-# ---------------------------------------------------------------------------
-# monomial membership shortcut
-
-
-def _collection_shape(G: Group, B):
-    """("single", blocks) for pairwise index-disjoint pair hyperplanes,
-    ("doubled", blocks) for the (2,2,n) both-labels form, else None."""
-    keys = [hyperplanes(G)[h].key for h in B]
-    if not keys or any(k[0] != "pair" for k in keys):
-        return None
-    flat = [i for k in keys for i in (k[1], k[2])]
-    if len(set(flat)) == len(flat):
-        return "single", [(k[1], k[2], k[3]) for k in keys]
-    if (G.m, G.p) != (2, 2):
-        return None
-    labels = {}
-    for k in keys:
-        labels.setdefault((k[1], k[2]), set()).add(k[3])
-    pairs = sorted(labels)
-    flat = [i for ij in pairs for i in ij]
-    if len(set(flat)) == len(flat) and all(
-        labels[ij] == {0, 1} for ij in pairs
-    ):
-        return "doubled", pairs
-    return None
-
-
-def kb_membership_gmpn(G: Group, elem, B) -> bool:
-    """Matrix test for membership in K_B over a monomial group, for the
-    two closed-form collection shapes.
-
-    For pairwise index-disjoint pair hyperplanes: elem stabilizes B, is
-    the identity on the unused coordinates, and its diagonal part has
-    block values summing to zero mod m after untwisting the labels.  For
-    the doubled (2,2,n) shape: elem stabilizes B and its permutation
-    fixes every unused index.  The outcome is asserted against explicit
-    subgroup closure.
-    """
-    if G.kind != "imprimitive":
-        raise InvalidParameters("membership shortcut needs a monomial group")
-    shape = _collection_shape(G, B)
-    if shape is None:
-        raise InvalidParameters(f"collection {tuple(B)} has no closed-form shape")
-    kind, blocks = shape
-    if not 0 <= elem < G.order:
-        raise InvalidParameters(f"element {elem} out of range")
-
-    act = G.hyperplane_action(elem)
-    value = G.element(elem)
-    bset = frozenset(B)
-    in_stab = frozenset(act[h] for h in bset) == bset
-
-    n = G.n
-    used = set()
-    for blk in blocks:
-        used.add(blk[0])
-        used.add(blk[1])
-    unused = [l for l in range(n) if l not in used]
-
-    if kind == "doubled":
-        got = in_stab and all(value.perm[l] == l for l in unused)
-    else:
-        gamma = [0] * n
-        for i, j, kappa in blocks:
-            gamma[i] = kappa
-        twist = Monomial(G.m, tuple(range(n)), gamma)
-        base = twist.inv() * value * twist
-        ok = in_stab
-        ok = ok and all(base.perm[l] == l and base.exps[l] == 0 for l in unused)
-        if ok:
-            lam = []
-            for i, j, _ in blocks:
-                if base.exps[i] != base.exps[j]:
-                    ok = False
-                    break
-                lam.append(base.exps[i])
-            ok = ok and sum(lam) % G.m == 0
-        got = ok
-
-    expected = elem in k_subgroup(G, B)
-    if got != expected:
-        raise InternalInconsistency(
-            f"matrix membership disagrees with closure on {value!r} for B={tuple(B)}"
-        )
-    return got

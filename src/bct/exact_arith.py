@@ -34,6 +34,7 @@ __all__ = [
     "SpanBasis",
     "smith_normal_form",
     "z_span_member",
+    "z_span_test",
     "euler_phi",
     "cyclotomic_polynomial",
 ]
@@ -776,27 +777,35 @@ def smith_normal_form(A):
     )
 
 
-def z_span_member(v, L) -> bool:
-    """Is v an integer combination of the vectors in L?
+def z_span_test(L):
+    """The membership test of the integer span of the rows L: a function
+    v -> bool, true when v is an integer combination of the rows.
 
-    Via the Smith form of the matrix with rows L: with S*A*T = D of rank r,
-    membership means (v*T) vanishes beyond position r and d_i | (v*T)_i below.
+    L's Smith form S*A*T = D of rank r is computed once; v is a member
+    when (v*T) vanishes beyond position r and d_i | (v*T)_i below.
     """
     L = [[int(x) for x in row] for row in L]
-    v = [int(x) for x in v]
     if not L:
-        return not any(v)
+        return lambda v: not any(int(x) for x in v)
     n = len(L[0])
-    if len(v) != n or any(len(row) != n for row in L):
-        raise InvalidParameters("lattice rows and vector differ in length")
-    mrows = len(L)
+    if any(len(row) != n for row in L):
+        raise InvalidParameters("lattice rows differ in length")
     _, D, T = smith_normal_form(L)
-    w = [sum(v[i] * T[i][j] for i in range(n)) for j in range(n)]
-    for j in range(n):
-        d = D[j][j] if j < mrows else 0
-        if d == 0:
-            if w[j] != 0:
+    d = [D[j][j] if j < len(L) else 0 for j in range(n)]
+
+    def member(v):
+        v = [int(x) for x in v]
+        if len(v) != n:
+            raise InvalidParameters("lattice rows and vector differ in length")
+        for j in range(n):
+            w = sum(v[i] * T[i][j] for i in range(n))
+            if (w % d[j] if d[j] else w) != 0:
                 return False
-        elif w[j] % d != 0:
-            return False
-    return True
+        return True
+
+    return member
+
+
+def z_span_member(v, L) -> bool:
+    """Is v an integer combination of the vectors in L?  One z_span_test."""
+    return z_span_test(L)(v)

@@ -35,7 +35,7 @@ from .admissibility import (
     signed_vector,
 )
 from .errors import InternalInconsistency
-from .exact_arith import z_span_member
+from .exact_arith import z_span_test
 from .reflection_groups import Group, hyperplanes
 from .transversality import (
     _hyperplane_orbits,
@@ -188,8 +188,10 @@ def check_F(G: Group, B):
     a2_span, a2_sub = check_A2(G, B)
     if a2_span and a2_sub:
         d_vecs, _, _ = d_and_p(G, B)
-        gens = list(rel_bar(G, B)) + [t.vector for t in rel_tau(G, B)]
-        f2b = all(z_span_member(v, gens) for v in d_vecs)
+        member = z_span_test(
+            list(rel_bar(G, B)) + [t.vector for t in rel_tau(G, B)]
+        )
+        f2b = all(map(member, d_vecs))
     else:
         f2b = True
     return f1, f2a, f2b

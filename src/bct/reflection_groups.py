@@ -16,8 +16,10 @@ its generator entries are lifted once to integer field values
 leave the field as canonical CycNumbers only in G.element, the query of
 G.index_of and the hyperplane roots.
 
-Monomial and MatrixElem are the value types of single elements, used for
-generators, in tests, and by G.element(i); they are built on demand and
+Monomial and MatrixElem are the value types of single elements: the
+generators of a matrix group are MatrixElems, G.element(i) builds the value
+of element i anew and G.index_of(g) finds the index of a value.  They
+carry no arithmetic, since every product is formed on indices; values are
 never stored beside the index arrays.  Monomial elements store a
 permutation and an exponent vector (column l carries zeta_m^{exps[l]} in
 row perm[l]); matrix elements store exact cyclotomic entries.
@@ -59,33 +61,9 @@ class Monomial:
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
 
-    def __mul__(self, other):
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        if other.m != self.m:
-            raise InternalInconsistency("monomials over different m multiplied")
-        p, a = self.perm, self.exps
-        q, b = other.perm, other.exps
-        n = len(p)
-        return Monomial(
-            self.m,
-            tuple(p[q[c]] for c in range(n)),
-            tuple(a[q[c]] + b[c] for c in range(n)),
-        )
-
-    def inv(self):
-        n = len(self.perm)
-        ip = [0] * n
-        for l, t in enumerate(self.perm):
-            ip[t] = l
-        return Monomial(self.m, ip, tuple(-self.exps[ip[c]] for c in range(n)))
-
     @property
     def dim(self):
         return len(self.perm)
-
-    def is_identity(self):
-        return all(t == l for l, t in enumerate(self.perm)) and not any(self.exps)
 
     def __eq__(self, other):
         if not isinstance(other, Monomial):
@@ -100,21 +78,9 @@ class Monomial:
     def __repr__(self):
         return f"Monomial(m={self.m}, perm={self.perm}, exps={self.exps})"
 
-    def to_matrix(self) -> "MatrixElem":
-        n = len(self.perm)
-        z = CycNumber.rational(0)
-        rows = [[z] * n for _ in range(n)]
-        for l in range(n):
-            rows[self.perm[l]][l] = zeta(self.m, self.exps[l])
-        return MatrixElem(rows)
-
 
 class MatrixElem:
-    """Square matrix with exact cyclotomic entries.
-
-    Inverses use the Hermitian transpose; every element admitted into a group
-    is checked unitary at construction time, so this is safe.
-    """
+    """Square matrix with exact cyclotomic entries."""
 
     __slots__ = ("entries",)
 
@@ -137,43 +103,6 @@ class MatrixElem:
     def dim(self):
         return len(self.entries)
 
-    def __mul__(self, other):
-        if not isinstance(other, MatrixElem):
-            return NotImplemented
-        a, b = self.entries, other.entries
-        n = len(a)
-        out = []
-        for i in range(n):
-            row = []
-            ai = a[i]
-            for j in range(n):
-                acc = ai[0] * b[0][j]
-                for k in range(1, n):
-                    acc = acc + ai[k] * b[k][j]
-                row.append(acc)
-            out.append(row)
-        return MatrixElem(out)
-
-    def inv(self):
-        n = self.dim
-        return MatrixElem(
-            [[self.entries[j][i].conj() for j in range(n)] for i in range(n)]
-        )
-
-    def is_identity(self):
-        n = self.dim
-        return all(
-            self.entries[i][j] == (1 if i == j else 0)
-            for i in range(n)
-            for j in range(n)
-        )
-
-    def trace(self):
-        t = self.entries[0][0]
-        for i in range(1, self.dim):
-            t = t + self.entries[i][i]
-        return t
-
     def __eq__(self, other):
         if not isinstance(other, MatrixElem):
             return NotImplemented
@@ -184,22 +113,6 @@ class MatrixElem:
 
     def __repr__(self):
         return f"MatrixElem({self.dim}x{self.dim})"
-
-
-def identity_matrix(n: int) -> MatrixElem:
-    return MatrixElem(
-        [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    )
-
-
-def element_order(g) -> int:
-    k, h = 1, g
-    while not h.is_identity():
-        h = h * g
-        k += 1
-        if k > 10_000:
-            raise InternalInconsistency("element order exceeds 10000")
-    return k
 
 
 def hermitian_inner(u, v) -> CycNumber:
@@ -300,16 +213,15 @@ class Hyperplane:
     key None and are identified by id alone.
     """
 
-    __slots__ = ("id", "label", "key", "dist_reflection", "root", "order_m", "group")
+    __slots__ = ("id", "label", "key", "dist_reflection", "root", "order_m")
 
-    def __init__(self, hid, label, key, dist_reflection, root, order_m, group):
+    def __init__(self, hid, label, key, dist_reflection, root, order_m):
         self.id = hid
         self.label = label
         self.key = key
         self.dist_reflection = dist_reflection
         self.root = tuple(root)
         self.order_m = order_m
-        self.group = group
 
     def __repr__(self):
         return f"Hyperplane({self.label})"
@@ -498,56 +410,44 @@ class Group:
         self._hyp_refls = [tuple(r) for r in hyp_refls]
 
     def _build_hyperplanes_imprimitive(self):
+        """Each reflection is looked up by its frame: column l of a monomial
+        element carrying zeta^e in row t goes to the point e*n + t, and a
+        reflection moves one or two columns and fixes the rest."""
         m, p, n = self.m, self.p, self.n
         hyps = []
         refls = []
         refl_hyp = []
-        ident = tuple(range(n))
 
-        def add_refl(g, hid):
-            refls.append(self.index_of(g))
-            refl_hyp.append(hid)
+        def lookup(*moved):
+            frame = list(range(n))
+            for l, x in moved:
+                frame[l] = x
+            return self._index[self._frame(frame)]
 
         if p != m:
             for i in range(n):
                 root = [CycNumber.rational(1 if l == i else 0) for l in range(n)]
-                t_i = Monomial(m, ident, tuple(p if l == i else 0 for l in range(n)))
+                # the powers t_i^k of t_i = diag(zeta^p at i), k < m/p
+                powers = [lookup((i, p * k * n + i)) for k in range(1, m // p)]
                 hid = len(hyps)
                 hyps.append(
-                    Hyperplane(
-                        hid, f"H_{i+1}", ("diag", i), self.index_of(t_i), root,
-                        m // p, self,
-                    )
+                    Hyperplane(hid, f"H_{i+1}", ("diag", i), powers[0], root, m // p)
                 )
-                for k in range(1, m // p):
-                    add_refl(
-                        Monomial(
-                            m, ident, tuple(p * k if l == i else 0 for l in range(n))
-                        ),
-                        hid,
-                    )
+                refls.extend(powers)
+                refl_hyp.extend([hid] * len(powers))
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(m):
-                    perm = list(ident)
-                    perm[i], perm[j] = j, i
-                    exps = [0] * n
-                    exps[i], exps[j] = -k, k
-                    s = Monomial(m, perm, exps)
-                    root = [
-                        CycNumber.rational(0) for _ in range(n)
-                    ]
+                    # column i to zeta^-k e_j, column j to zeta^k e_i
+                    s = lookup((i, (-k % m) * n + j), (j, k * n + i))
+                    root = [CycNumber.rational(0) for _ in range(n)]
                     root[i] = CycNumber.rational(1)
                     root[j] = -zeta(m, -k)
                     hid = len(hyps)
                     label = f"H_{i+1},{j+1}^{k}" if m > 1 else f"H_{i+1},{j+1}"
-                    hyps.append(
-                        Hyperplane(
-                            hid, label, ("pair", i, j, k), self.index_of(s), root,
-                            2, self,
-                        )
-                    )
-                    add_refl(s, hid)
+                    hyps.append(Hyperplane(hid, label, ("pair", i, j, k), s, root, 2))
+                    refls.append(s)
+                    refl_hyp.append(hid)
         self._hyperplanes = hyps
         self._reflections = refls
         self._refl_hyp = refl_hyp
@@ -599,7 +499,7 @@ class Group:
                     f"distinguished reflection not unique for root {root}"
                 )
             hid = len(hyps)
-            hyps.append(Hyperplane(hid, f"H{hid}", None, dist[0], root, m_h, self))
+            hyps.append(Hyperplane(hid, f"H{hid}", None, dist[0], root, m_h))
             for g in members:
                 refls.append(g)
                 refl_hyp.append(hid)

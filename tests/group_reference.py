@@ -1,0 +1,174 @@
+"""Element arithmetic on values, kept as a test reference: products,
+inverses, identity tests and orders of Monomial and MatrixElem values, and
+the closed-form K_B membership test over monomial groups.  The package forms
+every product on element indices, so these are the independent side that
+G.mul, G.inv, the hyperplane build and k_subgroup are tested against.
+"""
+
+from bct.admissibility import k_subgroup
+from bct.errors import InternalInconsistency, InvalidParameters
+from bct.exact_arith import CycNumber, zeta
+from bct.reflection_groups import MatrixElem, Monomial, hyperplanes
+
+
+def mul(a, b):
+    """The product a*b of two Monomials or of two MatrixElems."""
+    if isinstance(a, Monomial) and isinstance(b, Monomial):
+        if a.m != b.m:
+            raise InternalInconsistency("monomials over different m multiplied")
+        p, x = a.perm, a.exps
+        q, y = b.perm, b.exps
+        n = len(p)
+        return Monomial(
+            a.m,
+            tuple(p[q[c]] for c in range(n)),
+            tuple(x[q[c]] + y[c] for c in range(n)),
+        )
+    if isinstance(a, MatrixElem) and isinstance(b, MatrixElem):
+        x, y = a.entries, b.entries
+        n = len(x)
+        out = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                acc = x[i][0] * y[0][j]
+                for k in range(1, n):
+                    acc = acc + x[i][k] * y[k][j]
+                row.append(acc)
+            out.append(row)
+        return MatrixElem(out)
+    raise TypeError(f"cannot multiply {a!r} by {b!r}")
+
+
+def inv(g):
+    """The inverse of a Monomial, or of a unitary MatrixElem by its
+    Hermitian transpose."""
+    if isinstance(g, Monomial):
+        n = len(g.perm)
+        ip = [0] * n
+        for l, t in enumerate(g.perm):
+            ip[t] = l
+        return Monomial(g.m, ip, tuple(-g.exps[ip[c]] for c in range(n)))
+    n = g.dim
+    return MatrixElem([[g.entries[j][i].conj() for j in range(n)] for i in range(n)])
+
+
+def is_identity(g) -> bool:
+    if isinstance(g, Monomial):
+        return all(t == l for l, t in enumerate(g.perm)) and not any(g.exps)
+    n = g.dim
+    return all(
+        g.entries[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
+    )
+
+
+def to_matrix(g: Monomial) -> MatrixElem:
+    n = len(g.perm)
+    z = CycNumber.rational(0)
+    rows = [[z] * n for _ in range(n)]
+    for l in range(n):
+        rows[g.perm[l]][l] = zeta(g.m, g.exps[l])
+    return MatrixElem(rows)
+
+
+def trace(g: MatrixElem) -> CycNumber:
+    t = g.entries[0][0]
+    for i in range(1, g.dim):
+        t = t + g.entries[i][i]
+    return t
+
+
+def identity_matrix(n: int) -> MatrixElem:
+    return MatrixElem([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def element_order(g) -> int:
+    k, h = 1, g
+    while not is_identity(h):
+        h = mul(h, g)
+        k += 1
+        if k > 10_000:
+            raise InternalInconsistency("element order exceeds 10000")
+    return k
+
+
+# ---------------------------------------------------------------------------
+# closed-form K_B membership over monomial groups
+
+
+def collection_shape(G, B):
+    """("single", blocks) for pairwise index-disjoint pair hyperplanes,
+    ("doubled", blocks) for the (2,2,n) both-labels form, else None."""
+    keys = [hyperplanes(G)[h].key for h in B]
+    if not keys or any(k[0] != "pair" for k in keys):
+        return None
+    flat = [i for k in keys for i in (k[1], k[2])]
+    if len(set(flat)) == len(flat):
+        return "single", [(k[1], k[2], k[3]) for k in keys]
+    if (G.m, G.p) != (2, 2):
+        return None
+    labels = {}
+    for k in keys:
+        labels.setdefault((k[1], k[2]), set()).add(k[3])
+    pairs = sorted(labels)
+    flat = [i for ij in pairs for i in ij]
+    if len(set(flat)) == len(flat) and all(labels[ij] == {0, 1} for ij in pairs):
+        return "doubled", pairs
+    return None
+
+
+def kb_membership_gmpn(G, elem, B) -> bool:
+    """Matrix test for membership in K_B over a monomial group, for the
+    two closed-form collection shapes.
+
+    For pairwise index-disjoint pair hyperplanes: elem stabilizes B, is
+    the identity on the unused coordinates, and its diagonal part has
+    block values summing to zero mod m after untwisting the labels.  For
+    the doubled (2,2,n) shape: elem stabilizes B and its permutation
+    fixes every unused index.  The outcome is asserted against explicit
+    subgroup closure.
+    """
+    if G.kind != "imprimitive":
+        raise InvalidParameters("membership shortcut needs a monomial group")
+    shape = collection_shape(G, B)
+    if shape is None:
+        raise InvalidParameters(f"collection {tuple(B)} has no closed-form shape")
+    kind, blocks = shape
+    if not 0 <= elem < G.order:
+        raise InvalidParameters(f"element {elem} out of range")
+
+    act = G.hyperplane_action(elem)
+    value = G.element(elem)
+    bset = frozenset(B)
+    in_stab = frozenset(act[h] for h in bset) == bset
+
+    n = G.n
+    used = {i for blk in blocks for i in blk[:2]}
+    unused = [l for l in range(n) if l not in used]
+
+    if kind == "doubled":
+        got = in_stab and all(value.perm[l] == l for l in unused)
+    else:
+        gamma = [0] * n
+        for i, j, kappa in blocks:
+            gamma[i] = kappa
+        twist = Monomial(G.m, tuple(range(n)), gamma)
+        base = mul(mul(inv(twist), value), twist)
+        ok = in_stab
+        ok = ok and all(base.perm[l] == l and base.exps[l] == 0 for l in unused)
+        if ok:
+            lam = []
+            for i, j, _ in blocks:
+                if base.exps[i] != base.exps[j]:
+                    ok = False
+                    break
+                lam.append(base.exps[i])
+            ok = ok and sum(lam) % G.m == 0
+        got = ok
+
+    expected = elem in k_subgroup(G, B)
+    if got != expected:
+        raise InternalInconsistency(
+            f"matrix membership disagrees with closure on {value!r} for B={tuple(B)}"
+        )
+    return got

@@ -19,7 +19,6 @@ from bct.admissibility import (
     dim_g22n_formula,
     dim_gmpn_formula,
     k_subgroup,
-    kb_membership_gmpn,
     rel_bar,
     rel_set,
     signed_vector,
@@ -27,13 +26,9 @@ from bct.admissibility import (
 from bct.cli import ROW_KEYS
 from bct.errors import InternalInconsistency, InvalidParameters
 from bct.exact_arith import SpanBasis, zeta
-from bct.reflection_groups import (
-    Monomial,
-    element_order,
-    hyperplanes,
-    packaged_group,
-)
+from bct.reflection_groups import Monomial, hyperplanes, packaged_group
 from bct.transversality import collection_orbits, enumerate_collections
+from group_reference import element_order, kb_membership_gmpn
 
 
 def by_label(G):
@@ -383,7 +378,7 @@ def test_formula_rejects_bad_parameters():
         dim_g22n_formula(2)
 
 
-# -- monomial membership shortcut --------------------------------------------
+# -- closed-form membership (the reference in group_reference.py) ----------
 
 
 def test_kb_membership_pair_shape(gmpn):

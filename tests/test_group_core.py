@@ -1,10 +1,11 @@
 """The integer-indexed group core against independent references.
 
-Two oracles: a breadth-first closure over MatrixElem products with
-today's rank-1 hyperplane scan, kept here as the reference for element
-order, hyperplane order, roots and distinguished reflections; and a
-differential check that builds each small monomial group twice, from
-parameters and as a matrix group from its generators' matrices.
+Two oracles: a breadth-first closure over MatrixElem products (the value
+arithmetic of tests/group_reference.py) with a rank-1 hyperplane scan,
+kept here as the reference for element order, hyperplane order, roots and
+distinguished reflections; and a differential check that builds each small
+monomial group twice, from parameters and as a matrix group from its
+generators' matrices.
 """
 
 import hashlib
@@ -25,10 +26,10 @@ from bct.reflection_groups import (
     build_imprimitive,
     build_matrix_group,
     hyperplanes,
-    identity_matrix,
     packaged_definition,
     packaged_group,
 )
+from group_reference import identity_matrix, inv, is_identity, mul, to_matrix, trace
 
 # ---------------------------------------------------------------------------
 # reference: closure over matrix products
@@ -41,7 +42,7 @@ def reference_closure(gens):
     while queue:
         g = queue.pop(0)
         for s in gens:
-            h = g * s
+            h = mul(g, s)
             if h not in seen:
                 seen.add(h)
                 elements.append(h)
@@ -57,7 +58,7 @@ def reference_hyperplanes(elements):
     n = elements[0].dim
     by_root, order = {}, []
     for pos, g in enumerate(elements):
-        if g.is_identity():
+        if is_identity(g):
             continue
         rows = [
             [g.entries[i][j] - (one if i == j else 0) for j in range(n)]
@@ -81,7 +82,7 @@ def reference_hyperplanes(elements):
     for root in order:
         members = by_root[root]
         want = zeta(len(members) + 1) + (n - 1)
-        (dist,) = [p for p in members if elements[p].trace() == want]
+        (dist,) = [p for p in members if trace(elements[p]) == want]
         out.append((root, dist, members))
     return out
 
@@ -106,8 +107,8 @@ def test_packaged_groups_pinned_to_matrix_closure():
         # products and inverses agree with the matrices
         for a in range(0, G.order, 7):
             for b in range(0, G.order, 11):
-                assert G.element(G.mul(a, b)) == ref[a] * ref[b]
-            assert G.element(G.inv(a)) == ref[a].inv()
+                assert G.element(G.mul(a, b)) == mul(ref[a], ref[b])
+            assert G.element(G.inv(a)) == inv(ref[a])
 
 
 # sha256 of the point list and of the hyperplane data, as built by the
@@ -202,7 +203,7 @@ def freeness_rows(report):
 def test_monomial_and_matrix_builds_agree(params):
     mono = build_imprimitive(*params)
     mat = build_matrix_group(
-        [mono.element(s).to_matrix() for s in mono.generators], name="matrix"
+        [to_matrix(mono.element(s)) for s in mono.generators], name="matrix"
     )
     assert mat.order == mono.order
     assert len(hyperplanes(mat)) == len(hyperplanes(mono))

@@ -11,7 +11,6 @@ from bct.reflection_groups import (
     Monomial,
     build_imprimitive,
     build_matrix_group,
-    element_order,
     hermitian_inner,
     hyperplanes,
     orbit,
@@ -20,6 +19,7 @@ from bct.reflection_groups import (
     stabilizer,
     subgroup_closure,
 )
+from group_reference import element_order, inv, mul, to_matrix
 
 
 def test_symmetric_group():
@@ -180,9 +180,9 @@ def test_monomial_action_matches_conjugation():
         w = rng.choice(g.elements)
         h = rng.choice(hs)
         img = hs[g.hyperplane_action(w)[h.id]]
-        wm = g.element(w).to_matrix()
-        conj = wm * g.element(h.dist_reflection).to_matrix() * wm.inv()
-        assert conj == g.element(img.dist_reflection).to_matrix()
+        wm = to_matrix(g.element(w))
+        conj = mul(mul(wm, to_matrix(g.element(h.dist_reflection))), inv(wm))
+        assert conj == to_matrix(g.element(img.dist_reflection))
 
 
 def test_conjugate_of_distinguished_is_distinguished():
@@ -194,7 +194,7 @@ def test_conjugate_of_distinguished_is_distinguished():
             h = rng.choice(hs)
             img = hs[g.hyperplane_action(w)[h.id]]
             wv = g.element(w)
-            conj = wv * g.element(h.dist_reflection) * wv.inv()
+            conj = mul(mul(wv, g.element(h.dist_reflection)), inv(wv))
             assert conj == g.element(img.dist_reflection)
             assert g.conj(w, h.dist_reflection) == img.dist_reflection
             assert img.order_m == h.order_m
@@ -239,7 +239,7 @@ def test_subgroup_closure():
 def test_monomial_matrix_cross_check():
     g = build_imprimitive(3, 1, 2)
     mg = build_matrix_group(
-        [g.element(s).to_matrix() for s in g.generators], name="G312m"
+        [to_matrix(g.element(s)) for s in g.generators], name="G312m"
     )
     assert mg.order == g.order
     # match hyperplanes through normalized roots
@@ -255,7 +255,7 @@ def test_monomial_matrix_cross_check():
         match[h.id] = target[0]
     for w in g.elements:
         acted = g.hyperplane_action(w)
-        acted_m = mg.hyperplane_action(mg.index_of(g.element(w).to_matrix()))
+        acted_m = mg.hyperplane_action(mg.index_of(to_matrix(g.element(w))))
         for hid, img in enumerate(acted):
             assert acted_m[match[hid]] == match[img]
 

@@ -53,8 +53,9 @@ def main():
     # rank-2 group of order 24: two order-3 reflections with braid relation
     s = reflection_from_root([0, 1], z3)
     t = reflection_from_root([1 + zeta(4), 1], z3)
-    assert s * t * s == t * s * t
     g4 = build_matrix_group([s, t], name="G4", provenance="external")
+    a, b = g4.generators
+    assert g4.mul(g4.mul(a, b), a) == g4.mul(g4.mul(b, a), b)
     write(DATA / "external" / "g04.json", g4, 24, 4)
 
     # icosahedral Coxeter group over Q(zeta5); tau is the golden ratio
