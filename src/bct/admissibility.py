@@ -327,13 +327,12 @@ def _workspace(G: Group, B) -> _Workspace:
 def _k_subgroup(ws: _Workspace, stab: Subgroup) -> Subgroup:
     G = ws.G
     refls = G.reflections
-    rows = G.action_table()
     gens = [refls[i] for i in ws.rb]
     # cross products s2^-1 s1 for reflections with a common image of B
     for img, fiber in ws.movers.items():
         outside = [h for h in ws.B if h not in img]
-        for s1, s2 in permutations([refls[i] for i in fiber], 2):
-            a1, a2 = rows[s1], rows[s2]
+        acts = [(refls[i], G.hyperplane_action(refls[i])) for i in fiber]
+        for (s1, a1), (s2, a2) in permutations(acts, 2):
             if all(a1[h] != a2[h] for h in outside):
                 gens.append(G.mul(G.inv(s2), s1))
     sub = subgroup_closure(G, list(dict.fromkeys(gens)))

@@ -20,12 +20,11 @@ hashed as shipped, and only a spec file is put into canonical form.  A
 dimension is the double count over the rows, re-run on every hit.  A
 cache hit, a recorded refusal included, builds nothing and imports no
 compute module: this module imports the group core, admissibility, the
-module and freeness layers and multiprocessing only where a command uses
-them.
+module and freeness layers, multiprocessing and hashlib (with OpenSSL)
+only where a command uses them.
 """
 
 import argparse
-import hashlib
 import io
 import json
 import os
@@ -176,6 +175,8 @@ def build_spec(spec: str, cap: int):
 def group_digest(definition: dict) -> str:
     """Content hash of a canonical group definition (see
     definitions.group_definition), which needs no built group."""
+    import hashlib
+
     blob = json.dumps(definition, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

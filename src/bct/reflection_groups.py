@@ -7,8 +7,16 @@ family P is the m*n vectors zeta^k e_i, for a matrix group it is found by
 applying the generators to points.  The first n points are e_1, ..., e_n,
 so the first n entries of a permutation (its frame) identify the element:
 column j of its matrix is the point e_j maps to.  A product is a tuple
-composition and a dictionary lookup, and the hyperplane action is one
-|G| x #H table filled along a breadth-first search over the generators.
+composition and a dictionary lookup.
+
+The hyperplane action is stored factored.  A monomial group is its
+diagonal subgroup N, of order D = m^n/p, times the permutation matrices,
+and element r*D + d is permutation r after diagonal d; its row of
+hyperplane images is the row of permutation r read at the row of diagonal
+d.  The D diagonal rows follow a closed rule on hyperplane keys, and the
+n! permutation rows are filled along a breadth-first search over the
+generators' permutation parts.  A matrix group is the same store with
+D = 1, one permutation row per element.
 
 A matrix group computes in Q(zeta_N), N its definition's cyclotomic order:
 its generator entries are lifted once to integer field values
@@ -28,7 +36,7 @@ row perm[l]); matrix elements store exact cyclotomic entries.
 from __future__ import annotations
 
 import json
-from itertools import islice, permutations, product
+from itertools import chain, islice, permutations, product
 from operator import itemgetter
 
 from .definitions import (
@@ -255,7 +263,9 @@ class Group:
     """A concrete complex reflection group with fully enumerated elements.
 
     Elements are the indices 0..order-1, the identity first; perms[i] is
-    the permutation of the point set carried by element i.
+    the permutation of the point set carried by element i.  Element
+    r*ndiag + d is permutation r after diagonal d (action_rows); a matrix
+    group has ndiag = 1.
     """
 
     def __init__(
@@ -271,6 +281,7 @@ class Group:
         m=None,
         p=None,
         n=None,
+        ndiag=1,
         cyclotomic_order=None,
         provenance="paper",
     ):
@@ -282,15 +293,19 @@ class Group:
         self.cyclotomic_order = cyclotomic_order
         self.provenance = provenance
         self.order = len(perms)
+        self._ndiag = ndiag
         self._perms = perms
         self._points = points
         self._point_ids = None
         # the field Q(zeta_N) that holds the points of a matrix group
         self._field = None if points is None else _context(cyclotomic_order)
         # the frame of a sequence: its first dim entries, as a tuple (an
-        # int when dim is 1, as itemgetter returns it)
+        # int when dim is 1, as itemgetter returns it); _frames[i] is the
+        # frame of element i as a tuple, and the same object keys _index
         self._frame = itemgetter(*range(dim))
-        self._index = {self._frame(perm): i for i, perm in enumerate(perms)}
+        self._frames = [tuple(perm[:dim]) for perm in perms]
+        keys = self._frames if dim > 1 else [f for f, in self._frames]
+        self._index = dict(zip(keys, range(self.order)))
         if len(self._index) != self.order:
             raise InternalInconsistency("two group elements share one frame")
         self.identity = 0
@@ -302,7 +317,8 @@ class Group:
         self._refl_hyp = None
         self._hyp_refls = None
         self._dist_index = None
-        self._actions = None
+        self._prow = None
+        self._drow = None
         self._classes = None
         self._class_of = None
         self._transv_table = None
@@ -326,12 +342,12 @@ class Group:
 
     def mul(self, a: int, b: int) -> int:
         """Index of the product a*b: (a*b)(e_j) = a(b(e_j))."""
-        return self._index[itemgetter(*self._perms[b][: self.dim])(self._perms[a])]
+        return self._index[itemgetter(*self._frames[b])(self._perms[a])]
 
     def right_coset(self, elements, b: int):
         """Indices of a*b for the a in elements, in order, as in mul."""
         p = self._perms
-        frames = map(itemgetter(*p[b][: self.dim]), map(p.__getitem__, elements))
+        frames = map(itemgetter(*self._frames[b]), map(p.__getitem__, elements))
         return map(self._index.__getitem__, frames)
 
     def left_mul(self, xs):
@@ -340,7 +356,7 @@ class Group:
         x's frame, so one getter of all those frames is built here, and a
         call reads g's permutation once and looks up one frame per x."""
         p, index, dim = self._perms, self._index, self.dim
-        cols = [j for x in xs for j in p[x][:dim]]
+        cols = [j for x in xs for j in self._frames[x]]
         n = len(cols)
         # two more columns keep the getter's result a tuple; islice drops them
         get = itemgetter(*cols, 0, 0)
@@ -358,7 +374,7 @@ class Group:
 
     def element(self, i: int):
         """The value of element i, a Monomial or a MatrixElem, built anew."""
-        frame = self._perms[i][: self.dim]
+        frame = self._frames[i]
         if self.kind == "imprimitive":
             n = self.dim
             return Monomial(self.m, [x % n for x in frame], [x // n for x in frame])
@@ -385,7 +401,7 @@ class Group:
         return i
 
     def _trace(self, g: int):
-        frame = self._perms[g][: self.dim]
+        frame = self._frames[g]
         t = self._points[frame[0]][0]
         for j in range(1, self.dim):
             t = self._field.add(t, self._points[frame[j]][j])
@@ -465,7 +481,7 @@ class Group:
         root_order = []
         for g in range(1, self.order):
             cols = []
-            for j, x in enumerate(self._perms[g][:n]):
+            for j, x in enumerate(self._frames[g]):
                 if x != j:
                     col = list(points[x])
                     col[j] = F.sub(col[j], F.one)
@@ -544,36 +560,98 @@ class Group:
             out.append(hid)
         return tuple(out)
 
-    def action_table(self):
-        """The |G| x #H table: row w lists the image of every hyperplane id
-        under w.  Filled along a breadth-first search over the generators,
-        composing each parent row with a generator row."""
-        if self._actions is None:
+    def _diagonal_rows(self):
+        """Row of each diagonal element of a monomial group, in build
+        order: exponents e fix every H_i and take z_i = zeta^k z_j to
+        z_i = zeta^(k + e_i - e_j) z_j."""
+        m, n = self.m, self.n
+        hyps = self._hyperplanes
+        fixed = tuple(h.id for h in hyps if h.key[0] == "diag")
+        id_of = {h.key: h.id for h in hyps}
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        # per pair (i, j) and shift s: the ids of its hyperplanes, k -> k + s
+        shifted = [
+            [tuple(id_of["pair", i, j, (k + s) % m] for k in range(m)) for s in range(m)]
+            for i, j in pairs
+        ]
+        rows = [
+            tuple(chain(fixed, *[sh[(e[i] - e[j]) % m] for sh, (i, j) in zip(shifted, pairs)]))
+            for e in _diagonal_exps(m, self.p, n)
+        ]
+        if rows[0] != tuple(range(len(hyps))):
+            raise InternalInconsistency("hyperplane ids are not in key order")
+        return rows
+
+    def action_rows(self):
+        """(prow, drow): element r*ndiag + d maps hyperplane h to
+        prow[r][drow[d][h]].  drow is the diagonal rows of a monomial group,
+        the identity row alone for a matrix group.  prow is filled along a
+        breadth-first search over the generators' permutation parts,
+        composing each parent row with the row of a generator's
+        permutation part, read back from the generator's row through its
+        diagonal's.  The generators must reach every permutation, and the
+        Schreier elements of that search, which are diagonal, must close to
+        all D diagonals."""
+        if self._prow is None:
             self._build_hyperplanes()
+            ident = tuple(range(len(self._hyperplanes)))
+            D = self._ndiag
+            drow = self._diagonal_rows() if D > 1 else [ident]
             gens = self.generators
-            gen_rows = [self._generator_action(s) for s in gens]
-            # right multiplication by generator k, as in mul
-            getters = [itemgetter(*self._perms[s][: self.dim]) for s in gens]
+            parts = []
+            for s in gens:
+                part = [None] * len(ident)
+                for h, x in zip(drow[s % D], self._generator_action(s)):
+                    part[h] = x
+                parts.append(tuple(part))
+            # right multiplication by the permutation part of generator k
+            getters = [itemgetter(*self._frames[s - s % D]) for s in gens]
             perms, index = self._perms, self._index
             states, tree = bfs(
                 [self.identity],
                 range(len(gens)),
-                lambda g, k: index[getters[k](perms[g])],
+                lambda r, k: index[getters[k](perms[r * D])] // D,
             )
-            if len(states) != self.order:
+            prow = [None] * (self.order // D)
+            prow[self.identity] = ident
+            for r, (parent, k) in zip(states[1:], tree[1:]):
+                prow[r] = tuple(map(prow[states[parent]].__getitem__, parts[k]))
+            for s, part in zip(gens, parts):
+                if prow[s // D] != part:
+                    raise InternalInconsistency(
+                        f"generator {s} disagrees with the row of its permutation"
+                    )
+            reached = len(states)
+            if D > 1:
+                # u[r]: an element over permutation r, a product of generators
+                u = {self.identity: self.identity}
+                for r, (parent, k) in zip(states[1:], tree[1:]):
+                    u[r] = self.mul(u[states[parent]], gens[k])
+                schreier = []
+                for r in states:
+                    for s in gens:
+                        x = self.mul(u[r], s)
+                        schreier.append(self.mul(x, self.inv(u[x // D])))
+                reached *= len(_sift(self, schreier, D)[1])
+            if reached != self.order:
                 raise InternalInconsistency(
-                    f"generators reach {len(states)} of {self.order} elements"
+                    f"generators reach {reached} of {self.order} elements"
                 )
-            rows = [None] * self.order
-            rows[self.identity] = tuple(range(len(self._hyperplanes)))
-            for g, (parent, k) in zip(states[1:], tree[1:]):
-                rows[g] = tuple(map(rows[states[parent]].__getitem__, gen_rows[k]))
-            self._actions = rows
-        return self._actions
+            self._prow, self._drow = prow, drow
+        return self._prow, self._drow
+
+    def action_table(self):
+        """Every element's row, in element order, built anew from the
+        factored rows on each call: a |G| x #H list that the package
+        itself never builds."""
+        return list(map(self.hyperplane_action, self.elements))
 
     def hyperplane_action(self, w: int):
-        """Permutation of hyperplane ids induced by element w."""
-        return self.action_table()[w]
+        """Permutation of hyperplane ids induced by element w: the row of
+        its permutation read at the row of its diagonal."""
+        prow, drow = self.action_rows()
+        r, d = divmod(w, self._ndiag)
+        return tuple(map(prow[r].__getitem__, drow[d]))
 
     def stabilizer_of(self, B) -> "Subgroup":
         """Setwise stabilizer of a collection, with its Schreier generators,
@@ -628,6 +706,12 @@ def _monomial_perm(m, n, perm, exps):
     )
 
 
+def _diagonal_exps(m, p, n):
+    """Exponent vectors of the diagonal elements of (m, p, n), in the
+    order build_imprimitive numbers them."""
+    return [exps for exps in product(range(m), repeat=n) if sum(exps) % p == 0]
+
+
 def build_imprimitive(m: int, p: int, n: int, cap: int = DEFAULT_CAP) -> Group:
     """The monomial group with parameters (m, p, n): monomial matrices with
     entries in the m-th roots of unity whose entry product is an (m/p)-th
@@ -635,18 +719,22 @@ def build_imprimitive(m: int, p: int, n: int, cap: int = DEFAULT_CAP) -> Group:
     definition = group_definition({"kind": "imprimitive", "m": m, "p": p, "n": n})
     order = imprimitive_order(m, p, n)
     refuse_over_cap(definition, order, cap)
-    # (perm, exps) is the permutation matrix of perm times the diagonal
-    # matrix of exps, so its point permutation is one composition
+    # element r * len(diagonals) + d is permutation r after diagonal d, so
+    # its point map is the diagonal's map read through the permutation's
     diagonals = [
-        itemgetter(*_monomial_perm(m, n, range(n), exps))
-        for exps in product(range(m), repeat=n)
-        if sum(exps) % p == 0
+        _monomial_perm(m, n, range(n), exps) for exps in _diagonal_exps(m, p, n)
     ]
-    perms = [
-        diag(_monomial_perm(m, n, perm, [0] * n))
-        for perm in permutations(range(n))
-        for diag in diagonals
+    point_maps = [
+        _monomial_perm(m, n, perm, [0] * n) for perm in permutations(range(n))
     ]
+    if m * n <= 256:
+        # one byte per point, read through by bytes.translate
+        diagonals = list(map(bytes, diagonals))
+        tables = [bytes(pm).ljust(256, b"\0") for pm in point_maps]
+        perms = [diag.translate(table) for table in tables for diag in diagonals]
+    else:
+        getters = [itemgetter(*diag) for diag in diagonals]
+        perms = [get(pm) for pm in point_maps for get in getters]
     if len(perms) != order:
         raise InternalInconsistency(
             f"enumerated {len(perms)} elements, closed form says {order}"
@@ -675,6 +763,7 @@ def build_imprimitive(m: int, p: int, n: int, cap: int = DEFAULT_CAP) -> Group:
         m=m,
         p=p,
         n=n,
+        ndiag=len(diagonals),
         cyclotomic_order=m,
     )
 
@@ -767,8 +856,8 @@ def orbit_walk(G: Group, B):
     """(blocks, witnesses): the orbit of B as sorted tuples in breadth-first
     order from sorted B, and per block an element mapping B onto it, s *
     (the parent's) for a block first reached by generator s."""
-    rows = G.action_table()
-    step = lambda cur, s: tuple(sorted(rows[s][h] for h in cur))  # noqa: E731
+    act = {s: G.hyperplane_action(s) for s in G.generators}
+    step = lambda cur, s: tuple(sorted(act[s][h] for h in cur))  # noqa: E731
     blocks, tree = bfs([tuple(sorted(B))], G.generators, step)
     witnesses = [G.identity]
     for parent, s in tree[1:]:
@@ -784,17 +873,26 @@ def orbit(G: Group, B):
 
 def stabilizer(G: Group, B) -> Subgroup:
     """Setwise stabilizer of a collection of hyperplane ids: the elements
-    are a scan of the action table, checked by len(orbit) * |Stab| = |G|;
-    the generators are the Schreier elements u_sx^-1 s u_x of the orbit
-    walk (block x, witness u_x, generator s), sifted until their closure
-    has the scanned order, and that closure must equal the scan.  A
-    G-invariant B keeps G's generators, which action_table found to reach
-    all of G."""
+    are a scan of the factored action rows, checked by len(orbit) * |Stab|
+    = |G|; the generators are the Schreier elements u_sx^-1 s u_x of the
+    orbit walk (block x, witness u_x, generator s), sifted until their
+    closure has the scanned order, and that closure must equal the scan.
+    A G-invariant B keeps G's generators, which action_rows found to reach
+    all of G.
+
+    The scan groups the diagonals by their image of B: permutation r after
+    any diagonal of a group stabilizes B when row r maps that image into B."""
     bset = frozenset(B)
-    rows = G.action_table()
-    members = G.elements
-    for h in bset:
-        members = [g for g in members if rows[g][h] in bset]
+    prow, drow = G.action_rows()
+    images = {}
+    for d, row in enumerate(drow):
+        images.setdefault(tuple(row[h] for h in bset), []).append(d)
+    members = []
+    for image, ds in images.items():
+        rs = range(len(prow))
+        for x in image:
+            rs = [r for r in rs if prow[r][x] in bset]
+        members.extend(r * len(drow) + d for r in rs for d in ds)
     blocks, witnesses = orbit_walk(G, B)
     if len(blocks) * len(members) != G.order:
         raise InternalInconsistency(
@@ -805,8 +903,9 @@ def stabilizer(G: Group, B) -> Subgroup:
     if len(blocks) == 1:
         return Subgroup(G.generators, scan)
     witness = dict(zip(blocks, witnesses))
+    act = {s: G.hyperplane_action(s) for s in G.generators}
     schreier = (
-        G.mul(G.inv(witness[tuple(sorted(rows[s][h] for h in x))]), G.mul(s, u))
+        G.mul(G.inv(witness[tuple(sorted(act[s][h] for h in x))]), G.mul(s, u))
         for x, u in witness.items()
         for s in G.generators
     )

@@ -114,23 +114,21 @@ class TransvTable:
 
 
 def _hyperplane_orbits(G: Group):
-    """The orbits of the hyperplane ids under the generators' rows of the
-    action table.  Each orbit is listed from its smallest id, and the
-    orbits come in the order of those ids."""
-    table = G.action_table()
+    """The orbits of the hyperplane ids under the generators' action
+    rows.  Each orbit is listed from its smallest id, and the orbits come
+    in the order of those ids."""
+    G._build_hyperplanes()
     return orbits(
         range(len(G._hyperplanes)),
-        [table[s] for s in G.generators],
+        [G.hyperplane_action(s) for s in G.generators],
         lambda h, row: row[h],
     )
 
 
 def _pair_orbits(G: Group, size: int):
     """The orbits of the unordered pairs (i, j), i < j, of hyperplane ids
-    under the generators' rows of the action table.  Each orbit is listed
-    from its smallest pair, and the orbits come in the order of those
-    pairs."""
-    table = G.action_table()
+    under the generators' action rows.  Each orbit is listed from its
+    smallest pair, and the orbits come in the order of those pairs."""
 
     def step(pair, row):
         a, b = row[pair[0]], row[pair[1]]
@@ -138,7 +136,7 @@ def _pair_orbits(G: Group, size: int):
 
     return orbits(
         ((i, j) for i in range(size) for j in range(i + 1, size)),
-        [table[s] for s in G.generators],
+        [G.hyperplane_action(s) for s in G.generators],
         step,
     )
 
@@ -279,8 +277,10 @@ def collection_orbits(G: Group):
 def reflection_images(G: Group, B):
     """The image of the collection B under each reflection, as a sorted
     tuple, in the order of G.reflections."""
-    rows = G.action_table()
-    return [tuple(sorted(rows[s][h] for h in B)) for s in G.reflections]
+    return [
+        tuple(sorted(act[h] for h in B))
+        for act in map(G.hyperplane_action, G.reflections)
+    ]
 
 
 def small_orbit(G: Group, B):

@@ -3,12 +3,16 @@ inverses, identity tests and orders of Monomial and MatrixElem values, and
 the closed-form K_B membership test over monomial groups.  The package forms
 every product on element indices, so these are the independent side that
 G.mul, G.inv, the hyperplane build and k_subgroup are tested against.
+
+Also the unfactored hyperplane action: the |G| x #H table filled along a
+breadth-first search over the generators, and the stabilizer scan over
+every row of it, the side that the factored rows are tested against.
 """
 
 from bct.admissibility import k_subgroup
 from bct.errors import InternalInconsistency, InvalidParameters
 from bct.exact_arith import CycNumber, zeta
-from bct.reflection_groups import MatrixElem, Monomial, hyperplanes
+from bct.reflection_groups import MatrixElem, Monomial, bfs, hyperplanes
 
 
 def mul(a, b):
@@ -172,3 +176,31 @@ def kb_membership_gmpn(G, elem, B) -> bool:
             f"matrix membership disagrees with closure on {value!r} for B={tuple(B)}"
         )
     return got
+
+
+def bfs_action_table(G):
+    """The |G| x #H table: row w lists the image of every hyperplane id
+    under w.  Filled along a breadth-first search over the generators,
+    composing each parent row with a generator's row, which comes from
+    conjugating the distinguished reflections."""
+    gens = G.generators
+    ident = tuple(range(len(hyperplanes(G))))
+    gen_rows = [G._generator_action(s) for s in gens]
+    states, tree = bfs([G.identity], range(len(gens)), lambda g, k: G.mul(g, gens[k]))
+    if len(states) != G.order:
+        raise InternalInconsistency(
+            f"generators reach {len(states)} of {G.order} elements"
+        )
+    rows = [None] * G.order
+    rows[G.identity] = ident
+    for g, (parent, k) in zip(states[1:], tree[1:]):
+        rows[g] = tuple(map(rows[states[parent]].__getitem__, gen_rows[k]))
+    return rows
+
+
+def scan_stabilizer(table, B):
+    """The elements whose row maps the collection B onto itself."""
+    bset = frozenset(B)
+    return frozenset(
+        g for g, row in enumerate(table) if all(row[h] in bset for h in bset)
+    )

@@ -900,13 +900,19 @@ def _loaded_modules(cli_env, cwd, argv=None):
 def test_cache_hit_imports_no_compute_layer(tmp_path, cli_env):
     loaded = _loaded_modules(cli_env, tmp_path)
     for name in ("bct.admissibility", "bct.reflection_groups",
-                 "multiprocessing", "pickle"):
+                 "multiprocessing", "pickle", "_hashlib"):
         assert name not in loaded, name
+    # only the cache hashes, so no verify suite loads OpenSSL
+    for suite, spec in (("relations", "g4"), ("freeness", "g4"),
+                        ("g26", "g26"), ("formulas", "gmpn:2,1,3")):
+        ran = _loaded_modules(cli_env, tmp_path, ["verify", "--suite", suite, spec])
+        assert "_hashlib" not in ran, suite
     base = ["--cache-dir", str(tmp_path / "cache"), "dims"]
     warm = {}
     for spec in ("gmpn:2,1,3", "g4"):
         cold = _loaded_modules(cli_env, tmp_path, base + [spec])
         assert "bct.admissibility" in cold
+        assert "_hashlib" in cold
         for name in ("bct.brauer_modules", "bct.freeness", "multiprocessing"):
             assert name not in cold, (spec, name)
         warm[spec] = _loaded_modules(cli_env, tmp_path, base + [spec])

@@ -15,6 +15,7 @@ from bct.reflection_groups import (
     _sift,
     bfs,
     build_imprimitive,
+    hyperplanes,
     orbit,
     orbit_walk,
     packaged_group,
@@ -137,16 +138,19 @@ def test_stab_rep_twisted_on_a_generator_is_not_multiplicative(gmpn):
 
 
 def test_swapped_action_rows_break_the_schreier_closure():
-    # a stabilizing element and a moving one trade rows: the scan keeps
-    # its order, so orbit-stabilizer holds, but it no longer equals the
-    # closure of the Schreier generators, which never read those rows
+    # a diagonal fixing B and one moving it trade rows, so over every
+    # permutation a stabilizing element and a moving one trade rows: the
+    # scan keeps its order, so orbit-stabilizer holds, but it no longer
+    # equals the closure of the Schreier generators, which never read
+    # those rows
     G = build_imprimitive(2, 1, 3)
-    table = G.action_table()
-    B = (0,)
-    stab = stabilizer(G, B)
-    skip = {G.identity, *G.generators}
-    a = next(g for g in sorted(stab.elements) if g not in skip)
-    b = next(g for g in G.elements if g not in skip and g not in stab)
-    table[a], table[b] = table[b], table[a]
+    prow, drow = G.action_rows()
+    B = (next(h.id for h in hyperplanes(G) if h.key[0] == "pair"),)
+    stabilizer(G, B)
+    skip = {s % len(drow) for s in G.generators}
+    diags = [d for d in range(len(drow)) if d not in skip]
+    a = next(d for d in diags if drow[d][B[0]] == B[0])
+    b = next(d for d in diags if drow[d][B[0]] != B[0])
+    drow[a], drow[b] = drow[b], drow[a]
     with pytest.raises(InternalInconsistency, match="do not close to its scan"):
         stabilizer(G, B)

@@ -319,14 +319,16 @@ def test_small_orbit_is_the_set_of_reflection_images(g26):
 
 
 def test_tampered_action_row_is_caught():
-    # an element whose row claims it fixes every hyperplane joins every
-    # stabilizer, so the orbit-stabilizer identity fails, under python -O too
+    # a permutation whose row claims it fixes every hyperplane: each element
+    # over it then maps a collection as its diagonal does, so those that fix
+    # it join the stabilizer and the orbit-stabilizer identity fails, under
+    # python -O too
     G = build_imprimitive(2, 2, 3)
-    table = G.action_table()
+    prow, drow = G.action_rows()
     assert collection_orbits(G)
     ident = tuple(range(len(hyperplanes(G))))
-    skip = set(G.generators) | set(G.reflections)
-    w = next(g for g in G.elements if g not in skip and table[g] != ident)
-    table[w] = ident
+    skip = {g // len(drow) for g in (*G.generators, *G.reflections)}
+    r = next(r for r, row in enumerate(prow) if r not in skip and row != ident)
+    prow[r] = ident
     with pytest.raises(InternalInconsistency, match="orbit-stabilizer"):
         collection_orbits(G)

@@ -10,12 +10,15 @@ built:
 
     build         closure of the generators
     hyperplanes   reflections, hyperplanes, distinguished reflections
-    actions       the |G| x #H hyperplane-action table
+    actions       the factored hyperplane-action rows: one per diagonal
+                  (closed rule) and one per permutation (breadth-first
+                  search over the generators' permutation parts), with the
+                  check that the generators reach the whole group
     table         the transversality table, one span test per pair orbit
     all_pairs     check_all_pairs: the span test on every pair (and the
                   type shortcut on monomial groups), as verify runs it
     orbits        orbits of transverse collections, with stabilizers:
-                  the action-table scan and the Schreier generators
+                  the action-row scan and the Schreier generators
                   sifted from the orbit walk
     classify      admissibility of every orbit, for both fields at once
 
@@ -55,7 +58,7 @@ def stages(spec: str) -> dict:
 
     G = timed("build", lambda: build_spec(spec, DEFAULT_CAP))
     hyps = timed("hyperplanes", lambda: hyperplanes(G))
-    timed("actions", G.action_table)
+    timed("actions", G.action_rows)
     table = timed("table", lambda: transv_table(G))
     timed("all_pairs", lambda: check_all_pairs(G))
     records = timed("orbits", lambda: orbit_records(G))
