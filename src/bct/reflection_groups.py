@@ -6,8 +6,10 @@ permutation of the finite point set P = W.{e_1, ..., e_n}: for the monomial
 family P is the m*n vectors zeta^k e_i, for a matrix group it is found by
 applying the generators to points.  The first n points are e_1, ..., e_n,
 so the first n entries of a permutation (its frame) identify the element:
-column j of its matrix is the point e_j maps to.  A product is a tuple
-composition and a dictionary lookup.
+column j of its matrix is the point e_j maps to.  A product reads one
+permutation at the other's frame and looks the result up in a dictionary
+of frames.  A monomial group on at most 256 points stores its permutations
+as bytes, one per point; every other group as tuples.
 
 The hyperplane action is stored factored.  A monomial group is its
 diagonal subgroup N, of order D = m^n/p, times the permutation matrices,
@@ -569,15 +571,16 @@ class Group:
         fixed = tuple(h.id for h in hyps if h.key[0] == "diag")
         id_of = {h.key: h.id for h in hyps}
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        # per pair (i, j) and shift s: the ids of its hyperplanes, k -> k + s
+        # per pair (i, j) and shift t: the ids of its hyperplanes, k -> k + t
         shifted = [
-            [tuple(id_of["pair", i, j, (k + s) % m] for k in range(m)) for s in range(m)]
+            [tuple(id_of["pair", i, j, (k + t) % m] for k in range(m))
+             for t in range(m)]
             for i, j in pairs
         ]
-        rows = [
-            tuple(chain(fixed, *[sh[(e[i] - e[j]) % m] for sh, (i, j) in zip(shifted, pairs)]))
-            for e in _diagonal_exps(m, self.p, n)
-        ]
+        rows = []
+        for e in _diagonal_exps(m, self.p, n):
+            moved = [sh[(e[i] - e[j]) % m] for sh, (i, j) in zip(shifted, pairs)]
+            rows.append(tuple(chain(fixed, *moved)))
         if rows[0] != tuple(range(len(hyps))):
             raise InternalInconsistency("hyperplane ids are not in key order")
         return rows
@@ -586,12 +589,10 @@ class Group:
         """(prow, drow): element r*ndiag + d maps hyperplane h to
         prow[r][drow[d][h]].  drow is the diagonal rows of a monomial group,
         the identity row alone for a matrix group.  prow is filled along a
-        breadth-first search over the generators' permutation parts,
-        composing each parent row with the row of a generator's
-        permutation part, read back from the generator's row through its
-        diagonal's.  The generators must reach every permutation, and the
-        Schreier elements of that search, which are diagonal, must close to
-        all D diagonals."""
+        breadth-first search over the generators' permutation parts (rank 0
+        is the identity), composing each parent row with the row of a
+        generator's permutation part, read back from the generator's row
+        through its diagonal's."""
         if self._prow is None:
             self._build_hyperplanes()
             ident = tuple(range(len(self._hyperplanes)))
@@ -608,12 +609,12 @@ class Group:
             getters = [itemgetter(*self._frames[s - s % D]) for s in gens]
             perms, index = self._perms, self._index
             states, tree = bfs(
-                [self.identity],
+                [0],
                 range(len(gens)),
                 lambda r, k: index[getters[k](perms[r * D])] // D,
             )
             prow = [None] * (self.order // D)
-            prow[self.identity] = ident
+            prow[0] = ident
             for r, (parent, k) in zip(states[1:], tree[1:]):
                 prow[r] = tuple(map(prow[states[parent]].__getitem__, parts[k]))
             for s, part in zip(gens, parts):
@@ -621,24 +622,33 @@ class Group:
                     raise InternalInconsistency(
                         f"generator {s} disagrees with the row of its permutation"
                     )
-            reached = len(states)
-            if D > 1:
-                # u[r]: an element over permutation r, a product of generators
-                u = {self.identity: self.identity}
-                for r, (parent, k) in zip(states[1:], tree[1:]):
-                    u[r] = self.mul(u[states[parent]], gens[k])
-                schreier = []
-                for r in states:
-                    for s in gens:
-                        x = self.mul(u[r], s)
-                        schreier.append(self.mul(x, self.inv(u[x // D])))
-                reached *= len(_sift(self, schreier, D)[1])
+            reached = self._reached(states, tree)
             if reached != self.order:
                 raise InternalInconsistency(
                     f"generators reach {reached} of {self.order} elements"
                 )
             self._prow, self._drow = prow, drow
         return self._prow, self._drow
+
+    def _reached(self, states, tree):
+        """Order of the subgroup the generators generate, from the search
+        over their permutation parts (states, tree): the permutations it
+        reached times the diagonals its Schreier elements u_r s u_rs^-1
+        close to (u_r a product of generators over permutation r), which
+        generate the subgroup's diagonal part by Schreier's lemma."""
+        D = self._ndiag
+        if D == 1:
+            return len(states)
+        gens = self.generators
+        u = {0: self.identity}
+        for r, (parent, k) in zip(states[1:], tree[1:]):
+            u[r] = self.mul(u[states[parent]], gens[k])
+        schreier = []
+        for r in states:
+            for s in gens:
+                x = self.mul(u[r], s)
+                schreier.append(self.mul(x, self.inv(u[x // D])))
+        return len(states) * len(_sift(self, schreier, D)[1])
 
     def action_table(self):
         """Every element's row, in element order, built anew from the

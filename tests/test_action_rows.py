@@ -60,6 +60,16 @@ def test_factored_rows_equal_the_bfs_rows(sweep_group):
         assert G.action_table() == bfs_action_table(G), (m, p, n)
 
 
+def test_permutations_past_256_points_stay_tuples():
+    # one byte holds a point of G(2,1,3) (6 points), not of G(129,129,2)
+    # (258 points), which keeps tuples and the same products and rows
+    assert isinstance(build_imprimitive(2, 1, 3)._perms[0], bytes)
+    G = build_imprimitive(129, 129, 2)
+    assert G.npoints == 258 and isinstance(G._perms[0], tuple)
+    assert all(G.mul(g, G.inv(g)) == G.identity for g in G.elements)
+    assert G.action_table() == bfs_action_table(G)
+
+
 @pytest.mark.parametrize("name", ["g4", "g23", "g25", "g26"])
 def test_matrix_group_rows_are_the_bfs_rows(name, request):
     shared = name in ("g25", "g26")
