@@ -144,7 +144,7 @@ def test_swapped_action_rows_break_the_schreier_closure():
     # equals the closure of the Schreier generators, which never read
     # those rows
     G = build_imprimitive(2, 1, 3)
-    prow, drow = G.action_rows()
+    _, drow = G.action_rows()
     B = (next(h.id for h in hyperplanes(G) if h.key[0] == "pair"),)
     stabilizer(G, B)
     skip = {s % len(drow) for s in G.generators}
