@@ -266,8 +266,9 @@ class Group:
 
     Elements are the indices 0..order-1, the identity first; perms[i] is
     the permutation of the point set carried by element i.  Element
-    r*ndiag + d is permutation r after diagonal d (action_rows); a matrix
-    group has ndiag = 1.
+    r*D + d of a monomial group is permutation r after diagonal d, D =
+    m^n/p the order of its diagonal subgroup (action_rows); a matrix group
+    has D = 1.
     """
 
     def __init__(
@@ -283,7 +284,6 @@ class Group:
         m=None,
         p=None,
         n=None,
-        ndiag=1,
         cyclotomic_order=None,
         provenance="paper",
     ):
@@ -295,7 +295,7 @@ class Group:
         self.cyclotomic_order = cyclotomic_order
         self.provenance = provenance
         self.order = len(perms)
-        self._ndiag = ndiag
+        self._ndiag = m ** n // p if kind == "imprimitive" else 1
         self._perms = perms
         self._points = points
         self._point_ids = None
@@ -586,7 +586,7 @@ class Group:
         return rows
 
     def action_rows(self):
-        """(prow, drow): element r*ndiag + d maps hyperplane h to
+        """(prow, drow): element r*D + d maps hyperplane h to
         prow[r][drow[d][h]].  drow is the diagonal rows of a monomial group,
         the identity row alone for a matrix group.  prow is filled along a
         breadth-first search over the generators' permutation parts (rank 0
@@ -650,18 +650,13 @@ class Group:
                 schreier.append(self.mul(x, self.inv(u[x // D])))
         return len(states) * len(_sift(self, schreier, D)[1])
 
-    def action_table(self):
-        """Every element's row, in element order, built anew from the
-        factored rows on each call: a |G| x #H list that the package
-        itself never builds."""
-        return list(map(self.hyperplane_action, self.elements))
-
     def hyperplane_action(self, w: int):
         """Permutation of hyperplane ids induced by element w: the row of
-        its permutation read at the row of its diagonal."""
+        its permutation read at the row of its diagonal, which is the
+        identity for d = 0 (every element of a matrix group)."""
         prow, drow = self.action_rows()
         r, d = divmod(w, self._ndiag)
-        return tuple(map(prow[r].__getitem__, drow[d]))
+        return tuple(map(prow[r].__getitem__, drow[d])) if d else prow[r]
 
     def stabilizer_of(self, B) -> "Subgroup":
         """Setwise stabilizer of a collection, with its Schreier generators,
@@ -773,7 +768,6 @@ def build_imprimitive(m: int, p: int, n: int, cap: int = DEFAULT_CAP) -> Group:
         m=m,
         p=p,
         n=n,
-        ndiag=len(diagonals),
         cyclotomic_order=m,
     )
 

@@ -38,17 +38,15 @@ SMALL_MONOMIAL = [
 def reference_orbit(G, B):
     """The orbit as the walk without witnesses found it: a bfs over the
     generators' action rows from sorted B."""
-    rows = G.action_table()
     out, _ = bfs(
         [tuple(sorted(B))],
-        [rows[s] for s in G.generators],
+        [G.hyperplane_action(s) for s in G.generators],
         lambda cur, act: tuple(sorted(act[h] for h in cur)),
     )
     return out
 
 
 def assert_stabilizer_invariants(G):
-    rows = G.action_table()
     for rec in collection_orbits(G):
         B = rec.representative
         stab = G.stabilizer_of(B)
@@ -62,7 +60,7 @@ def assert_stabilizer_invariants(G):
         blocks, witnesses = orbit_walk(G, B)
         assert witnesses[0] == G.identity
         for block, u in zip(blocks, witnesses):
-            assert tuple(sorted(rows[u][h] for h in B)) == block
+            assert tuple(sorted(G.hyperplane_action(u)[h] for h in B)) == block
         assert orbit(G, B) == reference_orbit(G, B)
         assert len(blocks) == rec.orbit_size
 
