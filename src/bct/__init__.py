@@ -83,8 +83,6 @@ _EXPORTS = {
         "build_imprimitive",
         "build_matrix_group",
         "group_from_json",
-        "group_to_json",
-        "hyperplanes",
         "load_group_file",
         "orbit",
         "packaged_group",

@@ -18,6 +18,7 @@ the block sizes over an orbit table with a double-entry consistency check
 (it lives in definitions, so a cache hit can run it without this module).
 """
 
+from functools import cached_property
 from itertools import permutations
 from math import factorial
 
@@ -27,7 +28,6 @@ from .exact_arith import CycNumber, SpanBasis
 from .reflection_groups import (
     Group,
     Subgroup,
-    hyperplanes,
     orbit,
     subgroup_closure,
 )
@@ -143,12 +143,7 @@ def rel_set(G: Group, B):
     """The relation vectors Rel(B): one per r-1 for r a reflection with
     hyperplane in B, plus every sigma difference over hyperplanes outside
     B.  Zero vectors are dropped and duplicates removed."""
-    ws = _workspace(G, B)
-    if ws.rel_vectors is None:
-        ws.rel_vectors = _relation_vectors(
-            ws, ((t.plus, t.minus) for t in sigma_triples(G, ws.B))
-        )
-    return list(ws.rel_vectors)
+    return list(_workspace(G, B).rel_vectors)
 
 
 def rel_bar(G: Group, B):
@@ -160,10 +155,7 @@ def rel_bar(G: Group, B):
     over B' minus B and the difference pair over B minus B', with both
     required non-transverse to the outer hyperplane.
     """
-    ws = _workspace(G, B)
-    if ws.rel_bar_vectors is None:
-        ws.rel_bar_vectors = _relation_vectors(ws, _projected_sigmas(G, ws))
-    return list(ws.rel_bar_vectors)
+    return list(_workspace(G, B).rel_bar_vectors)
 
 
 def _projected_sigmas(G, ws):
@@ -191,7 +183,8 @@ def _projected_sigmas(G, ws):
 
 
 class _Workspace:
-    """Memoized relation data for one (group, collection) pair."""
+    """Relation data for one (group, collection) pair: the cached
+    properties are each built on their first read and kept."""
 
     def __init__(self, G, B):
         self.G = G
@@ -208,73 +201,68 @@ class _Workspace:
             if img != self.B:
                 self.movers.setdefault(img, []).append(s)
         self.rb_set = frozenset(self.rb)
-        self.rel_vectors = None
-        self.rel_bar_vectors = None
-        self._span = None
-        self._classes = None
-        self._p_pairs = None
-        self._kb = None
-        self._a2 = None
 
+    @cached_property
+    def rel_vectors(self):
+        """Rel(B), as rel_set returns it."""
+        terms = ((t.plus, t.minus) for t in sigma_triples(self.G, self.B))
+        return _relation_vectors(self, terms)
+
+    @cached_property
+    def rel_bar_vectors(self):
+        """The projected relation vectors, as rel_bar returns them."""
+        return _relation_vectors(self, _projected_sigmas(self.G, self))
+
+    @cached_property
     def span(self) -> SpanBasis:
-        if self._span is None:
-            basis = SpanBasis(self.nrefl + 1)
-            for vec in rel_bar(self.G, self.B):
-                basis.add(vec)
-            self._span = basis
-        return self._span
+        basis = SpanBasis(self.nrefl + 1)
+        for vec in self.rel_bar_vectors:
+            basis.add(vec)
+        return basis
 
+    @cached_property
     def classes(self):
         """The units 0..N grouped by their reduction against the span, as
         {residue: members} in order of first member.  Two units differ by
         a span element exactly when their residues agree."""
-        if self._classes is None:
-            span = self.span()
-            classes = {}
-            for i in range(self.nrefl + 1):
-                unit = [0] * (self.nrefl + 1)
-                unit[i] = 1
-                classes.setdefault(tuple(span.reduce(unit)), []).append(i)
-            self._classes = classes
-        return self._classes
+        classes = {}
+        for i in range(self.nrefl + 1):
+            unit = [0] * (self.nrefl + 1)
+            unit[i] = 1
+            classes.setdefault(tuple(self.span.reduce(unit)), []).append(i)
+        return classes
 
+    @cached_property
     def p_pairs(self):
         """Ordered pairs of reflections outside R_B that share a class."""
-        if self._p_pairs is None:
-            self._p_pairs = [
-                pair
-                for members in self.classes().values()
-                for pair in permutations(
-                    [i for i in members if i < self.nrefl and i not in self.rb_set],
-                    2,
-                )
-            ]
-        return self._p_pairs
-
-    def stab(self) -> Subgroup:
-        return self.G.stabilizer_of(self.B)
+        return [
+            pair
+            for members in self.classes.values()
+            for pair in permutations(
+                [i for i in members if i < self.nrefl and i not in self.rb_set],
+                2,
+            )
+        ]
 
     def products(self):
         """The products s_j^-1 s_i over p_pairs, and whether all of them
         lie in Stab(B)."""
         G, refls = self.G, self.G.reflections
-        products = [G.mul(G.inv(refls[j]), refls[i]) for i, j in self.p_pairs()]
-        return products, self.stab().elements.issuperset(products)
+        products = [G.mul(G.inv(refls[j]), refls[i]) for i, j in self.p_pairs]
+        return products, G.stabilizer_of(self.B).elements.issuperset(products)
 
+    @cached_property
     def kb(self) -> Subgroup:
-        if self._kb is None:
-            self._kb = _k_subgroup(self, self.stab())
-        return self._kb
+        return _k_subgroup(self, self.G.stabilizer_of(self.B))
 
     def a1(self):
         """(some rel_bar vector is literally a unit, some unit lies in the
         span); a unit lies in the span exactly when its residue is zero."""
-        literal = any(
-            sum(1 for x in vec if x) == 1 for vec in rel_bar(self.G, self.B)
-        )
-        span_hit = any(not any(r) for r in self.classes())
+        literal = any(sum(1 for x in vec if x) == 1 for vec in self.rel_bar_vectors)
+        span_hit = any(not any(r) for r in self.classes)
         return literal, span_hit
 
+    @cached_property
     def a2(self):
         """(D spans the span of rel_bar, R_B and D0 generate K_B).
 
@@ -283,32 +271,29 @@ class _Workspace:
         the span of rel_bar exactly when that span's rank plus the number
         of classes is N+1.
         """
-        if self._a2 is None:
-            span = self.span()
-            classes = self.classes()
-            for members in classes.values():
-                for i in members[1:]:
-                    star = signed_vector(self.nrefl + 1, (i,), (members[0],))
-                    if not span.contains(star):
-                        raise InternalInconsistency(
-                            f"collection {self.B}: units {members[0]} and {i} "
-                            "share a class but differ outside the span"
-                        )
-            span_eq = span.rank + len(classes) == self.nrefl + 1
-            refls = self.G.reflections
-            products, sub_eq = self.products()
-            if sub_eq:
-                gens = [refls[i] for i in self.rb] + sorted(set(products))
-                closure = subgroup_closure(self.G, gens)
-                sub_eq = closure.elements == self.kb().elements
-            self._a2 = (span_eq, sub_eq)
-        return self._a2
+        span, classes = self.span, self.classes
+        for members in classes.values():
+            for i in members[1:]:
+                star = signed_vector(self.nrefl + 1, (i,), (members[0],))
+                if not span.contains(star):
+                    raise InternalInconsistency(
+                        f"collection {self.B}: units {members[0]} and {i} "
+                        "share a class but differ outside the span"
+                    )
+        span_eq = span.rank + len(classes) == self.nrefl + 1
+        refls = self.G.reflections
+        products, sub_eq = self.products()
+        if sub_eq:
+            gens = [refls[i] for i in self.rb] + sorted(set(products))
+            closure = subgroup_closure(self.G, gens)
+            sub_eq = closure.elements == self.kb.elements
+        return span_eq, sub_eq
 
     def conditional(self) -> bool:
-        if not all(self.a2()):
+        if not all(self.a2):
             return False
         cls = self.G.reflection_class_of
-        return any(cls(i) != cls(j) for i, j in self.p_pairs())
+        return any(cls(i) != cls(j) for i, j in self.p_pairs)
 
 
 def _workspace(G: Group, B) -> _Workspace:
@@ -349,7 +334,7 @@ def k_subgroup(G: Group, B) -> Subgroup:
     with hyperplane in B together with all products s2^-1 s1 where s1, s2
     map B to one common image != B while disagreeing on every hyperplane
     of B outside that image."""
-    return _workspace(G, B).kb()
+    return _workspace(G, B).kb
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +353,10 @@ def d_and_p(G: Group, B):
     ws = _workspace(G, B)
     d_vecs = [
         signed_vector(ws.nrefl + 1, (i,), (j,))
-        for members in ws.classes().values()
+        for members in ws.classes.values()
         for i, j in permutations(members, 2)
     ]
-    p_pairs = list(ws.p_pairs())
+    p_pairs = list(ws.p_pairs)
     refls = G.reflections
     products, in_stab = ws.products()
     d0 = {
@@ -384,7 +369,7 @@ def d_and_p(G: Group, B):
 
 def check_A2(G: Group, B):
     """(span equality of rel_bar and D, subgroup equality with K_B)."""
-    return _workspace(G, B).a2()
+    return _workspace(G, B).a2
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +394,7 @@ def d0_ideal_dim(G: Group, B, mu: CycNumber) -> int:
 
     classes = G.reflection_classes
     dist = {
-        G.reflection_index(H.dist_reflection) for H in hyperplanes(G)
+        G.reflection_index(H.dist_reflection) for H in G.hyperplanes
     }
     orb1 = next((set(c) for c in classes if dist <= set(c)), None)
     if len(classes) > 2 or orb1 is None:
@@ -417,7 +402,7 @@ def d0_ideal_dim(G: Group, B, mu: CycNumber) -> int:
             "the distinguished reflections fill one of at most two classes"
         )
 
-    stab = _workspace(G, B).stab()
+    stab = G.stabilizer_of(B)
     members = sorted(stab.elements)
     if members[0] != G.identity:
         raise InternalInconsistency("the identity sorts first in Stab(B)")
@@ -521,7 +506,7 @@ def _imprimitive_closed_form(G: Group, B) -> bool:
     """Field-independent admissibility for the monomial family."""
     if not B:
         return True
-    keys = [hyperplanes(G)[h].key for h in B]
+    keys = [G.hyperplanes[h].key for h in B]
     if (G.m, G.p) != (2, 2):
         if len(B) == 1:
             return True
@@ -544,7 +529,7 @@ def classify(G: Group, B) -> AdmissibilityRecord:
 def _classify(G, B, orbit_rec) -> AdmissibilityRecord:
     ws = _workspace(G, B)
     literal, span_hit = ws.a1()
-    a2_span, a2_sub = ws.a2()
+    a2_span, a2_sub = ws.a2
     a2 = a2_span and a2_sub
     if literal and a2:
         raise InternalInconsistency(
@@ -563,10 +548,10 @@ def _classify(G, B, orbit_rec) -> AdmissibilityRecord:
             )
 
     if orbit_rec is None:
-        orb = orbit(G, ws.B)
-        stab_order = ws.stab().order
+        orb, _ = orbit(G, ws.B)
+        stab_order = G.stabilizer_of(ws.B).order
         orbit_rec = OrbitRecord(min(orb), len(orb), stab_order, len(ws.B))
-    kb_order = ws.kb().order
+    kb_order = ws.kb.order
     if orbit_rec.stab_order % kb_order:
         raise InternalInconsistency(
             f"|K_B| = {kb_order} does not divide |Stab(B)| = {orbit_rec.stab_order}"

@@ -30,7 +30,7 @@ from .admissibility import (
 )
 from .errors import InternalInconsistency, NotAdmissible, NotAdmissiblePair
 from .exact_arith import LaurentScalar
-from .reflection_groups import Group, hyperplanes, orbit_walk, orbits
+from .reflection_groups import Group, orbit, orbits
 from .transversality import _hyperplane_orbits, _pair_orbits, transv_table
 
 
@@ -271,11 +271,11 @@ def induce(G: Group, B, v0: StabRep) -> InducedModule:
     B = tuple(sorted(B))
     if v0.group is not G or v0.stab.elements != G.stabilizer_of(B).elements:
         raise InternalInconsistency(f"B={B}: V0 is not a representation of Stab(B)")
-    module = InducedModule(G, B, v0, *orbit_walk(G, B))
+    module = InducedModule(G, B, v0, *orbit(G, B))
     _check_stab_action(module)
     _check_rel_annihilation(module)
     module.eps = {
-        hid: _eps_operator(module, hid) for hid in range(len(hyperplanes(G)))
+        hid: _eps_operator(module, hid) for hid in range(len(G.hyperplanes))
     }
     return module
 
@@ -452,7 +452,7 @@ def verify_defining_relations(M: InducedModule, seed: int = 0) -> RelationReport
     """
     G = M.group
     table = transv_table(G)
-    labels = [h.label for h in hyperplanes(G)]
+    labels = [h.label for h in G.hyperplanes]
     nh = len(labels)
     results = {name: True for name in ("B1", "B2", "B3", "B4", "B5")}
     first = None
@@ -495,13 +495,14 @@ def verify_defining_relations(M: InducedModule, seed: int = 0) -> RelationReport
     ordered = [(i, j) for i in range(nh) for j in range(nh) if i != j]
     if conj_fail is None:
         # one member per orbit, the smallest, in ascending order
-        gen_rows = [G.hyperplane_action(g) for g in G.generators]
         hids = [o[0] for o in _hyperplane_orbits(G)]
         ridxs = [c[0] for c in G.reflection_classes]
         pairs = [o[0] for o in _pair_orbits(G, nh)]
         ordered = [
             o[0]
-            for o in orbits(ordered, gen_rows, lambda p, row: (row[p[0]], row[p[1]]))
+            for o in orbits(
+                ordered, G.generator_rows, lambda p, row: (row[p[0]], row[p[1]])
+            )
         ]
 
     for hid in hids:

@@ -164,10 +164,6 @@ def _builder(constructor: str, *args):
     return build
 
 
-def build_spec(spec: str, cap: int):
-    return parse_spec(spec)[1](cap)
-
-
 # ---------------------------------------------------------------------------
 # cache
 
@@ -359,15 +355,13 @@ def emit_csv(rows):
 
 
 def group_summary(G) -> dict:
-    from .reflection_groups import hyperplanes
-
     return {
         "name": G.name,
         "kind": G.kind,
         "provenance": G.provenance,
         "order": G.order,
         "reflections": len(G.reflections),
-        "hyperplanes": len(hyperplanes(G)),
+        "hyperplanes": len(G.hyperplanes),
         "reflection_classes": len(G.reflection_classes),
     }
 
@@ -377,7 +371,7 @@ def group_summary(G) -> dict:
 
 
 def cmd_group(args) -> int:
-    G = build_spec(args.spec, args.max_order)
+    G = parse_spec(args.spec)[1](args.max_order)
     emit_json(group_summary(G))
     return 0
 
@@ -508,7 +502,7 @@ def _suite_formulas(G, cap: int, workers: int) -> dict:
 def cmd_verify(args) -> int:
     G = None
     if args.spec is not None:
-        G = build_spec(args.spec, args.max_order)
+        G = parse_spec(args.spec)[1](args.max_order)
     elif args.suite != "formulas":
         raise SpecError(f"the {args.suite} suite needs a group spec")
     if args.suite != "formulas":

@@ -78,7 +78,7 @@ def _matrix_definition(name, provenance, gens) -> dict:
 
 def group_definition(data: dict) -> dict:
     """The canonical definition JSON of the group that data describes,
-    equal to group_to_json of the built group, without building it."""
+    equal to the built group's G.definition, without building it."""
     if data["kind"] == "imprimitive":
         m, p, n = data["m"], data["p"], data["n"]
         name = f"G({m},{p},{n})"

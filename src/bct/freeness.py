@@ -36,7 +36,7 @@ from .admissibility import (
 )
 from .errors import InternalInconsistency
 from .exact_arith import z_span_test
-from .reflection_groups import Group, hyperplanes
+from .reflection_groups import Group
 from .transversality import (
     _hyperplane_orbits,
     reflection_images,
@@ -214,7 +214,7 @@ def g26_geometry_suite(G: Group):
     reported false without being attempted.
     """
     table = transv_table(G)
-    hyps = hyperplanes(G)
+    hyps = G.hyperplanes
     report = {
         "orbit_split": False,
         "triple_partners": False,

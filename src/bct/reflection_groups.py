@@ -20,6 +20,11 @@ n! permutation rows are filled along a breadth-first search over the
 generators' permutation parts.  A matrix group is the same store with
 D = 1, one permutation row per element.
 
+A group's derived data (its hyperplanes, each with its reflections, the
+reflection lookups and classes, the action rows and the generators' rows)
+are cached properties: each is built on its first read, from the ones it
+needs, and kept.
+
 A matrix group computes in Q(zeta_N), N its definition's cyclotomic order:
 its generator entries are lifted once to integer field values
 (exact_arith._CycContext), and P is found and stored in that form.  Values
@@ -38,6 +43,7 @@ row perm[l]); matrix elements store exact cyclotomic entries.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from itertools import chain, islice, permutations, product
 from operator import itemgetter
 
@@ -215,23 +221,28 @@ def orbits(points, labels, step):
 
 
 class Hyperplane:
-    """Reflecting hyperplane with its distinguished reflection and a root.
+    """Reflecting hyperplane with its reflections, the distinguished one
+    among them, and a root.
 
-    dist_reflection is an element index.  For monomial groups, key is a
+    dist_reflection and reflections are element indices, the reflections
+    in the order of G.reflections.  For monomial groups, key is a
     structural tag: ("diag", i) for z_i = 0 and ("pair", i, j, k) for
     z_i = zeta^k z_j with i < j (0-based).  Matrix-group hyperplanes have
     key None and are identified by id alone.
     """
 
-    __slots__ = ("id", "label", "key", "dist_reflection", "root", "order_m")
+    __slots__ = (
+        "id", "label", "key", "dist_reflection", "root", "order_m", "reflections"
+    )
 
-    def __init__(self, hid, label, key, dist_reflection, root, order_m):
+    def __init__(self, hid, label, key, dist_reflection, root, order_m, reflections):
         self.id = hid
         self.label = label
         self.key = key
         self.dist_reflection = dist_reflection
         self.root = tuple(root)
         self.order_m = order_m
+        self.reflections = tuple(reflections)
 
     def __repr__(self):
         return f"Hyperplane({self.label})"
@@ -268,7 +279,7 @@ class Group:
     the permutation of the point set carried by element i.  Element
     r*D + d of a monomial group is permutation r after diagonal d, D =
     m^n/p the order of its diagonal subgroup (action_rows); a matrix group
-    has D = 1.
+    has D = 1.  The derived data are cached properties, each built once.
     """
 
     def __init__(
@@ -298,7 +309,6 @@ class Group:
         self._ndiag = m ** n // p if kind == "imprimitive" else 1
         self._perms = perms
         self._points = points
-        self._point_ids = None
         # the field Q(zeta_N) that holds the points of a matrix group
         self._field = None if points is None else _context(cyclotomic_order)
         # the frame of a sequence: its first dim entries, as a tuple (an
@@ -313,16 +323,7 @@ class Group:
         self.identity = 0
         self.generators = tuple(self._index[self._frame(g)] for g in generators)
         self.reducible = kind == "imprimitive" and (m, p, n) == (2, 2, 2)
-        self._hyperplanes = None
-        self._reflections = None
-        self._refl_index = None
-        self._refl_hyp = None
-        self._hyp_refls = None
-        self._dist_index = None
-        self._prow = None
-        self._drow = None
-        self._classes = None
-        self._class_of = None
+        # kept here by transversality.transv_table and admissibility.orbit_records
         self._transv_table = None
         self._orbit_records = None
         self._adm_cache = {}
@@ -391,8 +392,6 @@ class Group:
             if isinstance(g, Monomial) and g.m == self.m and g.dim == n:
                 frame = [e * n + t for t, e in zip(g.perm, g.exps)]
         elif isinstance(g, MatrixElem) and g.dim == n:
-            if self._point_ids is None:
-                self._point_ids = {v: x for x, v in enumerate(self._points)}
             frame = [
                 self._point_ids.get(tuple(self._field.of(r[j]) for r in g.entries))
                 for j in range(n)
@@ -401,6 +400,10 @@ class Group:
         if i is None:
             raise InvalidParameters(f"{g!r} is not an element of {self.name}")
         return i
+
+    @cached_property
+    def _point_ids(self):
+        return {v: x for x, v in enumerate(self._points)}
 
     def _trace(self, g: int):
         frame = self._frames[g]
@@ -412,20 +415,11 @@ class Group:
     # -- reflections and hyperplanes --------------------------------------
 
     def _build_hyperplanes(self):
-        if self._hyperplanes is not None:
-            return
+        """The reflecting hyperplanes, each with its reflections.  Run once
+        per group, by the hyperplanes property."""
         if self.kind == "imprimitive":
-            self._build_hyperplanes_imprimitive()
-        else:
-            self._build_hyperplanes_matrix()
-        self._dist_index = {
-            h.dist_reflection: h.id for h in self._hyperplanes
-        }
-        self._refl_index = {g: i for i, g in enumerate(self._reflections)}
-        hyp_refls = [[] for _ in self._hyperplanes]
-        for i, hid in enumerate(self._refl_hyp):
-            hyp_refls[hid].append(i)
-        self._hyp_refls = [tuple(r) for r in hyp_refls]
+            return self._build_hyperplanes_imprimitive()
+        return self._build_hyperplanes_matrix()
 
     def _build_hyperplanes_imprimitive(self):
         """Each reflection is looked up by its frame: column l of a monomial
@@ -433,8 +427,6 @@ class Group:
         reflection moves one or two columns and fixes the rest."""
         m, p, n = self.m, self.p, self.n
         hyps = []
-        refls = []
-        refl_hyp = []
 
         def lookup(*moved):
             frame = list(range(n))
@@ -447,12 +439,10 @@ class Group:
                 root = [CycNumber.rational(1 if l == i else 0) for l in range(n)]
                 # the powers t_i^k of t_i = diag(zeta^p at i), k < m/p
                 powers = [lookup((i, p * k * n + i)) for k in range(1, m // p)]
-                hid = len(hyps)
+                hid, key = len(hyps), ("diag", i)
                 hyps.append(
-                    Hyperplane(hid, f"H_{i+1}", ("diag", i), powers[0], root, m // p)
+                    Hyperplane(hid, f"H_{i+1}", key, powers[0], root, m // p, powers)
                 )
-                refls.extend(powers)
-                refl_hyp.extend([hid] * len(powers))
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(m):
@@ -461,14 +451,11 @@ class Group:
                     root = [CycNumber.rational(0) for _ in range(n)]
                     root[i] = CycNumber.rational(1)
                     root[j] = -zeta(m, -k)
-                    hid = len(hyps)
                     label = f"H_{i+1},{j+1}^{k}" if m > 1 else f"H_{i+1},{j+1}"
-                    hyps.append(Hyperplane(hid, label, ("pair", i, j, k), s, root, 2))
-                    refls.append(s)
-                    refl_hyp.append(hid)
-        self._hyperplanes = hyps
-        self._reflections = refls
-        self._refl_hyp = refl_hyp
+                    hyps.append(
+                        Hyperplane(len(hyps), label, ("pair", i, j, k), s, root, 2, [s])
+                    )
+        return hyps
 
     def _build_hyperplanes_matrix(self):
         """Rank-1 scan: g is a reflection when g - I has rank one.  Column j
@@ -504,8 +491,6 @@ class Group:
                 root_order.append(root)
             by_root[root].append(g)
         hyps = []
-        refls = []
-        refl_hyp = []
         for root in root_order:
             members = by_root[root]
             m_h = len(members) + 1
@@ -517,33 +502,44 @@ class Group:
                     f"distinguished reflection not unique for root {root}"
                 )
             hid = len(hyps)
-            hyps.append(Hyperplane(hid, f"H{hid}", None, dist[0], root, m_h))
-            for g in members:
-                refls.append(g)
-                refl_hyp.append(hid)
-        self._hyperplanes = hyps
-        self._reflections = refls
-        self._refl_hyp = refl_hyp
+            hyps.append(Hyperplane(hid, f"H{hid}", None, dist[0], root, m_h, members))
+        return hyps
 
-    @property
+    @cached_property
+    def hyperplanes(self):
+        """The reflecting hyperplanes, indexed by id."""
+        return self._build_hyperplanes()
+
+    @cached_property
     def reflections(self):
         """Element indices of the reflections, grouped by hyperplane."""
-        self._build_hyperplanes()
-        return self._reflections
+        return [g for h in self.hyperplanes for g in h.reflections]
+
+    @cached_property
+    def _refl_index(self):
+        return {g: i for i, g in enumerate(self.reflections)}
+
+    @cached_property
+    def _refl_hyp(self):
+        return [h.id for h in self.hyperplanes for _ in h.reflections]
+
+    @cached_property
+    def _hyp_refls(self):
+        hyp_refls = [[] for _ in self.hyperplanes]
+        for i, hid in enumerate(self._refl_hyp):
+            hyp_refls[hid].append(i)
+        return [tuple(r) for r in hyp_refls]
 
     def reflection_index(self, g: int) -> int:
         """Position in the reflection list of the reflection with index g."""
-        self._build_hyperplanes()
         return self._refl_index[g]
 
     def reflection_hyperplane(self, idx: int) -> int:
         """Hyperplane id of the reflection with the given index."""
-        self._build_hyperplanes()
         return self._refl_hyp[idx]
 
     def hyperplane_reflections(self, hid: int):
         """Indices of the reflections whose hyperplane is hid, ascending."""
-        self._build_hyperplanes()
         return self._hyp_refls[hid]
 
     # -- action on hyperplanes ---------------------------------------------
@@ -551,9 +547,10 @@ class Group:
     def _generator_action(self, s):
         """Row of one generator: s r_H s^-1 is the distinguished reflection
         of sH, since conjugation keeps the eigenvalue."""
+        dist_index = {h.dist_reflection: h.id for h in self.hyperplanes}
         out = []
-        for h in self._hyperplanes:
-            hid = self._dist_index.get(self.conj(s, h.dist_reflection))
+        for h in self.hyperplanes:
+            hid = dist_index.get(self.conj(s, h.dist_reflection))
             if hid is None:
                 raise InternalInconsistency(
                     "conjugate of a distinguished reflection is not "
@@ -567,7 +564,7 @@ class Group:
         order: exponents e fix every H_i and take z_i = zeta^k z_j to
         z_i = zeta^(k + e_i - e_j) z_j."""
         m, n = self.m, self.n
-        hyps = self._hyperplanes
+        hyps = self.hyperplanes
         fixed = tuple(h.id for h in hyps if h.key[0] == "diag")
         id_of = {h.key: h.id for h in hyps}
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -585,6 +582,7 @@ class Group:
             raise InternalInconsistency("hyperplane ids are not in key order")
         return rows
 
+    @cached_property
     def action_rows(self):
         """(prow, drow): element r*D + d maps hyperplane h to
         prow[r][drow[d][h]].  drow is the diagonal rows of a monomial group,
@@ -593,42 +591,39 @@ class Group:
         is the identity), composing each parent row with the row of a
         generator's permutation part, read back from the generator's row
         through its diagonal's."""
-        if self._prow is None:
-            self._build_hyperplanes()
-            ident = tuple(range(len(self._hyperplanes)))
-            D = self._ndiag
-            drow = self._diagonal_rows() if D > 1 else [ident]
-            gens = self.generators
-            parts = []
-            for s in gens:
-                part = [None] * len(ident)
-                for h, x in zip(drow[s % D], self._generator_action(s)):
-                    part[h] = x
-                parts.append(tuple(part))
-            # right multiplication by the permutation part of generator k
-            getters = [itemgetter(*self._frames[s - s % D]) for s in gens]
-            perms, index = self._perms, self._index
-            states, tree = bfs(
-                [0],
-                range(len(gens)),
-                lambda r, k: index[getters[k](perms[r * D])] // D,
-            )
-            prow = [None] * (self.order // D)
-            prow[0] = ident
-            for r, (parent, k) in zip(states[1:], tree[1:]):
-                prow[r] = tuple(map(prow[states[parent]].__getitem__, parts[k]))
-            for s, part in zip(gens, parts):
-                if prow[s // D] != part:
-                    raise InternalInconsistency(
-                        f"generator {s} disagrees with the row of its permutation"
-                    )
-            reached = self._reached(states, tree)
-            if reached != self.order:
+        ident = tuple(range(len(self.hyperplanes)))
+        D = self._ndiag
+        drow = self._diagonal_rows() if D > 1 else [ident]
+        gens = self.generators
+        parts = []
+        for s in gens:
+            part = [None] * len(ident)
+            for h, x in zip(drow[s % D], self._generator_action(s)):
+                part[h] = x
+            parts.append(tuple(part))
+        # right multiplication by the permutation part of generator k
+        getters = [itemgetter(*self._frames[s - s % D]) for s in gens]
+        perms, index = self._perms, self._index
+        states, tree = bfs(
+            [0],
+            range(len(gens)),
+            lambda r, k: index[getters[k](perms[r * D])] // D,
+        )
+        prow = [None] * (self.order // D)
+        prow[0] = ident
+        for r, (parent, k) in zip(states[1:], tree[1:]):
+            prow[r] = tuple(map(prow[states[parent]].__getitem__, parts[k]))
+        for s, part in zip(gens, parts):
+            if prow[s // D] != part:
                 raise InternalInconsistency(
-                    f"generators reach {reached} of {self.order} elements"
+                    f"generator {s} disagrees with the row of its permutation"
                 )
-            self._prow, self._drow = prow, drow
-        return self._prow, self._drow
+        reached = self._reached(states, tree)
+        if reached != self.order:
+            raise InternalInconsistency(
+                f"generators reach {reached} of {self.order} elements"
+            )
+        return prow, drow
 
     def _reached(self, states, tree):
         """Order of the subgroup the generators generate, from the search
@@ -654,9 +649,14 @@ class Group:
         """Permutation of hyperplane ids induced by element w: the row of
         its permutation read at the row of its diagonal, which is the
         identity for d = 0 (every element of a matrix group)."""
-        prow, drow = self.action_rows()
+        prow, drow = self.action_rows
         r, d = divmod(w, self._ndiag)
         return tuple(map(prow[r].__getitem__, drow[d])) if d else prow[r]
+
+    @cached_property
+    def generator_rows(self):
+        """The hyperplane_action row of each generator, in order."""
+        return [self.hyperplane_action(s) for s in self.generators]
 
     def stabilizer_of(self, B) -> "Subgroup":
         """Setwise stabilizer of a collection, with its Schreier generators,
@@ -670,12 +670,12 @@ class Group:
 
     # -- conjugacy classes of reflections ----------------------------------
 
-    def _build_classes(self):
-        if self._classes is not None:
-            return
-        self._build_hyperplanes()
-        refls, index = self._reflections, self._refl_index
-        self._classes = [
+    @cached_property
+    def reflection_classes(self):
+        """Partition of reflection indices into W-conjugacy classes, ordered
+        by smallest member."""
+        refls, index = self.reflections, self._refl_index
+        return [
             tuple(sorted(members))
             for members in orbits(
                 range(len(refls)),
@@ -683,20 +683,14 @@ class Group:
                 lambda r, g: index[self.conj(g, refls[r])],
             )
         ]
-        self._class_of = {
-            r: ci for ci, members in enumerate(self._classes) for r in members
-        }
 
-    @property
-    def reflection_classes(self):
-        """Partition of reflection indices into W-conjugacy classes, ordered
-        by smallest member."""
-        self._build_classes()
-        return self._classes
+    @cached_property
+    def _class_of(self):
+        classes = self.reflection_classes
+        return {r: ci for ci, members in enumerate(classes) for r in members}
 
     def reflection_class_of(self, idx: int) -> int:
         """Position in reflection_classes of the class of reflection idx."""
-        self._build_classes()
         return self._class_of[idx]
 
 
@@ -851,28 +845,21 @@ def build_matrix_group(
 # spec operations
 
 
-def hyperplanes(G: Group):
-    G._build_hyperplanes()
-    return list(G._hyperplanes)
-
-
-def orbit_walk(G: Group, B):
-    """(blocks, witnesses): the orbit of B as sorted tuples in breadth-first
-    order from sorted B, and per block an element mapping B onto it, s *
-    (the parent's) for a block first reached by generator s."""
-    act = {s: G.hyperplane_action(s) for s in G.generators}
-    step = lambda cur, s: tuple(sorted(act[s][h] for h in cur))  # noqa: E731
-    blocks, tree = bfs([tuple(sorted(B))], G.generators, step)
-    witnesses = [G.identity]
-    for parent, s in tree[1:]:
-        witnesses.append(G.mul(s, witnesses[parent]))
-    return blocks, witnesses
-
-
 def orbit(G: Group, B):
-    """Orbit of a collection under the hyperplane action, as sorted tuples,
-    in breadth-first order from B."""
-    return orbit_walk(G, B)[0]
+    """(blocks, witnesses): the orbit of a collection under the hyperplane
+    action, as sorted tuples in breadth-first order from sorted B, and per
+    block an element mapping B onto it, s * (the parent's) for a block
+    first reached by generator s."""
+    rows = G.generator_rows
+    blocks, tree = bfs(
+        [tuple(sorted(B))],
+        range(len(rows)),
+        lambda cur, k: tuple(sorted(rows[k][h] for h in cur)),
+    )
+    witnesses = [G.identity]
+    for parent, k in tree[1:]:
+        witnesses.append(G.mul(G.generators[k], witnesses[parent]))
+    return blocks, witnesses
 
 
 def stabilizer(G: Group, B) -> Subgroup:
@@ -887,7 +874,7 @@ def stabilizer(G: Group, B) -> Subgroup:
     The scan groups the diagonals by their image of B: permutation r after
     any diagonal of a group stabilizes B when row r maps that image into B."""
     bset = frozenset(B)
-    prow, drow = G.action_rows()
+    prow, drow = G.action_rows
     images = {}
     for d, row in enumerate(drow):
         images.setdefault(tuple(row[h] for h in bset), []).append(d)
@@ -897,7 +884,7 @@ def stabilizer(G: Group, B) -> Subgroup:
         for x in image:
             rs = [r for r in rs if prow[r][x] in bset]
         members.extend(r * len(drow) + d for r in rs for d in ds)
-    blocks, witnesses = orbit_walk(G, B)
+    blocks, witnesses = orbit(G, B)
     if len(blocks) * len(members) != G.order:
         raise InternalInconsistency(
             f"orbit-stabilizer fails for {blocks[0]}: {len(blocks)} * "
@@ -907,11 +894,10 @@ def stabilizer(G: Group, B) -> Subgroup:
     if len(blocks) == 1:
         return Subgroup(G.generators, scan)
     witness = dict(zip(blocks, witnesses))
-    act = {s: G.hyperplane_action(s) for s in G.generators}
     schreier = (
-        G.mul(G.inv(witness[tuple(sorted(act[s][h] for h in x))]), G.mul(s, u))
+        G.mul(G.inv(witness[tuple(sorted(row[h] for h in x))]), G.mul(s, u))
         for x, u in witness.items()
-        for s in G.generators
+        for s, row in zip(G.generators, G.generator_rows)
     )
     gens, closure = _sift(G, schreier, len(scan))
     # the kept generators lie in their closure, so this puts them in the scan
@@ -963,10 +949,6 @@ def _generators_from_json(data: dict):
         MatrixElem([[CycNumber.from_json(x) for x in row] for row in g])
         for g in data["generators"]
     ]
-
-
-def group_to_json(G: Group) -> dict:
-    return G.definition
 
 
 def group_from_json(data: dict, cap: int = DEFAULT_CAP) -> Group:

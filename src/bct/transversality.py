@@ -31,7 +31,7 @@ def _root_span_transverse(G: Group, H1: Hyperplane, H2: Hyperplane) -> bool:
     span = SpanBasis(len(H1.root))
     span.add(H1.root)
     span.add(H2.root)
-    for h in G._hyperplanes:
+    for h in G.hyperplanes:
         if h.id in (H1.id, H2.id):
             continue
         if span.contains(h.root):
@@ -64,7 +64,6 @@ def is_transverse(G: Group, H1: Hyperplane, H2: Hyperplane) -> bool:
     """
     if H1.id == H2.id:
         raise NotDistinct(f"transversality needs distinct hyperplanes, got {H1}")
-    G._build_hyperplanes()
     got = _root_span_transverse(G, H1, H2)
     if G.kind == "imprimitive":
         fast = _imprimitive_transverse(G, H1, H2)
@@ -117,12 +116,7 @@ def _hyperplane_orbits(G: Group):
     """The orbits of the hyperplane ids under the generators' action
     rows.  Each orbit is listed from its smallest id, and the orbits come
     in the order of those ids."""
-    G._build_hyperplanes()
-    return orbits(
-        range(len(G._hyperplanes)),
-        [G.hyperplane_action(s) for s in G.generators],
-        lambda h, row: row[h],
-    )
+    return orbits(range(len(G.hyperplanes)), G.generator_rows, lambda h, row: row[h])
 
 
 def _pair_orbits(G: Group, size: int):
@@ -136,7 +130,7 @@ def _pair_orbits(G: Group, size: int):
 
     return orbits(
         ((i, j) for i in range(size) for j in range(i + 1, size)),
-        [G.hyperplane_action(s) for s in G.generators],
+        G.generator_rows,
         step,
     )
 
@@ -150,8 +144,7 @@ def transv_table(G: Group) -> TransvTable:
     shortcut still answers every pair and must agree with it."""
     if G._transv_table is not None:
         return G._transv_table
-    G._build_hyperplanes()
-    hyps = G._hyperplanes
+    hyps = G.hyperplanes
     size = len(hyps)
     mapped = {}
     for ridx, s in enumerate(G.reflections):
@@ -202,7 +195,7 @@ def check_all_pairs(G: Group):
     """Compare the table with is_transverse, the span criterion run on every
     pair; a disagreeing cell raises InternalInconsistency."""
     tbl = transv_table(G)
-    hyps = G._hyperplanes
+    hyps = G.hyperplanes
     for i in range(tbl.size):
         for j in range(i + 1, tbl.size):
             got = is_transverse(G, hyps[i], hyps[j])
@@ -258,7 +251,7 @@ def collection_orbits(G: Group):
     for B in cols:
         if B in seen:
             continue
-        orb = orbit(G, B)
+        orb, _ = orbit(G, B)
         if not universe.issuperset(orb):
             raise InternalInconsistency(
                 f"the orbit of {B} leaves the set of transverse collections"

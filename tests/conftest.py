@@ -6,11 +6,23 @@ off across test files, so they are shared at session scope.
 """
 
 import os
+from functools import cache
+from math import factorial
 
 import pytest
 
 import bct
 from bct.reflection_groups import build_imprimitive, packaged_group
+
+# every G(m,p,n) of order at most 200, by n, then m, then p; each sweep
+# takes its groups from this list by filter
+SMALL_GMPN = [
+    (m, p, n)
+    for n in range(2, 6)
+    for m in range(1, 101)
+    for p in range(1, m + 1)
+    if m % p == 0 and factorial(n) * m**n // p <= 200
+]
 
 
 @pytest.fixture(scope="session")
@@ -26,15 +38,7 @@ def g26():
 @pytest.fixture(scope="session")
 def gmpn():
     """Cached builder for monomial groups: gmpn(m, p, n) -> Group."""
-    cache = {}
-
-    def build(m, p, n):
-        key = (m, p, n)
-        if key not in cache:
-            cache[key] = build_imprimitive(m, p, n)
-        return cache[key]
-
-    return build
+    return cache(build_imprimitive)
 
 
 @pytest.fixture(scope="session")
@@ -42,15 +46,7 @@ def sweep_group():
     """Cached builder for the G(m,p,n) sweeps: the sweeps share each
     group's transversality table, apart from gmpn's groups, which some
     tests tamper with."""
-    cache = {}
-
-    def build(m, p, n):
-        key = (m, p, n)
-        if key not in cache:
-            cache[key] = build_imprimitive(m, p, n)
-        return cache[key]
-
-    return build
+    return cache(build_imprimitive)
 
 
 @pytest.fixture

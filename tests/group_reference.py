@@ -12,7 +12,7 @@ every row of it, the side that the factored rows are tested against.
 from bct.admissibility import k_subgroup
 from bct.errors import InternalInconsistency, InvalidParameters
 from bct.exact_arith import CycNumber, zeta
-from bct.reflection_groups import MatrixElem, Monomial, bfs, hyperplanes
+from bct.reflection_groups import MatrixElem, Monomial, bfs
 
 
 def mul(a, b):
@@ -103,7 +103,7 @@ def element_order(g) -> int:
 def collection_shape(G, B):
     """("single", blocks) for pairwise index-disjoint pair hyperplanes,
     ("doubled", blocks) for the (2,2,n) both-labels form, else None."""
-    keys = [hyperplanes(G)[h].key for h in B]
+    keys = [G.hyperplanes[h].key for h in B]
     if not keys or any(k[0] != "pair" for k in keys):
         return None
     flat = [i for k in keys for i in (k[1], k[2])]
@@ -184,7 +184,7 @@ def bfs_action_table(G):
     composing each parent row with a generator's row, which comes from
     conjugating the distinguished reflections."""
     gens = G.generators
-    ident = tuple(range(len(hyperplanes(G))))
+    ident = tuple(range(len(G.hyperplanes)))
     gen_rows = [G._generator_action(s) for s in gens]
     states, tree = bfs([G.identity], range(len(gens)), lambda g, k: G.mul(g, gens[k]))
     if len(states) != G.order:

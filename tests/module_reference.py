@@ -8,7 +8,7 @@ InducedModule's coset table and its eps operators are tested against it.
 
 from bct.admissibility import k_subgroup
 from bct.brauer_modules import delta_scalar, mu_scalar
-from bct.reflection_groups import hyperplanes, orbit_walk
+from bct.reflection_groups import orbit
 from bct.transversality import transv_table
 
 
@@ -58,12 +58,12 @@ class RefModule:
         self.group = G
         self.B = tuple(sorted(B))
         self.v0 = v0
-        self.blocks, self.coset_reps = orbit_walk(G, self.B)
+        self.blocks, self.coset_reps = orbit(G, self.B)
         self.degree = v0.degree
         self.dim = len(self.blocks) * v0.degree
         self._block_index = {b: t for t, b in enumerate(self.blocks)}
         self._rep_inverses = [G.inv(w) for w in self.coset_reps]
-        self.eps = {hid: self._eps_operator(hid) for hid in range(len(hyperplanes(G)))}
+        self.eps = {hid: self._eps_operator(hid) for hid in range(len(G.hyperplanes))}
 
     def transport(self, tgt, g, src):
         """The element w_tgt^-1 g w_src of Stab(B)."""

@@ -31,7 +31,6 @@ from bct.exact_arith import zeta
 from bct.freeness import freeness_verdict
 from bct.reflection_groups import (
     build_imprimitive,
-    hyperplanes,
     packaged_group,
     stabilizer,
 )
@@ -135,7 +134,7 @@ def test_criterion_4_kb_order_formulas(sweep_groups):
     for key in SWEEP:
         m, p, n = key
         G = sweep_groups[key]
-        hyps = hyperplanes(G)
+        hyps = G.hyperplanes
         for B in enumerate_collections(G):
             if not B or any(hyps[h].key[0] != "pair" for h in B):
                 continue
@@ -147,7 +146,7 @@ def test_criterion_4_kb_order_formulas(sweep_groups):
     for key in DOUBLED:
         n = key[2]
         G = sweep_groups[key]
-        hyps = hyperplanes(G)
+        hyps = G.hyperplanes
         for B in enumerate_collections(G):
             if not B:
                 continue

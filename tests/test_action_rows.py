@@ -14,29 +14,20 @@ import pytest
 from bct.errors import InternalInconsistency
 from bct.reflection_groups import (
     build_imprimitive,
-    hyperplanes,
     orbit,
     packaged_group,
     stabilizer,
 )
 from bct.transversality import _imprimitive_transverse
+from conftest import SMALL_GMPN
 from group_reference import bfs_action_table, scan_stabilizer
-
-# every G(m,p,n) of order at most 200
-ALL_SMALL_MONOMIAL = [
-    (m, p, n)
-    for n in range(2, 6)
-    for m in range(1, 101)
-    for p in range(1, m + 1)
-    if m % p == 0 and factorial(n) * m ** n // p <= 200
-]
 
 
 def orbit_representatives(G):
     """The smallest member of each orbit of transverse collections, found
     by the type shortcut, which transv_table checks against the span
     criterion on every pair (and which costs no span test here)."""
-    hyps = hyperplanes(G)
+    hyps = G.hyperplanes
     cols = [()]
     for B in cols:
         for h in range(B[-1] + 1 if B else 0, len(hyps)):
@@ -45,7 +36,7 @@ def orbit_representatives(G):
     seen, reps = set(), []
     for B in cols:
         if B not in seen:
-            orb = orbit(G, B)
+            orb, _ = orbit(G, B)
             seen.update(orb)
             reps.append(min(orb))
     return reps
@@ -56,10 +47,10 @@ def all_rows(G):
 
 
 def test_factored_rows_equal_the_bfs_rows(sweep_group):
-    assert len(ALL_SMALL_MONOMIAL) == 164
-    for m, p, n in ALL_SMALL_MONOMIAL:
+    assert len(SMALL_GMPN) == 164
+    for m, p, n in SMALL_GMPN:
         G = sweep_group(m, p, n)
-        prow, drow = G.action_rows()
+        prow, drow = G.action_rows
         assert (len(prow), len(drow)) == (factorial(n), m ** n // p)
         assert all_rows(G) == bfs_action_table(G), (m, p, n)
 
@@ -78,13 +69,13 @@ def test_permutations_past_256_points_stay_tuples():
 def test_matrix_group_rows_are_the_bfs_rows(name, request):
     shared = name in ("g25", "g26")
     G = request.getfixturevalue(name) if shared else packaged_group(name)
-    prow, drow = G.action_rows()
-    assert drow == [tuple(range(len(hyperplanes(G))))]
+    prow, drow = G.action_rows
+    assert drow == [tuple(range(len(G.hyperplanes)))]
     assert prow == bfs_action_table(G)
 
 
 def test_grouped_scan_equals_the_brute_force_scan(sweep_group):
-    for m, p, n in ALL_SMALL_MONOMIAL:
+    for m, p, n in SMALL_GMPN:
         G = sweep_group(m, p, n)
         table = bfs_action_table(G)
         for B in orbit_representatives(G):
@@ -96,9 +87,9 @@ def test_tampered_generator_diagonal_is_refused():
     # is still reached, but the diagonals of the Schreier elements close to
     # a proper subgroup of the D diagonals
     tampered = 0
-    for m, p, n in ALL_SMALL_MONOMIAL:
+    for m, p, n in SMALL_GMPN:
         G = build_imprimitive(m, p, n)
-        D = len(G.action_rows()[1])
+        D = len(G.action_rows[1])
         moved = [k for k, s in enumerate(G.generators) if s % D]
         if not moved:
             assert m == 1
@@ -108,6 +99,6 @@ def test_tampered_generator_diagonal_is_refused():
         gens[moved[-1]] -= gens[moved[-1]] % D
         G.generators = tuple(gens)
         with pytest.raises(InternalInconsistency, match="generators reach"):
-            G.action_rows()
+            G.action_rows
         tampered += 1
     assert tampered == 160

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
@@ -26,13 +25,14 @@ from bct.admissibility import (
 from bct.cli import ROW_KEYS
 from bct.errors import InternalInconsistency, InvalidParameters
 from bct.exact_arith import SpanBasis, zeta
-from bct.reflection_groups import Monomial, hyperplanes, packaged_group
+from bct.reflection_groups import Monomial, packaged_group
 from bct.transversality import collection_orbits, enumerate_collections
+from conftest import SMALL_GMPN
 from group_reference import element_order, kb_membership_gmpn
 
 
 def by_label(G):
-    return {h.label: h.id for h in hyperplanes(G)}
+    return {h.label: h.id for h in G.hyperplanes}
 
 
 # -- relation vectors --------------------------------------------------------
@@ -43,7 +43,7 @@ def test_rel_set_singleton_s3(gmpn):
     lab = by_label(G)
     B = (lab["H_1,2"],)
     nrefl = len(G.reflections)
-    s = G.reflection_index(hyperplanes(G)[B[0]].dist_reflection)
+    s = G.reflection_index(G.hyperplanes[B[0]].dist_reflection)
     expect = tuple(
         1 if k == s else (-1 if k == nrefl else 0) for k in range(nrefl + 1)
     )
@@ -90,7 +90,7 @@ def test_k_subgroup_singleton_is_pointwise_stabilizer(g26):
         if rec.cardinality != 1:
             continue
         h = rec.representative[0]
-        assert k_subgroup(g26, rec.representative).order == hyperplanes(g26)[h].order_m
+        assert k_subgroup(g26, rec.representative).order == g26.hyperplanes[h].order_m
 
 
 def test_k_subgroup_pair_g314(gmpn):
@@ -109,7 +109,7 @@ def test_k_subgroup_conjugation_equivariant(gmpn):
         for B in rng.sample(colls, 6):
             w = rng.choice(elems)
             wB = tuple(
-                sorted(hyperplanes(G)[G.hyperplane_action(w)[h]].id for h in B)
+                sorted(G.hyperplanes[G.hyperplane_action(w)[h]].id for h in B)
             )
             left = k_subgroup(G, wB).elements
             right = frozenset(G.conj(w, g) for g in k_subgroup(G, B).elements)
@@ -150,13 +150,7 @@ def test_flags_exclusive_and_no_divergence(g25, g26):
 # because its cost is the transversality table, one span test over
 # Q(zeta_m) per pair orbit: 1.4 s for these 99 groups on a 2-vCPU host,
 # 1.7 s more through m = 50 and 54 s more through m = 100
-SMALL_MONOMIAL = [
-    (m, p, n)
-    for n in range(2, 6)
-    for m in range(1, 41)
-    for p in range(1, m + 1)
-    if m % p == 0 and factorial(n) * m ** n // p <= 200
-]
+SMALL_MONOMIAL = [(m, p, n) for m, p, n in SMALL_GMPN if m <= 40]
 
 
 def assert_a2_count_matches_difference_span(G):
@@ -164,7 +158,7 @@ def assert_a2_count_matches_difference_span(G):
     span of the difference vectors themselves."""
     for rec in classify_orbits(G):
         B = rec.orbit.representative
-        span = _workspace(G, B).span()
+        span = _workspace(G, B).span
         d_vecs, _, _ = d_and_p(G, B)
         d_span = SpanBasis(len(G.reflections) + 1)
         for vec in d_vecs:
@@ -192,12 +186,12 @@ def test_merged_residue_classes_are_caught(gmpn):
     G = gmpn(3, 1, 3)
     B = classify_orbits(G)[2].orbit.representative
     ws = _Workspace(G, B)
-    classes = list(ws.classes().items())
+    classes = list(ws.classes.items())
     assert len(classes) >= 2
     (r0, c0), (_, c1) = classes[:2]
-    ws._classes = {r0: sorted(c0 + c1), **dict(classes[2:])}
+    ws.classes = {r0: sorted(c0 + c1), **dict(classes[2:])}
     with pytest.raises(InternalInconsistency):
-        ws.a2()
+        ws.a2
 
 
 # -- classification tables ---------------------------------------------------
@@ -387,8 +381,8 @@ def test_kb_membership_pair_shape(gmpn):
     B = (lab["H_1,2^0"], lab["H_3,4^0"])
     kb = k_subgroup(G, B).elements
     assert kb_membership_gmpn(G, G.identity, B)
-    assert kb_membership_gmpn(G, hyperplanes(G)[B[0]].dist_reflection, B)
-    assert not kb_membership_gmpn(G, hyperplanes(G)[lab["H_1"]].dist_reflection, B)
+    assert kb_membership_gmpn(G, G.hyperplanes[B[0]].dist_reflection, B)
+    assert not kb_membership_gmpn(G, G.hyperplanes[lab["H_1"]].dist_reflection, B)
     rng = random.Random(3)
     for g in rng.sample(list(G.elements), 150):
         assert kb_membership_gmpn(G, g, B) == (g in kb)

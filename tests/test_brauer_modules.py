@@ -20,12 +20,12 @@ from bct.brauer_modules import (
     verify_defining_relations,
 )
 from bct.errors import NotAdmissible, NotAdmissiblePair
-from bct.reflection_groups import build_imprimitive, hyperplanes, packaged_group
+from bct.reflection_groups import build_imprimitive, packaged_group
 from bct.transversality import transv_table
 
 
 def by_label(G):
-    return {h.label: h.id for h in hyperplanes(G)}
+    return {h.label: h.id for h in G.hyperplanes}
 
 
 # -- construction ------------------------------------------------------------
@@ -158,7 +158,7 @@ def test_reindexing_matches_sparse_products(gmpn, spec):
     permutation for both sides of w*eps*w^-1."""
     G = packaged_group(spec) if isinstance(spec, str) else gmpn(*spec)
     table = transv_table(G)
-    nh = len(hyperplanes(G))
+    nh = len(G.hyperplanes)
     delta = delta_scalar(G)
     modules = 0
     for M in _modules(G):

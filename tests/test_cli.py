@@ -17,7 +17,7 @@ from bct.admissibility import classify_orbits
 from bct.cli import main
 from bct.definitions import DEFAULT_CAP, group_definition, packaged_definition
 from bct.errors import TooLarge
-from bct.reflection_groups import build_imprimitive, group_to_json
+from bct.reflection_groups import build_imprimitive
 from bct.transversality import transv_table
 
 
@@ -342,7 +342,7 @@ def test_packaged_definitions_ship_canonical():
 def test_group_definition_matches_built_group():
     for spec in ("g4", "gmpn:2,1,3"):
         data, build = cli.parse_spec(spec)
-        assert group_definition(data) == group_to_json(build(DEFAULT_CAP))
+        assert group_definition(data) == build(DEFAULT_CAP).definition
 
 
 def test_cache_hit_builds_no_group(capsys, cache, monkeypatch):
@@ -395,7 +395,7 @@ def test_one_miss_stores_both_fields(capsys, tmp_path, monkeypatch, spec, first)
     shared = str(tmp_path / "shared")
     run(capsys, ["--cache-dir", shared, "dims", spec] + first)
     bundle = _stored_bundle(shared)
-    G = cli.build_spec(spec, DEFAULT_CAP)
+    G = cli.parse_spec(spec)[1](DEFAULT_CAP)
     recs = classify_orbits(G)
     assert bundle["classify"] == {
         cli.field_key(mu6): [r.as_row(mu6) for r in recs] for mu6 in (False, True)
@@ -512,7 +512,7 @@ def test_max_order_refuses_cached_groups(capsys, cache):
         assert json.loads(err) == {"error": "TooLarge", "message": message}
         # the same text as building the group under that cap gives
         with pytest.raises(TooLarge) as exc:
-            cli.build_spec(spec, 23)
+            cli.parse_spec(spec)[1](23)
         assert str(exc.value) == message
     # at exactly the order the cached group is served
     got = run_json(capsys, base + ["--max-order", "24", "dims", "g4"])
@@ -546,7 +546,7 @@ def test_refused_closure_is_cached(capsys, cache, monkeypatch):
             _refuses(capsys, base + ["--max-order", str(cap), "dims", "g25"], cap)
     # the same text as building the group under that cap gives
     with pytest.raises(TooLarge) as exc:
-        cli.build_spec("g25", 100)
+        cli.parse_spec("g25")[1](100)
     assert str(exc.value) == "group closure exceeds cap 100"
     # a larger cap builds the group and stores its order
     got = run_json(capsys, base + ["--max-order", "648", "dims", "g25"])
@@ -673,7 +673,7 @@ def test_verify_checks_table_against_all_pairs_oracle(capsys, monkeypatch, suite
     tbl = transv_table(G)
     i = next(i for i in range(tbl.size) if tbl.row(i))
     tbl._transverse[i] = tbl._transverse[i] - {tbl.row(i)[0]}
-    monkeypatch.setattr(cli, "build_spec", lambda spec, cap: G)
+    monkeypatch.setattr(cli, "parse_spec", lambda spec: (None, lambda cap: G))
     code, out, err = run(capsys, ["verify", "--suite", suite, "gmpn:2,1,3"])
     assert code == 1
     assert out == ""

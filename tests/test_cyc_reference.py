@@ -139,7 +139,7 @@ def test_workspace_classes_match_the_fraction_reference(build):
     for rec in classify_orbits(G):
         ws = _Workspace(G, rec.orbit.representative)
         ref = SpanBasis(ws.nrefl + 1)
-        for vec in ws.span().rows:
+        for vec in ws.span.rows:
             assert_no_float(vec)
         for vec in rel_bar(G, ws.B):
             ref.add(fractions_of(vec))
@@ -147,8 +147,8 @@ def test_workspace_classes_match_the_fraction_reference(build):
         for i in range(ws.nrefl + 1):
             unit = fractions_of(int(j == i) for j in range(ws.nrefl + 1))
             want.setdefault(tuple(ref.reduce(unit)), []).append(i)
-        got = ws.classes()
+        got = ws.classes
         for residue in got:
             assert_no_float(residue)
         assert list(got.items()) == list(want.items())
-        assert ws.span().rank == ref.rank
+        assert ws.span.rank == ref.rank

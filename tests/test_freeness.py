@@ -20,7 +20,7 @@ from bct.freeness import (
     rel_supports,
     rel_tau,
 )
-from bct.reflection_groups import hyperplanes, packaged_group, stabilizer
+from bct.reflection_groups import packaged_group, stabilizer
 from bct.transversality import transv_table
 
 
@@ -91,7 +91,7 @@ def test_mixed_triple_witness(gmpn):
     # hyperplane satisfies the bar condition
     G = gmpn(2, 2, 4)
     B = (0, 1, 10)
-    labs = {h.id: h.label for h in hyperplanes(G)}
+    labs = {h.id: h.label for h in G.hyperplanes}
     assert sorted(labs[h] for h in B) == ["H_1,2^0", "H_1,2^1", "H_3,4^0"]
     recs = {r.orbit.representative: r for r in classify_orbits(G)}
     assert recs[B].quotient() == 0
@@ -364,7 +364,7 @@ def test_g26_partner_triples_explicit(g26):
     # each order-3 hyperplane is transverse with exactly three
     # hyperplanes, all of order 2
     table = transv_table(g26)
-    hyps = hyperplanes(g26)
+    hyps = g26.hyperplanes
     o1 = [h.id for h in hyps if h.order_m == 3]
     o2 = {h.id for h in hyps if h.order_m == 2}
     assert len(o1) == 12 and len(o2) == 9

@@ -11,6 +11,7 @@ generators' matrices.
 import hashlib
 import json
 from collections import Counter
+from functools import cached_property
 from math import factorial
 
 import pytest
@@ -18,17 +19,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bct.admissibility import classify_orbits, dim_from_rows
+from bct.brauer_modules import induce, quotient_regular_rep, verify_defining_relations
 from bct.errors import TooLarge
 from bct.exact_arith import CycNumber, SpanBasis, zeta
 from bct.freeness import freeness_verdict
 from bct.reflection_groups import (
+    Group,
     MatrixElem,
     build_imprimitive,
     build_matrix_group,
-    hyperplanes,
+    orbit,
     packaged_definition,
     packaged_group,
 )
+from bct.transversality import transv_table
 from group_reference import identity_matrix, inv, is_identity, mul, to_matrix, trace
 
 # ---------------------------------------------------------------------------
@@ -100,7 +104,7 @@ def test_packaged_groups_pinned_to_matrix_closure():
         assert [G.index_of(g) for g in ref] == list(G.elements)
         assert [G.element(s) for s in G.generators] == gens
         ref_hyps = reference_hyperplanes(ref)
-        hyps = hyperplanes(G)
+        hyps = G.hyperplanes
         assert [h.root for h in hyps] == [root for root, _, _ in ref_hyps]
         assert [h.dist_reflection for h in hyps] == [d for _, d, _ in ref_hyps]
         assert list(G.reflections) == [p for _, _, ms in ref_hyps for p in ms]
@@ -144,7 +148,7 @@ def test_build_exposes_pinned_points_and_hyperplanes(name, cap, points_sha, hyps
     points = [[G._field.cyc(x).to_json() for x in v] for v in G._points]
     hyps = [
         [[x.to_json() for x in h.root], h.dist_reflection, list(G._hyp_refls[h.id])]
-        for h in hyperplanes(G)
+        for h in G.hyperplanes
     ]
     assert (sha256_json(points), sha256_json(hyps)) == (points_sha, hyps_sha)
 
@@ -206,7 +210,7 @@ def test_monomial_and_matrix_builds_agree(params):
         [to_matrix(mono.element(s)) for s in mono.generators], name="matrix"
     )
     assert mat.order == mono.order
-    assert len(hyperplanes(mat)) == len(hyperplanes(mono))
+    assert len(mat.hyperplanes) == len(mono.hyperplanes)
     assert table_rows(mat) == table_rows(mono)
     got, want = freeness_verdict(mat), freeness_verdict(mono)
     assert got.verdict == want.verdict == "free"
@@ -240,3 +244,47 @@ def test_batched_products_match_mul(build):
         for g in G.elements:
             assert list(left(g)) == [G.mul(g, x) for x in xs]
             assert list(G.right_coset(xs, g)) == [G.mul(x, g) for x in xs]
+
+
+@pytest.mark.parametrize("spec", ["gmpn:2,1,3", "g4"])
+def test_hyperplanes_and_action_rows_are_built_once(spec, monkeypatch):
+    """Every reader of the group's derived data, down to the relation
+    checks on an induced module, shares one hyperplane build and one
+    action-row build."""
+    calls = Counter()
+    build = Group._build_hyperplanes
+
+    def counted_build(self):
+        calls["hyperplanes"] += 1
+        return build(self)
+
+    rows = Group.__dict__["action_rows"].func
+
+    def counted_rows(self):
+        calls["action_rows"] += 1
+        return rows(self)
+
+    counted = cached_property(counted_rows)
+    counted.__set_name__(Group, "action_rows")
+    monkeypatch.setattr(Group, "_build_hyperplanes", counted_build)
+    monkeypatch.setattr(Group, "action_rows", counted)
+    G = packaged_group(spec) if spec == "g4" else build_imprimitive(2, 1, 3)
+    assert not calls
+    for _ in range(2):
+        hyps = G.hyperplanes
+        for ridx, g in enumerate(G.reflections):
+            assert G.reflection_index(g) == ridx
+            hid = G.reflection_hyperplane(ridx)
+            assert ridx in G.hyperplane_reflections(hid)
+            assert G.reflection_class_of(ridx) < len(G.reflection_classes)
+        assert all(h.dist_reflection in h.reflections for h in hyps)
+        assert G.generator_rows == [G.hyperplane_action(s) for s in G.generators]
+        assert len(G.action_rows[0]) * len(G.action_rows[1]) <= G.order
+        assert G.index_of(G.element(G.order - 1)) == G.order - 1
+        B = (0,)
+        assert G.stabilizer_of(B).order * len(orbit(G, B)[0]) == G.order
+        transv_table(G)
+        classify_orbits(G)
+        report = verify_defining_relations(induce(G, (), quotient_regular_rep(G, ())))
+        assert report.all_pass
+    assert calls == {"hyperplanes": 1, "action_rows": 1}

@@ -24,7 +24,7 @@ from bct.brauer_modules import (
     quotient_regular_rep,
     verify_defining_relations,
 )
-from bct.reflection_groups import build_imprimitive, hyperplanes, packaged_group
+from bct.reflection_groups import build_imprimitive, packaged_group
 from bct.transversality import _hyperplane_orbits, transv_table
 
 
@@ -41,7 +41,7 @@ def reference_relations(M, seed=0):
     on every hyperplane, reflection and pair in ascending order."""
     G = M.group
     table = transv_table(G)
-    labels = [h.label for h in hyperplanes(G)]
+    labels = [h.label for h in G.hyperplanes]
     nh = len(labels)
     results = {name: True for name in ("B1", "B2", "B3", "B4", "B5")}
     first = None
@@ -188,7 +188,7 @@ def test_tampered_eps_off_the_orbit_minimum_falls_back_to_every_hyperplane():
     M.eps[hid] = e
     report = assert_matches_reference(M)
     assert report.results["B1"] is False and report.results["B2"] is False
-    label = hyperplanes(G)[hid].label
+    label = G.hyperplanes[hid].label
     assert report.first_counterexample == f"B1: eps({label})^2 != delta*eps({label})"
 
 
@@ -252,7 +252,7 @@ def test_table_and_classes_are_equivariant(spec):
     mapping sH' to sH; and it keeps every reflection in its class."""
     G = group(spec)
     table = transv_table(G)
-    nh = len(hyperplanes(G))
+    nh = len(G.hyperplanes)
     refls = G.reflections
     for s in G.generators:
         act = G.hyperplane_action(s)

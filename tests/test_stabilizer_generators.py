@@ -1,7 +1,5 @@
 """Stabilizer generators from the orbit walk: Schreier elements, sifted."""
 
-from math import factorial
-
 import pytest
 
 from bct.brauer_modules import (
@@ -15,24 +13,17 @@ from bct.reflection_groups import (
     _sift,
     bfs,
     build_imprimitive,
-    hyperplanes,
     orbit,
-    orbit_walk,
     packaged_group,
     stabilizer,
     subgroup_closure,
 )
 from bct.transversality import collection_orbits
+from conftest import SMALL_GMPN
 
 # the G(m,p,n) of the A2 sweep, whose transversality tables this one
 # reuses: order at most 200, m <= 40
-SMALL_MONOMIAL = [
-    (m, p, n)
-    for n in range(2, 6)
-    for m in range(1, 41)
-    for p in range(1, m + 1)
-    if m % p == 0 and factorial(n) * m ** n // p <= 200
-]
+SMALL_MONOMIAL = [(m, p, n) for m, p, n in SMALL_GMPN if m <= 40]
 
 
 def reference_orbit(G, B):
@@ -57,11 +48,11 @@ def assert_stabilizer_invariants(G):
         sizes = [subgroup_closure(G, gens[:k]).order for k in range(len(gens) + 1)]
         assert all(2 * a <= b for a, b in zip(sizes, sizes[1:]))
         assert len(gens) <= stab.order.bit_length() - 1
-        blocks, witnesses = orbit_walk(G, B)
+        blocks, witnesses = orbit(G, B)
         assert witnesses[0] == G.identity
         for block, u in zip(blocks, witnesses):
             assert tuple(sorted(G.hyperplane_action(u)[h] for h in B)) == block
-        assert orbit(G, B) == reference_orbit(G, B)
+        assert orbit(G, B)[0] == reference_orbit(G, B)
         assert len(blocks) == rec.orbit_size
 
 
@@ -78,20 +69,10 @@ def test_stabilizer_generators_on_small_monomial_groups(sweep_group):
         assert_stabilizer_invariants(sweep_group(m, p, n))
 
 
-# every G(m,p,n) of order at most 200
-ALL_SMALL_MONOMIAL = [
-    (m, p, n)
-    for n in range(2, 6)
-    for m in range(1, 101)
-    for p in range(1, m + 1)
-    if m % p == 0 and factorial(n) * m ** n // p <= 200
-]
-
-
 def assert_invariant_collection_keeps_the_sift(G):
     # the empty collection is G-invariant: its one block has the identity
     # as witness, and the Schreier elements that a sift would read
-    blocks, witnesses = orbit_walk(G, ())
+    blocks, witnesses = orbit(G, ())
     assert blocks == [()] and witnesses == [G.identity]
     schreier = [G.mul(G.inv(u), G.mul(s, u)) for u in witnesses for s in G.generators]
     stab = stabilizer(G, ())
@@ -109,8 +90,8 @@ def test_invariant_collection_keeps_the_sift_on_matrix_groups(name, request):
 def test_invariant_collection_keeps_the_sift_on_small_monomial_groups(
     sweep_group,
 ):
-    assert len(ALL_SMALL_MONOMIAL) == 164
-    for m, p, n in ALL_SMALL_MONOMIAL:
+    assert len(SMALL_GMPN) == 164
+    for m, p, n in SMALL_GMPN:
         if m <= 40:
             assert_invariant_collection_keeps_the_sift(sweep_group(m, p, n))
         else:
@@ -142,8 +123,8 @@ def test_swapped_action_rows_break_the_schreier_closure():
     # equals the closure of the Schreier generators, which never read
     # those rows
     G = build_imprimitive(2, 1, 3)
-    _, drow = G.action_rows()
-    B = (next(h.id for h in hyperplanes(G) if h.key[0] == "pair"),)
+    _, drow = G.action_rows
+    B = (next(h.id for h in G.hyperplanes if h.key[0] == "pair"),)
     stabilizer(G, B)
     skip = {s % len(drow) for s in G.generators}
     diags = [d for d in range(len(drow)) if d not in skip]

@@ -1,18 +1,13 @@
 """Transversality tables, collection enumeration, and orbits."""
 
 import random
-from math import factorial
 
 import pytest
 
 from bct import transversality
 from bct.errors import InternalInconsistency, NotDistinct
 from bct.exact_arith import euler_phi
-from bct.reflection_groups import (
-    build_imprimitive,
-    hyperplanes,
-    packaged_group,
-)
+from bct.reflection_groups import build_imprimitive, packaged_group
 from bct.transversality import (
     check_all_pairs,
     collection_orbits,
@@ -22,10 +17,11 @@ from bct.transversality import (
     small_orbit,
     transv_table,
 )
+from conftest import SMALL_GMPN
 
 
 def by_label(G):
-    return {h.label: h for h in hyperplanes(G)}
+    return {h.label: h for h in G.hyperplanes}
 
 
 # -- is_transverse -----------------------------------------------------------
@@ -51,7 +47,7 @@ def test_disjoint_pairs_transverse_in_g314():
 
 def test_same_hyperplane_rejected():
     G = build_imprimitive(3, 1, 3)
-    H = hyperplanes(G)[0]
+    H = G.hyperplanes[0]
     with pytest.raises(NotDistinct):
         is_transverse(G, H, H)
 
@@ -65,7 +61,7 @@ def test_deciders_agree_on_all_monomial_groups_up_to_rank_four():
                 continue
             for n in (2, 3, 4):
                 G = build_imprimitive(m, p, n)
-                hyps = hyperplanes(G)
+                hyps = G.hyperplanes
                 for a in range(len(hyps)):
                     for b in range(a + 1, len(hyps)):
                         is_transverse(G, hyps[a], hyps[b])
@@ -85,7 +81,7 @@ def test_coordinate_hyperplanes_mapped_by_all_kappa_reflections():
     for ridx in mapped:
         s = G.reflections[ridx]
         hid = G.reflection_hyperplane(ridx)
-        assert hyperplanes(G)[hid].key[:3] == ("pair", 0, 1)
+        assert G.hyperplanes[hid].key[:3] == ("pair", 0, 1)
         assert G.mul(s, s) == G.identity
 
 
@@ -112,7 +108,7 @@ def test_nontransverse_cell_with_empty_mapping_list():
 
 
 def test_g26_order3_rows_have_exactly_three_transverse_cells(g26):
-    hyps = hyperplanes(g26)
+    hyps = g26.hyperplanes
     tbl = transv_table(g26)
     order3 = [h for h in hyps if h.order_m == 3]
     assert len(order3) == 12
@@ -136,17 +132,11 @@ def test_table_diagonal_rejected(g25):
 # of every root against every pair, over Q(zeta_m): about 2 s for these 69
 # groups on a 2-vCPU host, where G(23,23,2) (phi 22) alone takes 0.8 s and
 # G(37,37,2) 9 s
-SMALL_MONOMIAL = [
-    (m, p, n)
-    for n in range(2, 6)
-    for m in range(1, 31)
-    for p in range(1, m + 1)
-    if m % p == 0 and factorial(n) * m ** n // p <= 200 and euler_phi(m) <= 10
-]
+SMALL_MONOMIAL = [(m, p, n) for m, p, n in SMALL_GMPN if euler_phi(m) <= 10]
 
 
 def assert_table_is_all_pairs_oracle(G):
-    hyps = hyperplanes(G)
+    hyps = G.hyperplanes
     tbl = transv_table(G)
     for i in range(len(hyps)):
         for j in range(i + 1, len(hyps)):
@@ -324,9 +314,9 @@ def test_tampered_action_row_is_caught():
     # it join the stabilizer and the orbit-stabilizer identity fails, under
     # python -O too
     G = build_imprimitive(2, 2, 3)
-    prow, drow = G.action_rows()
+    prow, drow = G.action_rows
     assert collection_orbits(G)
-    ident = tuple(range(len(hyperplanes(G))))
+    ident = tuple(range(len(G.hyperplanes)))
     skip = {g // len(drow) for g in (*G.generators, *G.reflections)}
     r = next(r for r, row in enumerate(prow) if r not in skip and row != ident)
     prow[r] = ident

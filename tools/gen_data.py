@@ -16,22 +16,17 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from fractions import Fraction
 
 from bct.exact_arith import zeta
-from bct.reflection_groups import (
-    build_matrix_group,
-    group_to_json,
-    hyperplanes,
-    reflection_from_root,
-)
+from bct.reflection_groups import build_matrix_group, reflection_from_root
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "bct" / "data"
 
 
 def write(path, group, expect_order, expect_hyps):
     assert group.order == expect_order, (group.name, group.order)
-    assert len(hyperplanes(group)) == expect_hyps, group.name
+    assert len(group.hyperplanes) == expect_hyps, group.name
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(group_to_json(group), fh, indent=1, sort_keys=True)
+        json.dump(group.definition, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"{path.name}: order {group.order}, {expect_hyps} hyperplanes")
 

@@ -42,8 +42,8 @@ from bct.admissibility import (  # noqa: E402
     dim_from_rows,
     orbit_records,
 )
-from bct.cli import build_spec  # noqa: E402
-from bct.reflection_groups import DEFAULT_CAP, hyperplanes  # noqa: E402
+from bct.cli import parse_spec  # noqa: E402
+from bct.definitions import DEFAULT_CAP  # noqa: E402
 from bct.transversality import check_all_pairs, transv_table  # noqa: E402
 
 
@@ -56,9 +56,9 @@ def stages(spec: str) -> dict:
         times[name] = round(time.perf_counter() - start, 4)
         return out
 
-    G = timed("build", lambda: build_spec(spec, DEFAULT_CAP))
-    hyps = timed("hyperplanes", lambda: hyperplanes(G))
-    timed("actions", G.action_rows)
+    G = timed("build", lambda: parse_spec(spec)[1](DEFAULT_CAP))
+    hyps = timed("hyperplanes", lambda: G.hyperplanes)
+    timed("actions", lambda: G.action_rows)
     table = timed("table", lambda: transv_table(G))
     timed("all_pairs", lambda: check_all_pairs(G))
     records = timed("orbits", lambda: orbit_records(G))
