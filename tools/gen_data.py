@@ -16,7 +16,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from fractions import Fraction
 
 from bct.exact_arith import zeta
-from bct.reflection_groups import build_matrix_group, reflection_from_root
+from bct.reflection_groups import (
+    build_matrix_group,
+    reflection_from_root,
+)
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "bct" / "data"
 

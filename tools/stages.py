@@ -43,7 +43,7 @@ from bct.admissibility import (  # noqa: E402
     orbit_records,
 )
 from bct.cli import parse_spec  # noqa: E402
-from bct.definitions import DEFAULT_CAP  # noqa: E402
+from bct.reflection_groups import DEFAULT_CAP  # noqa: E402
 from bct.transversality import check_all_pairs, transv_table  # noqa: E402
 
 
