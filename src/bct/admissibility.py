@@ -25,12 +25,7 @@ from math import factorial
 from .definitions import dim_from_rows
 from .errors import InternalInconsistency, InvalidParameters
 from .exact_arith import CycNumber, SpanBasis
-from .reflection_groups import (
-    Group,
-    Subgroup,
-    orbit,
-    subgroup_closure,
-)
+from .reflection_groups import Group, Subgroup, subgroup_closure
 from .transversality import (
     OrbitRecord,
     collection_orbits,
@@ -548,9 +543,9 @@ def _classify(G, B, orbit_rec) -> AdmissibilityRecord:
             )
 
     if orbit_rec is None:
-        orb, _ = orbit(G, ws.B)
-        stab_order = G.stabilizer_of(ws.B).order
-        orbit_rec = OrbitRecord(min(orb), len(orb), stab_order, len(ws.B))
+        stab = G.stabilizer_of(ws.B)
+        orb = stab.walk[0]
+        orbit_rec = OrbitRecord(min(orb), len(orb), stab.order, len(ws.B))
     kb_order = ws.kb.order
     if orbit_rec.stab_order % kb_order:
         raise InternalInconsistency(

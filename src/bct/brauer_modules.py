@@ -2,20 +2,22 @@
 
 A transverse collection B with an admissible quotient carries a module
 built by induction: the underlying space is one copy of a Stab(B)
-representation V0 per collection in the orbit of B, and each hyperplane
-H acts through an operator assembled blockwise from a three-case rule
-(scaling by delta on blocks whose collection contains H, zero on blocks
-transverse to H, and a weighted sum of reflections otherwise).  All
-scalars are Laurent polynomials with integer coefficients in delta and
-one parameter per reflection class, so every identity checked here is
-exact and holds before any specialization.  Group elements act by
-permuting the basis, so multiplying by one is a re-indexing of an
-operator's entries, and multiplying by delta or one class parameter is a
-shift of one exponent.
+representation V0 per collection in the orbit walk Stab(B) keeps, and
+each hyperplane H acts through an operator assembled blockwise from a
+three-case rule (scaling by delta on blocks whose collection contains
+H, zero on blocks transverse to H, and a weighted sum of reflections
+otherwise).  All scalars are Laurent polynomials with integer
+coefficients in delta and one parameter per reflection class, so every
+identity checked here is exact and holds before any specialization.
+Group elements act by permuting the basis, so multiplying by one is a
+re-indexing of an operator's entries, and multiplying by delta or one
+class parameter is a shift of one exponent.
 
 The checks offered are the five defining relations of the algebra on
-such a module, and the census identity equating the algebra dimension
-with the sum of squared dimensions of the simple modules.
+such a module, checked once per W-orbit of hyperplanes, reflections and
+pairs as the group core lists them, and the census identity equating the
+algebra dimension with the sum of squared dimensions of the simple
+modules.
 """
 
 import random
@@ -30,8 +32,8 @@ from .admissibility import (
 )
 from .errors import InternalInconsistency, NotAdmissible, NotAdmissiblePair
 from .exact_arith import LaurentScalar
-from .reflection_groups import Group, orbit, orbits
-from .transversality import _hyperplane_orbits, _pair_orbits, transv_table
+from .reflection_groups import Group
+from .transversality import transv_table
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +271,10 @@ def induce(G: Group, B, v0: StabRep) -> InducedModule:
     for the pair to define a module.
     """
     B = tuple(sorted(B))
-    if v0.group is not G or v0.stab.elements != G.stabilizer_of(B).elements:
+    stab = G.stabilizer_of(B)
+    if v0.group is not G or v0.stab.elements != stab.elements:
         raise InternalInconsistency(f"B={B}: V0 is not a representation of Stab(B)")
-    module = InducedModule(G, B, v0, *orbit(G, B))
+    module = InducedModule(G, B, v0, *stab.walk)
     _check_stab_action(module)
     _check_rel_annihilation(module)
     module.eps = {
@@ -495,15 +498,10 @@ def verify_defining_relations(M: InducedModule, seed: int = 0) -> RelationReport
     ordered = [(i, j) for i in range(nh) for j in range(nh) if i != j]
     if conj_fail is None:
         # one member per orbit, the smallest, in ascending order
-        hids = [o[0] for o in _hyperplane_orbits(G)]
+        hids = [o[0] for o in G.hyperplane_orbits]
         ridxs = [c[0] for c in G.reflection_classes]
-        pairs = [o[0] for o in _pair_orbits(G, nh)]
-        ordered = [
-            o[0]
-            for o in orbits(
-                ordered, G.generator_rows, lambda p, row: (row[p[0]], row[p[1]])
-            )
-        ]
+        pairs = [o[0] for o in G.pair_orbits]
+        ordered = [o[0] for o in G.ordered_pair_orbits]
 
     for hid in hids:
         e = M.eps[hid]
@@ -556,7 +554,9 @@ def semisimplicity_census(G: Group, mu6=False):
     simple modules over that orbit are indexed by the irreducibles of
     the quotient Stab(B)/K_B, and induction scales dimensions by the
     orbit size.  The two numbers must agree; a mismatch is an internal
-    error, not a report entry.
+    error, not a report entry.  The sum of squares is the second count
+    of dim_from_rows over the same rows, so it holds whenever that
+    double count does and adds no check of its own.
     """
     recs = classify_orbits(G)
     ss = sum(r.orbit.orbit_size**2 * r.quotient(mu6) for r in recs)

@@ -209,8 +209,9 @@ def _is_rows(rows) -> bool:
 
 def cache_load(cache_dir: str, digest: str) -> dict:
     """The bundle stored for digest; a missing or malformed file (an order
-    or refusal record that is no int or null, or rows that are not
-    _is_rows), or one of another version, gives a fresh bundle (a miss).
+    or refusal record that is no int or null, rows that are not _is_rows,
+    or rows without an order, which GroupStore._save always writes with
+    them), or one of another version, gives a fresh bundle (a miss).
     Bundles are plain JSON, so loading one never runs code."""
     path = os.path.join(cache_dir, digest + ".json")
     try:
@@ -229,6 +230,7 @@ def cache_load(cache_dir: str, digest: str) -> dict:
         )
         or not isinstance(bundle["classify"], dict)
         or not all(map(_is_rows, bundle["classify"].values()))
+        or (bundle["classify"] and bundle["order"] is None)
     ):
         return fresh
     return bundle

@@ -47,15 +47,10 @@ __all__ = [
 def euler_phi(n: int) -> int:
     if n < 1:
         raise InvalidParameters(f"euler_phi needs n >= 1, got {n}")
-    result, m, k = n, n, 2
-    while k * k <= m:
-        if m % k == 0:
-            while m % k == 0:
-                m //= k
-            result -= result // k
-        k += 1
-    if m > 1:
-        result -= result // m
+    # n * prod(1 - 1/p) over the primes p dividing n, exact at each step
+    result = n
+    for p in _prime_factors(n):
+        result -= result // p
     return result
 
 

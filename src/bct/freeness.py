@@ -37,12 +37,7 @@ from .admissibility import (
 from .errors import InternalInconsistency
 from .exact_arith import z_span_test
 from .reflection_groups import Group
-from .transversality import (
-    _hyperplane_orbits,
-    reflection_images,
-    small_orbit,
-    transv_table,
-)
+from .transversality import reflection_images, small_orbit, transv_table
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +222,7 @@ def g26_geometry_suite(G: Group):
         "partners_linked": False,
     }
 
-    orbs = sorted(map(frozenset, _hyperplane_orbits(G)), key=len, reverse=True)
+    orbs = sorted(map(frozenset, G.hyperplane_orbits), key=len, reverse=True)
     if len(orbs) == 2:
         o1, o2 = orbs
         orders1 = {hyps[h].order_m for h in o1}

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import chain, islice, permutations, product
+from itertools import chain, combinations, islice, permutations, product
 from operator import itemgetter
 
 from .definitions import (
@@ -249,13 +249,15 @@ class Hyperplane:
 
 
 class Subgroup:
-    """Subgroup given by its elements and the generators it was closed from."""
+    """Subgroup given by its elements and the generators it was closed from;
+    a stabilizer's walk is the (blocks, witnesses) they were sifted from."""
 
-    __slots__ = ("generators", "elements")
+    __slots__ = ("generators", "elements", "walk")
 
-    def __init__(self, generators, elements):
+    def __init__(self, generators, elements, walk=None):
         self.generators = tuple(generators)
         self.elements = frozenset(elements)
+        self.walk = walk
 
     @property
     def order(self):
@@ -323,7 +325,7 @@ class Group:
         self.identity = 0
         self.generators = tuple(self._index[self._frame(g)] for g in generators)
         self.reducible = kind == "imprimitive" and (m, p, n) == (2, 2, 2)
-        # kept here by transversality.transv_table and admissibility.orbit_records
+        # kept here by transv_table, orbit_records, _workspace and stabilizer
         self._transv_table = None
         self._orbit_records = None
         self._adm_cache = {}
@@ -659,16 +661,13 @@ class Group:
         return [self.hyperplane_action(s) for s in self.generators]
 
     def stabilizer_of(self, B) -> "Subgroup":
-        """Setwise stabilizer of a collection, with its Schreier generators,
-        built by `stabilizer` once per collection and kept (collection_orbits
-        keeps those of the orbit representatives it checks)."""
-        key = tuple(sorted(B))
-        sub = self._stabilizers.get(key)
-        if sub is None:
-            sub = self._stabilizers[key] = stabilizer(self, key)
-        return sub
+        """Setwise stabilizer of a collection, with its Schreier generators
+        and the orbit walk they were sifted from: the last one `stabilizer`
+        built for the collection, which it keeps here, or a new one."""
+        sub = self._stabilizers.get(tuple(sorted(B)))
+        return stabilizer(self, B) if sub is None else sub
 
-    # -- conjugacy classes of reflections ----------------------------------
+    # -- orbits of reflections, hyperplanes and pairs of hyperplanes --------
 
     @cached_property
     def reflection_classes(self):
@@ -692,6 +691,32 @@ class Group:
     def reflection_class_of(self, idx: int) -> int:
         """Position in reflection_classes of the class of reflection idx."""
         return self._class_of[idx]
+
+    # orbits under the generators' rows, each listed from its smallest
+    # member, in the order of those members
+
+    @cached_property
+    def hyperplane_orbits(self):
+        """The orbits of the hyperplane ids."""
+        hids = range(len(self.hyperplanes))
+        return orbits(hids, self.generator_rows, lambda h, row: row[h])
+
+    @cached_property
+    def pair_orbits(self):
+        """The orbits of the unordered pairs (i, j), i < j, of hyperplane ids."""
+
+        def step(pair, row):
+            a, b = row[pair[0]], row[pair[1]]
+            return (a, b) if a < b else (b, a)
+
+        pairs = combinations(range(len(self.hyperplanes)), 2)
+        return orbits(pairs, self.generator_rows, step)
+
+    @cached_property
+    def ordered_pair_orbits(self):
+        """The orbits of the ordered pairs (i, j), i != j, of hyperplane ids."""
+        pairs = permutations(range(len(self.hyperplanes)), 2)
+        return orbits(pairs, self.generator_rows, lambda p, row: (row[p[0]], row[p[1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +897,8 @@ def stabilizer(G: Group, B) -> Subgroup:
     all of G.
 
     The scan groups the diagonals by their image of B: permutation r after
-    any diagonal of a group stabilizes B when row r maps that image into B."""
+    any diagonal of a group stabilizes B when row r maps that image into B.
+    The subgroup keeps the orbit walk, and G keeps it for stabilizer_of."""
     bset = frozenset(B)
     prow, drow = G.action_rows
     images = {}
@@ -884,7 +910,7 @@ def stabilizer(G: Group, B) -> Subgroup:
         for x in image:
             rs = [r for r in rs if prow[r][x] in bset]
         members.extend(r * len(drow) + d for r in rs for d in ds)
-    blocks, witnesses = orbit(G, B)
+    walk = blocks, witnesses = orbit(G, B)
     if len(blocks) * len(members) != G.order:
         raise InternalInconsistency(
             f"orbit-stabilizer fails for {blocks[0]}: {len(blocks)} * "
@@ -892,7 +918,8 @@ def stabilizer(G: Group, B) -> Subgroup:
         )
     scan = frozenset(members)
     if len(blocks) == 1:
-        return Subgroup(G.generators, scan)
+        G._stabilizers[blocks[0]] = sub = Subgroup(G.generators, scan, walk)
+        return sub
     witness = dict(zip(blocks, witnesses))
     schreier = (
         G.mul(G.inv(witness[tuple(sorted(row[h] for h in x))]), G.mul(s, u))
@@ -905,7 +932,8 @@ def stabilizer(G: Group, B) -> Subgroup:
         raise InternalInconsistency(
             f"the Schreier generators of Stab({blocks[0]}) do not close to its scan"
         )
-    return Subgroup(gens, scan)
+    G._stabilizers[blocks[0]] = sub = Subgroup(gens, scan, walk)
+    return sub
 
 
 def _sift(G: Group, candidates, order):

@@ -8,11 +8,14 @@ The central object is the table holding, for every ordered pair of
 hyperplanes, either a transversality flag or the list of reflections
 mapping the first hyperplane onto the second.  Everything downstream
 (collection enumeration, orbit splitting, admissibility) reads this table.
+
+No orbit is computed here: the table reads G.pair_orbits, and the orbits
+of collections are the walks reflection_groups.stabilizer keeps.
 """
 
 from .errors import InternalInconsistency, NotDistinct
 from .exact_arith import SpanBasis
-from .reflection_groups import Group, Hyperplane, orbit, orbits, stabilizer
+from .reflection_groups import Group, Hyperplane, stabilizer
 
 __all__ = [
     "TransvTable",
@@ -83,13 +86,11 @@ class TransvTable:
     fail (some non-transverse pairs are mapped by no reflection at all).
     """
 
-    __slots__ = ("group", "size", "pair_orbits", "_transverse", "_mapped")
+    __slots__ = ("group", "size", "_transverse", "_mapped")
 
-    def __init__(self, group, size, transverse, mapped, pair_orbits):
+    def __init__(self, group, size, transverse, mapped):
         self.group = group
         self.size = size
-        # how many pair orbits the span criterion decided
-        self.pair_orbits = pair_orbits
         self._transverse = transverse
         self._mapped = mapped
 
@@ -112,35 +113,12 @@ class TransvTable:
         return f"TransvTable({self.group.name}, size={self.size})"
 
 
-def _hyperplane_orbits(G: Group):
-    """The orbits of the hyperplane ids under the generators' action
-    rows.  Each orbit is listed from its smallest id, and the orbits come
-    in the order of those ids."""
-    return orbits(range(len(G.hyperplanes)), G.generator_rows, lambda h, row: row[h])
-
-
-def _pair_orbits(G: Group, size: int):
-    """The orbits of the unordered pairs (i, j), i < j, of hyperplane ids
-    under the generators' action rows.  Each orbit is listed from its
-    smallest pair, and the orbits come in the order of those pairs."""
-
-    def step(pair, row):
-        a, b = row[pair[0]], row[pair[1]]
-        return (a, b) if a < b else (b, a)
-
-    return orbits(
-        ((i, j) for i in range(size) for j in range(i + 1, size)),
-        G.generator_rows,
-        step,
-    )
-
-
 def transv_table(G: Group) -> TransvTable:
     """Build (once per group) the full transversality/mapping table.
 
     W permutes the flats of its arrangement, so whether H_i meets H_j in a
     flat on no third hyperplane is constant on each W-orbit of pairs: the
-    span criterion runs once per pair orbit.  On monomial groups the type
+    span criterion runs once per orbit of G.pair_orbits.  On monomial groups the type
     shortcut still answers every pair and must agree with it."""
     if G._transv_table is not None:
         return G._transv_table
@@ -155,8 +133,7 @@ def transv_table(G: Group) -> TransvTable:
                 mapped.setdefault((i, j), []).append(ridx)
     mapped = {cell: tuple(v) for cell, v in mapped.items()}
     transverse = [set() for _ in range(size)]
-    orbits = _pair_orbits(G, size)
-    for members in orbits:
+    for members in G.pair_orbits:
         i, j = members[0]
         flag = _root_span_transverse(G, hyps[i], hyps[j])
         for a, b in members:
@@ -184,9 +161,7 @@ def transv_table(G: Group) -> TransvTable:
             raise InternalInconsistency(
                 f"mapping reflections of ({i}, {j}) and ({j}, {i}) are not inverse"
             )
-    tbl = TransvTable(
-        G, size, [frozenset(r) for r in transverse], mapped, len(orbits)
-    )
+    tbl = TransvTable(G, size, [frozenset(r) for r in transverse], mapped)
     G._transv_table = tbl
     return tbl
 
@@ -243,7 +218,11 @@ class OrbitRecord:
 
 def collection_orbits(G: Group):
     """Split the transverse collections into orbits; one record per orbit,
-    ordered by (cardinality, lexicographically smallest member)."""
+    ordered by (cardinality, lexicographically smallest member).
+
+    Each orbit is the walk of the stabilizer of its first collection met,
+    scanned and sifted afresh, checking orbit-stabilizer, and kept by
+    stabilizer for G.stabilizer_of."""
     cols = enumerate_collections(G)
     universe = set(cols)
     seen = set()
@@ -251,16 +230,19 @@ def collection_orbits(G: Group):
     for B in cols:
         if B in seen:
             continue
-        orb, _ = orbit(G, B)
+        stab = stabilizer(G, B)
+        orb = stab.walk[0]
+        # the enumeration ascends, so B is the smallest member of its orbit
+        if min(orb) != B:
+            raise InternalInconsistency(
+                f"the orbit of {B} has the smaller member {min(orb)}, met later"
+            )
         if not universe.issuperset(orb):
             raise InternalInconsistency(
                 f"the orbit of {B} leaves the set of transverse collections"
             )
         seen.update(orb)
-        rep = min(orb)
-        # scanned and sifted afresh, checking orbit-stabilizer; kept for reuse
-        stab = G._stabilizers[rep] = stabilizer(G, rep)
-        records.append(OrbitRecord(rep, len(orb), stab.order, len(rep)))
+        records.append(OrbitRecord(B, len(orb), stab.order, len(B)))
     if len(seen) != len(cols):
         raise InternalInconsistency("the orbits do not cover the collections")
     records.sort(key=lambda r: (r.cardinality, r.representative))

@@ -1,5 +1,7 @@
 """Induced modules, defining relations, and the census identity."""
 
+import sys
+
 import pytest
 
 from bct import reflection_groups, transversality
@@ -206,6 +208,32 @@ def test_stabilizer_scanned_once_per_collection(monkeypatch):
     for M in _modules(G):
         assert verify_defining_relations(M).all_pass
     assert sorted(calls) == sorted(r.orbit.representative for r in recs)
+
+
+@pytest.mark.parametrize("spec", [(3, 1, 3), "g4"])
+def test_each_collection_is_walked_once(monkeypatch, spec):
+    """Orbit records, admissibility and induction read the orbit walk that
+    Stab(B) was sifted from: one walk per collection.  The counting wrapper
+    replaces orbit in every bct module that binds it."""
+    walks = {}
+    walk = reflection_groups.orbit
+
+    def counted(G, B):
+        key = tuple(sorted(B))
+        walks[key] = walks.get(key, 0) + 1
+        return walk(G, B)
+
+    for mod in list(sys.modules.values()):
+        name = getattr(mod, "__name__", "")
+        if name.startswith("bct") and getattr(mod, "orbit", None) is walk:
+            monkeypatch.setattr(mod, "orbit", counted)
+    G = packaged_group(spec) if isinstance(spec, str) else build_imprimitive(*spec)
+    modules = 0
+    for M in _modules(G):
+        assert verify_defining_relations(M).all_pass
+        modules += 1
+    assert modules >= 2
+    assert walks and max(walks.values()) == 1, walks
 
 
 def test_report_serialization_shape(gmpn):

@@ -197,8 +197,9 @@ def test_malformed_bundle_is_a_miss(capsys, cache):
     no_rows = dict(stored, classify={"generic": []})
     text_refusal = dict(stored, refused_cap="130")
     text_order = dict(stored, order="18")
+    no_order = dict(stored, order=None)
     for bad in ([], {"version": cli.CACHE_VERSION}, wrong_type, empty_row,
-                text_row, no_rows, text_refusal, text_order):
+                text_row, no_rows, text_refusal, text_order, no_order):
         with open(path, "w") as fh:
             json.dump(bad, fh)
         assert run_json(capsys, argv) == first

@@ -25,7 +25,7 @@ from bct.brauer_modules import (
     verify_defining_relations,
 )
 from bct.reflection_groups import build_imprimitive, packaged_group
-from bct.transversality import _hyperplane_orbits, transv_table
+from bct.transversality import transv_table
 
 
 def conjugate(M, w, e):
@@ -179,7 +179,7 @@ def test_tampered_eps_off_the_orbit_minimum_falls_back_to_every_hyperplane():
     orbit's smallest member breaks B1 there alone and B2 on a generator,
     so every hyperplane is checked and the report is the reference one."""
     G, M = _s3_module()
-    (orbit,) = _hyperplane_orbits(G)
+    (orbit,) = G.hyperplane_orbits
     hid = orbit[-1]
     assert hid != orbit[0]
     e = dict(M.eps[hid])
@@ -223,7 +223,7 @@ def test_scaled_orbit_keeps_b2_and_fails_on_the_orbit_representatives(spec):
     pairs.  So the per-orbit checks run, and must flag and name what the
     reference finds by checking every member."""
     G = group(spec)
-    hyperplane_orbits = _hyperplane_orbits(G)
+    hyperplane_orbits = G.hyperplane_orbits
     assert len(hyperplane_orbits) == 2
     failing = 0
     for M in admissible_modules(G):

@@ -59,7 +59,7 @@ def stages(spec: str) -> dict:
     G = timed("build", lambda: parse_spec(spec)[1](DEFAULT_CAP))
     hyps = timed("hyperplanes", lambda: G.hyperplanes)
     timed("actions", lambda: G.action_rows)
-    table = timed("table", lambda: transv_table(G))
+    timed("table", lambda: transv_table(G))
     timed("all_pairs", lambda: check_all_pairs(G))
     records = timed("orbits", lambda: orbit_records(G))
     recs = timed("classify", lambda: classify_orbits(G))
@@ -72,7 +72,7 @@ def stages(spec: str) -> dict:
             "order": G.order,
             "points": G.npoints,
             "hyperplanes": len(hyps),
-            "pair_orbits": table.pair_orbits,
+            "pair_orbits": len(G.pair_orbits),
             "collections": sum(r.orbit_size for r in records),
             "orbits": len(records),
             "dim_generic": dim_from_rows(G.order, [r.as_row() for r in recs]),
