@@ -118,8 +118,9 @@ def transv_table(G: Group) -> TransvTable:
 
     W permutes the flats of its arrangement, so whether H_i meets H_j in a
     flat on no third hyperplane is constant on each W-orbit of pairs: the
-    span criterion runs once per orbit of G.pair_orbits.  On monomial groups the type
-    shortcut still answers every pair and must agree with it."""
+    span criterion runs once per orbit of G.pair_orbits.  On monomial
+    groups the type shortcut still answers every pair and must agree
+    with it."""
     if G._transv_table is not None:
         return G._transv_table
     hyps = G.hyperplanes

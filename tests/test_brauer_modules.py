@@ -210,7 +210,7 @@ def test_stabilizer_scanned_once_per_collection(monkeypatch):
     assert sorted(calls) == sorted(r.orbit.representative for r in recs)
 
 
-@pytest.mark.parametrize("spec", [(3, 1, 3), "g4"])
+@pytest.mark.parametrize("spec", [(3, 1, 3), "g4"], ids=str)
 def test_each_collection_is_walked_once(monkeypatch, spec):
     """Orbit records, admissibility and induction read the orbit walk that
     Stab(B) was sifted from: one walk per collection.  The counting wrapper
