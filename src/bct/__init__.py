@@ -25,16 +25,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "admissibility": (
         "AdmissibilityRecord",
-        "check_A2",
         "classify",
         "classify_orbits",
+        "collection",
         "d_and_p",
         "dim_brauer",
         "dim_g22n_formula",
         "dim_gmpn_formula",
-        "k_subgroup",
-        "rel_bar",
-        "rel_set",
     ),
     "brauer_modules": (
         "InducedModule",
@@ -93,7 +90,6 @@ _EXPORTS = {
         "collection_orbits",
         "enumerate_collections",
         "is_transverse",
-        "small_orbit",
         "transv_table",
     ),
 }

@@ -12,43 +12,39 @@ by an exact calculus of relation vectors over the basis
 
 Vectors are integer tuples of length N+1 where N is the number of
 reflections: positions 0..N-1 follow the group's reflection list and
-position N is the identity slot.  The main entry points are classify(),
-which produces one record per collection, and dim_from_rows(), which sums
-the block sizes over an orbit table with a double-entry consistency check
-(it lives in definitions, so a cache hit can run it without this module).
+position N is the identity slot.  The main entry points are collection(),
+the one record of a collection's facts (R_B, the images of B under the
+reflections, the relation vectors, K_B, the A2 checks), which refuses a
+collection that is not transverse; classify(), which turns that record
+into an AdmissibilityRecord; and dim_from_rows(), which sums the block
+sizes over an orbit table with a double-entry consistency check (it lives
+in definitions, so a cache hit can run it without this module).
 """
 
 from functools import cached_property
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 from .definitions import dim_from_rows
 from .errors import InternalInconsistency, InvalidParameters
 from .exact_arith import CycNumber, SpanBasis
 from .reflection_groups import Group, Subgroup, subgroup_closure
-from .transversality import (
-    OrbitRecord,
-    collection_orbits,
-    reflection_images,
-    transv_table,
-)
+from .transversality import OrbitRecord, collection_orbits, transv_table
 
 __all__ = [
     "AdmissibilityRecord",
+    "Collection",
     "SigmaTerm",
-    "check_A2",
     "classify",
     "classify_orbits",
+    "collection",
     "d0_ideal_dim",
     "d_and_p",
     "dim_brauer",
     "dim_from_rows",
     "dim_g22n_formula",
     "dim_gmpn_formula",
-    "k_subgroup",
     "orbit_records",
-    "rel_bar",
-    "rel_set",
     "sigma_triples",
 ]
 
@@ -97,12 +93,6 @@ def sigma_triples(G: Group, B):
     return out
 
 
-def _rb_positions(G: Group, B):
-    """Positions in G.reflections of the reflections with hyperplane in B,
-    ascending."""
-    return tuple(sorted(i for h in set(B) for i in G.hyperplane_reflections(h)))
-
-
 def signed_vector(size, plus, minus, avoid=frozenset()):
     """Integer vector with +1 at each index of plus and -1 at each index of
     minus.  Relation supports never meet the collection's reflections, so
@@ -120,47 +110,28 @@ def signed_vector(size, plus, minus, avoid=frozenset()):
     return tuple(vec)
 
 
-def _relation_vectors(ws, terms):
+def _relation_vectors(col, terms):
     """The r - 1 vectors for r in R_B, then the signed vector of every
     (plus, minus) pair in terms, zero vectors and duplicates dropped."""
-    size = ws.nrefl + 1
-    vecs = [signed_vector(size, (i,), (ws.nrefl,)) for i in ws.rb]
+    size = col.nrefl + 1
+    vecs = [signed_vector(size, (i,), (col.nrefl,)) for i in col.rb]
     seen = set(vecs)
     for plus, minus in terms:
-        vec = signed_vector(size, plus, minus, ws.rb_set)
+        vec = signed_vector(size, plus, minus, col.rb_set)
         if any(vec) and vec not in seen:
             seen.add(vec)
             vecs.append(vec)
     return vecs
 
 
-def rel_set(G: Group, B):
-    """The relation vectors Rel(B): one per r-1 for r a reflection with
-    hyperplane in B, plus every sigma difference over hyperplanes outside
-    B.  Zero vectors are dropped and duplicates removed."""
-    return list(_workspace(G, B).rel_vectors)
-
-
-def rel_bar(G: Group, B):
-    """The projected relation vectors used by the admissibility checks.
-
-    Keeps the r-1 vectors and, for every image collection B' != B of B
-    under a single reflection, the projections of the sigma differences
-    onto reflections that also map B to B'.  The outer hyperplane ranges
-    over B' minus B and the difference pair over B minus B', with both
-    required non-transverse to the outer hyperplane.
-    """
-    return list(_workspace(G, B).rel_bar_vectors)
-
-
-def _projected_sigmas(G, ws):
+def _projected_sigmas(col):
     """(plus, minus) reflection lists of the projected sigma differences
-    behind rel_bar, in rel_bar's order."""
-    table = ws.table
-    bset = frozenset(ws.B)
-    for bp, movers in sorted(ws.movers.items()):
+    behind rel_bar_vectors, in their order."""
+    table = col.table
+    bset = frozenset(col.B)
+    for bp, movers in sorted(col.movers.items()):
         pset = frozenset(bp)
-        rows = [h for h in ws.B if h not in pset]
+        rows = [h for h in col.B if h not in pset]
         cols = [h for h in bp if h not in bset]
         cell = {
             (hr, hc): tuple(s for s in table.mapped_by(hr, hc) if s in movers)
@@ -174,12 +145,19 @@ def _projected_sigmas(G, ws):
 
 
 # ---------------------------------------------------------------------------
-# span bookkeeping per collection
+# the record of one collection
 
 
-class _Workspace:
-    """Relation data for one (group, collection) pair: the cached
-    properties are each built on their first read and kept."""
+class Collection:
+    """Every fact of one transverse collection B that the layers above the
+    group core read: R_B, the images of B under the reflections, the
+    relation vectors and their span, K_B and the A2 checks.  collection()
+    keeps one per group and collection; the cached properties are each
+    built on their first read and kept.
+
+    B must be transverse: an id out of range, a repeated id or a
+    non-transverse pair raises InvalidParameters.
+    """
 
     def __init__(self, G, B):
         self.G = G
@@ -188,25 +166,49 @@ class _Workspace:
         for h in self.B:
             if not 0 <= h < self.table.size:
                 raise InvalidParameters(f"hyperplane {h} out of range")
+        # B is sorted, so a repeated id is met as a pair before transverse()
+        for h1, h2 in combinations(self.B, 2):
+            if h1 == h2:
+                raise InvalidParameters(f"hyperplane {h1} repeats in {self.B}")
+            if not self.table.transverse(h1, h2):
+                raise InvalidParameters(
+                    f"hyperplanes {h1} and {h2} of {self.B} are not transverse"
+                )
         self.nrefl = len(G.reflections)
-        self.rb = _rb_positions(G, self.B)
+        # R_B: positions in G.reflections of the reflections with
+        # hyperplane in B, ascending
+        self.rb = tuple(sorted(i for h in self.B for i in G.hyperplane_reflections(h)))
+        self.rb_set = frozenset(self.rb)
+        # the image of B under each reflection, in the order of G.reflections
+        self.images = tuple(
+            tuple(sorted(act[h] for h in self.B))
+            for act in map(G.hyperplane_action, G.reflections)
+        )
         # {image B' != B: positions of the reflections mapping B to B'}
         self.movers = {}
-        for s, img in enumerate(reflection_images(G, self.B)):
+        for s, img in enumerate(self.images):
             if img != self.B:
                 self.movers.setdefault(img, []).append(s)
-        self.rb_set = frozenset(self.rb)
 
     @cached_property
     def rel_vectors(self):
-        """Rel(B), as rel_set returns it."""
+        """The relation vectors Rel(B): one per r-1 for r a reflection with
+        hyperplane in B, plus every sigma difference over hyperplanes outside
+        B.  Zero vectors are dropped and duplicates removed."""
         terms = ((t.plus, t.minus) for t in sigma_triples(self.G, self.B))
         return _relation_vectors(self, terms)
 
     @cached_property
     def rel_bar_vectors(self):
-        """The projected relation vectors, as rel_bar returns them."""
-        return _relation_vectors(self, _projected_sigmas(self.G, self))
+        """The projected relation vectors used by the admissibility checks.
+
+        Keeps the r-1 vectors and, for every image collection B' != B of B
+        under a single reflection, the projections of the sigma differences
+        onto reflections that also map B to B'.  The outer hyperplane ranges
+        over B' minus B and the difference pair over B minus B', with both
+        required non-transverse to the outer hyperplane.
+        """
+        return _relation_vectors(self, _projected_sigmas(self))
 
     @cached_property
     def span(self) -> SpanBasis:
@@ -228,6 +230,16 @@ class _Workspace:
         return classes
 
     @cached_property
+    def d_vectors(self):
+        """D: the differences theta(i) - theta(j) of two units in one
+        class, which are the difference vectors inside the span."""
+        return [
+            signed_vector(self.nrefl + 1, (i,), (j,))
+            for members in self.classes.values()
+            for i, j in permutations(members, 2)
+        ]
+
+    @cached_property
     def p_pairs(self):
         """Ordered pairs of reflections outside R_B that share a class."""
         return [
@@ -239,6 +251,7 @@ class _Workspace:
             )
         ]
 
+    @cached_property
     def products(self):
         """The products s_j^-1 s_i over p_pairs, and whether all of them
         lie in Stab(B)."""
@@ -248,10 +261,30 @@ class _Workspace:
 
     @cached_property
     def kb(self) -> Subgroup:
-        return _k_subgroup(self, self.G.stabilizer_of(self.B))
+        """The normal subgroup K_B of Stab(B): generated by the reflections
+        with hyperplane in B together with all products s2^-1 s1 where s1,
+        s2 map B to one common image != B while disagreeing on every
+        hyperplane of B outside that image."""
+        G = self.G
+        refls = G.reflections
+        gens = [refls[i] for i in self.rb]
+        # cross products s2^-1 s1 for reflections with a common image of B
+        for img, fiber in self.movers.items():
+            outside = [h for h in self.B if h not in img]
+            acts = [(refls[i], G.hyperplane_action(refls[i])) for i in fiber]
+            for (s1, a1), (s2, a2) in permutations(acts, 2):
+                if all(a1[h] != a2[h] for h in outside):
+                    gens.append(G.mul(G.inv(s2), s1))
+        sub = subgroup_closure(G, list(dict.fromkeys(gens)))
+        # normal in the setwise stabilizer: conjugates of the generators stay
+        for w in G.stabilizer_of(self.B).generators:
+            for g in sub.generators:
+                if G.conj(w, g) not in sub:
+                    raise InternalInconsistency("K_B must be normal in Stab(B)")
+        return sub
 
     def a1(self):
-        """(some rel_bar vector is literally a unit, some unit lies in the
+        """(some rel_bar_vectors entry is literally a unit, some unit lies in the
         span); a unit lies in the span exactly when its residue is zero."""
         literal = any(sum(1 for x in vec if x) == 1 for vec in self.rel_bar_vectors)
         span_hit = any(not any(r) for r in self.classes)
@@ -259,11 +292,11 @@ class _Workspace:
 
     @cached_property
     def a2(self):
-        """(D spans the span of rel_bar, R_B and D0 generate K_B).
+        """(D spans the span of rel_bar_vectors, R_B and D0 generate K_B).
 
         D holds the differences of units inside one class.  They span
         |C| - 1 dimensions per class C, on disjoint supports, so D spans
-        the span of rel_bar exactly when that span's rank plus the number
+        the span exactly when that span's rank plus the number
         of classes is N+1.
         """
         span, classes = self.span, self.classes
@@ -277,7 +310,7 @@ class _Workspace:
                     )
         span_eq = span.rank + len(classes) == self.nrefl + 1
         refls = self.G.reflections
-        products, sub_eq = self.products()
+        products, sub_eq = self.products
         if sub_eq:
             gens = [refls[i] for i in self.rb] + sorted(set(products))
             closure = subgroup_closure(self.G, gens)
@@ -291,45 +324,14 @@ class _Workspace:
         return any(cls(i) != cls(j) for i, j in self.p_pairs)
 
 
-def _workspace(G: Group, B) -> _Workspace:
+def collection(G: Group, B) -> Collection:
+    """The record of the collection B, built on first use and kept in the
+    group for every later call with the same ids in any order."""
     key = tuple(sorted(B))
-    ws = G._adm_cache.get(key)
-    if ws is None:
-        ws = _Workspace(G, key)
-        G._adm_cache[key] = ws
-    return ws
-
-
-# ---------------------------------------------------------------------------
-# K_B
-
-
-def _k_subgroup(ws: _Workspace, stab: Subgroup) -> Subgroup:
-    G = ws.G
-    refls = G.reflections
-    gens = [refls[i] for i in ws.rb]
-    # cross products s2^-1 s1 for reflections with a common image of B
-    for img, fiber in ws.movers.items():
-        outside = [h for h in ws.B if h not in img]
-        acts = [(refls[i], G.hyperplane_action(refls[i])) for i in fiber]
-        for (s1, a1), (s2, a2) in permutations(acts, 2):
-            if all(a1[h] != a2[h] for h in outside):
-                gens.append(G.mul(G.inv(s2), s1))
-    sub = subgroup_closure(G, list(dict.fromkeys(gens)))
-    # normal in the setwise stabilizer: conjugates of the generators stay
-    for w in stab.generators:
-        for g in sub.generators:
-            if G.conj(w, g) not in sub:
-                raise InternalInconsistency("K_B must be normal in Stab(B)")
-    return sub
-
-
-def k_subgroup(G: Group, B) -> Subgroup:
-    """The normal subgroup K_B of Stab(B): generated by the reflections
-    with hyperplane in B together with all products s2^-1 s1 where s1, s2
-    map B to one common image != B while disagreeing on every hyperplane
-    of B outside that image."""
-    return _workspace(G, B).kb
+    c = G._adm_cache.get(key)
+    if c is None:
+        c = G._adm_cache[key] = Collection(G, key)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -337,34 +339,22 @@ def k_subgroup(G: Group, B) -> Subgroup:
 
 
 def d_and_p(G: Group, B):
-    """Difference vectors in the span of rel_bar, the reflection pairs
-    behind them, and the group elements they reduce to.
+    """Difference vectors in the span of the projected relations, the
+    reflection pairs behind them, and the group elements they reduce to.
 
     Returns (D, P, D0) where D lists theta(i) - theta(j) vectors inside
     the span, P the ordered reflection-index pairs outside R_B among
     them, and D0 a dict with the products s2^-1 s1, the r - 1 elements,
     and a flag telling whether every product landed in Stab(B).
     """
-    ws = _workspace(G, B)
-    d_vecs = [
-        signed_vector(ws.nrefl + 1, (i,), (j,))
-        for members in ws.classes.values()
-        for i, j in permutations(members, 2)
-    ]
-    p_pairs = list(ws.p_pairs)
-    refls = G.reflections
-    products, in_stab = ws.products()
+    col = collection(G, B)
+    products, in_stab = col.products
     d0 = {
         "products": products,
-        "rb": [refls[i] for i in ws.rb],
+        "rb": [G.reflections[i] for i in col.rb],
         "in_stab": in_stab,
     }
-    return d_vecs, p_pairs, d0
-
-
-def check_A2(G: Group, B):
-    """(span equality of rel_bar and D, subgroup equality with K_B)."""
-    return _workspace(G, B).a2
+    return col.d_vectors, list(col.p_pairs), d0
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +371,11 @@ def d0_ideal_dim(G: Group, B, mu: CycNumber) -> int:
     """
     if mu**6 != CycNumber.rational(1):
         raise InvalidParameters(f"mu = {mu} is not a sixth root of unity")
-    if not all(check_A2(G, B)):
-        raise InvalidParameters(f"collection {tuple(B)} lacks property A2")
-    _, p_pairs, d0 = d_and_p(G, B)
-    if not d0["in_stab"]:
+    col = collection(G, B)
+    if not all(col.a2):
+        raise InvalidParameters(f"collection {col.B} lacks property A2")
+    products, in_stab = col.products
+    if not in_stab:
         raise InternalInconsistency("a D0 product leaves Stab(B) under A2")
 
     classes = G.reflection_classes
@@ -397,7 +388,7 @@ def d0_ideal_dim(G: Group, B, mu: CycNumber) -> int:
             "the distinguished reflections fill one of at most two classes"
         )
 
-    stab = G.stabilizer_of(B)
+    stab = G.stabilizer_of(col.B)
     members = sorted(stab.elements)
     if members[0] != G.identity:
         raise InternalInconsistency("the identity sorts first in Stab(B)")
@@ -413,9 +404,10 @@ def d0_ideal_dim(G: Group, B, mu: CycNumber) -> int:
         return mu.inv() if i in orb1 else mu
 
     # (stabilizer position, ratio) pairs, first occurrences in order
+    refls = G.reflections
     seeds = dict.fromkeys(
-        [(pos[r], one) for r in d0["rb"]]
-        + [(pos[g], ratio(i, j)) for (i, j), g in zip(p_pairs, d0["products"])]
+        [(pos[refls[i]], one) for i in col.rb]
+        + [(pos[g], ratio(i, j)) for (i, j), g in zip(col.p_pairs, products)]
     )
 
     basis = SpanBasis(size)
@@ -518,35 +510,32 @@ def _imprimitive_closed_form(G: Group, B) -> bool:
 
 def classify(G: Group, B) -> AdmissibilityRecord:
     """Run every admissibility check on one collection."""
-    return _classify(G, B, None)
-
-
-def _classify(G, B, orbit_rec) -> AdmissibilityRecord:
-    ws = _workspace(G, B)
-    literal, span_hit = ws.a1()
-    a2_span, a2_sub = ws.a2
+    col = collection(G, B)
+    literal, span_hit = col.a1()
+    a2_span, a2_sub = col.a2
     a2 = a2_span and a2_sub
     if literal and a2:
         raise InternalInconsistency(
-            f"collection {ws.B}: A1 and A2 cannot both hold"
+            f"collection {col.B}: A1 and A2 cannot both hold"
         )
-    cond = ws.conditional()
+    cond = col.conditional()
     admissible_generic = (not literal) and (not cond)
     admissible_mu6 = not literal
 
     if G.kind == "imprimitive" and not G.reducible:
-        expected = _imprimitive_closed_form(G, ws.B)
+        expected = _imprimitive_closed_form(G, col.B)
         if expected != admissible_generic or expected != admissible_mu6:
             raise InternalInconsistency(
-                f"collection {ws.B}: closed-form says admissible={expected}, "
+                f"collection {col.B}: closed-form says admissible={expected}, "
                 f"machinery says generic={admissible_generic} mu6={admissible_mu6}"
             )
 
-    if orbit_rec is None:
-        stab = G.stabilizer_of(ws.B)
-        orb = stab.walk[0]
-        orbit_rec = OrbitRecord(min(orb), len(orb), stab.order, len(ws.B))
-    kb_order = ws.kb.order
+    # collection_orbits leaves each representative's stabilizer, walk
+    # included, in G's memo, so classify_orbits reads it from there
+    stab = G.stabilizer_of(col.B)
+    orb = stab.walk[0]
+    orbit_rec = OrbitRecord(min(orb), len(orb), stab.order, len(col.B))
+    kb_order = col.kb.order
     if orbit_rec.stab_order % kb_order:
         raise InternalInconsistency(
             f"|K_B| = {kb_order} does not divide |Stab(B)| = {orbit_rec.stab_order}"
@@ -574,7 +563,7 @@ def orbit_records(G: Group):
 def classify_orbits(G: Group):
     """One AdmissibilityRecord per orbit of transverse collections,
     ordered by (cardinality, representative)."""
-    return [_classify(G, rec.representative, rec) for rec in orbit_records(G)]
+    return [classify(G, rec.representative) for rec in orbit_records(G)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,7 @@ modules.
 
 import random
 
-from .admissibility import (
-    _rb_positions,
-    classify,
-    classify_orbits,
-    dim_from_rows,
-    k_subgroup,
-    rel_set,
-)
+from .admissibility import classify, classify_orbits, collection, dim_from_rows
 from .errors import InternalInconsistency, NotAdmissible, NotAdmissiblePair
 from .exact_arith import LaurentScalar
 from .reflection_groups import Group
@@ -179,7 +172,7 @@ def quotient_regular_rep(G: Group, B) -> StabRep:
             else "collection is not admissible"
         )
         raise NotAdmissible(f"B={B}: {detail}")
-    rep = StabRep(G, G.stabilizer_of(B), k_subgroup(G, B))
+    rep = StabRep(G, G.stabilizer_of(B), collection(G, B).kb)
     if rep.degree != quotient:
         raise InternalInconsistency(
             f"B={B}: {rep.degree} cosets of K_B, classified {quotient}"
@@ -320,9 +313,10 @@ def _check_rel_annihilation(module: InducedModule):
     B = module.B
     deg = module.degree
     nrefl = len(G.reflections)
-    rb = frozenset(_rb_positions(G, B))
+    col = collection(G, B)
+    rb = col.rb_set
     one = _one(G)
-    for vec in rel_set(G, B):
+    for vec in col.rel_vectors:
         acc = {}
         for k, coeff in enumerate(vec):
             if coeff:

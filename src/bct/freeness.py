@@ -24,20 +24,11 @@ wrong test here.
 
 from itertools import combinations
 
-from .admissibility import (
-    _rb_positions,
-    check_A2,
-    classify_orbits,
-    d_and_p,
-    dim_from_rows,
-    rel_bar,
-    rel_set,
-    signed_vector,
-)
+from .admissibility import classify_orbits, collection, dim_from_rows, signed_vector
 from .errors import InternalInconsistency
 from .exact_arith import z_span_test
 from .reflection_groups import Group
-from .transversality import reflection_images, small_orbit, transv_table
+from .transversality import transv_table
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +37,9 @@ from .transversality import reflection_images, small_orbit, transv_table
 
 def rel_supports(G: Group, B):
     """Group-element supports of the relation vectors, one frozenset of
-    element indices per entry of rel_set(G, B): the reflections at the
-    nonzero positions below N, plus the identity when slot N is nonzero.
+    element indices per entry of collection(G, B).rel_vectors: the
+    reflections at the nonzero positions below N, plus the identity when
+    slot N is nonzero.
 
     Reading the support off the vector loses nothing: the plus and minus
     sets of a sigma term never overlap, since a reflection mapping both
@@ -56,7 +48,7 @@ def rel_supports(G: Group, B):
     refls = G.reflections
     nrefl = len(refls)
     out = []
-    for vec in rel_set(G, B):
+    for vec in collection(G, B).rel_vectors:
         support = {refls[s] for s in range(nrefl) if vec[s]}
         if vec[nrefl]:
             support.add(G.identity)
@@ -84,7 +76,7 @@ def acceptable_hyperplanes(G: Group, B):
     member of B non-transverse with H all reflections mapping that member
     to H move B to one and the same collection."""
     table = transv_table(G)
-    images = reflection_images(G, B)
+    images = collection(G, B).images
     bset = frozenset(B)
     out = []
     for hid in range(table.size):
@@ -104,7 +96,7 @@ def acceptable_pairs(G: Group, B):
     acc = acceptable_hyperplanes(G, B)
     if len(acc) < 2:
         return []
-    neighbors = [frozenset(bp) for bp in small_orbit(G, B)]
+    neighbors = [frozenset(bp) for bp in sorted(set(collection(G, B).images))]
     return [
         (i, j)
         for i, j in combinations(acc, 2)
@@ -149,7 +141,7 @@ def rel_tau(G: Group, B):
     non-transverse with both halves; zero differences are dropped."""
     table = transv_table(G)
     nrefl = len(G.reflections)
-    rb = frozenset(_rb_positions(G, B))
+    rb = collection(G, B).rb_set
     out = []
     for i, j in acceptable_pairs(G, B):
         for k in sorted(set(B)):
@@ -177,16 +169,15 @@ def check_F(G: Group, B):
     relations together with the tau vectors.  Without that condition the
     lattice test is vacuous and F2b reports true.
     """
-    rel = rel_set(G, B)
-    f1 = any(sum(1 for x in vec if x) == 1 for vec in rel)
+    col = collection(G, B)
+    f1 = any(sum(1 for x in vec if x) == 1 for vec in col.rel_vectors)
     f2a = all(bar_condition(G, sup, B) for sup in rel_supports(G, B))
-    a2_span, a2_sub = check_A2(G, B)
+    a2_span, a2_sub = col.a2
     if a2_span and a2_sub:
-        d_vecs, _, _ = d_and_p(G, B)
         member = z_span_test(
-            list(rel_bar(G, B)) + [t.vector for t in rel_tau(G, B)]
+            list(col.rel_bar_vectors) + [t.vector for t in rel_tau(G, B)]
         )
-        f2b = all(map(member, d_vecs))
+        f2b = all(map(member, col.d_vectors))
     else:
         f2b = True
     return f1, f2a, f2b

@@ -325,7 +325,9 @@ class Group:
         self.identity = 0
         self.generators = tuple(self._index[self._frame(g)] for g in generators)
         self.reducible = kind == "imprimitive" and (m, p, n) == (2, 2, 2)
-        # kept here by transv_table, orbit_records, _workspace and stabilizer
+        # kept here by transversality.transv_table, admissibility's
+        # orbit_records and collection (one Collection record per sorted
+        # collection), and stabilizer
         self._transv_table = None
         self._orbit_records = None
         self._adm_cache = {}
@@ -898,8 +900,14 @@ def stabilizer(G: Group, B) -> Subgroup:
 
     The scan groups the diagonals by their image of B: permutation r after
     any diagonal of a group stabilizes B when row r maps that image into B.
-    The subgroup keeps the orbit walk, and G keeps it for stabilizer_of."""
+    The subgroup keeps the orbit walk, and G keeps it for stabilizer_of.
+    An id out of range or repeated raises InvalidParameters."""
     bset = frozenset(B)
+    nhyp = len(G.hyperplanes)
+    if len(bset) != len(B) or not all(0 <= h < nhyp for h in bset):
+        raise InvalidParameters(
+            f"collection {tuple(B)} repeats an id or leaves range({nhyp})"
+        )
     prow, drow = G.action_rows
     images = {}
     for d, row in enumerate(drow):

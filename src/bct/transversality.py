@@ -25,8 +25,6 @@ __all__ = [
     "check_all_pairs",
     "enumerate_collections",
     "collection_orbits",
-    "reflection_images",
-    "small_orbit",
 ]
 
 
@@ -249,17 +247,3 @@ def collection_orbits(G: Group):
     records.sort(key=lambda r: (r.cardinality, r.representative))
     return records
 
-
-def reflection_images(G: Group, B):
-    """The image of the collection B under each reflection, as a sorted
-    tuple, in the order of G.reflections."""
-    return [
-        tuple(sorted(act[h] for h in B))
-        for act in map(G.hyperplane_action, G.reflections)
-    ]
-
-
-def small_orbit(G: Group, B):
-    """Images of the collection B under every single reflection, deduplicated
-    and sorted.  Ranges over the collections one reflection away from B."""
-    return sorted(set(reflection_images(G, B)))

@@ -1,7 +1,7 @@
 """Session-wide fixtures.
 
 The matrix groups take seconds to build and their per-group caches
-(hyperplane actions, transversality table, collection workspaces) pay
+(hyperplane actions, transversality table, collection records) pay
 off across test files, so they are shared at session scope.
 """
 

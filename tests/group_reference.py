@@ -2,14 +2,15 @@
 inverses, identity tests and orders of Monomial and MatrixElem values, and
 the closed-form K_B membership test over monomial groups.  The package forms
 every product on element indices, so these are the independent side that
-G.mul, G.inv, the hyperplane build and k_subgroup are tested against.
+G.mul, G.inv, the hyperplane build and collection(G, B).kb are tested
+against.
 
 Also the unfactored hyperplane action: the |G| x #H table filled along a
 breadth-first search over the generators, and the stabilizer scan over
 every row of it, the side that the factored rows are tested against.
 """
 
-from bct.admissibility import k_subgroup
+from bct.admissibility import collection
 from bct.errors import InternalInconsistency, InvalidParameters
 from bct.exact_arith import CycNumber, zeta
 from bct.reflection_groups import MatrixElem, Monomial, bfs
@@ -170,7 +171,7 @@ def kb_membership_gmpn(G, elem, B) -> bool:
             ok = ok and sum(lam) % G.m == 0
         got = ok
 
-    expected = elem in k_subgroup(G, B)
+    expected = elem in collection(G, B).kb
     if got != expected:
         raise InternalInconsistency(
             f"matrix membership disagrees with closure on {value!r} for B={tuple(B)}"

@@ -6,7 +6,7 @@ the element w_t^-1 g w_s of Stab(B), with w_t the orbit walk's witnesses.
 InducedModule's coset table and its eps operators are tested against it.
 """
 
-from bct.admissibility import k_subgroup
+from bct.admissibility import collection
 from bct.brauer_modules import delta_scalar, mu_scalar
 from bct.reflection_groups import orbit
 from bct.transversality import transv_table
@@ -38,7 +38,7 @@ def ref_trivial_rep(G, B):
 def ref_quotient_regular_rep(G, B):
     """Stab(B) on the cosets of K_B, each named by its smallest member."""
     stab = G.stabilizer_of(B)
-    kb = k_subgroup(G, B)
+    kb = collection(G, B).kb
     reps = []
     coset_index = {}
     for g in sorted(stab.elements):

@@ -13,12 +13,12 @@ import pytest
 
 from bct.admissibility import (
     classify_orbits,
+    collection,
     d_and_p,
     d0_ideal_dim,
     dim_brauer,
     dim_g22n_formula,
     dim_gmpn_formula,
-    k_subgroup,
 )
 from bct.brauer_modules import (
     induce,
@@ -140,7 +140,7 @@ def test_criterion_4_kb_order_formulas(sweep_groups):
                 continue
             r = len(B)
             expect = 2**r * m ** (r - 1) * factorial(r)
-            assert k_subgroup(G, B).order == expect, (key, B)
+            assert collection(G, B).kb.order == expect, (key, B)
             checked += 1
     doubled_checked = 0
     for key in DOUBLED:
@@ -160,7 +160,7 @@ def test_criterion_4_kb_order_formulas(sweep_groups):
             r = len(labels)
             assert len(B) == 2 * r
             expect = 2 ** (r + n - 1) * factorial(r)
-            assert k_subgroup(G, B).order == expect, (key, B)
+            assert collection(G, B).kb.order == expect, (key, B)
             doubled_checked += 1
     assert checked > 100 and doubled_checked > 10
     announce(
@@ -242,7 +242,7 @@ def test_criterion_7_computational_results(g4, g23, g25, g26):
         assert order == 6, (i, j)
 
     stab = stabilizer(g25, B)
-    kb = k_subgroup(g25, B)
+    kb = collection(g25, B).kb
     expect = stab.order - stab.order // kb.order
     assert d0_ideal_dim(g25, B, zeta(6, 1)) == expect == 53
     announce(

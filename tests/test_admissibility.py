@@ -2,31 +2,34 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from bct.admissibility import (
-    _Workspace,
-    _workspace,
-    check_A2,
+    Collection,
     classify,
     classify_orbits,
+    collection,
     d_and_p,
     d0_ideal_dim,
     dim_brauer,
     dim_from_rows,
     dim_g22n_formula,
     dim_gmpn_formula,
-    k_subgroup,
-    rel_bar,
-    rel_set,
     signed_vector,
 )
+from bct.brauer_modules import induce, quotient_regular_rep, trivial_rep
 from bct.cli import ROW_KEYS
 from bct.errors import InternalInconsistency, InvalidParameters
 from bct.exact_arith import SpanBasis, zeta
+from bct.freeness import check_F
 from bct.reflection_groups import Monomial, packaged_group
-from bct.transversality import collection_orbits, enumerate_collections
+from bct.transversality import (
+    collection_orbits,
+    enumerate_collections,
+    transv_table,
+)
 from conftest import SMALL_GMPN
 from group_reference import element_order, kb_membership_gmpn
 
@@ -48,8 +51,8 @@ def test_rel_set_singleton_s3(gmpn):
         1 if k == s else (-1 if k == nrefl else 0) for k in range(nrefl + 1)
     )
     # single hyperplane: only the r - 1 vector, no sigma terms
-    assert rel_set(G, B) == [expect]
-    assert rel_bar(G, B) == [expect]
+    assert collection(G, B).rel_vectors == [expect]
+    assert collection(G, B).rel_bar_vectors == [expect]
 
 
 def test_signed_vector_rejects_support_in_collection():
@@ -61,16 +64,46 @@ def test_signed_vector_rejects_support_in_collection():
 
 def test_empty_collection(gmpn):
     G = gmpn(3, 1, 3)
-    assert rel_set(G, ()) == []
-    assert rel_bar(G, ()) == []
+    assert collection(G, ()).rel_vectors == []
+    assert collection(G, ()).rel_bar_vectors == []
     d, p, d0 = d_and_p(G, ())
     assert d == [] and p == [] and d0["products"] == []
-    assert check_A2(G, ()) == (True, True)
+    assert collection(G, ()).a2 == (True, True)
     rec = classify(G, ())
     assert not rec.a1
     assert rec.kb_order == 1
     assert rec.admissible_generic and rec.admissible_mu6
     assert rec.quotient() == rec.quotient(True) == G.order
+
+
+def bad_collection(G, kind):
+    """(0, 0), the first pair that is not transverse, or an id one past
+    the last hyperplane."""
+    if kind == "repeated":
+        return (0, 0)
+    if kind == "out of range":
+        return (len(G.hyperplanes),)
+    table = transv_table(G)
+    pairs = combinations(range(table.size), 2)
+    return next(p for p in pairs if not table.transverse(*p))
+
+
+CALLS = {
+    "classify": classify,
+    "check_F": check_F,
+    "quotient_regular_rep": quotient_regular_rep,
+    "induce": lambda G, B: induce(G, B, trivial_rep(G, B)),
+}
+
+
+@pytest.mark.parametrize("call", list(CALLS))
+@pytest.mark.parametrize("kind", ["repeated", "non-transverse", "out of range"])
+@pytest.mark.parametrize("name", ["gmpn:3,1,3", "g4"])
+def test_collection_refuses_what_is_not_transverse(gmpn, name, kind, call):
+    G = gmpn(3, 1, 3) if name == "gmpn:3,1,3" else packaged_group("g4")
+    B = bad_collection(G, kind)
+    with pytest.raises(InvalidParameters):
+        CALLS[call](G, B)
 
 
 # -- K_B ---------------------------------------------------------------------
@@ -79,9 +112,9 @@ def test_empty_collection(gmpn):
 def test_k_subgroup_small_orders(gmpn):
     G = gmpn(3, 1, 3)
     lab = by_label(G)
-    assert k_subgroup(G, ()).order == 1
-    assert k_subgroup(G, (lab["H_1"],)).order == 3
-    assert k_subgroup(G, (lab["H_1,2^0"],)).order == 2
+    assert collection(G, ()).kb.order == 1
+    assert collection(G, (lab["H_1"],)).kb.order == 3
+    assert collection(G, (lab["H_1,2^0"],)).kb.order == 2
 
 
 def test_k_subgroup_singleton_is_pointwise_stabilizer(g26):
@@ -90,14 +123,14 @@ def test_k_subgroup_singleton_is_pointwise_stabilizer(g26):
         if rec.cardinality != 1:
             continue
         h = rec.representative[0]
-        assert k_subgroup(g26, rec.representative).order == g26.hyperplanes[h].order_m
+        assert collection(g26, rec.representative).kb.order == g26.hyperplanes[h].order_m
 
 
 def test_k_subgroup_pair_g314(gmpn):
     G = gmpn(3, 1, 4)
     lab = by_label(G)
     B = (lab["H_1,2^0"], lab["H_3,4^0"])
-    assert k_subgroup(G, B).order == 24
+    assert collection(G, B).kb.order == 24
 
 
 def test_k_subgroup_conjugation_equivariant(gmpn):
@@ -111,8 +144,8 @@ def test_k_subgroup_conjugation_equivariant(gmpn):
             wB = tuple(
                 sorted(G.hyperplanes[G.hyperplane_action(w)[h]].id for h in B)
             )
-            left = k_subgroup(G, wB).elements
-            right = frozenset(G.conj(w, g) for g in k_subgroup(G, B).elements)
+            left = collection(G, wB).kb.elements
+            right = frozenset(G.conj(w, g) for g in collection(G, B).kb.elements)
             assert left == right
 
 
@@ -158,14 +191,14 @@ def assert_a2_count_matches_difference_span(G):
     span of the difference vectors themselves."""
     for rec in classify_orbits(G):
         B = rec.orbit.representative
-        span = _workspace(G, B).span
+        span = collection(G, B).span
         d_vecs, _, _ = d_and_p(G, B)
         d_span = SpanBasis(len(G.reflections) + 1)
         for vec in d_vecs:
             fv = [Fraction(x) for x in vec]
             assert span.contains(fv)
             d_span.add(fv)
-        assert check_A2(G, B)[0] is (d_span.rank == span.rank), (G.name, B)
+        assert collection(G, B).a2[0] is (d_span.rank == span.rank), (G.name, B)
 
 
 @pytest.mark.parametrize("name", ["g4", "g23", "g25", "g26"])
@@ -182,10 +215,10 @@ def test_a2_count_matches_difference_span_on_small_monomial_groups(sweep_group):
 
 
 def test_merged_residue_classes_are_caught(gmpn):
-    # a private workspace, so the one shared through the group stays clean
+    # a private record, so the one shared through the group stays clean
     G = gmpn(3, 1, 3)
     B = classify_orbits(G)[2].orbit.representative
-    ws = _Workspace(G, B)
+    ws = Collection(G, B)
     classes = list(ws.classes.items())
     assert len(classes) >= 2
     (r0, c0), (_, c1) = classes[:2]
@@ -379,7 +412,7 @@ def test_kb_membership_pair_shape(gmpn):
     G = gmpn(3, 1, 4)
     lab = by_label(G)
     B = (lab["H_1,2^0"], lab["H_3,4^0"])
-    kb = k_subgroup(G, B).elements
+    kb = collection(G, B).kb.elements
     assert kb_membership_gmpn(G, G.identity, B)
     assert kb_membership_gmpn(G, G.hyperplanes[B[0]].dist_reflection, B)
     assert not kb_membership_gmpn(G, G.hyperplanes[lab["H_1"]].dist_reflection, B)
@@ -396,14 +429,14 @@ def test_kb_membership_even_m_excludes_minus_identity(gmpn):
     # exponent is 1, so it lies outside K_B
     minus = G.index_of(Monomial(2, (0, 1), (1, 1)))
     assert not kb_membership_gmpn(G, minus, B)
-    assert k_subgroup(G, B).order == 2
+    assert collection(G, B).kb.order == 2
 
 
 def test_kb_membership_doubled_shape(gmpn):
     G = gmpn(2, 2, 4)
     lab = by_label(G)
     B = tuple(sorted((lab["H_1,2^0"], lab["H_1,2^1"])))
-    kb = k_subgroup(G, B).elements
+    kb = collection(G, B).kb.elements
     assert len(kb) == 16
     for g in G.elements:
         assert kb_membership_gmpn(G, g, B) == (g in kb)

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from bct import reflection_groups, transversality
-from bct.admissibility import classify_orbits, k_subgroup
+from bct.admissibility import classify_orbits, collection
 from bct.brauer_modules import (
     StabRep,
     b5_rhs,
@@ -264,7 +264,7 @@ def test_conditional_collection_gates(g25):
         quotient_regular_rep(g25, B)
     # with the trivial character the representation exists, but the
     # formal scalar ring never specializes, so induction still refuses
-    v0 = StabRep(g25, g25.stabilizer_of(B), k_subgroup(g25, B))
+    v0 = StabRep(g25, g25.stabilizer_of(B), collection(g25, B).kb)
     assert v0.degree == 1
     with pytest.raises(NotAdmissiblePair):
         induce(g25, B, v0)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bct import exact_arith
-from bct.admissibility import _Workspace, classify_orbits, rel_bar
+from bct.admissibility import Collection, classify_orbits, collection
 from bct.exact_arith import CycNumber, SpanBasis, euler_phi, zeta
 from bct.reflection_groups import build_imprimitive, packaged_group
 from cyc_reference import RefCyc
@@ -137,11 +137,11 @@ def test_int_span_basis_matches_the_fraction_reference(rows, v):
 def test_workspace_classes_match_the_fraction_reference(build):
     G = build()
     for rec in classify_orbits(G):
-        ws = _Workspace(G, rec.orbit.representative)
+        ws = Collection(G, rec.orbit.representative)
         ref = SpanBasis(ws.nrefl + 1)
         for vec in ws.span.rows:
             assert_no_float(vec)
-        for vec in rel_bar(G, ws.B):
+        for vec in collection(G, ws.B).rel_bar_vectors:
             ref.add(fractions_of(vec))
         want = {}
         for i in range(ws.nrefl + 1):

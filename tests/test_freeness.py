@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from bct.admissibility import check_A2, classify_orbits, rel_set, sigma_triples
+from bct.admissibility import classify_orbits, collection, sigma_triples
 from bct.brauer_modules import induce, mu_scalar, quotient_regular_rep, scalar_ring_size
 from bct.exact_arith import LaurentScalar
 from bct.freeness import (
@@ -64,7 +64,7 @@ def test_bar_condition_fixing_supports(gmpn):
     G = gmpn(3, 1, 3)
     B = (0,)
     sups = rel_supports(G, B)
-    vecs = rel_set(G, B)
+    vecs = collection(G, B).rel_vectors
     assert len(sups) == len(vecs) == 2
     for sup in sups:
         assert G.identity in sup and len(sup) == 2
@@ -121,7 +121,7 @@ def test_rel_supports_align(gmpn):
     G = gmpn(2, 2, 4)
     for B in [(0,), (0, 1), (0, 1, 10)]:
         sups = rel_supports(G, B)
-        vecs = rel_set(G, B)
+        vecs = collection(G, B).rel_vectors
         assert len(sups) == len(vecs)
         rb = {i for h in B for i in G.hyperplane_reflections(h)}
         for sup, vec in zip(sups, vecs):
@@ -236,7 +236,7 @@ def test_relation_coset_pieces_kill_block0(gmpn):
         assert f2a
         M = induce(G, B, quotient_regular_rep(G, B))
         rb = {i for h in B for i in G.hyperplane_reflections(h)}
-        for vec in rel_set(G, B):
+        for vec in collection(G, B).rel_vectors:
             pieces = split_by_stab_coset(G, B, vec)
             assert len(pieces) == 1
             for plist in pieces:
@@ -275,7 +275,7 @@ def test_g25_conditional_pair_passes_f2(g25):
     assert (f1, f2a, f2b) == (False, True, True)
     # the lattice test is live here, not vacuous: both halves of the
     # second admissibility condition hold on the conditional pair
-    span_eq, sub_eq = check_A2(g25, (0, 1))
+    span_eq, sub_eq = collection(g25, (0, 1)).a2
     assert span_eq and sub_eq
 
 

@@ -8,7 +8,7 @@ from bct.brauer_modules import (
     induce,
     quotient_regular_rep,
 )
-from bct.errors import InternalInconsistency
+from bct.errors import InternalInconsistency, InvalidParameters
 from bct.reflection_groups import (
     _sift,
     bfs,
@@ -133,3 +133,18 @@ def test_swapped_action_rows_break_the_schreier_closure():
     drow[a], drow[b] = drow[b], drow[a]
     with pytest.raises(InternalInconsistency, match="do not close to its scan"):
         stabilizer(G, B)
+
+
+@pytest.mark.parametrize("B", [(99,), (-1,), (0, 0)], ids=["99", "-1", "0,0"])
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_imprimitive(3, 1, 3), lambda: packaged_group("g4")],
+    ids=["G(3,1,3)", "g4"],
+)
+def test_stabilizer_refuses_bad_ids(build, B):
+    # an id out of range or repeated names no collection
+    G = build()
+    with pytest.raises(InvalidParameters):
+        stabilizer(G, B)
+    with pytest.raises(InvalidParameters):
+        G.stabilizer_of(B)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from bct import transversality
+from bct.admissibility import collection
 from bct.errors import InternalInconsistency, NotDistinct
 from bct.exact_arith import euler_phi
 from bct.reflection_groups import build_imprimitive, packaged_group
@@ -13,8 +14,6 @@ from bct.transversality import (
     collection_orbits,
     enumerate_collections,
     is_transverse,
-    reflection_images,
-    small_orbit,
     transv_table,
 )
 from conftest import SMALL_GMPN
@@ -273,18 +272,18 @@ def test_orbits_partition_collections():
             assert r.representative in cols
 
 
-# -- small_orbit -------------------------------------------------------------
+# -- the small orbit: one-reflection images of a collection ------------------
 
 
 def test_small_orbit_of_empty_is_empty():
     G = build_imprimitive(1, 1, 3)
-    assert small_orbit(G, ()) == [()]
+    assert sorted(set(collection(G, ()).images)) == [()]
 
 
 def test_small_orbit_sym3_singleton():
     G = build_imprimitive(1, 1, 3)
     lab = by_label(G)
-    got = small_orbit(G, (lab["H_1,2"].id,))
+    got = sorted(set(collection(G, (lab["H_1,2"].id,)).images))
     assert got == [(0,), (1,), (2,)]
 
 
@@ -296,16 +295,17 @@ def test_small_orbit_contains_fixed_collection():
             lab[x].id for x in ("H_1,2^0", "H_1,2^1", "H_3,4^0", "H_3,4^1")
         )
     )
-    assert B in small_orbit(G, B)
+    assert B in sorted(set(collection(G, B).images))
 
 
-def test_small_orbit_is_the_set_of_reflection_images(g26):
+def test_collection_images_are_the_reflection_images(g26):
     for G in (g26, build_imprimitive(4, 2, 3)):
         for rec in collection_orbits(G):
             B = rec.representative
-            images = reflection_images(G, B)
+            images = collection(G, B).images
             assert len(images) == len(G.reflections)
-            assert small_orbit(G, B) == sorted(set(images))
+            for img, s in zip(images, G.reflections):
+                assert img == tuple(sorted(G.hyperplane_action(s)[h] for h in B))
 
 
 def test_tampered_action_row_is_caught():
