@@ -166,7 +166,7 @@ class Collection:
         for h in self.B:
             if not 0 <= h < self.table.size:
                 raise InvalidParameters(f"hyperplane {h} out of range")
-        # B is sorted, so a repeated id is met as a pair before transverse()
+        # transverse() raises NotDistinct on equal ids, so they go first
         for h1, h2 in combinations(self.B, 2):
             if h1 == h2:
                 raise InvalidParameters(f"hyperplane {h1} repeats in {self.B}")
@@ -328,10 +328,10 @@ def collection(G: Group, B) -> Collection:
     """The record of the collection B, built on first use and kept in the
     group for every later call with the same ids in any order."""
     key = tuple(sorted(B))
-    c = G._adm_cache.get(key)
-    if c is None:
-        c = G._adm_cache[key] = Collection(G, key)
-    return c
+    col = G._adm_cache.get(key)
+    if col is None:
+        col = G._adm_cache[key] = Collection(G, key)
+    return col
 
 
 # ---------------------------------------------------------------------------
