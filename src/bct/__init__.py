@@ -28,7 +28,6 @@ _EXPORTS = {
         "classify",
         "classify_orbits",
         "collection",
-        "d_and_p",
         "dim_brauer",
         "dim_g22n_formula",
         "dim_gmpn_formula",

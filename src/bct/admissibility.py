@@ -39,7 +39,6 @@ __all__ = [
     "classify_orbits",
     "collection",
     "d0_ideal_dim",
-    "d_and_p",
     "dim_brauer",
     "dim_from_rows",
     "dim_g22n_formula",
@@ -332,29 +331,6 @@ def collection(G: Group, B) -> Collection:
     if col is None:
         col = G._adm_cache[key] = Collection(G, key)
     return col
-
-
-# ---------------------------------------------------------------------------
-# checks
-
-
-def d_and_p(G: Group, B):
-    """Difference vectors in the span of the projected relations, the
-    reflection pairs behind them, and the group elements they reduce to.
-
-    Returns (D, P, D0) where D lists theta(i) - theta(j) vectors inside
-    the span, P the ordered reflection-index pairs outside R_B among
-    them, and D0 a dict with the products s2^-1 s1, the r - 1 elements,
-    and a flag telling whether every product landed in Stab(B).
-    """
-    col = collection(G, B)
-    products, in_stab = col.products
-    d0 = {
-        "products": products,
-        "rb": [G.reflections[i] for i in col.rb],
-        "in_stab": in_stab,
-    }
-    return col.d_vectors, list(col.p_pairs), d0
 
 
 # ---------------------------------------------------------------------------

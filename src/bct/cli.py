@@ -20,8 +20,8 @@ hashed as shipped, and only a spec file is put into canonical form.  A
 dimension is the double count over the rows, re-run on every hit.  A
 cache hit, a recorded refusal included, builds nothing and imports no
 compute module: this module imports the group core, admissibility, the
-module and freeness layers, multiprocessing and hashlib (with OpenSSL)
-only where a command uses them.
+module and freeness layers and hashlib (with OpenSSL) only where a
+command uses them.
 """
 
 import argparse
@@ -460,19 +460,7 @@ def _formula_case(m: int, p: int, n: int, cap: int) -> dict:
     }
 
 
-def _starmap(fn, jobs, workers: int) -> list:
-    """fn(*job) for every job, in order; on a process pool when workers > 1,
-    with never more workers than jobs."""
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        from multiprocessing import Pool
-
-        with Pool(workers) as pool:
-            return pool.starmap(fn, jobs)
-    return [fn(*job) for job in jobs]
-
-
-def _suite_formulas(G, cap: int, workers: int) -> dict:
+def _suite_formulas(G, cap: int) -> dict:
     from .admissibility import dim_brauer
     from .reflection_groups import build_imprimitive
 
@@ -483,8 +471,7 @@ def _suite_formulas(G, cap: int, workers: int) -> dict:
             )
         cases = [_formula_case(G.m, G.p, G.n, cap)]
         return {"cases": cases, "all_pass": all(c["agree"] for c in cases)}
-    work = [(m, p, n, cap) for m, p, n in FORMULA_SWEEP + DOUBLED_SWEEP]
-    cases = _starmap(_formula_case, work, workers)
+    cases = [_formula_case(m, p, n, cap) for m, p, n in FORMULA_SWEEP + DOUBLED_SWEEP]
     anchors = []
     for n, expect in ANCHORS:
         got = next(
@@ -525,7 +512,7 @@ def cmd_verify(args) -> int:
         report = g26_geometry_suite(G)
         body = {"report": report, "all_pass": report["all_pass"]}
     else:
-        body = _suite_formulas(G, args.max_order, args.parallel)
+        body = _suite_formulas(G, args.max_order)
 
     payload = {"suite": args.suite}
     if G is not None:
@@ -561,8 +548,7 @@ def _table_row(name: str, cache_dir: str, cap: int) -> dict:
 
 
 def cmd_reproduce(args) -> int:
-    jobs = [(name, args.cache_dir, args.max_order) for name in TABLE_NAMES]
-    rows = _starmap(_table_row, jobs, args.parallel)
+    rows = [_table_row(name, args.cache_dir, args.max_order) for name in TABLE_NAMES]
     for spec in args.specs:
         store = GroupStore(parse_spec(spec), args.cache_dir, args.max_order)
         rows.append(
@@ -585,7 +571,7 @@ def cmd_reproduce(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of --max-order and --parallel: an integer >= 1."""
+    """argparse type of --max-order: an integer >= 1."""
     if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
@@ -607,13 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=DEFAULT_CAP,
         help=f"refuse groups larger than this (default {DEFAULT_CAP})",
-    )
-    parser.add_argument(
-        "--parallel",
-        type=_positive_int,
-        default=1,
-        metavar="K",
-        help="worker count for independent per-group work",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

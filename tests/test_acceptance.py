@@ -14,7 +14,6 @@ import pytest
 from bct.admissibility import (
     classify_orbits,
     collection,
-    d_and_p,
     d0_ideal_dim,
     dim_brauer,
     dim_g22n_formula,
@@ -231,9 +230,11 @@ def test_criterion_7_computational_results(g4, g23, g25, g26):
     cond = [r for r in classify_orbits(g25) if r.conditional]
     assert len(cond) == 1 and cond[0].orbit.cardinality == 2
     B = cond[0].orbit.representative
-    _, p_pairs, d0 = d_and_p(g25, B)
-    assert d0["in_stab"] and p_pairs
-    for (i, j), g in zip(p_pairs, d0["products"]):
+    col = collection(g25, B)
+    p_pairs = col.p_pairs
+    products, in_stab = col.products
+    assert in_stab and p_pairs
+    for (i, j), g in zip(p_pairs, products):
         assert g25.reflection_class_of(i) != g25.reflection_class_of(j)
         power, order = g, 1
         while power != g25.identity:
@@ -242,7 +243,7 @@ def test_criterion_7_computational_results(g4, g23, g25, g26):
         assert order == 6, (i, j)
 
     stab = stabilizer(g25, B)
-    kb = collection(g25, B).kb
+    kb = col.kb
     expect = stab.order - stab.order // kb.order
     assert d0_ideal_dim(g25, B, zeta(6, 1)) == expect == 53
     announce(

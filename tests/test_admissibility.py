@@ -11,7 +11,6 @@ from bct.admissibility import (
     classify,
     classify_orbits,
     collection,
-    d_and_p,
     d0_ideal_dim,
     dim_brauer,
     dim_from_rows,
@@ -66,8 +65,10 @@ def test_empty_collection(gmpn):
     G = gmpn(3, 1, 3)
     assert collection(G, ()).rel_vectors == []
     assert collection(G, ()).rel_bar_vectors == []
-    d, p, d0 = d_and_p(G, ())
-    assert d == [] and p == [] and d0["products"] == []
+    col = collection(G, ())
+    d, p = col.d_vectors, col.p_pairs
+    products, _ = col.products
+    assert d == [] and p == [] and products == []
     assert collection(G, ()).a2 == (True, True)
     rec = classify(G, ())
     assert not rec.a1
@@ -192,7 +193,7 @@ def assert_a2_count_matches_difference_span(G):
     for rec in classify_orbits(G):
         B = rec.orbit.representative
         span = collection(G, B).span
-        d_vecs, _, _ = d_and_p(G, B)
+        d_vecs = collection(G, B).d_vectors
         d_span = SpanBasis(len(G.reflections) + 1)
         for vec in d_vecs:
             fv = [Fraction(x) for x in vec]
@@ -315,13 +316,15 @@ def test_record_row_projection(gmpn):
 
 def test_conditional_pair_difference_structure(g25):
     rep = classify_orbits(g25)[2].orbit.representative
-    d, p, d0 = d_and_p(g25, rep)
+    col = collection(g25, rep)
+    d, p = col.d_vectors, col.p_pairs
+    products, in_stab = col.products
     assert len(d) == 38
     assert len(p) == 18
-    assert d0["in_stab"]
+    assert in_stab
     classes = [g25.reflection_class_of(i) for i in range(len(g25.reflections))]
     assert all(classes[i] != classes[j] for i, j in p)
-    assert all(element_order(g25.element(g)) == 6 for g in d0["products"])
+    assert all(element_order(g25.element(g)) == 6 for g in products)
 
 
 def test_conditional_pair_ideal_dimension(g25):

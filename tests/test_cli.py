@@ -723,6 +723,24 @@ def test_reproduce_table_capped(capsys, cache):
     assert "G5" in absent and "G37" in absent
 
 
+def test_reproduce_table_over_the_cap(capsys, cache):
+    """A shipped group over the cap gets a skipped row; an extra spec over
+    it fails the command with nothing on stdout."""
+    base = ["--cache-dir", cache, "--max-order", "100", "reproduce-table"]
+    rows = {r["name"]: r for r in run_json(capsys, base)["rows"]}
+    assert rows["G4"]["status"] == "verified"
+    for name in ("G23", "G25", "G26"):
+        assert rows[name] == {
+            "name": name,
+            "status": "skipped (group closure exceeds cap 100)",
+        }
+    code, out, err = run(capsys, base + ["gmpn:2,1,4"])
+    assert (code, out) == (1, "")
+    assert err == (
+        '{"error": "TooLarge", "message": "|G(2,1,4)| = 384 exceeds cap 100"}\n'
+    )
+
+
 def test_reproduce_table_appends_extra_specs(capsys, cache):
     code, out, err = run(
         capsys,
@@ -742,7 +760,7 @@ def test_reproduce_table_appends_extra_specs(capsys, cache):
 
 
 # ---------------------------------------------------------------------------
-# console script and parallelism
+# console script and global flags
 
 
 def test_console_script_runs(tmp_path, cli_env):
@@ -803,74 +821,25 @@ def test_same_under_optimize(tmp_path, cli_env, argv, check):
     assert outs[1] == outs[0]
 
 
-def test_parallel_matches_serial(tmp_path, cli_env):
-    runs = []
-    for tag, extra in [("serial", []), ("pool", ["--parallel", "2"])]:
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "bct.cli",
-                "--max-order", "30",
-                "--cache-dir", str(tmp_path / tag),
-            ]
-            + extra
-            + ["reproduce-table"],
-            capture_output=True,
-            text=True,
-            cwd=tmp_path,
-            env=cli_env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        runs.append(proc.stdout)
-    assert runs[0] == runs[1]
-
-
-class RecordingPool:
-    """Stands in for multiprocessing.Pool: records its size and runs the
-    jobs in this process."""
-
-    sizes: list = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def starmap(self, fn, jobs):
-        return [fn(*job) for job in jobs]
-
-
-def test_parallel_never_starts_more_workers_than_jobs(capsys, cache, monkeypatch):
-    import multiprocessing
-
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    base = ["--cache-dir", cache, "--max-order", "30"]
-    for k, want in (("1000", [34]), ("2", [2]), ("1", [])):
-        RecordingPool.sizes.clear()
-        run_json(capsys, base + ["--parallel", k, "reproduce-table"])
-        assert RecordingPool.sizes == want
-    # the formula sweep, with every case stubbed out
-    monkeypatch.setattr(
-        cli, "_formula_case", lambda m, p, n, cap: {"m": m, "p": p, "n": n, "agree": True}
-    )
-    monkeypatch.setattr(cli, "ANCHORS", [])
-    RecordingPool.sizes.clear()
-    got = run_json(capsys, base + ["--parallel", "1000", "verify", "--suite", "formulas"])
-    jobs = len(cli.FORMULA_SWEEP + cli.DOUBLED_SWEEP)
-    assert RecordingPool.sizes == [jobs] and len(got["cases"]) == jobs
-
-
-@pytest.mark.parametrize("flag", ["--max-order", "--parallel"])
+@pytest.mark.parametrize("flag", ["--max-order"])
 @pytest.mark.parametrize("value", ["0", "-5", "x"])
 def test_nonpositive_flags_are_usage_errors(capsys, cache, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["--cache-dir", cache, flag, value, "dims", "gmpn:2,1,2"])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+def test_parallel_is_a_usage_error(capsys, cache):
+    """Every command runs in one process: there is no --parallel flag."""
+    for argv in (
+        ["--parallel", "2", "reproduce-table"],
+        ["--parallel", "1", "verify", "--suite", "formulas", "gmpn:2,1,3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["--cache-dir", cache, *argv])
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
 
 
 # ---------------------------------------------------------------------------
