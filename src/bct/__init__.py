@@ -79,7 +79,6 @@ _EXPORTS = {
         "build_imprimitive",
         "build_matrix_group",
         "group_from_json",
-        "load_group_file",
         "orbit",
         "packaged_group",
         "stabilizer",

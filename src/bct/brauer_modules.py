@@ -505,7 +505,7 @@ def verify_defining_relations(M: InducedModule, seed: int = 0) -> RelationReport
 
     if conj_fail is not None:
         w, hid = conj_fail
-        fail("B2", f"w*eps({labels[hid]})*w^-1 != eps(w H) for w={G.element(w)!r}")
+        fail("B2", f"w*eps({labels[hid]})*w^-1 != eps(w H) for w={w}")
 
     for ridx in ridxs:
         hid = G.reflection_hyperplane(ridx)

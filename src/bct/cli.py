@@ -137,7 +137,8 @@ def parse_spec(spec: str):
                 f"{spec!r} is no {kind} group definition: it lacks the field(s) "
                 f"{', '.join(map(repr, bad))} or holds them with the wrong type"
             )
-        return group_definition(data), _builder("load_group_file", spec)
+        # built from the data read here, which the definition's digest keys
+        return group_definition(data), _builder("group_from_json", data)
     if spec.lower() in PACKAGED_NAMES:
         return packaged_source(spec)
     raise SpecError(

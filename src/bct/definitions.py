@@ -58,9 +58,10 @@ def refuse_over_cap(definition: dict, order: int, cap: int):
 
 
 def _matrix_definition(name, provenance, gens) -> dict:
-    """The definition of the matrix group generated by the MatrixElem gens."""
+    """The definition of the matrix group generated by gens, matrices of
+    CycNumbers as tuples of row tuples."""
     amb = 1
-    for o in {e.order for g in gens for row in g.entries for e in row}:
+    for o in {e.order for g in gens for row in g for e in row}:
         amb = amb * o // gcd(amb, o)
     out = {
         "name": name,
@@ -68,7 +69,7 @@ def _matrix_definition(name, provenance, gens) -> dict:
         "cyclotomic_order": amb,
         "provenance": provenance,
         "generators": [
-            [[x.to_json() for x in row] for row in g.entries] for g in gens
+            [[x.to_json() for x in row] for row in g] for g in gens
         ],
     }
     if provenance == "external":

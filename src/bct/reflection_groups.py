@@ -27,22 +27,20 @@ needs, and kept.
 
 A matrix group computes in Q(zeta_N), N its definition's cyclotomic order:
 its generator entries are lifted once to integer field values
-(exact_arith._CycContext), and P is found and stored in that form.  Values
-leave the field as canonical CycNumbers only in G.element, the query of
-G.index_of and the hyperplane roots.
+(exact_arith._CycContext), and P is found and stored in that form.  A
+monomial group computes in Q(zeta_m) and makes its point values zeta^k e_t
+only on first use, since neither its build nor its hyperplanes need them.
 
-Monomial and MatrixElem are the value types of single elements: the
-generators of a matrix group are MatrixElems, G.element(i) builds the value
-of element i anew and G.index_of(g) finds the index of a value.  They
-carry no arithmetic, since every product is formed on indices; values are
-never stored beside the index arrays.  Monomial elements store a
-permutation and an exponent vector (column l carries zeta_m^{exps[l]} in
-row perm[l]); matrix elements store exact cyclotomic entries.
+An element's value is its matrix: a tuple of row tuples of CycNumbers.
+Values appear only at the boundary, since every product is formed on
+indices: generators come in as matrices, G.element(i) reads column j off
+the point at frame[j], and G.index_of(g) looks each column of g up among
+the points.  Values leave the field as canonical CycNumbers only there and
+in the hyperplane roots.
 """
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from itertools import chain, combinations, islice, permutations, product
 from operator import itemgetter
@@ -61,108 +59,49 @@ from .exact_arith import CycNumber, _context, zeta
 
 
 # ---------------------------------------------------------------------------
-# group elements
+# element values
 
 
-class Monomial:
-    """Monomial matrix over the m-th roots of unity, in permutation form."""
-
-    __slots__ = ("m", "perm", "exps")
-
-    def __init__(self, m, perm, exps):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "perm", tuple(perm))
-        object.__setattr__(self, "exps", tuple(e % m for e in exps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
-
-    @property
-    def dim(self):
-        return len(self.perm)
-
-    def __eq__(self, other):
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return (
-            self.m == other.m and self.perm == other.perm and self.exps == other.exps
-        )
-
-    def __hash__(self):
-        return hash((self.m, self.perm, self.exps))
-
-    def __repr__(self):
-        return f"Monomial(m={self.m}, perm={self.perm}, exps={self.exps})"
+def _as_cyc(x) -> CycNumber:
+    return x if isinstance(x, CycNumber) else CycNumber.rational(x)
 
 
-class MatrixElem:
-    """Square matrix with exact cyclotomic entries."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        rows = tuple(
-            tuple(
-                x if isinstance(x, CycNumber) else CycNumber.rational(x) for x in row
-            )
-            for row in entries
-        )
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise InvalidParameters("matrix entries must form a square array")
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixElem is immutable")
-
-    @property
-    def dim(self):
-        return len(self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixElem):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"MatrixElem({self.dim}x{self.dim})"
+def _matrix(entries):
+    """entries, nested sequences of CycNumbers, ints or Fractions, as a
+    matrix value: a tuple of row tuples of CycNumbers."""
+    rows = tuple(tuple(map(_as_cyc, row)) for row in entries)
+    if any(len(r) != len(rows) for r in rows):
+        raise InvalidParameters("matrix entries must form a square array")
+    return rows
 
 
 def hermitian_inner(u, v) -> CycNumber:
     """Standard Hermitian form, conjugate-linear in the second slot."""
     acc = CycNumber.rational(0)
     for x, y in zip(u, v):
-        acc = acc + x * (y.conj() if isinstance(y, CycNumber) else CycNumber.rational(y))
+        acc = acc + x * _as_cyc(y).conj()
     return acc
 
 
-def reflection_from_root(root, eigenvalue) -> MatrixElem:
-    """Unitary reflection fixing root-perp pointwise and scaling root by the
-    eigenvalue: r(v) = v - (1 - alpha) (<v,u>/<u,u>) u."""
-    u = [x if isinstance(x, CycNumber) else CycNumber.rational(x) for x in root]
+def reflection_from_root(root, eigenvalue):
+    """The matrix of the unitary reflection fixing root-perp pointwise and
+    scaling root by the eigenvalue: r(v) = v - (1 - alpha) (<v,u>/<u,u>) u."""
+    u = list(map(_as_cyc, root))
     if not any(u):
         raise InvalidRoot("zero vector cannot be a root")
-    alpha = (
-        eigenvalue
-        if isinstance(eigenvalue, CycNumber)
-        else CycNumber.rational(eigenvalue)
-    )
+    alpha = _as_cyc(eigenvalue)
     if alpha == 1 or alpha ** (2 * alpha.order) != 1:
         raise InvalidParameters(f"eigenvalue must be a root of unity != 1: {alpha}")
     norm = hermitian_inner(u, u)
     factor = (1 - alpha) / norm
     n = len(u)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = CycNumber.rational(1 if i == j else 0)
-            row.append(e - factor * u[i] * u[j].conj())
-        rows.append(row)
-    return MatrixElem(rows)
+    return tuple(
+        tuple(
+            CycNumber.rational(1 if i == j else 0) - factor * u[i] * u[j].conj()
+            for j in range(n)
+        )
+        for i in range(n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +249,10 @@ class Group:
         self.order = len(perms)
         self._ndiag = m ** n // p if kind == "imprimitive" else 1
         self._perms = perms
-        self._points = points
-        # the field Q(zeta_N) that holds the points of a matrix group
-        self._field = None if points is None else _context(cyclotomic_order)
+        if points is not None:
+            # a matrix group's build found its points; a monomial group
+            # makes them on first use (_points)
+            self._points = points
         # the frame of a sequence: its first dim entries, as a tuple (an
         # int when dim is 1, as itemgetter returns it); _frames[i] is the
         # frame of element i as a tuple, and the same object keys _index
@@ -380,30 +320,37 @@ class Group:
         return self.mul(self.mul(w, g), self.inv(w))
 
     def element(self, i: int):
-        """The value of element i, a Monomial or a MatrixElem, built anew."""
-        frame = self._frames[i]
-        if self.kind == "imprimitive":
-            n = self.dim
-            return Monomial(self.m, [x % n for x in frame], [x // n for x in frame])
-        cols = [self._points[x] for x in frame]
-        return MatrixElem([[self._field.cyc(x) for x in row] for row in zip(*cols)])
+        """The matrix of element i, built anew: column j is the point that
+        e_j maps to."""
+        cols = [self._points[x] for x in self._frames[i]]
+        return tuple(tuple(map(self._field.cyc, row)) for row in zip(*cols))
 
     def index_of(self, g) -> int:
-        """Index of the element with value g (a Monomial or a MatrixElem)."""
-        n = self.dim
-        frame = None
-        if self.kind == "imprimitive":
-            if isinstance(g, Monomial) and g.m == self.m and g.dim == n:
-                frame = [e * n + t for t, e in zip(g.perm, g.exps)]
-        elif isinstance(g, MatrixElem) and g.dim == n:
-            frame = [
-                self._point_ids.get(tuple(self._field.of(r[j]) for r in g.entries))
-                for j in range(n)
-            ]
-        i = None if frame is None else self._index.get(self._frame(frame))
+        """Index of the element with matrix g, given as element gives it or
+        as nested sequences of CycNumbers, ints or Fractions."""
+        rows, F = _matrix(g), self._field
+        frame = [self._point_ids.get(tuple(map(F.of, c))) for c in zip(*rows)]
+        i = self._index.get(self._frame(frame)) if len(rows) == self.dim else None
         if i is None:
-            raise InvalidParameters(f"{g!r} is not an element of {self.name}")
+            shown = [[str(x) for x in row] for row in rows]
+            raise InvalidParameters(f"{shown} is not an element of {self.name}")
         return i
+
+    @cached_property
+    def _field(self):
+        """The field Q(zeta_N), N the cyclotomic order, of the points."""
+        return _context(self.cyclotomic_order)
+
+    @cached_property
+    def _points(self):
+        """The points of a monomial group, zeta^k e_t at index k*n + t, as
+        _monomial_perm numbers them."""
+        F, n = self._field, self.dim
+        return [
+            tuple(F.of(zeta(self.m, k)) if l == t else F.zero for l in range(n))
+            for k in range(self.m)
+            for t in range(n)
+        ]
 
     @cached_property
     def _point_ids(self):
@@ -465,14 +412,24 @@ class Group:
         """Rank-1 scan: g is a reflection when g - I has rank one.  Column j
         of g - I is the point e_j maps to, minus e_j, and vanishes exactly
         when g fixes e_j; the rank is one when every nonzero column is
-        proportional to the first.  All of it runs in the group's field."""
+        proportional to the first.  All of it runs in the group's field.
+
+        A reflection's trace is n - 1 + zeta for a root of unity zeta != 1
+        of the field, whose roots of unity are the lcm(2, N)-th ones, the
+        +-zeta_N^k: the scan skips every element with another trace."""
         n = self.dim
         points = self._points
         F = self._field
         mul = F.mul
+        N = self.cyclotomic_order
+        shift = F.of(CycNumber.rational(n - 1))
+        roots = {F.of(r) for k in range(N) for r in (zeta(N, k), -zeta(N, k))}
+        traces = {F.add(r, shift) for r in roots - {F.one}}
         by_root = {}
         root_order = []
         for g in range(1, self.order):
+            if self._trace(g) not in traces:
+                continue
             cols = []
             for j, x in enumerate(self._frames[g]):
                 if x != j:
@@ -811,25 +768,27 @@ def _apply(F, rows, v):
 def build_matrix_group(
     gens, cap: int = DEFAULT_CAP, name: str = "matrix-group", provenance: str = "paper"
 ) -> Group:
-    """Closure of unitary generator matrices under multiplication.
+    """Closure of unitary generator matrices under multiplication.  Each
+    generator is a square matrix of CycNumbers, ints or Fractions, as
+    nested sequences.
 
     The generators are applied to points once, from e_1, ..., e_n until the
     point set P closes, in the field Q(zeta_N) of the definition's
     cyclotomic order N; the closure itself then runs on their permutations
     of P, in the breadth-first order of right multiplication by the
     generators."""
-    gens = [g if isinstance(g, MatrixElem) else MatrixElem(g) for g in gens]
+    gens = [_matrix(g) for g in gens]
     if not gens:
         raise InvalidParameters("at least one generator required")
-    dim = gens[0].dim
+    dim = len(gens[0])
     definition = _matrix_definition(name, provenance, gens)
     F = _context(definition["cyclotomic_order"])
     basis = [tuple(F.one if i == j else F.zero for i in range(dim)) for j in range(dim)]
     rows = []
     for g in gens:
-        if g.dim != dim:
+        if len(g) != dim:
             raise InvalidParameters("generators must share one dimension")
-        lifted = [[F.of(a) for a in row] for row in g.entries]
+        lifted = [[F.of(a) for a in row] for row in g]
         rows.append([[(k, a) for k, a in enumerate(r) if any(a[0])] for r in lifted])
         # g g^H = I: g maps the conjugate of its row j to e_j
         if [_apply(F, rows[-1], tuple(map(F.conj, r))) for r in lifted] != basis:
@@ -982,7 +941,7 @@ def subgroup_closure(G: Group, gens) -> Subgroup:
 
 def _generators_from_json(data: dict):
     return [
-        MatrixElem([[CycNumber.from_json(x) for x in row] for row in g])
+        _matrix([map(CycNumber.from_json, row) for row in g])
         for g in data["generators"]
     ]
 
@@ -996,11 +955,6 @@ def group_from_json(data: dict, cap: int = DEFAULT_CAP) -> Group:
         name=data.get("name", "matrix-group"),
         provenance=data.get("provenance", "paper"),
     )
-
-
-def load_group_file(path, cap: int = DEFAULT_CAP) -> Group:
-    with open(path) as fh:
-        return group_from_json(json.load(fh), cap=cap)
 
 
 def packaged_group(name: str, cap: int = DEFAULT_CAP) -> Group:

@@ -1,9 +1,9 @@
 """Element arithmetic on values, kept as a test reference: products,
-inverses, identity tests and orders of Monomial and MatrixElem values, and
-the closed-form K_B membership test over monomial groups.  The package forms
-every product on element indices, so these are the independent side that
-G.mul, G.inv, the hyperplane build and collection(G, B).kb are tested
-against.
+inverses, identity tests and orders of matrices (tuples of row tuples of
+CycNumbers), monomial elements in permutation form, and the closed-form
+K_B membership test over monomial groups.  The package forms every product
+on element indices, so these are the independent side that G.mul, G.inv,
+G.element, the hyperplane build and collection(G, B).kb are tested against.
 
 Also the unfactored hyperplane action: the |G| x #H table filled along a
 breadth-first search over the generators, and the stabilizer scan over
@@ -13,78 +13,45 @@ every row of it, the side that the factored rows are tested against.
 from bct.admissibility import collection
 from bct.errors import InternalInconsistency, InvalidParameters
 from bct.exact_arith import CycNumber, zeta
-from bct.reflection_groups import MatrixElem, Monomial, bfs
+from bct.reflection_groups import bfs
 
 
 def mul(a, b):
-    """The product a*b of two Monomials or of two MatrixElems."""
-    if isinstance(a, Monomial) and isinstance(b, Monomial):
-        if a.m != b.m:
-            raise InternalInconsistency("monomials over different m multiplied")
-        p, x = a.perm, a.exps
-        q, y = b.perm, b.exps
-        n = len(p)
-        return Monomial(
-            a.m,
-            tuple(p[q[c]] for c in range(n)),
-            tuple(x[q[c]] + y[c] for c in range(n)),
-        )
-    if isinstance(a, MatrixElem) and isinstance(b, MatrixElem):
-        x, y = a.entries, b.entries
-        n = len(x)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = x[i][0] * y[0][j]
-                for k in range(1, n):
-                    acc = acc + x[i][k] * y[k][j]
-                row.append(acc)
-            out.append(row)
-        return MatrixElem(out)
-    raise TypeError(f"cannot multiply {a!r} by {b!r}")
+    """The product a*b of two matrices."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = a[i][0] * b[0][j]
+            for k in range(1, n):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def inv(g):
-    """The inverse of a Monomial, or of a unitary MatrixElem by its
-    Hermitian transpose."""
-    if isinstance(g, Monomial):
-        n = len(g.perm)
-        ip = [0] * n
-        for l, t in enumerate(g.perm):
-            ip[t] = l
-        return Monomial(g.m, ip, tuple(-g.exps[ip[c]] for c in range(n)))
-    n = g.dim
-    return MatrixElem([[g.entries[j][i].conj() for j in range(n)] for i in range(n)])
+    """The inverse of a unitary matrix, its Hermitian transpose."""
+    n = len(g)
+    return tuple(tuple(g[j][i].conj() for j in range(n)) for i in range(n))
 
 
 def is_identity(g) -> bool:
-    if isinstance(g, Monomial):
-        return all(t == l for l, t in enumerate(g.perm)) and not any(g.exps)
-    n = g.dim
-    return all(
-        g.entries[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
-    )
+    n = len(g)
+    return all(g[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
 
 
-def to_matrix(g: Monomial) -> MatrixElem:
-    n = len(g.perm)
-    z = CycNumber.rational(0)
-    rows = [[z] * n for _ in range(n)]
-    for l in range(n):
-        rows[g.perm[l]][l] = zeta(g.m, g.exps[l])
-    return MatrixElem(rows)
-
-
-def trace(g: MatrixElem) -> CycNumber:
-    t = g.entries[0][0]
-    for i in range(1, g.dim):
-        t = t + g.entries[i][i]
+def trace(g) -> CycNumber:
+    t = g[0][0]
+    for i in range(1, len(g)):
+        t = t + g[i][i]
     return t
 
 
-def identity_matrix(n: int) -> MatrixElem:
-    return MatrixElem([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+def identity_matrix(n: int):
+    one, zero = CycNumber.rational(1), CycNumber.rational(0)
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def element_order(g) -> int:
@@ -95,6 +62,54 @@ def element_order(g) -> int:
         if k > 10_000:
             raise InternalInconsistency("element order exceeds 10000")
     return k
+
+
+# ---------------------------------------------------------------------------
+# monomial elements in permutation form: (perm, exps), column l carrying
+# zeta_m^exps[l] in row perm[l]
+
+
+def perm_exps(G, i):
+    """(perm, exps) of element i of a monomial group, read off its frame:
+    column l goes to the point exps[l]*n + perm[l]."""
+    n = G.n
+    frame = G._frames[i]
+    return tuple(x % n for x in frame), tuple(x // n for x in frame)
+
+
+def mono_mul(m, a, b):
+    """The product a*b of two monomial elements over the m-th roots."""
+    (p, x), (q, y) = a, b
+    n = len(p)
+    return (
+        tuple(p[q[c]] for c in range(n)),
+        tuple((x[q[c]] + y[c]) % m for c in range(n)),
+    )
+
+
+def mono_inv(m, g):
+    """The inverse of a monomial element over the m-th roots."""
+    p, x = g
+    n = len(p)
+    ip = [0] * n
+    for l, t in enumerate(p):
+        ip[t] = l
+    return tuple(ip), tuple(-x[ip[c]] % m for c in range(n))
+
+
+def monomial(m, perm, exps):
+    """The matrix of the monomial element (perm, exps) over the m-th roots."""
+    n = len(perm)
+    z = CycNumber.rational(0)
+    rows = [[z] * n for _ in range(n)]
+    for l in range(n):
+        rows[perm[l]][l] = zeta(m, exps[l])
+    return tuple(map(tuple, rows))
+
+
+def monomial_matrix(G, i):
+    """The matrix of element i of a monomial group, built from its frame."""
+    return monomial(G.m, *perm_exps(G, i))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +158,7 @@ def kb_membership_gmpn(G, elem, B) -> bool:
         raise InvalidParameters(f"element {elem} out of range")
 
     act = G.hyperplane_action(elem)
-    value = G.element(elem)
+    value = perm_exps(G, elem)
     bset = frozenset(B)
     in_stab = frozenset(act[h] for h in bset) == bset
 
@@ -152,29 +167,29 @@ def kb_membership_gmpn(G, elem, B) -> bool:
     unused = [l for l in range(n) if l not in used]
 
     if kind == "doubled":
-        got = in_stab and all(value.perm[l] == l for l in unused)
+        got = in_stab and all(value[0][l] == l for l in unused)
     else:
         gamma = [0] * n
         for i, j, kappa in blocks:
             gamma[i] = kappa
-        twist = Monomial(G.m, tuple(range(n)), gamma)
-        base = mul(mul(inv(twist), value), twist)
+        twist = (tuple(range(n)), tuple(gamma))
+        perm, exps = mono_mul(G.m, mono_mul(G.m, mono_inv(G.m, twist), value), twist)
         ok = in_stab
-        ok = ok and all(base.perm[l] == l and base.exps[l] == 0 for l in unused)
+        ok = ok and all(perm[l] == l and exps[l] == 0 for l in unused)
         if ok:
             lam = []
             for i, j, _ in blocks:
-                if base.exps[i] != base.exps[j]:
+                if exps[i] != exps[j]:
                     ok = False
                     break
-                lam.append(base.exps[i])
+                lam.append(exps[i])
             ok = ok and sum(lam) % G.m == 0
         got = ok
 
     expected = elem in collection(G, B).kb
     if got != expected:
         raise InternalInconsistency(
-            f"matrix membership disagrees with closure on {value!r} for B={tuple(B)}"
+            f"matrix membership disagrees with closure on {value} for B={tuple(B)}"
         )
     return got
 

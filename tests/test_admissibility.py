@@ -23,14 +23,14 @@ from bct.cli import ROW_KEYS
 from bct.errors import InternalInconsistency, InvalidParameters
 from bct.exact_arith import SpanBasis, zeta
 from bct.freeness import check_F
-from bct.reflection_groups import Monomial, packaged_group
+from bct.reflection_groups import packaged_group
 from bct.transversality import (
     collection_orbits,
     enumerate_collections,
     transv_table,
 )
 from conftest import SMALL_GMPN
-from group_reference import element_order, kb_membership_gmpn
+from group_reference import element_order, kb_membership_gmpn, monomial
 
 
 def by_label(G):
@@ -430,7 +430,7 @@ def test_kb_membership_even_m_excludes_minus_identity(gmpn):
     B = (lab["H_1,2^0"],)
     # -I fixes B and its exponents sum to 0 mod 2, but the block
     # exponent is 1, so it lies outside K_B
-    minus = G.index_of(Monomial(2, (0, 1), (1, 1)))
+    minus = G.index_of(monomial(2, (0, 1), (1, 1)))
     assert not kb_membership_gmpn(G, minus, B)
     assert collection(G, B).kb.order == 2
 

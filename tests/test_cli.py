@@ -346,6 +346,48 @@ def test_group_definition_matches_built_group():
         assert group_definition(data) == build(DEFAULT_CAP).definition
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ({"kind": "imprimitive", "m": 2, "p": 1, "n": 3},
+         {"kind": "imprimitive", "m": 3, "p": 1, "n": 3}),
+        (packaged_definition("g4"), packaged_definition("g23")),
+    ],
+    ids=["gmpn", "matrix"],
+)
+def test_spec_file_is_built_as_parsed(tmp_path, first, second):
+    """A spec file is read once: rewritten between parse and build, it
+    still builds the group whose definition (and digest) parse_spec gave."""
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(first))
+    definition, build = cli.parse_spec(str(path))
+    path.write_text(json.dumps(second))
+    assert build(DEFAULT_CAP).definition == definition == group_definition(first)
+
+
+ONE, ZERO, MINUS = ({"order": 1, "coeffs": [c]} for c in ("1", "0", "-1"))
+
+
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        ([[[ONE, ZERO], [ZERO]]], "matrix entries must form a square array"),
+        ([[[MINUS, ZERO], [ZERO, ONE]], [[MINUS]]], "generators must share one dimension"),
+        ([[[ONE, ONE], [ZERO, ONE]]], "non-unitary generator"),
+    ],
+    ids=["non-square", "mixed-dimensions", "non-unitary"],
+)
+def test_spec_file_generator_refusals(capsys, tmp_path, generators, message):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"kind": "matrix", "generators": generators}))
+    argv = ["--cache-dir", str(tmp_path / "cache"), "dims", str(path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    report = json.loads(err)
+    assert report["error"] == "InvalidParameters"
+    assert message in report["message"]
+
+
 def test_cache_hit_builds_no_group(capsys, cache, monkeypatch):
     base = ["--cache-dir", cache]
     argvs = [
@@ -359,7 +401,7 @@ def test_cache_hit_builds_no_group(capsys, cache, monkeypatch):
     def boom(*a, **k):
         raise AssertionError("group built despite a cache hit")
 
-    for name in ("build_imprimitive", "packaged_group", "load_group_file"):
+    for name in ("build_imprimitive", "packaged_group", "group_from_json"):
         monkeypatch.setattr(bct.reflection_groups, name, boom)
     warm = [run(capsys, argv) for argv in argvs]
     assert warm == cold
@@ -370,7 +412,7 @@ def _forbid_builds(patched):
     def boom(*a, **k):
         raise AssertionError("group built despite a cache hit")
 
-    for name in ("build_imprimitive", "packaged_group", "load_group_file"):
+    for name in ("build_imprimitive", "packaged_group", "group_from_json"):
         patched.setattr(bct.reflection_groups, name, boom)
 
 

@@ -1,6 +1,6 @@
 """The integer-indexed group core against independent references.
 
-Two oracles: a breadth-first closure over MatrixElem products (the value
+Two oracles: a breadth-first closure over matrix products (the value
 arithmetic of tests/group_reference.py) with a rank-1 hyperplane scan,
 kept here as the reference for element order, hyperplane order, roots and
 distinguished reflections; and a differential check that builds each small
@@ -15,7 +15,7 @@ from functools import cached_property
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bct.admissibility import classify_orbits, dim_from_rows
@@ -25,7 +25,6 @@ from bct.exact_arith import CycNumber, SpanBasis, zeta
 from bct.freeness import freeness_verdict
 from bct.reflection_groups import (
     Group,
-    MatrixElem,
     build_imprimitive,
     build_matrix_group,
     orbit,
@@ -33,7 +32,14 @@ from bct.reflection_groups import (
     packaged_group,
 )
 from bct.transversality import transv_table
-from group_reference import identity_matrix, inv, is_identity, mul, to_matrix, trace
+from group_reference import (
+    identity_matrix,
+    inv,
+    is_identity,
+    monomial_matrix,
+    mul,
+    trace,
+)
 
 # ---------------------------------------------------------------------------
 # reference: closure over matrix products
@@ -41,7 +47,7 @@ from group_reference import identity_matrix, inv, is_identity, mul, to_matrix, t
 
 def reference_closure(gens):
     """Elements in the breadth-first order of right multiplication."""
-    ident = identity_matrix(gens[0].dim)
+    ident = identity_matrix(len(gens[0]))
     elements, seen, queue = [ident], {ident}, [ident]
     while queue:
         g = queue.pop(0)
@@ -59,13 +65,13 @@ def reference_hyperplanes(elements):
     the rank-1 scan of g - I over the elements in order, roots from the
     first nonzero column scaled by its leading entry."""
     one = CycNumber.rational(1)
-    n = elements[0].dim
+    n = len(elements[0])
     by_root, order = {}, []
     for pos, g in enumerate(elements):
         if is_identity(g):
             continue
         rows = [
-            [g.entries[i][j] - (one if i == j else 0) for j in range(n)]
+            [g[i][j] - (one if i == j else 0) for j in range(n)]
             for i in range(n)
         ]
         span = SpanBasis(n)
@@ -95,7 +101,7 @@ def test_packaged_groups_pinned_to_matrix_closure():
     for name in ("g4", "g23"):
         G = packaged_group(name)
         gens = [
-            MatrixElem([[CycNumber.from_json(x) for x in row] for row in g])
+            tuple(tuple(CycNumber.from_json(x) for x in row) for row in g)
             for g in packaged_definition(name)["generators"]
         ]
         ref = reference_closure(gens)
@@ -204,10 +210,13 @@ def freeness_rows(report):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.sampled_from(SMALL))
+# odd m, whose field Q(zeta_m) holds the roots of unity of order 2m
+@example((3, 1, 2))
+@example((5, 5, 2))
 def test_monomial_and_matrix_builds_agree(params):
     mono = build_imprimitive(*params)
     mat = build_matrix_group(
-        [to_matrix(mono.element(s)) for s in mono.generators], name="matrix"
+        [monomial_matrix(mono, s) for s in mono.generators], name="matrix"
     )
     assert mat.order == mono.order
     assert len(mat.hyperplanes) == len(mono.hyperplanes)
@@ -232,7 +241,7 @@ def test_batched_products_match_mul(build):
     of a fixed list, as mul does one at a time, also for rank 1, where a
     frame is an int, and for lists of no and of one element."""
     if build == "rank 1":
-        G = build_matrix_group([MatrixElem([[zeta(3)]])])
+        G = build_matrix_group([[[zeta(3)]]])
         assert G.dim == 1
     elif build == "g4":
         G = packaged_group("g4")

@@ -7,8 +7,6 @@ import pytest
 from bct.errors import InternalInconsistency, InvalidParameters, InvalidRoot, TooLarge
 from bct.exact_arith import CycNumber, zeta
 from bct.reflection_groups import (
-    MatrixElem,
-    Monomial,
     build_imprimitive,
     build_matrix_group,
     hermitian_inner,
@@ -18,7 +16,16 @@ from bct.reflection_groups import (
     stabilizer,
     subgroup_closure,
 )
-from group_reference import element_order, inv, mul, to_matrix
+from group_reference import (
+    element_order,
+    inv,
+    mono_inv,
+    mono_mul,
+    monomial,
+    monomial_matrix,
+    mul,
+    perm_exps,
+)
 
 
 def test_symmetric_group():
@@ -62,8 +69,15 @@ def test_cyclic_matrix_group():
 
 
 def test_matrix_group_rejects_non_unitary():
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(InvalidParameters, match="non-unitary generator"):
         build_matrix_group([[[1, 1], [0, 1]]])
+
+
+def test_matrix_group_rejects_non_square_and_mixed_dimensions():
+    with pytest.raises(InvalidParameters, match="must form a square array"):
+        build_matrix_group([[[1, 0], [0]]])
+    with pytest.raises(InvalidParameters, match="must share one dimension"):
+        build_matrix_group([[[-1, 0], [0, 1]], [[-1]]])
 
 
 def test_matrix_group_cap():
@@ -77,25 +91,25 @@ def test_matrix_group_cap():
 
 def test_reflection_from_root_examples():
     t3 = reflection_from_root([0, 0, 1], zeta(3))
-    assert t3.entries[2][2] == zeta(3)
-    assert t3.entries[0][0] == 1 and t3.entries[0][2] == 0
+    assert t3[2][2] == zeta(3)
+    assert t3[0][0] == 1 and t3[0][2] == 0
 
     t00 = reflection_from_root([1, 1, 1], zeta(3))
     v = (1, 1, 1)
     image = tuple(
-        sum(t00.entries[i][j] * v[j] for j in range(3)) for i in range(3)
+        sum(t00[i][j] * v[j] for j in range(3)) for i in range(3)
     )
     assert image == (zeta(3), zeta(3), zeta(3))
     perp = (1, -1, 0)
     fixed = tuple(
-        sum(t00.entries[i][j] * perp[j] for j in range(3)) for i in range(3)
+        sum(t00[i][j] * perp[j] for j in range(3)) for i in range(3)
     )
     assert fixed == (1, -1, 0)
 
     s = reflection_from_root([1, -1, 0], -1)
     want = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
     assert all(
-        s.entries[i][j] == want[i][j] for i in range(3) for j in range(3)
+        s[i][j] == want[i][j] for i in range(3) for j in range(3)
     )
 
 
@@ -149,7 +163,7 @@ def test_act_identity_and_monomial_example():
     g = build_imprimitive(3, 1, 3)
     h23 = next(h for h in g.hyperplanes if h.key == ("pair", 1, 2, 0))
     assert g.hyperplanes[g.hyperplane_action(g.identity)[h23.id]] is h23
-    w = g.index_of(Monomial(3, (1, 0, 2), (0, 0, 0)))
+    w = g.index_of(monomial(3, (1, 0, 2), (0, 0, 0)))
     assert g.hyperplanes[g.hyperplane_action(w)[h23.id]].key == ("pair", 0, 2, 0)
 
 
@@ -179,9 +193,9 @@ def test_monomial_action_matches_conjugation():
         w = rng.choice(g.elements)
         h = rng.choice(hs)
         img = hs[g.hyperplane_action(w)[h.id]]
-        wm = to_matrix(g.element(w))
-        conj = mul(mul(wm, to_matrix(g.element(h.dist_reflection))), inv(wm))
-        assert conj == to_matrix(g.element(img.dist_reflection))
+        wm = monomial_matrix(g, w)
+        conj = mul(mul(wm, monomial_matrix(g, h.dist_reflection)), inv(wm))
+        assert conj == monomial_matrix(g, img.dist_reflection)
 
 
 def test_conjugate_of_distinguished_is_distinguished():
@@ -192,9 +206,11 @@ def test_conjugate_of_distinguished_is_distinguished():
             w = rng.choice(g.elements)
             h = rng.choice(hs)
             img = hs[g.hyperplane_action(w)[h.id]]
-            wv = g.element(w)
-            conj = mul(mul(wv, g.element(h.dist_reflection)), inv(wv))
-            assert conj == g.element(img.dist_reflection)
+            wv = perm_exps(g, w)
+            conj = mono_mul(
+                g.m, mono_mul(g.m, wv, perm_exps(g, h.dist_reflection)), mono_inv(g.m, wv)
+            )
+            assert conj == perm_exps(g, img.dist_reflection)
             assert g.conj(w, h.dist_reflection) == img.dist_reflection
             assert img.order_m == h.order_m
 
@@ -228,7 +244,7 @@ def test_stabilizer_and_orbit():
 def test_subgroup_closure():
     s3 = build_imprimitive(1, 1, 3)
     assert subgroup_closure(s3, []).order == 1
-    swap = s3.index_of(Monomial(1, (1, 0, 2), (0, 0, 0)))
+    swap = s3.index_of(monomial(1, (1, 0, 2), (0, 0, 0)))
     assert subgroup_closure(s3, [swap]).order == 2
     s4 = build_imprimitive(1, 1, 4)
     transpositions = s4.reflections
@@ -238,7 +254,7 @@ def test_subgroup_closure():
 def test_monomial_matrix_cross_check():
     g = build_imprimitive(3, 1, 2)
     mg = build_matrix_group(
-        [to_matrix(g.element(s)) for s in g.generators], name="G312m"
+        [monomial_matrix(g, s) for s in g.generators], name="G312m"
     )
     assert mg.order == g.order
     # match hyperplanes through normalized roots
@@ -254,13 +270,36 @@ def test_monomial_matrix_cross_check():
         match[h.id] = target[0]
     for w in g.elements:
         acted = g.hyperplane_action(w)
-        acted_m = mg.hyperplane_action(mg.index_of(to_matrix(g.element(w))))
+        acted_m = mg.hyperplane_action(mg.index_of(monomial_matrix(g, w)))
         for hid, img in enumerate(acted):
             assert acted_m[match[hid]] == match[img]
 
 
 def test_element_order():
     g = build_imprimitive(3, 1, 2)
-    t1 = g.element(g.index_of(Monomial(3, (0, 1), (1, 0))))
+    t1 = g.element(g.index_of(monomial(3, (0, 1), (1, 0))))
     assert element_order(t1) == 3
     assert element_order(g.element(g.identity)) == 1
+
+
+@pytest.mark.parametrize("params", [(1, 1, 3), (3, 1, 2), (4, 2, 2), (2, 2, 3)])
+def test_monomial_element_values_match_frames(params):
+    """element(i) of a monomial group is the matrix its frame names, and
+    index_of maps that matrix back to i."""
+    g = build_imprimitive(*params)
+    for i in g.elements:
+        value = g.element(i)
+        assert value == monomial_matrix(g, i)
+        assert g.index_of(value) == i
+
+
+def test_index_of_refuses_a_non_element():
+    g, c3 = build_imprimitive(3, 1, 2), build_matrix_group([[[zeta(3)]]])
+    for G, value, message in [
+        (g, [[1, 1], [0, 1]], r"is not an element of G\(3,1,2\)"),
+        (g, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], r"is not an element of G\(3,1,2\)"),
+        (g, [[zeta(5), 0], [0, 1]], r"does not lie in Q\(zeta_3\)"),
+        (c3, [[-1]], "is not an element of matrix-group"),
+    ]:
+        with pytest.raises(InvalidParameters, match=message):
+            G.index_of(value)

@@ -69,7 +69,7 @@ def reference_relations(M, seed=0):
         if bad:
             fail(
                 "B2",
-                f"w*eps({labels[bad[0]]})*w^-1 != eps(w H) for w={G.element(w)!r}",
+                f"w*eps({labels[bad[0]]})*w^-1 != eps(w H) for w={w}",
             )
             break
 

@@ -17,6 +17,7 @@ from bct.transversality import (
     transv_table,
 )
 from conftest import SMALL_GMPN
+from group_reference import monomial
 
 
 def by_label(G):
@@ -92,7 +93,7 @@ def test_sym3_single_mapping_transposition():
     assert len(mapped) == 1
     s = G.reflections[mapped[0]]
     # the transposition swapping columns 2 and 3
-    assert G.element(s).perm == (0, 2, 1)
+    assert G.element(s) == monomial(1, (0, 2, 1), (0, 0, 0))
 
 
 def test_nontransverse_cell_with_empty_mapping_list():
