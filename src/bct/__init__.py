@@ -58,8 +58,6 @@ _EXPORTS = {
     "exact_arith": (
         "CycNumber",
         "LaurentScalar",
-        "smith_normal_form",
-        "z_span_member",
     ),
     "freeness": (
         "FreenessReport",

@@ -15,9 +15,11 @@ class parameter is a shift of one exponent.
 
 The checks offered are the five defining relations of the algebra on
 such a module, checked once per W-orbit of hyperplanes, reflections and
-pairs as the group core lists them, and the census identity equating the
-algebra dimension with the sum of squared dimensions of the simple
-modules.
+pairs as the group core lists them, and the semisimplicity census, the
+sum of squared dimensions of the simple modules set against the algebra
+dimension.  That sum is the second count of dim_from_rows over the same
+rows, so the census holds wherever dim_from_rows returns and is no
+independent oracle.
 """
 
 import random

@@ -1,6 +1,6 @@
 """Exact arithmetic: cyclotomic numbers, integer Laurent polynomials, linear
-algebra over exact fields, and integer-lattice membership via the Smith
-normal form.
+algebra over exact fields, and integer-lattice membership through a
+row-echelon Hermite basis.
 
 Everything is exact.  Field scalars are ints, Fractions or CycNumbers; the
 Laurent polynomials that carry module operators have int coefficients,
@@ -32,8 +32,6 @@ __all__ = [
     "zeta",
     "LaurentScalar",
     "SpanBasis",
-    "smith_normal_form",
-    "z_span_member",
     "z_span_test",
     "euler_phi",
     "cyclotomic_polynomial",
@@ -676,131 +674,47 @@ class SpanBasis:
 # integer lattices
 
 
-def smith_normal_form(A):
-    """Smith normal form of an integer matrix.
+def z_span_test(L, ncols: int):
+    """The membership test of the integer span of the rows L, each of
+    length ncols: a function v -> bool, true when v is an integer
+    combination of the rows.
 
-    Returns (S, D, T) with S (m x m) and T (n x n) unimodular, S*A*T = D
-    diagonal, and the diagonal a divisibility chain d1 | d2 | ...  Pivots are
-    chosen by minimal absolute value to keep the intermediate entries small.
+    A row-echelon Hermite basis of L is built once, one row per pivot
+    column (the column of its first nonzero entry): each row of L is
+    walked along the pivots and merged into the basis row at each one by
+    the extended Euclidean algorithm run on the two rows, whose steps are
+    unimodular, and becomes a new basis row at the first free pivot
+    column.  v is a member exactly when reducing it by the basis rows in
+    pivot order finds every pivot entry divisible and leaves zero.
     """
-    M = [[int(x) for x in row] for row in A]
-    m = len(M)
-    n = len(M[0]) if m else 0
-    S = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    T = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_sub(i, k, q):  # row i -= q * row k
-        Mi, Mk = M[i], M[k]
-        for j in range(n):
-            Mi[j] -= q * Mk[j]
-        Si, Sk = S[i], S[k]
-        for j in range(m):
-            Si[j] -= q * Sk[j]
-
-    def col_sub(j, k, q):  # col j -= q * col k
-        for i in range(m):
-            M[i][j] -= q * M[i][k]
-        for i in range(n):
-            T[i][j] -= q * T[i][k]
-
-    for t in range(min(m, n)):
-        while True:
-            piv = None
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    v = M[i][j]
-                    if v and (best is None or abs(v) < best):
-                        best = abs(v)
-                        piv = (i, j)
-            if piv is None:
-                break
-            pi, pj = piv
-            if pi != t:
-                M[t], M[pi] = M[pi], M[t]
-                S[t], S[pi] = S[pi], S[t]
-            if pj != t:
-                for row in M:
-                    row[t], row[pj] = row[pj], row[t]
-                for row in T:
-                    row[t], row[pj] = row[pj], row[t]
-            if M[t][t] < 0:
-                for j in range(n):
-                    M[t][j] = -M[t][j]
-                for j in range(m):
-                    S[t][j] = -S[t][j]
-            d = M[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                if M[i][t]:
-                    q = M[i][t] // d
-                    if q:
-                        row_sub(i, t, q)
-                    if M[i][t]:
-                        dirty = True
-            if dirty:
+    basis = {}
+    for row in L:
+        v = [int(x) for x in row]
+        if len(v) != ncols:
+            raise InvalidParameters(f"lattice row of length {len(v)}, width {ncols}")
+        for p in range(ncols):
+            if not v[p]:
                 continue
-            for j in range(t + 1, n):
-                if M[t][j]:
-                    q = M[t][j] // d
-                    if q:
-                        col_sub(j, t, q)
-                    if M[t][j]:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot divides every remaining entry, or we merge a bad row in
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if M[i][j] % d:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
+            b = basis.get(p)
+            if b is None:
+                basis[p] = v
                 break
-            row_sub(t, bad, -1)
-        if M[t][t] == 0:
-            break
-
-    D = tuple(tuple(row) for row in M)
-    return (
-        tuple(tuple(row) for row in S),
-        D,
-        tuple(tuple(row) for row in T),
-    )
-
-
-def z_span_test(L):
-    """The membership test of the integer span of the rows L: a function
-    v -> bool, true when v is an integer combination of the rows.
-
-    L's Smith form S*A*T = D of rank r is computed once; v is a member
-    when (v*T) vanishes beyond position r and d_i | (v*T)_i below.
-    """
-    L = [[int(x) for x in row] for row in L]
-    if not L:
-        return lambda v: not any(int(x) for x in v)
-    n = len(L[0])
-    if any(len(row) != n for row in L):
-        raise InvalidParameters("lattice rows differ in length")
-    _, D, T = smith_normal_form(L)
-    d = [D[j][j] if j < len(L) else 0 for j in range(n)]
+            while v[p]:
+                q = b[p] // v[p]
+                b, v = v, [s - q * t for s, t in zip(b, v)]
+            basis[p] = b
+    pivots = sorted(basis.items())
 
     def member(v):
         v = [int(x) for x in v]
-        if len(v) != n:
-            raise InvalidParameters("lattice rows and vector differ in length")
-        for j in range(n):
-            w = sum(v[i] * T[i][j] for i in range(n))
-            if (w % d[j] if d[j] else w) != 0:
+        if len(v) != ncols:
+            raise InvalidParameters(f"vector of length {len(v)}, lattice of width {ncols}")
+        for p, row in pivots:
+            q, r = divmod(v[p], row[p])
+            if r:
                 return False
-        return True
+            if q:
+                v = [s - q * t for s, t in zip(v, row)]
+        return not any(v)
 
     return member
-
-
-def z_span_member(v, L) -> bool:
-    """Is v an integer combination of the vectors in L?  One z_span_test."""
-    return z_span_test(L)(v)

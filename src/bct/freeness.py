@@ -17,9 +17,9 @@ formal coefficient ring and reports the certificate used.  Four routes:
     transverse collections down to singletons, yielding a basis indexed
     by hyperplanes alone.
 
-Integer-lattice membership is decided through the Smith form only; a
-rational-span check would accept strictly more vectors and is exactly the
-wrong test here.
+Integer-lattice membership is decided over the integers, through a
+Hermite basis of the lattice; a rational-span check would accept strictly
+more vectors and is exactly the wrong test here.
 """
 
 from itertools import combinations
@@ -175,7 +175,8 @@ def check_F(G: Group, B):
     a2_span, a2_sub = col.a2
     if a2_span and a2_sub:
         member = z_span_test(
-            list(col.rel_bar_vectors) + [t.vector for t in rel_tau(G, B)]
+            list(col.rel_bar_vectors) + [t.vector for t in rel_tau(G, B)],
+            col.nrefl + 1,
         )
         f2b = all(map(member, col.d_vectors))
     else:

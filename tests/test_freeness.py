@@ -297,6 +297,40 @@ def test_g26_pair_fails_dichotomy(g26):
 # verdicts
 
 
+# (representative, cardinality, f1, f2a, f2b) of every orbit row, in order
+ORBIT_CHECKS = {
+    "g4": [((), 0, False, True, True), ((0,), 1, False, True, True)],
+    "g23": [
+        ((), 0, False, True, True),
+        ((0,), 1, False, True, True),
+        ((0, 1), 2, False, True, True),
+        ((0, 1, 14), 3, False, True, True),
+    ],
+    "g25": [
+        ((), 0, False, True, True),
+        ((0,), 1, False, True, True),
+        ((0, 1), 2, False, True, True),
+        ((0, 1, 2), 3, False, True, True),
+    ],
+    "g26": [
+        ((), 0, False, True, True),
+        ((0,), 1, False, True, True),
+        ((4,), 1, False, True, True),
+        ((0, 16), 2, False, False, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_CHECKS))
+def test_orbit_check_rows_of_shipped_exceptionals(request, name):
+    G = request.getfixturevalue(name) if name in ("g25", "g26") else packaged_group(name)
+    rows = freeness_verdict(G).orbit_checks
+    assert [
+        (tuple(r["representative"]), r["cardinality"], r["f1"], r["f2a"], r["f2b"])
+        for r in rows
+    ] == ORBIT_CHECKS[name]
+
+
 def test_verdict_monomial(gmpn):
     rep = freeness_verdict(gmpn(3, 1, 3))
     assert rep.verdict == "free"

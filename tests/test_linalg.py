@@ -14,7 +14,7 @@ from bct.exact_arith import (
     CycNumber,
     SpanBasis,
     euler_phi,
-    z_span_member,
+    z_span_test,
     zeta,
 )
 from cyc_reference import rref_rows
@@ -59,9 +59,12 @@ def test_rref_cyclotomic_rank_one():
         lambda: CycNumber(5, (1, 2)),
         lambda: zeta(6).galois(3),
         lambda: SpanBasis(3).reduce([1, 2]),
-        lambda: z_span_member([1], [[1, 2]]),
+        lambda: z_span_test([[1, 2]], 2)([1]),
+        lambda: z_span_test([], 2)([0]),
+        lambda: z_span_test([[1, 2], [3]], 2),
     ],
-    ids=["euler_phi", "coeff_count", "galois", "span_width", "lattice_width"],
+    ids=["euler_phi", "coeff_count", "galois", "span_width", "lattice_width",
+         "lattice_width_empty", "lattice_row_width"],
 )
 def test_bad_arguments_raise_invalid_parameters(call):
     # argument checks raise instead of asserting, so `python -O` keeps them
