@@ -35,12 +35,23 @@ def test_z_span_examples():
     assert not z_span_test([[2, 0], [0, 2]], 2)([1, 1])
     # unique rational solution is (1/2, -1/2), so not an integer combination
     assert not z_span_test([[3, 1], [1, 3]], 2)([1, -1])
-    # diag(2, 3) spans 2Z x 3Z, not the lattice of its Smith form diag(1, 6)
+
+
+def test_snf_diag_2_3():
+    """diag(2, 3) spans 2Z x 3Z, not the lattice of its Smith form diag(1, 6)."""
     member = z_span_test([[2, 0], [0, 3]], 2)
     assert member([2, 3]) and member([-4, 9])
     assert not member([1, 6]) and not member([3, 0])
+
+
+def test_snf_identity():
+    """The identity, its own Smith form, spans all of Z^2."""
     member = z_span_test([[1, 0], [0, 1]], 2)
-    assert member([5, -7])
+    assert member([5, -7]) and member([0, 0])
+
+
+def test_snf_single_entry():
+    """The 1x1 matrix [[2]], its own Smith form, spans 2Z."""
     member = z_span_test([[2]], 1)
     assert member([-6]) and not member([3])
 
