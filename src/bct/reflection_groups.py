@@ -8,8 +8,9 @@ applying the generators to points.  The first n points are e_1, ..., e_n,
 so the first n entries of a permutation (its frame) identify the element:
 column j of its matrix is the point e_j maps to.  A product reads one
 permutation at the other's frame and looks the result up in a dictionary
-of frames.  A monomial group on at most 256 points stores its permutations
-as bytes, one per point; every other group as tuples.
+of frames.  A group on at most 256 points stores its permutations as
+bytes, one per point, and composes them by bytes.translate (_perm_store);
+a group on more than 256 points stores them as tuples.
 
 The hyperplane action is stored factored.  A monomial group is its
 diagonal subgroup N, of order D = m^n/p, times the permutation matrices,
@@ -682,6 +683,16 @@ class Group:
 # constructors
 
 
+def _perm_store(npoints: int):
+    """(store, compose) for permutations of npoints points: store makes one
+    from a sequence of point indices, and compose(g, s) is g∘s, x -> g[s[x]].
+    Up to 256 points a permutation is bytes, one per point, and g∘s is
+    s.translate(g padded to 256 bytes), one C call; past that, a tuple."""
+    if npoints <= 256:
+        return bytes, lambda g, s: s.translate(g.ljust(256, b"\0"))
+    return tuple, lambda g, s: tuple(map(g.__getitem__, s))
+
+
 def _monomial_perm(m, n, perm, exps):
     # the point zeta^k e_l has index k*n + l
     return tuple(
@@ -702,22 +713,18 @@ def build_imprimitive(m: int, p: int, n: int, cap: int = DEFAULT_CAP) -> Group:
     definition = group_definition({"kind": "imprimitive", "m": m, "p": p, "n": n})
     order = imprimitive_order(m, p, n)
     refuse_over_cap(definition, order, cap)
+    store, compose = _perm_store(m * n)
     # element r * len(diagonals) + d is permutation r after diagonal d, so
-    # its point map is the diagonal's map read through the permutation's
+    # its point map is the permutation's map composed with the diagonal's
     diagonals = [
-        _monomial_perm(m, n, range(n), exps) for exps in _diagonal_exps(m, p, n)
+        store(_monomial_perm(m, n, range(n), exps))
+        for exps in _diagonal_exps(m, p, n)
     ]
     point_maps = [
-        _monomial_perm(m, n, perm, [0] * n) for perm in permutations(range(n))
+        store(_monomial_perm(m, n, perm, [0] * n))
+        for perm in permutations(range(n))
     ]
-    if m * n <= 256:
-        # one byte per point, read through by bytes.translate
-        diagonals = list(map(bytes, diagonals))
-        tables = [bytes(pm).ljust(256, b"\0") for pm in point_maps]
-        perms = [diag.translate(table) for table in tables for diag in diagonals]
-    else:
-        getters = [itemgetter(*diag) for diag in diagonals]
-        perms = [get(pm) for pm in point_maps for get in getters]
+    perms = [compose(pm, diag) for pm in point_maps for diag in diagonals]
     if len(perms) != order:
         raise InternalInconsistency(
             f"enumerated {len(perms)} elements, closed form says {order}"
@@ -750,16 +757,20 @@ def build_imprimitive(m: int, p: int, n: int, cap: int = DEFAULT_CAP) -> Group:
     )
 
 
-def _apply(F, rows, v):
+def _apply(F, rows, v, products):
     """g v in the field F, for g given as rows of (column, entry) pairs
-    with every entry nonzero; zero entries of v are skipped."""
+    with every entry nonzero; zero entries of v are skipped.  products
+    keeps each product of an entry and a coordinate, keyed by the pair:
+    the points of a group share few coordinate values."""
     out = []
     for row in rows:
         acc = None
         for k, a in row:
             x = v[k]
             if any(x[0]):
-                t = F.mul(a, x)
+                t = products.get((a, x))
+                if t is None:
+                    t = products[a, x] = F.mul(a, x)
                 acc = t if acc is None else F.add(acc, t)
         out.append(F.zero if acc is None else acc)
     return tuple(out)
@@ -774,8 +785,9 @@ def build_matrix_group(
 
     The generators are applied to points once, from e_1, ..., e_n until the
     point set P closes, in the field Q(zeta_N) of the definition's
-    cyclotomic order N; the closure itself then runs on their permutations
-    of P, in the breadth-first order of right multiplication by the
+    cyclotomic order N, each product of a generator entry and a coordinate
+    formed once; the closure itself then runs on their permutations of P,
+    in the breadth-first order of right multiplication by the
     generators."""
     gens = [_matrix(g) for g in gens]
     if not gens:
@@ -784,6 +796,7 @@ def build_matrix_group(
     definition = _matrix_definition(name, provenance, gens)
     F = _context(definition["cyclotomic_order"])
     basis = [tuple(F.one if i == j else F.zero for i in range(dim)) for j in range(dim)]
+    products = {}
     rows = []
     for g in gens:
         if len(g) != dim:
@@ -791,7 +804,8 @@ def build_matrix_group(
         lifted = [[F.of(a) for a in row] for row in g]
         rows.append([[(k, a) for k, a in enumerate(r) if any(a[0])] for r in lifted])
         # g g^H = I: g maps the conjugate of its row j to e_j
-        if [_apply(F, rows[-1], tuple(map(F.conj, r))) for r in lifted] != basis:
+        conj = [tuple(map(F.conj, r)) for r in lifted]
+        if [_apply(F, rows[-1], r, products) for r in conj] != basis:
             raise InvalidParameters(
                 "non-unitary generator: the construction requires matrices "
                 "unitary for the standard Hermitian form"
@@ -800,19 +814,16 @@ def build_matrix_group(
     images = {}
 
     def apply(v, s):
-        w = images[v, s] = _apply(F, rows[s], v)
+        w = images[v, s] = _apply(F, rows[s], v, products)
         return w
 
     labels = range(len(gens))
     points, _ = bfs(basis, labels, apply, limit=dim * cap, refuse=refuse)
     ids = {v: x for x, v in enumerate(points)}
-    gen_perms = [tuple(ids[images[v, s]] for v in points) for s in labels]
+    store, compose = _perm_store(len(points))
+    gen_perms = [store(ids[images[v, s]] for v in points) for s in labels]
     perms, _ = bfs(
-        [tuple(range(len(points)))],
-        gen_perms,
-        lambda g, s: tuple(map(g.__getitem__, s)),
-        limit=cap,
-        refuse=refuse,
+        [store(range(len(points)))], gen_perms, compose, limit=cap, refuse=refuse
     )
     return Group(
         "matrix",

@@ -153,9 +153,9 @@ def transv_table(G: Group) -> TransvTable:
                 transverse[a].add(b)
                 transverse[b].add(a)
     # mapping lists of (i,j) and (j,i) are each other's inverses
-    refls = G.reflections
+    inverse = [G.reflection_index(G.inv(s)) for s in G.reflections]
     for (i, j), lst in mapped.items():
-        back = {G.reflection_index(G.inv(refls[r])) for r in lst}
+        back = {inverse[r] for r in lst}
         if back != set(mapped.get((j, i), ())):
             raise InternalInconsistency(
                 f"mapping reflections of ({i}, {j}) and ({j}, {i}) are not inverse"

@@ -14,13 +14,14 @@ import pytest
 from bct.errors import InternalInconsistency
 from bct.reflection_groups import (
     build_imprimitive,
+    build_matrix_group,
     orbit,
     packaged_group,
     stabilizer,
 )
 from bct.transversality import _imprimitive_transverse
 from conftest import SMALL_GMPN
-from group_reference import bfs_action_table, scan_stabilizer
+from group_reference import bfs_action_table, monomial_matrix, scan_stabilizer
 
 
 def orbit_representatives(G):
@@ -55,14 +56,30 @@ def test_factored_rows_equal_the_bfs_rows(sweep_group):
         assert all_rows(G) == bfs_action_table(G), (m, p, n)
 
 
-def test_permutations_past_256_points_stay_tuples():
-    # one byte holds a point of G(2,1,3) (6 points), not of G(129,129,2)
-    # (258 points), which keeps tuples and the same products and rows
+def test_permutations_past_256_points_stay_tuples(g25, g26):
+    # one byte holds a point of G(2,1,3) (6 points) and of each packaged
+    # group, not of G(129,129,2) (258 points), which keeps tuples and the
+    # same products and rows
     assert isinstance(build_imprimitive(2, 1, 3)._perms[0], bytes)
+    for P in (packaged_group("g4"), packaged_group("g23"), g25, g26):
+        assert P.npoints <= 256 and all(type(p) is bytes for p in P._perms)
     G = build_imprimitive(129, 129, 2)
     assert G.npoints == 258 and isinstance(G._perms[0], tuple)
     assert all(G.mul(g, G.inv(g)) == G.identity for g in G.elements)
     assert all_rows(G) == bfs_action_table(G)
+    # so does its matrix build, with the same products through the
+    # matrices of its elements
+    M = build_matrix_group([monomial_matrix(G, s) for s in G.generators])
+    assert M.npoints == 258 and isinstance(M._perms[0], tuple)
+    assert M.order == G.order
+    iso = [G.index_of(M.element(g)) for g in M.elements]
+    assert sorted(iso) == list(G.elements)
+    for a in M.elements:
+        assert iso[M.inv(a)] == G.inv(iso[a])
+        assert [iso[M.mul(a, b)] for b in M.elements] == [
+            G.mul(iso[a], iso[b]) for b in M.elements
+        ]
+    assert len(M.hyperplanes) == len(G.hyperplanes)
 
 
 @pytest.mark.parametrize("name", ["g4", "g23", "g25", "g26"])

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bct import reflection_groups
 from bct.admissibility import classify_orbits, dim_from_rows
 from bct.brauer_modules import induce, quotient_regular_rep, verify_defining_relations
 from bct.errors import TooLarge
@@ -25,11 +26,13 @@ from bct.exact_arith import CycNumber, SpanBasis, zeta
 from bct.freeness import freeness_verdict
 from bct.reflection_groups import (
     Group,
+    bfs,
     build_imprimitive,
     build_matrix_group,
     orbit,
     packaged_definition,
     packaged_group,
+    reflection_from_root,
 )
 from bct.transversality import transv_table
 from group_reference import (
@@ -166,6 +169,41 @@ def test_closure_refused_under_cap(name):
     assert str(exc.value) == "group closure exceeds cap 130"
 
 
+def closure_site(name, cap, monkeypatch):
+    """The closure build_matrix_group stops in under cap, read off the
+    limit of the last bfs it started: "points" for dim * cap, "elements"
+    for cap; None when the group builds."""
+    limits = []
+
+    def spy(seeds, labels, step, limit=None, refuse=None):
+        limits.append(limit)
+        return bfs(seeds, labels, step, limit, refuse)
+
+    monkeypatch.setattr(reflection_groups, "bfs", spy)
+    try:
+        packaged_group(name, cap=cap)
+    except TooLarge as exc:
+        assert str(exc) == f"group closure exceeds cap {cap}"
+        return "elements" if limits[-1] == cap else "points"
+    return None
+
+
+@pytest.mark.parametrize(
+    "name, cap, site",
+    [
+        ("g4", 24, None),
+        ("g4", 23, "elements"),
+        ("g23", 120, None),
+        ("g23", 119, "elements"),
+        # 72 points in dimension 3: dim * cap = 69 refuses them
+        ("g25", 23, "points"),
+        ("g25", 24, "elements"),
+    ],
+)
+def test_closure_builds_at_its_order_and_is_refused_below(name, cap, site, monkeypatch):
+    assert closure_site(name, cap, monkeypatch) == site
+
+
 # ---------------------------------------------------------------------------
 # differential oracle: monomial build against matrix build
 
@@ -227,6 +265,17 @@ def test_monomial_and_matrix_builds_agree(params):
     # earn the verdict orbit by orbit
     assert (want.route, got.route) == ("monomial-family", "collection-dichotomy")
     assert freeness_rows(got) == freeness_rows(want)
+
+
+def test_g42_4_and_one_reflection_close_to_g31():
+    """G(4,2,4) and the reflection of order 2 in (1,1,1,1) generate G31,
+    degrees 8, 12, 20, 24: |G| is their product and the reflection count
+    (one per hyperplane) the sum of the degrees minus one each."""
+    mono = build_imprimitive(4, 2, 4)
+    gens = [monomial_matrix(mono, s) for s in mono.generators]
+    G = build_matrix_group(gens + [reflection_from_root((1, 1, 1, 1), -1)])
+    assert (G.order, G.npoints) == (8 * 12 * 20 * 24, 240)
+    assert len(G.reflections) == len(G.hyperplanes) == 7 + 11 + 19 + 23
 
 
 @pytest.mark.parametrize("name", ["g4", "g23", "g25", "g26"])
