@@ -176,7 +176,7 @@ class Collection:
         self.nrefl = len(G.reflections)
         # R_B: positions in G.reflections of the reflections with
         # hyperplane in B, ascending
-        self.rb = tuple(sorted(i for h in self.B for i in G.hyperplane_reflections(h)))
+        self.rb = tuple(sorted(i for h in self.B for i in G.hyperplane_reflections[h]))
         self.rb_set = frozenset(self.rb)
         # the image of B under each reflection, in the order of G.reflections
         self.images = tuple(
@@ -320,7 +320,7 @@ class Collection:
         if not all(self.a2):
             return False
         cls = self.G.reflection_class_of
-        return any(cls(i) != cls(j) for i, j in self.p_pairs)
+        return any(cls[i] != cls[j] for i, j in self.p_pairs)
 
 
 def collection(G: Group, B) -> Collection:
@@ -355,9 +355,7 @@ def d0_ideal_dim(G: Group, B, mu: CycNumber) -> int:
         raise InternalInconsistency("a D0 product leaves Stab(B) under A2")
 
     classes = G.reflection_classes
-    dist = {
-        G.reflection_index(H.dist_reflection) for H in G.hyperplanes
-    }
+    dist = {G.reflection_index[H.dist_reflection] for H in G.hyperplanes}
     orb1 = next((set(c) for c in classes if dist <= set(c)), None)
     if len(classes) > 2 or orb1 is None:
         raise InternalInconsistency(

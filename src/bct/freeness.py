@@ -350,27 +350,33 @@ def _orbit_checks(G: Group, recs):
 def freeness_verdict(G: Group) -> FreenessReport:
     """Decide freeness for one group and say which certificate did it.
 
-    Monomial groups are free with the collection basis.  For the others
-    the dimension for generic parameters is compared with the dimension
-    at a primitive sixth root, both from one classification: a jump rules
-    freeness out.  With
-    equal dimensions, a group of the dedicated 21-hyperplane shape is
-    free on the singleton basis; otherwise the orbit-by-orbit dichotomy
-    must hold everywhere, and a group failing both paths stays
-    unverified.
+    The dimension for generic parameters is compared with the dimension
+    at a primitive sixth root, both from one classification.  Monomial
+    groups are free with the collection basis; the orbit-by-orbit
+    dichotomy and equal dimensions are their oracle, and a group failing
+    it raises InternalInconsistency.  For the others a jump rules freeness
+    out.  With equal dimensions, a group of the dedicated 21-hyperplane
+    shape is free on the singleton basis; otherwise the dichotomy must
+    hold everywhere, and a group failing both paths stays unverified.
     """
     recs = classify_orbits(G)
     rows = _orbit_checks(G, recs)
+    dim_generic, dim_sixth = (
+        dim_from_rows(G.order, [rec.as_row(mu6) for rec in recs])
+        for mu6 in (False, True)
+    )
+    dichotomy = all(row["dichotomy"] for row in rows)
     if G.kind == "imprimitive":
+        if not dichotomy or dim_generic != dim_sixth:
+            raise InternalInconsistency(
+                f"monomial group {G.name} fails the freeness dichotomy or its "
+                f"dimensions differ: {dim_generic} generic, {dim_sixth} at mu6"
+            )
         return FreenessReport(
             G.name, "free", "monomial-family", basis=COLLECTION_BASIS,
             orbit_checks=rows,
         )
 
-    dim_generic, dim_sixth = (
-        dim_from_rows(G.order, [rec.as_row(mu6) for rec in recs])
-        for mu6 in (False, True)
-    )
     if dim_generic != dim_sixth:
         if dim_generic > dim_sixth:
             raise InternalInconsistency(
@@ -389,7 +395,7 @@ def freeness_verdict(G: Group) -> FreenessReport:
             orbit_checks=rows, geometry=geometry,
         )
 
-    if all(row["dichotomy"] for row in rows):
+    if dichotomy:
         return FreenessReport(
             G.name, "free", "collection-dichotomy", basis=COLLECTION_BASIS,
             orbit_checks=rows,

@@ -221,7 +221,9 @@ class Group:
     the permutation of the point set carried by element i.  Element
     r*D + d of a monomial group is permutation r after diagonal d, D =
     m^n/p the order of its diagonal subgroup (action_rows); a matrix group
-    has D = 1.  The derived data are cached properties, each built once.
+    has D = 1.  The derived data are cached properties, each built once;
+    the reflection facts among them (reflection_index, reflection_hyperplane,
+    hyperplane_reflections, reflection_class_of) are tables, read by index.
     """
 
     def __init__(
@@ -478,31 +480,22 @@ class Group:
         return [g for h in self.hyperplanes for g in h.reflections]
 
     @cached_property
-    def _refl_index(self):
+    def reflection_index(self):
+        """Position in reflections of each reflection, by element index."""
         return {g: i for i, g in enumerate(self.reflections)}
 
     @cached_property
-    def _refl_hyp(self):
+    def reflection_hyperplane(self):
+        """Hyperplane id of each reflection, by position."""
         return [h.id for h in self.hyperplanes for _ in h.reflections]
 
     @cached_property
-    def _hyp_refls(self):
+    def hyperplane_reflections(self):
+        """Positions of the reflections of each hyperplane id, ascending."""
         hyp_refls = [[] for _ in self.hyperplanes]
-        for i, hid in enumerate(self._refl_hyp):
+        for i, hid in enumerate(self.reflection_hyperplane):
             hyp_refls[hid].append(i)
         return [tuple(r) for r in hyp_refls]
-
-    def reflection_index(self, g: int) -> int:
-        """Position in the reflection list of the reflection with index g."""
-        return self._refl_index[g]
-
-    def reflection_hyperplane(self, idx: int) -> int:
-        """Hyperplane id of the reflection with the given index."""
-        return self._refl_hyp[idx]
-
-    def hyperplane_reflections(self, hid: int):
-        """Indices of the reflections whose hyperplane is hid, ascending."""
-        return self._hyp_refls[hid]
 
     # -- action on hyperplanes ---------------------------------------------
 
@@ -633,7 +626,7 @@ class Group:
     def reflection_classes(self):
         """Partition of reflection indices into W-conjugacy classes, ordered
         by smallest member."""
-        refls, index = self.reflections, self._refl_index
+        refls, index = self.reflections, self.reflection_index
         return [
             tuple(sorted(members))
             for members in orbits(
@@ -644,13 +637,11 @@ class Group:
         ]
 
     @cached_property
-    def _class_of(self):
+    def reflection_class_of(self):
+        """Position in reflection_classes of each reflection's class, by
+        position."""
         classes = self.reflection_classes
         return {r: ci for ci, members in enumerate(classes) for r in members}
-
-    def reflection_class_of(self, idx: int) -> int:
-        """Position in reflection_classes of the class of reflection idx."""
-        return self._class_of[idx]
 
     # orbits under the generators' rows, each listed from its smallest
     # member, in the order of those members
@@ -895,21 +886,20 @@ def stabilizer(G: Group, B) -> Subgroup:
             f"{len(members)} != {G.order}"
         )
     scan = frozenset(members)
-    if len(blocks) == 1:
-        G._stabilizers[blocks[0]] = sub = Subgroup(G.generators, scan, walk)
-        return sub
-    witness = dict(zip(blocks, witnesses))
-    schreier = (
-        G.mul(G.inv(witness[tuple(sorted(row[h] for h in x))]), G.mul(s, u))
-        for x, u in witness.items()
-        for s, row in zip(G.generators, G.generator_rows)
-    )
-    gens, closure = _sift(G, schreier, len(scan))
-    # the kept generators lie in their closure, so this puts them in the scan
-    if closure != scan:
-        raise InternalInconsistency(
-            f"the Schreier generators of Stab({blocks[0]}) do not close to its scan"
+    gens = G.generators
+    if len(blocks) > 1:
+        witness = dict(zip(blocks, witnesses))
+        schreier = (
+            G.mul(G.inv(witness[tuple(sorted(row[h] for h in x))]), G.mul(s, u))
+            for x, u in witness.items()
+            for s, row in zip(G.generators, G.generator_rows)
         )
+        gens, closure = _sift(G, schreier, len(scan))
+        # the kept generators lie in their closure, so this puts them in the scan
+        if closure != scan:
+            raise InternalInconsistency(
+                f"the Schreier generators of Stab({blocks[0]}) do not close to its scan"
+            )
     G._stabilizers[blocks[0]] = sub = Subgroup(gens, scan, walk)
     return sub
 

@@ -153,7 +153,7 @@ def transv_table(G: Group) -> TransvTable:
                 transverse[a].add(b)
                 transverse[b].add(a)
     # mapping lists of (i,j) and (j,i) are each other's inverses
-    inverse = [G.reflection_index(G.inv(s)) for s in G.reflections]
+    inverse = [G.reflection_index[G.inv(s)] for s in G.reflections]
     for (i, j), lst in mapped.items():
         back = {inverse[r] for r in lst}
         if back != set(mapped.get((j, i), ())):

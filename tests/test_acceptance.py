@@ -235,7 +235,7 @@ def test_criterion_7_computational_results(g4, g23, g25, g26):
     products, in_stab = col.products
     assert in_stab and p_pairs
     for (i, j), g in zip(p_pairs, products):
-        assert g25.reflection_class_of(i) != g25.reflection_class_of(j)
+        assert g25.reflection_class_of[i] != g25.reflection_class_of[j]
         power, order = g, 1
         while power != g25.identity:
             power = g25.mul(power, g)

@@ -45,7 +45,7 @@ def test_rel_set_singleton_s3(gmpn):
     lab = by_label(G)
     B = (lab["H_1,2"],)
     nrefl = len(G.reflections)
-    s = G.reflection_index(G.hyperplanes[B[0]].dist_reflection)
+    s = G.reflection_index[G.hyperplanes[B[0]].dist_reflection]
     expect = tuple(
         1 if k == s else (-1 if k == nrefl else 0) for k in range(nrefl + 1)
     )
@@ -322,7 +322,7 @@ def test_conditional_pair_difference_structure(g25):
     assert len(d) == 38
     assert len(p) == 18
     assert in_stab
-    classes = [g25.reflection_class_of(i) for i in range(len(g25.reflections))]
+    classes = [g25.reflection_class_of[i] for i in range(len(g25.reflections))]
     assert all(classes[i] != classes[j] for i, j in p)
     assert all(element_order(g25.element(g)) == 6 for g in products)
 

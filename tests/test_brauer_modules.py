@@ -115,6 +115,18 @@ def test_perturbed_module_fails_first_relation(gmpn):
     assert not report.all_pass
 
 
+def test_noncommuting_transverse_eps_fails_b4(gmpn):
+    # eps(H) replaced by eps(H) times the element 2: it no longer commutes
+    # with eps of a hyperplane transverse to H
+    G = gmpn(1, 1, 4)
+    B = (0,)
+    M = induce(G, B, quotient_regular_rep(G, B))
+    M.eps[0] = op_permute(M.eps[0], M.perm_of(2))
+    report = verify_defining_relations(M)
+    assert report.results["B4"] is False
+    assert not report.all_pass
+
+
 @pytest.mark.parametrize(
     "spec, swap, text",
     [
@@ -170,7 +182,7 @@ def test_reindexing_matches_sparse_products(gmpn, spec):
                 want = op_compose(op_compose(wop, e), winv)
                 assert {(p[i], p[j]): v for (i, j), v in e.items()} == want
         for ridx, s in enumerate(G.reflections):
-            e = M.eps[G.reflection_hyperplane(ridx)]
+            e = M.eps[G.reflection_hyperplane[ridx]]
             assert op_permute(e, M.perm_of(s)) == op_compose(M.op_of(s), e)
         for h1 in range(nh):
             for h2 in range(nh):

@@ -16,8 +16,8 @@ import bct.reflection_groups
 from bct.admissibility import classify_orbits
 from bct.cli import main
 from bct.definitions import DEFAULT_CAP, group_definition, packaged_definition
-from bct.errors import TooLarge
-from bct.reflection_groups import build_imprimitive
+from bct.errors import InvalidParameters, TooLarge
+from bct.reflection_groups import build_imprimitive, build_matrix_group
 from bct.transversality import transv_table
 
 
@@ -340,6 +340,12 @@ def test_packaged_definitions_ship_canonical():
         assert cli.parse_spec(name)[0] == shipped, name
 
 
+def test_unknown_packaged_name_lists_the_shipped_groups():
+    with pytest.raises(InvalidParameters) as exc:
+        packaged_definition("g99")
+    assert "['g23', 'g25', 'g26', 'g4']" in str(exc.value)
+
+
 def test_group_definition_matches_built_group():
     for spec in ("g4", "gmpn:2,1,3"):
         data, build = cli.parse_spec(spec)
@@ -386,6 +392,20 @@ def test_spec_file_generator_refusals(capsys, tmp_path, generators, message):
     report = json.loads(err)
     assert report["error"] == "InvalidParameters"
     assert message in report["message"]
+
+
+def test_spec_file_with_no_generators(capsys, tmp_path):
+    with pytest.raises(InvalidParameters, match="at least one generator required"):
+        build_matrix_group([])
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"kind": "matrix", "name": "empty", "generators": []}))
+    argv = ["--cache-dir", str(tmp_path / "cache"), "dims", str(path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "InvalidParameters",
+        "message": "at least one generator required",
+    }
 
 
 def test_cache_hit_builds_no_group(capsys, cache, monkeypatch):
@@ -687,6 +707,31 @@ def test_verify_relations_symmetric_group(capsys):
     for orb in got["orbits"]:
         assert orb["report"]["all_pass"] is True
         assert set(orb["report"]["relations"]) == {"B1", "B2", "B3", "B4", "B5"}
+
+
+def test_verify_relations_skips_orbits_with_quotient_zero(capsys):
+    """Only orbits with a nonzero generic quotient get a module: (0, 7) of
+    G(2,1,3) has quotient 0 and is left out."""
+    quotients = {
+        rec.orbit.representative: rec.quotient()
+        for rec in classify_orbits(build_imprimitive(2, 1, 3))
+    }
+    assert quotients[(0, 7)] == 0
+    got = run_json(capsys, ["verify", "--suite", "relations", "gmpn:2,1,3"])
+    assert [o["representative"] for o in got["orbits"]] == [[], [0], [3]]
+    assert got["all_pass"] is True
+
+
+def test_verify_formulas_sweep(capsys):
+    """With no spec the suite runs the whole sweep and the double-factorial
+    anchors, the dimensions of the symmetric groups S_n."""
+    got = run_json(capsys, ["verify", "--suite", "formulas"])
+    assert got["all_pass"] is True
+    assert len(got["cases"]) == 24
+    assert all(c["agree"] for c in got["cases"])
+    anchors = [(a["n"], a["double_factorial"], a["dimension"]) for a in got["anchors"]]
+    assert anchors == [(2, 3, 3), (3, 15, 15), (4, 105, 105), (5, 945, 945)]
+    assert all(a["agree"] for a in got["anchors"])
 
 
 def test_verify_formulas_single_group(capsys):

@@ -7,6 +7,8 @@ import pytest
 
 from bct.admissibility import classify_orbits, collection, sigma_triples
 from bct.brauer_modules import induce, mu_scalar, quotient_regular_rep, scalar_ring_size
+from bct import freeness
+from bct.errors import InternalInconsistency
 from bct.exact_arith import LaurentScalar
 from bct.freeness import (
     COLLECTION_BASIS,
@@ -113,8 +115,8 @@ def test_mixed_triple_witness(gmpn):
     ]
     assert len(shaped) == 1
     t = shaped[0]
-    assert labs[G.reflection_hyperplane(t.plus[0])] == "H_2,3^0"
-    assert labs[G.reflection_hyperplane(t.minus[0])] == "H_1,4^0"
+    assert labs[G.reflection_hyperplane[t.plus[0]]] == "H_2,3^0"
+    assert labs[G.reflection_hyperplane[t.minus[0]]] == "H_1,4^0"
 
 
 def test_rel_supports_align(gmpn):
@@ -123,7 +125,7 @@ def test_rel_supports_align(gmpn):
         sups = rel_supports(G, B)
         vecs = collection(G, B).rel_vectors
         assert len(sups) == len(vecs)
-        rb = {i for h in B for i in G.hyperplane_reflections(h)}
+        rb = {i for h in B for i in G.hyperplane_reflections[h]}
         for sup, vec in zip(sups, vecs):
             if vec[-1]:
                 assert G.identity in sup
@@ -170,7 +172,7 @@ def test_g25_acceptability_by_cardinality(g25):
                      (6, 8), (7, 9), (10, 11)]
     taus = rel_tau(g25, (0, 1, 2))
     assert len(taus) == 27
-    rb = {i for h in (0, 1, 2) for i in g25.hyperplane_reflections(h)}
+    rb = {i for h in (0, 1, 2) for i in g25.hyperplane_reflections[h]}
     for t in taus:
         assert t.vector[-1] == 0
         assert set(t.vector) <= {-1, 0, 1}
@@ -235,7 +237,7 @@ def test_relation_coset_pieces_kill_block0(gmpn):
         f1, f2a, f2b = check_F(G, B)
         assert f2a
         M = induce(G, B, quotient_regular_rep(G, B))
-        rb = {i for h in B for i in G.hyperplane_reflections(h)}
+        rb = {i for h in B for i in G.hyperplane_reflections[h]}
         for vec in collection(G, B).rel_vectors:
             pieces = split_by_stab_coset(G, B, vec)
             assert len(pieces) == 1
@@ -339,6 +341,19 @@ def test_verdict_monomial(gmpn):
     assert rep.witness is None
     assert len(rep.orbit_checks) == 4
     assert all(row["dichotomy"] for row in rep.orbit_checks)
+
+
+def test_monomial_route_reads_its_rows(gmpn, monkeypatch):
+    """A monomial group with an orbit row outside the dichotomy is an
+    internal error, not a monomial-family verdict."""
+    real = freeness.check_F
+
+    def tampered(G, B):
+        return (False, False, True) if tuple(B) == () else real(G, B)
+
+    monkeypatch.setattr(freeness, "check_F", tampered)
+    with pytest.raises(InternalInconsistency, match="freeness dichotomy"):
+        freeness_verdict(gmpn(3, 1, 3))
 
 
 def test_verdict_dimension_jump(g25):

@@ -156,7 +156,11 @@ def test_build_exposes_pinned_points_and_hyperplanes(name, cap, points_sha, hyps
     G = packaged_group(name, cap=cap)
     points = [[G._field.cyc(x).to_json() for x in v] for v in G._points]
     hyps = [
-        [[x.to_json() for x in h.root], h.dist_reflection, list(G._hyp_refls[h.id])]
+        [
+            [x.to_json() for x in h.root],
+            h.dist_reflection,
+            list(G.hyperplane_reflections[h.id]),
+        ]
         for h in G.hyperplanes
     ]
     assert (sha256_json(points), sha256_json(hyps)) == (points_sha, hyps_sha)
@@ -331,10 +335,10 @@ def test_hyperplanes_and_action_rows_are_built_once(spec, monkeypatch):
     for _ in range(2):
         hyps = G.hyperplanes
         for ridx, g in enumerate(G.reflections):
-            assert G.reflection_index(g) == ridx
-            hid = G.reflection_hyperplane(ridx)
-            assert ridx in G.hyperplane_reflections(hid)
-            assert G.reflection_class_of(ridx) < len(G.reflection_classes)
+            assert G.reflection_index[g] == ridx
+            hid = G.reflection_hyperplane[ridx]
+            assert ridx in G.hyperplane_reflections[hid]
+            assert G.reflection_class_of[ridx] < len(G.reflection_classes)
         assert all(h.dist_reflection in h.reflections for h in hyps)
         assert G.generator_rows == [G.hyperplane_action(s) for s in G.generators]
         assert len(G.action_rows[0]) * len(G.action_rows[1]) <= G.order

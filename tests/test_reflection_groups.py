@@ -143,13 +143,13 @@ def test_stored_reflection_lookups_match_scans(g25, g26):
     for G in (g25, g26, build_imprimitive(3, 1, 3)):
         nrefl = len(G.reflections)
         for hid in range(len(G.hyperplanes)):
-            scan = [i for i in range(nrefl) if G.reflection_hyperplane(i) == hid]
-            assert list(G.hyperplane_reflections(hid)) == scan
+            scan = [i for i in range(nrefl) if G.reflection_hyperplane[i] == hid]
+            assert list(G.hyperplane_reflections[hid]) == scan
         for i in range(nrefl):
             scan = next(
                 ci for ci, members in enumerate(G.reflection_classes) if i in members
             )
-            assert G.reflection_class_of(i) == scan
+            assert G.reflection_class_of[i] == scan
 
 
 def test_orbits_partition_and_refuse_a_non_permutation():
@@ -225,8 +225,8 @@ def test_commutation_equivalences():
         for a in range(len(refl)):
             for b in range(len(refl)):
                 r1, r2 = refl[a], refl[b]
-                h1 = hs[g.reflection_hyperplane(a)]
-                h2 = hs[g.reflection_hyperplane(b)]
+                h1 = hs[g.reflection_hyperplane[a]]
+                h2 = hs[g.reflection_hyperplane[b]]
                 commute = g.mul(r1, r2) == g.mul(r2, r1)
                 fixes = hs[g.hyperplane_action(r1)[h2.id]] is h2
                 geo = h1 is h2 or not hermitian_inner(h1.root, h2.root)

@@ -74,7 +74,7 @@ def reference_relations(M, seed=0):
             break
 
     for ridx, s in enumerate(G.reflections):
-        hid = G.reflection_hyperplane(ridx)
+        hid = G.reflection_hyperplane[ridx]
         e = M.eps[hid]
         if op_permute(e, M.perm_of(s)) != e:
             fail("B3", f"r*eps({labels[hid]}) != eps({labels[hid]}) for r#{ridx}")
@@ -201,7 +201,7 @@ def test_tampered_eps_off_the_class_minimum_breaks_b2_with_b3():
     G, M = _s3_module()
     (cls,) = G.reflection_classes
     r0, r = cls[0], cls[-1]
-    h0, hid = G.reflection_hyperplane(r0), G.reflection_hyperplane(r)
+    h0, hid = G.reflection_hyperplane[r0], G.reflection_hyperplane[r]
     assert r != r0 and hid != h0
     p = M.perm_of(G.reflections[r])
     row = next(i for i in range(M.dim) if p[i] != i)
@@ -256,7 +256,7 @@ def test_table_and_classes_are_equivariant(spec):
     refls = G.reflections
     for s in G.generators:
         act = G.hyperplane_action(s)
-        conj = [G.reflection_index(G.conj(s, r)) for r in refls]
+        conj = [G.reflection_index[G.conj(s, r)] for r in refls]
         for h in range(nh):
             for hp in range(nh):
                 if h == hp:
@@ -266,4 +266,4 @@ def test_table_and_classes_are_equivariant(spec):
                     table.mapped_by(act[hp], act[h])
                 )
         for r in range(len(refls)):
-            assert G.reflection_class_of(conj[r]) == G.reflection_class_of(r)
+            assert G.reflection_class_of[conj[r]] == G.reflection_class_of[r]

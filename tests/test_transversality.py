@@ -80,7 +80,7 @@ def test_coordinate_hyperplanes_mapped_by_all_kappa_reflections():
     assert len(mapped) == G.m
     for ridx in mapped:
         s = G.reflections[ridx]
-        hid = G.reflection_hyperplane(ridx)
+        hid = G.reflection_hyperplane[ridx]
         assert G.hyperplanes[hid].key[:3] == ("pair", 0, 1)
         assert G.mul(s, s) == G.identity
 
@@ -215,7 +215,7 @@ def test_table_equivariance_under_relabeling():
                         continue
                     assert tbl.transverse(i, j) == tbl.transverse(act[i], act[j])
                     got = {
-                        G.reflection_index(G.conj(w, G.reflections[r]))
+                        G.reflection_index[G.conj(w, G.reflections[r])]
                         for r in tbl.mapped_by(i, j)
                     }
                     assert got == set(tbl.mapped_by(act[i], act[j]))
