@@ -32,6 +32,7 @@ import sys
 
 from .definitions import (
     DEFAULT_CAP,
+    PACKAGED,
     _closure_refusal,
     dim_from_rows,
     group_definition,
@@ -66,8 +67,7 @@ EXPECTED_DIMS = {
     "G26": (12312, 12312),
 }
 TABLE_NAMES = [f"G{i}" for i in range(4, 38)]
-SHIPPED = {"G4": "g4", "G23": "g23", "G25": "g25", "G26": "g26"}
-PACKAGED_NAMES = frozenset(SHIPPED.values())
+SHIPPED = {short.upper(): short for short in PACKAGED}
 ABSENT = "unverified (external data absent)"
 
 
@@ -139,11 +139,11 @@ def parse_spec(spec: str):
             )
         # built from the data read here, which the definition's digest keys
         return group_definition(data), _builder("group_from_json", data)
-    if spec.lower() in PACKAGED_NAMES:
+    if spec.lower() in PACKAGED:
         return packaged_source(spec)
     raise SpecError(
         f"spec {spec!r} is neither gmpn:m,p,n, an existing file, "
-        f"nor a packaged name {sorted(PACKAGED_NAMES)}"
+        f"nor a packaged name {sorted(PACKAGED)}"
     )
 
 

@@ -18,7 +18,9 @@ from .errors import InternalInconsistency, InvalidParameters, TooLarge
 
 DEFAULT_CAP = 200_000
 
-_PACKAGED = {
+# the shipped matrix groups: short name -> definition file in the package;
+# the command line's table names them G4, G23, ... by these short names
+PACKAGED = {
     "g25": "data/g25.json",
     "g26": "data/g26.json",
     "g4": "data/external/g04.json",
@@ -96,11 +98,11 @@ def group_definition(data: dict) -> dict:
 def packaged_definition(name: str) -> dict:
     """The definition JSON of one of the shipped matrix groups."""
     key = name.lower()
-    if key not in _PACKAGED:
+    if key not in PACKAGED:
         raise InvalidParameters(
-            f"unknown packaged group {name!r}; have {sorted(_PACKAGED)}"
+            f"unknown packaged group {name!r}; have {sorted(PACKAGED)}"
         )
-    return json.loads(resources.files("bct").joinpath(_PACKAGED[key]).read_text())
+    return json.loads(resources.files("bct").joinpath(PACKAGED[key]).read_text())
 
 
 def dim_from_rows(order: int, rows) -> int:

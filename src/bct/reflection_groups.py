@@ -217,6 +217,10 @@ class Subgroup:
 class Group:
     """A concrete complex reflection group with fully enumerated elements.
 
+    definition is the canonical definition (group_definition), the dict
+    that keys the cache; kind, name, m, p, n, dim, cyclotomic_order and
+    provenance are read from it once and kept as attributes (a monomial
+    definition's cyclotomic order is m and its provenance "paper").
     Elements are the indices 0..order-1, the identity first; perms[i] is
     the permutation of the point set carried by element i.  Element
     r*D + d of a monomial group is permutation r after diagonal d, D =
@@ -226,31 +230,18 @@ class Group:
     hyperplane_reflections, reflection_class_of) are tables, read by index.
     """
 
-    def __init__(
-        self,
-        kind,
-        name,
-        definition,
-        dim,
-        perms,
-        generators,
-        points=None,
-        *,
-        m=None,
-        p=None,
-        n=None,
-        cyclotomic_order=None,
-        provenance="paper",
-    ):
-        self.kind = kind
-        self.name = name
+    def __init__(self, definition, perms, generators, points=None):
         self.definition = definition
-        self.dim = dim
+        self.kind = definition["kind"]
+        self.name = definition["name"]
+        m, p, n = map(definition.get, "mpn")
         self.m, self.p, self.n = m, p, n
-        self.cyclotomic_order = cyclotomic_order
-        self.provenance = provenance
+        self.cyclotomic_order = definition.get("cyclotomic_order", m)
+        self.provenance = definition.get("provenance", "paper")
+        monomial = self.kind == "imprimitive"
+        self.dim = dim = n if monomial else len(definition["generators"][0])
+        self._ndiag = m ** n // p if monomial else 1
         self.order = len(perms)
-        self._ndiag = m ** n // p if kind == "imprimitive" else 1
         self._perms = perms
         if points is not None:
             # a matrix group's build found its points; a monomial group
@@ -267,7 +258,7 @@ class Group:
             raise InternalInconsistency("two group elements share one frame")
         self.identity = 0
         self.generators = tuple(self._index[self._frame(g)] for g in generators)
-        self.reducible = kind == "imprimitive" and (m, p, n) == (2, 2, 2)
+        self.reducible = (m, p, n) == (2, 2, 2)
         # kept here by transversality.transv_table, admissibility's
         # orbit_records and collection (one Collection record per sorted
         # collection), and stabilizer
@@ -735,16 +726,7 @@ def build_imprimitive(m: int, p: int, n: int, cap: int = DEFAULT_CAP) -> Group:
     if p != m:
         gens.append((ident, [p] + [0] * (n - 1)))
     return Group(
-        "imprimitive",
-        definition["name"],
-        definition,
-        n,
-        perms,
-        [_monomial_perm(m, n, perm, exps) for perm, exps in gens],
-        m=m,
-        p=p,
-        n=n,
-        cyclotomic_order=m,
+        definition, perms, [_monomial_perm(m, n, perm, exps) for perm, exps in gens]
     )
 
 
@@ -816,17 +798,7 @@ def build_matrix_group(
     perms, _ = bfs(
         [store(range(len(points)))], gen_perms, compose, limit=cap, refuse=refuse
     )
-    return Group(
-        "matrix",
-        name,
-        definition,
-        dim,
-        perms,
-        gen_perms,
-        points,
-        cyclotomic_order=definition["cyclotomic_order"],
-        provenance=provenance,
-    )
+    return Group(definition, perms, gen_perms, points)
 
 
 # ---------------------------------------------------------------------------
@@ -950,12 +922,8 @@ def _generators_from_json(data: dict):
 def group_from_json(data: dict, cap: int = DEFAULT_CAP) -> Group:
     if data["kind"] == "imprimitive":
         return build_imprimitive(data["m"], data["p"], data["n"], cap=cap)
-    return build_matrix_group(
-        _generators_from_json(data),
-        cap=cap,
-        name=data.get("name", "matrix-group"),
-        provenance=data.get("provenance", "paper"),
-    )
+    named = {k: data[k] for k in ("name", "provenance") if k in data}
+    return build_matrix_group(_generators_from_json(data), cap=cap, **named)
 
 
 def packaged_group(name: str, cap: int = DEFAULT_CAP) -> Group:

@@ -1,8 +1,9 @@
 """Session-wide fixtures.
 
-The matrix groups take seconds to build and their per-group caches
-(hyperplane actions, transversality table, collection records) pay
-off across test files, so they are shared at session scope.
+The matrix groups build in milliseconds (g25 and g26 in under 10 ms),
+but their per-group caches (hyperplane actions, transversality table,
+collection records) pay off across test files, so they are shared at
+session scope.
 """
 
 import os

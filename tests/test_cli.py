@@ -346,6 +346,16 @@ def test_unknown_packaged_name_lists_the_shipped_groups():
     assert "['g23', 'g25', 'g26', 'g4']" in str(exc.value)
 
 
+def test_unknown_spec_lists_the_shipped_groups():
+    with pytest.raises(cli.SpecError) as exc:
+        cli.parse_spec("g99")
+    assert str(exc.value) == (
+        "spec 'g99' is neither gmpn:m,p,n, an existing file, "
+        "nor a packaged name ['g23', 'g25', 'g26', 'g4']"
+    )
+    assert cli.SHIPPED == {"G4": "g4", "G23": "g23", "G25": "g25", "G26": "g26"}
+
+
 def test_group_definition_matches_built_group():
     for spec in ("g4", "gmpn:2,1,3"):
         data, build = cli.parse_spec(spec)
