@@ -14,14 +14,18 @@ Reports are deterministic JSON on stdout; the classify table can also be
 projected to CSV.  Expensive per-group artifacts (the group order, the
 largest cap under which the closure was refused, and the orbit rows of
 both fields, which one miss stores together) are cached on disk as one
-JSON file per group, keyed by a content hash of the group definition,
-which is computed without building the group: a packaged definition is
-hashed as shipped, and only a spec file is put into canonical form.  A
-dimension is the double count over the rows, re-run on every hit.  A
-cache hit, a recorded refusal included, builds nothing and imports no
-compute module: this module imports the group core, admissibility, the
-module and freeness layers and hashlib (with OpenSSL) only where a
-command uses them.
+JSON file per group, named by the CRC-32 of the canonical group
+definition, which is computed without building the group: a packaged
+definition is keyed as shipped, and only a spec file is put into
+canonical form.  The file also holds the definition, and a file whose
+definition is not the requested one is a miss, so two groups that share
+a key cost a rebuild and never each other's rows.  A dimension is the
+double count over the rows, re-run on every hit.  A cache hit, a
+recorded refusal included, builds nothing and imports no compute
+module: this module imports the group core, admissibility, the module
+and freeness layers only where a command uses them.  The key needs only
+zlib, which the interpreter loads at start-up, so no command loads
+OpenSSL.
 """
 
 import argparse
@@ -29,9 +33,11 @@ import io
 import json
 import os
 import sys
+import zlib
 
 from .definitions import (
     DEFAULT_CAP,
+    DEFAULT_PROVENANCE,
     PACKAGED,
     _closure_refusal,
     dim_from_rows,
@@ -42,7 +48,7 @@ from .definitions import (
 )
 from .errors import BctError, InvalidParameters, TooLarge
 
-CACHE_VERSION = 6
+CACHE_VERSION = 7
 
 CSV_COLUMNS = [
     "cardinality",
@@ -170,12 +176,12 @@ def _builder(constructor: str, *args):
 
 
 def group_digest(definition: dict) -> str:
-    """Content hash of a canonical group definition (see
-    definitions.group_definition), which needs no built group."""
-    import hashlib
-
+    """Cache key of a canonical group definition (see
+    definitions.group_definition), which needs no built group: the CRC-32
+    of its canonical JSON text, as 8 hex digits.  Two definitions may share
+    a key; the file stores its definition, which cache_load checks."""
     blob = json.dumps(definition, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return f"{zlib.crc32(blob.encode()):08x}"
 
 
 def fresh_bundle() -> dict:
@@ -208,11 +214,12 @@ def _is_rows(rows) -> bool:
     return isinstance(rows, list) and len(rows) > 0 and all(map(_is_row, rows))
 
 
-def cache_load(cache_dir: str, digest: str) -> dict:
-    """The bundle stored for digest; a missing or malformed file (an order
-    or refusal record that is no int or null, rows that are not _is_rows,
-    or rows without an order, which GroupStore._save always writes with
-    them), or one of another version, gives a fresh bundle (a miss).
+def cache_load(cache_dir: str, digest: str, definition: dict) -> dict:
+    """The bundle stored for definition under its digest; a missing or
+    malformed file (an order or refusal record that is no int or null,
+    rows that are not _is_rows, or rows without an order, which
+    GroupStore._save always writes with them), one of another version, or
+    one that stores another definition gives a fresh bundle (a miss).
     Bundles are plain JSON, so loading one never runs code."""
     path = os.path.join(cache_dir, digest + ".json")
     try:
@@ -223,6 +230,8 @@ def cache_load(cache_dir: str, digest: str) -> dict:
     fresh = fresh_bundle()
     if (
         not isinstance(bundle, dict)
+        # the key names the definition only up to a CRC-32 collision
+        or bundle.pop("definition", None) != definition
         or bundle.keys() != fresh.keys()
         or bundle["version"] != CACHE_VERSION
         or not all(
@@ -237,10 +246,11 @@ def cache_load(cache_dir: str, digest: str) -> dict:
     return bundle
 
 
-def cache_store(cache_dir: str, digest: str, bundle: dict):
-    """Write the bundle for digest through a temporary file.  The cache only
-    saves work, so a store that fails (cache_dir is a file, is read-only,
-    or the disk is full) is one line on stderr and the command goes on."""
+def cache_store(cache_dir: str, digest: str, definition: dict, bundle: dict):
+    """Write the bundle, with the definition it belongs to, under digest
+    through a temporary file.  The cache only saves work, so a store that
+    fails (cache_dir is a file, is read-only, or the disk is full) is one
+    line on stderr and the command goes on."""
     import tempfile
 
     tmp = None
@@ -248,7 +258,7 @@ def cache_store(cache_dir: str, digest: str, bundle: dict):
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            json.dump(bundle, fh, separators=(",", ":"))
+            json.dump(dict(bundle, definition=definition), fh, separators=(",", ":"))
         os.replace(tmp, os.path.join(cache_dir, digest + ".json"))
     except OSError as exc:
         print(f"bct: cache not written: {exc}", file=sys.stderr)
@@ -277,7 +287,7 @@ class GroupStore:
         self.cap = cap
         self.cache_dir = cache_dir
         self.digest = group_digest(self.definition)
-        self.bundle = cache_load(cache_dir, self.digest)
+        self.bundle = cache_load(cache_dir, self.digest, self.definition)
         if self.definition["kind"] == "imprimitive":
             d = self.definition
             order = imprimitive_order(d["m"], d["p"], d["n"])
@@ -296,7 +306,7 @@ class GroupStore:
 
     @property
     def provenance(self) -> str:
-        return self.definition.get("provenance", "paper")
+        return self.definition.get("provenance", DEFAULT_PROVENANCE)
 
     @property
     def G(self):
@@ -307,13 +317,13 @@ class GroupStore:
                 # the closed form refuses a monomial group before this, so
                 # a matrix group's closure passed the cap
                 self.bundle["refused_cap"] = self.cap
-                cache_store(self.cache_dir, self.digest, self.bundle)
+                cache_store(self.cache_dir, self.digest, self.definition, self.bundle)
                 raise
         return self._group
 
     def _save(self):
         self.bundle["order"] = self.G.order
-        cache_store(self.cache_dir, self.digest, self.bundle)
+        cache_store(self.cache_dir, self.digest, self.definition, self.bundle)
 
     def rows(self, mu6: bool):
         stored = self.bundle["classify"]

@@ -18,6 +18,11 @@ from .errors import InternalInconsistency, InvalidParameters, TooLarge
 
 DEFAULT_CAP = 200_000
 
+# the name and provenance of a matrix definition that gives none; a
+# monomial definition holds no provenance and reads DEFAULT_PROVENANCE
+DEFAULT_NAME = "matrix-group"
+DEFAULT_PROVENANCE = "paper"
+
 # the shipped matrix groups: short name -> definition file in the package;
 # the command line's table names them G4, G23, ... by these short names
 PACKAGED = {
@@ -89,8 +94,8 @@ def group_definition(data: dict) -> dict:
     from .reflection_groups import _generators_from_json
 
     return _matrix_definition(
-        data.get("name", "matrix-group"),
-        data.get("provenance", "paper"),
+        data.get("name", DEFAULT_NAME),
+        data.get("provenance", DEFAULT_PROVENANCE),
         _generators_from_json(data),
     )
 

@@ -48,6 +48,8 @@ from operator import itemgetter
 
 from .definitions import (
     DEFAULT_CAP,
+    DEFAULT_NAME,
+    DEFAULT_PROVENANCE,
     _closure_refusal,
     _matrix_definition,
     group_definition,
@@ -220,7 +222,7 @@ class Group:
     definition is the canonical definition (group_definition), the dict
     that keys the cache; kind, name, m, p, n, dim, cyclotomic_order and
     provenance are read from it once and kept as attributes (a monomial
-    definition's cyclotomic order is m and its provenance "paper").
+    definition's cyclotomic order is m, and it has DEFAULT_PROVENANCE).
     Elements are the indices 0..order-1, the identity first; perms[i] is
     the permutation of the point set carried by element i.  Element
     r*D + d of a monomial group is permutation r after diagonal d, D =
@@ -237,7 +239,7 @@ class Group:
         m, p, n = map(definition.get, "mpn")
         self.m, self.p, self.n = m, p, n
         self.cyclotomic_order = definition.get("cyclotomic_order", m)
-        self.provenance = definition.get("provenance", "paper")
+        self.provenance = definition.get("provenance", DEFAULT_PROVENANCE)
         monomial = self.kind == "imprimitive"
         self.dim = dim = n if monomial else len(definition["generators"][0])
         self._ndiag = m ** n // p if monomial else 1
@@ -750,7 +752,10 @@ def _apply(F, rows, v, products):
 
 
 def build_matrix_group(
-    gens, cap: int = DEFAULT_CAP, name: str = "matrix-group", provenance: str = "paper"
+    gens,
+    cap: int = DEFAULT_CAP,
+    name: str = DEFAULT_NAME,
+    provenance: str = DEFAULT_PROVENANCE,
 ) -> Group:
     """Closure of unitary generator matrices under multiplication.  Each
     generator is a square matrix of CycNumbers, ints or Fractions, as

@@ -188,7 +188,9 @@ def test_malformed_bundle_is_a_miss(capsys, cache):
     path = os.path.join(cache, entry)
     with open(path) as fh:
         stored = json.load(fh)
-    wrong_type = dict(cli.fresh_bundle(), classify=[])
+    wrong_type = dict(
+        cli.fresh_bundle(), classify=[], definition=stored["definition"]
+    )
     empty_row = dict(stored, classify={"generic": [{}]})
     text_row = dict(
         stored, classify={"generic": [dict(r, kb_order="1") for r in
@@ -208,9 +210,10 @@ def test_malformed_bundle_is_a_miss(capsys, cache):
             assert json.load(fh) == stored
     # a refusal record that is no int is a miss too where it is read
     g4 = ["--cache-dir", cache, "--max-order", "30", "dims", "g4"]
-    digest = cli.group_digest(packaged_definition("g4"))
+    definition = packaged_definition("g4")
+    digest = cli.group_digest(definition)
     with open(os.path.join(cache, digest + ".json"), "w") as fh:
-        json.dump(dict(cli.fresh_bundle(), refused_cap="30"), fh)
+        json.dump(dict(cli.fresh_bundle(), refused_cap="30", definition=definition), fh)
     assert run_json(capsys, g4)["dimension"] == 56
 
 
@@ -264,6 +267,17 @@ def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
     assert envdir.is_dir() and len(os.listdir(envdir)) == 1
 
 
+def test_key_collision_serves_no_other_group(capsys, cache, monkeypatch):
+    """Two groups of order 24 under one key: each load finds the other
+    group's definition in the file, so it is a miss and rebuilds."""
+    monkeypatch.setattr(cli, "group_digest", lambda definition: "collide")
+    base = ["--cache-dir", cache, "dims"]
+    got = [run_json(capsys, base + [spec])["dimension"]
+           for spec in ("g4", "gmpn:2,2,3", "g4")]
+    assert got == [56, 105, 56]
+    assert _stored_bundle(cache)["definition"] == packaged_definition("g4")
+
+
 def test_cache_distinguishes_groups(capsys, cache):
     base = ["--cache-dir", cache]
     a = run_json(capsys, base + ["dims", "gmpn:2,1,2"])
@@ -308,14 +322,14 @@ def test_unwritable_cache_keeps_the_answer(tmp_path, cli_env, argv):
     assert blocked.read_text() == "not a directory"
 
 
-# Digests of the group definitions before the integer-indexed group core,
-# which computed them from the built group; cache keys must not move.
+# CRC-32 keys of the group definitions since cache version 7; cache keys
+# must not move.
 DIGESTS = {
-    "g4": "b3716010bb40e2b4cdca63a9b2eb82a450761866e9f762cefbb34749a6141953",
-    "g23": "da034cf3693419dace4e076085f098e73165edd3743f487600c8e68cfd32c76c",
-    "g25": "5ad44df401f67f1c18ad2323063acac95e43d37b7caa5b07420e7fa5b812efed",
-    "g26": "a0362f46999c760a88d3e6380d18509401f0a7e2297ff01378e07f5f822c1aa7",
-    "gmpn:2,1,5": "af01126ecd50676b7bacae91bbb7a6de6ca43c3dd2000da09f14fc047a19b7d2",
+    "g4": "ea89b88f",
+    "g23": "a4b16903",
+    "g25": "30ef0c3d",
+    "g26": "9688e97d",
+    "gmpn:2,1,5": "599686b7",
 }
 
 
@@ -356,10 +370,20 @@ def test_unknown_spec_lists_the_shipped_groups():
     assert cli.SHIPPED == {"G4": "g4", "G23": "g23", "G25": "g25", "G26": "g26"}
 
 
-def test_group_definition_matches_built_group():
+def test_group_definition_matches_built_group(tmp_path):
     for spec in ("g4", "gmpn:2,1,3"):
         data, build = cli.parse_spec(spec)
         assert group_definition(data) == build(DEFAULT_CAP).definition
+    # a matrix spec file that gives neither name nor provenance
+    data = {"kind": "matrix", "generators": [[[MINUS]]]}
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(data))
+    definition, build = cli.parse_spec(str(path))
+    G = build(DEFAULT_CAP)
+    assert group_definition(data) == definition == G.definition
+    assert (G.name, G.provenance) == ("matrix-group", "paper")
+    store = cli.GroupStore((definition, build), str(tmp_path / "cache"), DEFAULT_CAP)
+    assert (store.name, store.provenance) == ("matrix-group", "paper")
 
 
 @pytest.mark.parametrize(
@@ -508,7 +532,7 @@ def test_version_one_bundle_is_a_miss(capsys, cache):
     path = os.path.join(cache, entry)
     with open(path) as fh:
         bundle = json.load(fh)
-    assert bundle["version"] == cli.CACHE_VERSION == 6
+    assert bundle["version"] == cli.CACHE_VERSION == 7
     assert bundle["order"] == 24
     rows = bundle["classify"]["generic"]
     k = next(i for i, r in enumerate(rows) if r["cardinality"] and r["quotient_size"])
@@ -569,7 +593,9 @@ def test_stored_bundle_has_no_table(capsys, cache):
     with open(os.path.join(cache, entry)) as fh:
         bundle = json.load(fh)
     assert "table" not in bundle
-    assert set(bundle) == {"version", "order", "refused_cap", "classify"}
+    assert set(bundle) == {
+        "version", "order", "refused_cap", "classify", "definition"
+    }
 
 
 def test_max_order_refuses_cached_groups(capsys, cache):
@@ -607,7 +633,9 @@ def test_refused_closure_is_cached(capsys, cache, monkeypatch):
     (entry,) = os.listdir(cache)
     path = os.path.join(cache, entry)
     with open(path) as fh:
-        assert json.load(fh) == dict(cli.fresh_bundle(), refused_cap=130)
+        assert json.load(fh) == dict(
+            cli.fresh_bundle(), refused_cap=130, definition=packaged_definition("g25")
+        )
 
     def boom(*a, **k):
         raise AssertionError("group built despite a recorded refusal")
@@ -969,22 +997,25 @@ def test_cache_hit_imports_no_compute_layer(tmp_path, cli_env):
     for name in ("bct.admissibility", "bct.reflection_groups",
                  "multiprocessing", "pickle", "_hashlib"):
         assert name not in loaded, name
-    # only the cache hashes, so no verify suite loads OpenSSL
+    # no command loads OpenSSL: the cache key is a CRC-32
     for suite, spec in (("relations", "g4"), ("freeness", "g4"),
                         ("g26", "g26"), ("formulas", "gmpn:2,1,3")):
         ran = _loaded_modules(cli_env, tmp_path, ["verify", "--suite", suite, spec])
         assert "_hashlib" not in ran, suite
+    table = ["--cache-dir", str(tmp_path / "table"), "reproduce-table"]
+    for run_ in ("cold", "warm"):
+        assert "_hashlib" not in _loaded_modules(cli_env, tmp_path, table), run_
     base = ["--cache-dir", str(tmp_path / "cache"), "dims"]
     warm = {}
     for spec in ("gmpn:2,1,3", "g4"):
         cold = _loaded_modules(cli_env, tmp_path, base + [spec])
         assert "bct.admissibility" in cold
-        assert "_hashlib" in cold
+        assert "_hashlib" not in cold
         for name in ("bct.brauer_modules", "bct.freeness", "multiprocessing"):
             assert name not in cold, (spec, name)
         warm[spec] = _loaded_modules(cli_env, tmp_path, base + [spec])
         for name in ("bct.admissibility", "bct.transversality",
-                     "bct.brauer_modules", "bct.freeness"):
+                     "bct.brauer_modules", "bct.freeness", "_hashlib"):
             assert name not in warm[spec], (spec, name)
     # a monomial group's definition needs neither the group core nor the
     # exact arithmetic, and a packaged one ships canonical

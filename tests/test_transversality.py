@@ -323,3 +323,38 @@ def test_tampered_action_row_is_caught():
     prow[r] = ident
     with pytest.raises(InternalInconsistency, match="orbit-stabilizer"):
         collection_orbits(G)
+
+
+def _descending(cols):
+    # each cardinality in descending order, so an orbit is met first at a
+    # member larger than its smallest
+    return sorted(cols, key=lambda B: (len(B), [-h for h in B]))
+
+
+def _last_singleton_dropped(cols):
+    last = max(i for i, B in enumerate(cols) if len(B) == 1)
+    return cols[:last] + cols[last + 1:]
+
+
+def _one_duplicated(cols):
+    return cols + [cols[1]]
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_descending, "has the smaller member .* met later"),
+        (_last_singleton_dropped, "leaves the set of transverse collections"),
+        (_one_duplicated, "the orbits do not cover the collections"),
+    ],
+    ids=["descending", "dropped", "duplicated"],
+)
+def test_tampered_enumeration_is_caught(monkeypatch, tamper, message):
+    # collection_orbits checks that its orbits partition the enumeration
+    G = build_imprimitive(2, 2, 3)
+    enumerate_all = transversality.enumerate_collections
+    monkeypatch.setattr(
+        transversality, "enumerate_collections", lambda G: tamper(enumerate_all(G))
+    )
+    with pytest.raises(InternalInconsistency, match=message):
+        collection_orbits(G)
