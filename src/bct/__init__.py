@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "admissibility": (
-        "AdmissibilityRecord",
         "classify",
         "classify_orbits",
         "collection",

@@ -14,11 +14,12 @@ Vectors are integer tuples of length N+1 where N is the number of
 reflections: positions 0..N-1 follow the group's reflection list and
 position N is the identity slot.  The main entry points are collection(),
 the one record of a collection's facts (R_B, the images of B under the
-reflections, the relation vectors, K_B, the A2 checks), which refuses a
-collection that is not transverse; classify(), which turns that record
-into an AdmissibilityRecord; and dim_from_rows(), which sums the block
-sizes over an orbit table with a double-entry consistency check (it lives
-in definitions, so a cache hit can run it without this module).
+reflections, the relation vectors, K_B, the A1 and A2 checks, the verdict
+and the orbit), which refuses a collection that is not transverse;
+classify(), which returns that record once its verdict passes the
+consistency checks; and dim_from_rows(), which sums the block sizes over
+an orbit table with a double-entry consistency check (it lives in
+definitions, so a cache hit can run it without this module).
 """
 
 from functools import cached_property
@@ -32,7 +33,6 @@ from .reflection_groups import Group, Subgroup, subgroup_closure
 from .transversality import OrbitRecord, collection_orbits, transv_table
 
 __all__ = [
-    "AdmissibilityRecord",
     "Collection",
     "SigmaTerm",
     "classify",
@@ -150,9 +150,10 @@ def _projected_sigmas(col):
 class Collection:
     """Every fact of one transverse collection B that the layers above the
     group core read: R_B, the images of B under the reflections, the
-    relation vectors and their span, K_B and the A2 checks.  collection()
-    keeps one per group and collection; the cached properties are each
-    built on their first read and kept.
+    relation vectors and their span, K_B, the A1 and A2 checks, the
+    admissibility verdict and the orbit of B.  collection() keeps one per
+    group and collection; the cached properties are each built on their
+    first read and kept.
 
     B must be transverse: an id out of range, a repeated id or a
     non-transverse pair raises InvalidParameters.
@@ -282,12 +283,10 @@ class Collection:
                     raise InternalInconsistency("K_B must be normal in Stab(B)")
         return sub
 
-    def a1(self):
-        """(some rel_bar_vectors entry is literally a unit, some unit lies in the
-        span); a unit lies in the span exactly when its residue is zero."""
-        literal = any(sum(1 for x in vec if x) == 1 for vec in self.rel_bar_vectors)
-        span_hit = any(not any(r) for r in self.classes)
-        return literal, span_hit
+    @cached_property
+    def a1(self) -> bool:
+        """A1: some rel_bar_vectors entry is a unit, so e_B dies."""
+        return any(sum(1 for x in vec if x) == 1 for vec in self.rel_bar_vectors)
 
     @cached_property
     def a2(self):
@@ -316,11 +315,57 @@ class Collection:
             sub_eq = closure.elements == self.kb.elements
         return span_eq, sub_eq
 
+    @cached_property
     def conditional(self) -> bool:
+        """A2 holds and a pair of p_pairs crosses reflection classes, so B
+        is admissible only with the cross-class ratio mu at a sixth root."""
         if not all(self.a2):
             return False
         cls = self.G.reflection_class_of
         return any(cls[i] != cls[j] for i, j in self.p_pairs)
+
+    # the verdict; every check is field-independent, and a field only picks
+    # the flag: admissible_generic for independent parameters,
+    # admissible_mu6 with mu at a primitive sixth root of unity (mu6)
+
+    @property
+    def admissible_generic(self) -> bool:
+        return not self.a1 and not self.conditional
+
+    @property
+    def admissible_mu6(self) -> bool:
+        return not self.a1
+
+    @property
+    def kb_order(self) -> int:
+        return self.kb.order
+
+    @cached_property
+    def orbit(self) -> OrbitRecord:
+        """The orbit of B, read off the walk of its stabilizer, which
+        collection_orbits leaves in G's memo for each representative."""
+        stab = self.G.stabilizer_of(self.B)
+        orb = stab.walk[0]
+        return OrbitRecord(min(orb), len(orb), stab.order, len(self.B))
+
+    def quotient(self, mu6=False) -> int:
+        """|Stab(B)/K_B| when B is admissible over the field, else 0."""
+        admissible = self.admissible_mu6 if mu6 else self.admissible_generic
+        return self.orbit.stab_order // self.kb_order if admissible else 0
+
+    def as_row(self, mu6=False):
+        """B's orbit-table row, keyed in the cached order of cli.ROW_KEYS."""
+        return {
+            "representative": list(self.orbit.representative),
+            "cardinality": self.orbit.cardinality,
+            "orbit_size": self.orbit.orbit_size,
+            "stab_order": self.orbit.stab_order,
+            "kb_order": self.kb_order,
+            "admissible_generic": self.admissible_generic,
+            "admissible_mu6": self.admissible_mu6,
+            "conditional": self.conditional,
+            "quotient_size": self.quotient(mu6),
+        }
 
 
 def collection(G: Group, B) -> Collection:
@@ -414,55 +459,6 @@ def d0_ideal_dim(G: Group, B, mu: CycNumber) -> int:
 # classification
 
 
-class AdmissibilityRecord:
-    """Everything classify() decides about one collection.  Every check is
-    field-independent; a field only picks which admissibility flag holds:
-    admissible_generic for independent parameters, admissible_mu6 with the
-    cross-class ratio mu at a primitive sixth root of unity (mu6)."""
-
-    __slots__ = (
-        "orbit",
-        "kb_order",
-        "admissible_generic",
-        "admissible_mu6",
-        "conditional",
-        "a1",
-        "a2_span",
-        "a2_subgroup",
-        "a1_span_divergence",
-    )
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw.pop(name))
-        if kw:
-            raise InvalidParameters(f"unknown record fields {sorted(kw)}")
-
-    def quotient(self, mu6=False) -> int:
-        """|Stab(B)/K_B| when B is admissible over the field, else 0."""
-        admissible = self.admissible_mu6 if mu6 else self.admissible_generic
-        return self.orbit.stab_order // self.kb_order if admissible else 0
-
-    def as_row(self, mu6=False):
-        return {
-            "representative": list(self.orbit.representative),
-            "cardinality": self.orbit.cardinality,
-            "orbit_size": self.orbit.orbit_size,
-            "stab_order": self.orbit.stab_order,
-            "kb_order": self.kb_order,
-            "admissible_generic": self.admissible_generic,
-            "admissible_mu6": self.admissible_mu6,
-            "conditional": self.conditional,
-            "quotient_size": self.quotient(mu6),
-        }
-
-    def __repr__(self):
-        return (
-            f"AdmissibilityRecord(B={self.orbit.representative}, "
-            f"kb={self.kb_order}, q={self.quotient()}, q_mu6={self.quotient(True)})"
-        )
-
-
 def _imprimitive_closed_form(G: Group, B) -> bool:
     """Field-independent admissibility for the monomial family."""
     if not B:
@@ -482,49 +478,26 @@ def _imprimitive_closed_form(G: Group, B) -> bool:
     return True
 
 
-def classify(G: Group, B) -> AdmissibilityRecord:
-    """Run every admissibility check on one collection."""
+def classify(G: Group, B) -> Collection:
+    """The record of B, collection(G, B), once its verdict has passed three
+    checks: A1 and A2 never both hold, the monomial family's closed form
+    agrees, and |K_B| divides |Stab(B)|."""
     col = collection(G, B)
-    literal, span_hit = col.a1()
-    a2_span, a2_sub = col.a2
-    a2 = a2_span and a2_sub
-    if literal and a2:
-        raise InternalInconsistency(
-            f"collection {col.B}: A1 and A2 cannot both hold"
-        )
-    cond = col.conditional()
-    admissible_generic = (not literal) and (not cond)
-    admissible_mu6 = not literal
-
+    if col.a1 and all(col.a2):
+        raise InternalInconsistency(f"collection {col.B}: A1 and A2 cannot both hold")
     if G.kind == "imprimitive" and not G.reducible:
         expected = _imprimitive_closed_form(G, col.B)
-        if expected != admissible_generic or expected != admissible_mu6:
+        if expected != col.admissible_generic or expected != col.admissible_mu6:
             raise InternalInconsistency(
                 f"collection {col.B}: closed-form says admissible={expected}, "
-                f"machinery says generic={admissible_generic} mu6={admissible_mu6}"
+                f"machinery says generic={col.admissible_generic} "
+                f"mu6={col.admissible_mu6}"
             )
-
-    # collection_orbits leaves each representative's stabilizer, walk
-    # included, in G's memo, so classify_orbits reads it from there
-    stab = G.stabilizer_of(col.B)
-    orb = stab.walk[0]
-    orbit_rec = OrbitRecord(min(orb), len(orb), stab.order, len(col.B))
-    kb_order = col.kb.order
-    if orbit_rec.stab_order % kb_order:
+    if col.orbit.stab_order % col.kb_order:
         raise InternalInconsistency(
-            f"|K_B| = {kb_order} does not divide |Stab(B)| = {orbit_rec.stab_order}"
+            f"|K_B| = {col.kb_order} does not divide |Stab(B)| = {col.orbit.stab_order}"
         )
-    return AdmissibilityRecord(
-        orbit=orbit_rec,
-        kb_order=kb_order,
-        admissible_generic=admissible_generic,
-        admissible_mu6=admissible_mu6,
-        conditional=cond,
-        a1=literal,
-        a2_span=a2_span,
-        a2_subgroup=a2_sub,
-        a1_span_divergence=span_hit != literal,
-    )
+    return col
 
 
 def orbit_records(G: Group):
@@ -535,8 +508,8 @@ def orbit_records(G: Group):
 
 
 def classify_orbits(G: Group):
-    """One AdmissibilityRecord per orbit of transverse collections,
-    ordered by (cardinality, representative)."""
+    """The classified record of each orbit's representative, ordered by
+    (cardinality, representative)."""
     return [classify(G, rec.representative) for rec in orbit_records(G)]
 
 

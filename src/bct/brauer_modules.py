@@ -174,7 +174,7 @@ def quotient_regular_rep(G: Group, B) -> StabRep:
             else "collection is not admissible"
         )
         raise NotAdmissible(f"B={B}: {detail}")
-    rep = StabRep(G, G.stabilizer_of(B), collection(G, B).kb)
+    rep = StabRep(G, G.stabilizer_of(B), rec.kb)
     if rep.degree != quotient:
         raise InternalInconsistency(
             f"B={B}: {rep.degree} cosets of K_B, classified {quotient}"

@@ -60,7 +60,7 @@ CSV_COLUMNS = [
     "conditional",
     "quotient_size",
 ]
-# the keys of AdmissibilityRecord.as_row, in order, and its bool columns
+# the keys of admissibility.Collection.as_row, in order, and its bool columns
 ROW_KEYS = ["representative", *CSV_COLUMNS]
 FLAG_COLUMNS = frozenset({"admissible_generic", "admissible_mu6", "conditional"})
 
@@ -451,11 +451,10 @@ DOUBLED_SWEEP = [(2, 2, n) for n in (3, 4, 5)]
 ANCHORS = [(2, 3), (3, 15), (4, 105), (5, 945)]
 
 
-def _formula_case(m: int, p: int, n: int, cap: int) -> dict:
+def _formula_case(G) -> dict:
     from .admissibility import dim_brauer, dim_g22n_formula, dim_gmpn_formula
-    from .reflection_groups import build_imprimitive
 
-    G = build_imprimitive(m, p, n, cap=cap)
+    m, p, n = G.m, G.p, G.n
     enumerated = dim_brauer(G)
     formula = (
         dim_g22n_formula(n) if (m, p) == (2, 2) else dim_gmpn_formula(m, p, n)
@@ -472,6 +471,8 @@ def _formula_case(m: int, p: int, n: int, cap: int) -> dict:
 
 
 def _suite_formulas(G, cap: int) -> dict:
+    from functools import cache
+
     from .admissibility import dim_brauer
     from .reflection_groups import build_imprimitive
 
@@ -480,12 +481,14 @@ def _suite_formulas(G, cap: int) -> dict:
             raise InvalidParameters(
                 "the formulas suite applies to monomial groups only"
             )
-        cases = [_formula_case(G.m, G.p, G.n, cap)]
+        cases = [_formula_case(G)]
         return {"cases": cases, "all_pass": all(c["agree"] for c in cases)}
-    cases = [_formula_case(m, p, n, cap) for m, p, n in FORMULA_SWEEP + DOUBLED_SWEEP]
+    # the anchors' groups G(1,1,n) are sweep cases too, so each is built once
+    build = cache(lambda m, p, n: build_imprimitive(m, p, n, cap=cap))
+    cases = [_formula_case(build(*mpn)) for mpn in FORMULA_SWEEP + DOUBLED_SWEEP]
     anchors = []
     for n, expect in ANCHORS:
-        got = dim_brauer(build_imprimitive(1, 1, n, cap=cap))
+        got = dim_brauer(build(1, 1, n))
         anchors.append(
             {"n": n, "double_factorial": expect, "dimension": got,
              "agree": got == expect}

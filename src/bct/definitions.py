@@ -113,7 +113,7 @@ def packaged_definition(name: str) -> dict:
 def dim_from_rows(order: int, rows) -> int:
     """Dimension of the Brauer-Chen algebra from an orbit table.
 
-    rows are AdmissibilityRecord.as_row() dicts, the empty collection
+    rows are admissibility.Collection.as_row() dicts, the empty collection
     first, for a group of the given order.  The dimension is counted
     twice: as the sum over admissible collections of |W| / |K_B|, and as
     |W| plus the per-orbit block counts orbit_size^2 * quotient_size.

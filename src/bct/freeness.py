@@ -172,8 +172,7 @@ def check_F(G: Group, B):
     col = collection(G, B)
     f1 = any(sum(1 for x in vec if x) == 1 for vec in col.rel_vectors)
     f2a = all(bar_condition(G, sup, B) for sup in rel_supports(G, B))
-    a2_span, a2_sub = col.a2
-    if a2_span and a2_sub:
+    if all(col.a2):
         member = z_span_test(
             list(col.rel_bar_vectors) + [t.vector for t in rel_tau(G, B)],
             col.nrefl + 1,

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from bct import admissibility
 from bct.admissibility import (
     Collection,
     classify,
@@ -23,7 +24,12 @@ from bct.cli import ROW_KEYS
 from bct.errors import InternalInconsistency, InvalidParameters
 from bct.exact_arith import SpanBasis, zeta
 from bct.freeness import check_F
-from bct.reflection_groups import packaged_group
+from bct.reflection_groups import (
+    Subgroup,
+    build_imprimitive,
+    packaged_group,
+    subgroup_closure,
+)
 from bct.transversality import (
     collection_orbits,
     enumerate_collections,
@@ -175,8 +181,8 @@ def test_mixed_doubling_not_admissible(gmpn):
 def test_flags_exclusive_and_no_divergence(g25, g26):
     for G in (g25, g26):
         for rec in classify_orbits(G):
-            assert not (rec.a1 and rec.a2_span and rec.a2_subgroup)
-            assert not rec.a1_span_divergence
+            assert not (rec.a1 and all(rec.a2))
+            assert rec.a1 == any(not any(r) for r in rec.classes)
 
 
 # every G(m,p,n) of order at most 200 with m <= 40: every one of rank three
@@ -228,6 +234,52 @@ def test_merged_residue_classes_are_caught(gmpn):
         ws.a2
 
 
+def test_classify_returns_the_collection_record(gmpn):
+    G = gmpn(2, 1, 3)
+    for B in enumerate_collections(G):
+        assert classify(G, B) is collection(G, B)
+
+
+def test_a1_together_with_a2_is_caught(g26, monkeypatch):
+    col = next(rec for rec in classify_orbits(g26) if rec.a1)
+    # monkeypatch restores the shared record's cached A2 checks
+    monkeypatch.setitem(col.__dict__, "a2", (True, True))
+    with pytest.raises(InternalInconsistency, match="A1 and A2 cannot both hold"):
+        classify(g26, col.B)
+
+
+def test_closed_form_disagreement_is_caught(monkeypatch):
+    closed_form = admissibility._imprimitive_closed_form
+    monkeypatch.setattr(
+        admissibility, "_imprimitive_closed_form", lambda G, B: not closed_form(G, B)
+    )
+    with pytest.raises(InternalInconsistency, match="closed-form says admissible="):
+        classify(build_imprimitive(2, 1, 3), (0,))
+
+
+def test_kb_order_not_dividing_the_stabilizer_is_caught():
+    G = build_imprimitive(2, 1, 3)
+    col = collection(G, classify_orbits(G)[1].orbit.representative)
+    col.kb = Subgroup(col.kb.generators, range(5))
+    with pytest.raises(InternalInconsistency, match=r"\|K_B\| = 5 does not divide"):
+        classify(G, col.B)
+
+
+def test_kb_not_normal_in_the_stabilizer_is_caught(gmpn, monkeypatch):
+    G = gmpn(3, 1, 3)
+    stab = G.stabilizer_of((0,))
+
+    def normalized(sub):
+        return all(G.conj(w, g) in sub for w in stab.generators for g in sub.generators)
+
+    closures = (subgroup_closure(G, [g]) for g in sorted(stab.elements))
+    skew = next(sub for sub in closures if not normalized(sub))
+    monkeypatch.setattr(admissibility, "subgroup_closure", lambda G, gens: skew)
+    # a private record, so the one shared through the group stays clean
+    with pytest.raises(InternalInconsistency, match="K_B must be normal in Stab"):
+        Collection(G, (0,)).kb
+
+
 # -- classification tables ---------------------------------------------------
 
 
@@ -253,7 +305,7 @@ def test_classification_table_g25(g25):
     ]
     pair = recs[2]
     assert pair.admissible_mu6 and not pair.a1
-    assert pair.a2_span and pair.a2_subgroup
+    assert all(pair.a2)
 
     # at a sixth root the pair orbit survives; its twisting character is
     # non-trivial exactly because it is conditional
@@ -342,7 +394,7 @@ def test_d0_ideal_dim_rejects_bad_arguments(g25, g26):
         d0_ideal_dim(g25, rep, zeta(5, 1))
     # the pair orbit of the 1296-element group satisfies A1, so not A2
     pair = classify_orbits(g26)[3]
-    assert pair.a1 and not (pair.a2_span and pair.a2_subgroup)
+    assert pair.a1 and not all(pair.a2)
     with pytest.raises(InvalidParameters):
         d0_ideal_dim(g26, pair.orbit.representative, zeta(6, 1))
 

@@ -779,6 +779,26 @@ def test_verify_formulas_single_group(capsys):
     assert case["enumerated"] == case["formula"] == 297
 
 
+def test_verify_formulas_builds_each_group_once(capsys, monkeypatch):
+    builds = []
+    build = bct.reflection_groups.build_imprimitive
+
+    def counting_build(*args, **kw):
+        builds.append(args)
+        return build(*args, **kw)
+
+    monkeypatch.setattr(bct.reflection_groups, "build_imprimitive", counting_build)
+    got = run_json(capsys, ["verify", "--suite", "formulas", "gmpn:3,1,3"])
+    assert got["all_pass"] is True
+    assert builds == [(3, 1, 3)]
+    builds.clear()
+    got = run_json(capsys, ["verify", "--suite", "formulas"])
+    assert got["all_pass"] is True
+    anchors = [(1, 1, n) for n, _ in cli.ANCHORS]
+    assert len(builds) == len(set(builds)) == 25
+    assert set(builds) == {*cli.FORMULA_SWEEP, *cli.DOUBLED_SWEEP, *anchors}
+
+
 def test_verify_formulas_rejects_matrix_groups(capsys):
     code, out, err = run(capsys, ["verify", "--suite", "formulas", "g4"])
     assert code == 1

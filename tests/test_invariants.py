@@ -8,10 +8,21 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "invariants.py"
-TAMPER_TESTS = [
-    "tests/test_group_constructors.py::test_repeated_permutation_is_refused",
-    "tests/test_group_constructors.py::test_short_diagonal_enumeration_is_refused",
-]
+# each tamper test, with the message of the one invariant check it reaches
+TAMPER_TESTS = {
+    "tests/test_group_constructors.py::test_repeated_permutation_is_refused":
+        '"two group elements share one frame"',
+    "tests/test_group_constructors.py::test_short_diagonal_enumeration_is_refused":
+        'f"enumerated {len(perms)} elements, closed form says {order}"',
+    "tests/test_admissibility.py::test_a1_together_with_a2_is_caught":
+        'f"collection {col.B}: A1 and A2 cannot both hold"',
+    "tests/test_admissibility.py::test_closed_form_disagreement_is_caught":
+        'f"collection {col.B}: closed-form says admissible={expected}, "',
+    "tests/test_admissibility.py::test_kb_order_not_dividing_the_stabilizer_is_caught":
+        'f"|K_B| = {col.kb_order} does not divide |Stab(B)| = {col.orbit.stab_order}"',
+    "tests/test_admissibility.py::test_kb_not_normal_in_the_stabilizer_is_caught":
+        '"K_B must be normal in Stab(B)"',
+}
 
 
 def test_invariants_reports_the_sites_the_tamper_tests_reach(cli_env):
@@ -33,8 +44,5 @@ def test_invariants_reports_the_sites_the_tamper_tests_reach(cli_env):
     reached = {
         c["message"]: c["reached_by"] for c in report["checks"] if c["reached_by"]
     }
-    assert reached == {
-        '"two group elements share one frame"': TAMPER_TESTS[0],
-        'f"enumerated {len(perms)} elements, closed form says {order}"': TAMPER_TESTS[1],
-    }
-    assert report["reached"] == 2
+    assert reached == {message: test for test, message in TAMPER_TESTS.items()}
+    assert report["reached"] == len(TAMPER_TESTS)
