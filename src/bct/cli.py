@@ -258,7 +258,10 @@ def cache_store(cache_dir: str, digest: str, definition: dict, bundle: dict):
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            json.dump(dict(bundle, definition=definition), fh, separators=(",", ":"))
+            # one-shot dumps: a streaming json.dump skips the C encoder
+            fh.write(
+                json.dumps(dict(bundle, definition=definition), separators=(",", ":"))
+            )
         os.replace(tmp, os.path.join(cache_dir, digest + ".json"))
     except OSError as exc:
         print(f"bct: cache not written: {exc}", file=sys.stderr)

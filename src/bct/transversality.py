@@ -13,8 +13,10 @@ No orbit is computed here: the table reads G.pair_orbits, and the orbits
 of collections are the walks reflection_groups.stabilizer keeps.
 """
 
+from math import lcm
+
 from .errors import InternalInconsistency, NotDistinct
-from .exact_arith import SpanBasis
+from .exact_arith import SpanBasis, _context
 from .reflection_groups import Group, Hyperplane, stabilizer
 
 __all__ = [
@@ -165,18 +167,89 @@ def transv_table(G: Group) -> TransvTable:
     return tbl
 
 
+def _root_lines(G: Group):
+    """Each root once in Z[zeta_N]^n, N the cyclotomic order: the power-basis
+    coefficients of its coordinates over their common denominator, which
+    keeps the root on its line."""
+    F = _context(G.cyclotomic_order)
+    out = []
+    for h in G.hyperplanes:
+        vals = [F.of(x) for x in h.root]
+        den = lcm(*(d for _, d in vals))
+        out.append(tuple(tuple(c * (den // d) for c in nums) for nums, d in vals))
+    return F, out
+
+
+def _transverse_row(G: Group, F, roots, i: int) -> set:
+    """Ids j with H_j transverse to H_i.  Modulo root i, with p its first
+    nonzero coordinate, root k is q_k = r_i[p] r_k - r_k[p] r_i with
+    coordinate p dropped, no inverse taken; r_k lies in span(r_i, r_j)
+    exactly when q_k is proportional to q_j.  So H_j is transverse to H_i
+    when q_j is alone in its class of proportional vectors: the classes
+    split each support's bucket by 2 x 2 minors against a representative."""
+    times = F.times
+    ri = roots[i]
+    p = next(c for c, x in enumerate(ri) if any(x))
+    a = ri[p]
+    rest = [c for c in range(len(ri)) if c != p]
+    buckets = {}  # support -> [(representative q, members)]
+    for k, rk in enumerate(roots):
+        if k == i:
+            continue
+        b = rk[p]
+        q = [
+            tuple(u - v for u, v in zip(times(a, rk[c]), times(b, ri[c])))
+            for c in rest
+        ]
+        support = tuple(c for c, x in enumerate(q) if any(x))
+        if not support:
+            hyps = G.hyperplanes
+            raise InternalInconsistency(
+                f"hyperplanes {hyps[i].label} and {hyps[k].label} share a root line"
+            )
+        s, *others = support
+        classes = buckets.setdefault(support, [])
+        for rep, members in classes:
+            if all(times(q[s], rep[c]) == times(rep[s], q[c]) for c in others):
+                members.append(k)
+                break
+        else:
+            classes.append((q, [k]))
+    return {
+        members[0]
+        for classes in buckets.values()
+        for _, members in classes
+        if len(members) == 1
+    }
+
+
 def check_all_pairs(G: Group):
-    """Compare the table with is_transverse, the span criterion run on every
-    pair; a disagreeing cell raises InternalInconsistency."""
+    """Compare every ordered cell of the table with an all-pairs oracle
+    independent of its span tests: the root-line classes modulo each root
+    in turn, one division-free reduction per ordered pair.  On monomial
+    groups the type shortcut must agree on every pair.  A disagreeing cell
+    raises InternalInconsistency."""
     tbl = transv_table(G)
     hyps = G.hyperplanes
+    F, roots = _root_lines(G)
     for i in range(tbl.size):
-        for j in range(i + 1, tbl.size):
-            got = is_transverse(G, hyps[i], hyps[j])
+        row = _transverse_row(G, F, roots, i)
+        for j in range(tbl.size):
+            if j == i:
+                continue
+            got = j in row
+            if G.kind == "imprimitive" and j > i:
+                fast = _imprimitive_transverse(G, hyps[i], hyps[j])
+                if fast != got:
+                    raise InternalInconsistency(
+                        f"transversality of ({hyps[i].label}, {hyps[j].label}): "
+                        f"type shortcut says {fast}, the all-pairs root-line "
+                        f"classes say {got}"
+                    )
             if got != tbl.transverse(i, j):
                 raise InternalInconsistency(
                     f"table cell ({hyps[i].label}, {hyps[j].label}) says "
-                    f"{not got}, the all-pairs span criterion says {got}"
+                    f"{not got}, the all-pairs root-line classes say {got}"
                 )
 
 

@@ -598,6 +598,17 @@ def test_stored_bundle_has_no_table(capsys, cache):
     }
 
 
+def test_stored_file_is_the_one_shot_compact_text(tmp_path):
+    bundle = {"version": cli.CACHE_VERSION, "order": 24, "refused_cap": None, "classify": {}}
+    definition = packaged_definition("g4")
+    cli.cache_store(str(tmp_path), "key", definition, bundle)
+    with open(tmp_path / "key.json", "rb") as fh:
+        stored = fh.read()
+    want = json.dumps(dict(bundle, definition=definition), separators=(",", ":"))
+    assert stored == want.encode()
+    assert os.listdir(tmp_path) == ["key.json"]
+
+
 def test_max_order_refuses_cached_groups(capsys, cache):
     base = ["--cache-dir", cache]
     assert run_json(capsys, base + ["dims", "g4"])["dimension"] == 56

@@ -22,6 +22,13 @@ TAMPER_TESTS = {
         'f"|K_B| = {col.kb_order} does not divide |Stab(B)| = {col.orbit.stab_order}"',
     "tests/test_admissibility.py::test_kb_not_normal_in_the_stabilizer_is_caught":
         '"K_B must be normal in Stab(B)"',
+    "tests/test_transversality.py::"
+    "test_all_pairs_check_catches_a_wrong_cell_on_a_matrix_group":
+        'f"table cell ({hyps[i].label}, {hyps[j].label}) says "',
+    "tests/test_transversality.py::test_all_pairs_check_catches_proportional_roots":
+        'f"hyperplanes {hyps[i].label} and {hyps[k].label} share a root line"',
+    "tests/test_transversality.py::test_all_pairs_check_compares_the_type_shortcut":
+        'f"transversality of ({hyps[i].label}, {hyps[j].label}): "',
 }
 
 

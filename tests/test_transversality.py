@@ -128,16 +128,20 @@ def test_table_diagonal_rejected(g25):
 
 # every G(m,p,n) of order at most 200 with phi(m) <= 10: every one of rank
 # three or more, and the rank-two ones with m <= 12 or m in 14, 15, 16, 18,
-# 20, 22, 24, 30.  The sweep stops there because its cost is the span test
-# of every root against every pair, over Q(zeta_m): about 2 s for these 69
-# groups on a 2-vCPU host, where G(23,23,2) (phi 22) alone takes 0.8 s and
-# G(37,37,2) 9 s
+# 20, 22, 24, 30.  The sweep stops there because of the cost of its
+# reference, transv_table and is_transverse, the span test of every root
+# against every pair, over Q(zeta_m): about 2 s for these 69 groups on a
+# 2-vCPU host, where G(23,23,2) (phi 22) alone takes 0.8 s and G(37,37,2)
+# 9 s.  check_all_pairs, the oracle under test, adds little to it
 SMALL_MONOMIAL = [(m, p, n) for m, p, n in SMALL_GMPN if euler_phi(m) <= 10]
 
 
 def assert_table_is_all_pairs_oracle(G):
+    # the root-line oracle and the per-orbit table against is_transverse,
+    # pair by pair
     hyps = G.hyperplanes
     tbl = transv_table(G)
+    check_all_pairs(G)
     for i in range(len(hyps)):
         for j in range(i + 1, len(hyps)):
             want = is_transverse(G, hyps[i], hyps[j])
@@ -200,6 +204,41 @@ def test_all_pairs_check_catches_a_wrong_cell():
     j = tbl.row(i)[0]
     tbl._transverse[i] = tbl._transverse[i] - {j}
     with pytest.raises(InternalInconsistency, match="all-pairs"):
+        check_all_pairs(G)
+
+
+def test_all_pairs_check_catches_a_wrong_cell_on_a_matrix_group():
+    # one ordered cell of g23 flipped to transverse; its mirror cell stays
+    G = packaged_group("g23")
+    tbl = transv_table(G)
+    check_all_pairs(G)
+    i, j = next(
+        (i, j) for i in range(tbl.size) for j in range(tbl.size)
+        if i != j and not tbl.transverse(i, j)
+    )
+    tbl._transverse[i] = tbl._transverse[i] | {j}
+    with pytest.raises(InternalInconsistency, match="table cell .* all-pairs"):
+        check_all_pairs(G)
+
+
+def test_all_pairs_check_compares_the_type_shortcut(monkeypatch):
+    G = build_imprimitive(3, 1, 3)
+    transv_table(G)
+    fast = transversality._imprimitive_transverse
+    monkeypatch.setattr(
+        transversality, "_imprimitive_transverse", lambda G, a, b: not fast(G, a, b)
+    )
+    with pytest.raises(InternalInconsistency, match="type shortcut .* root-line"):
+        check_all_pairs(G)
+
+
+def test_all_pairs_check_catches_proportional_roots(monkeypatch):
+    # two hyperplanes of g4 given roots on one line, after the table is built
+    G = packaged_group("g4")
+    transv_table(G)
+    h0, h1 = G.hyperplanes[:2]
+    monkeypatch.setattr(h1, "root", tuple(x * 3 for x in h0.root))
+    with pytest.raises(InternalInconsistency, match="share a root line"):
         check_all_pairs(G)
 
 

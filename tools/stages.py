@@ -15,8 +15,9 @@ built:
                   search over the generators' permutation parts), with the
                   check that the generators reach the whole group
     table         the transversality table, one span test per pair orbit
-    all_pairs     check_all_pairs: the span test on every pair (and the
-                  type shortcut on monomial groups), as verify runs it
+    all_pairs     check_all_pairs, as verify runs it: every cell of the
+                  table against the root-line classes modulo each root
+                  (and the type shortcut on monomial groups)
     orbits        orbits of transverse collections, with stabilizers:
                   the action-row scan and the Schreier generators
                   sifted from the orbit walk
