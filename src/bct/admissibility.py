@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 from math import factorial
 
-from .definitions import dim_from_rows
+from .definitions import dim_from_rows, field_row
 from .errors import InternalInconsistency, InvalidParameters
 from .exact_arith import CycNumber, SpanBasis
 from .reflection_groups import Group, Subgroup, subgroup_closure
@@ -153,7 +153,8 @@ class Collection:
     relation vectors and their span, K_B, the A1 and A2 checks, the
     admissibility verdict and the orbit of B.  collection() keeps one per
     group and collection; the cached properties are each built on their
-    first read and kept.
+    first read and kept.  Its row holds for both fields: a field picks
+    only the quotient, through definitions.field_row.
 
     B must be transverse: an id out of range, a repeated id or a
     non-transverse pair raises InvalidParameters.
@@ -348,13 +349,10 @@ class Collection:
         orb = stab.walk[0]
         return OrbitRecord(min(orb), len(orb), stab.order, len(self.B))
 
-    def quotient(self, mu6=False) -> int:
-        """|Stab(B)/K_B| when B is admissible over the field, else 0."""
-        admissible = self.admissible_mu6 if mu6 else self.admissible_generic
-        return self.orbit.stab_order // self.kb_order if admissible else 0
-
-    def as_row(self, mu6=False):
-        """B's orbit-table row, keyed in the cached order of cli.ROW_KEYS."""
+    @property
+    def row(self):
+        """B's orbit-table row for both fields, keyed in the order of
+        cli.ROW_KEYS; definitions.field_row appends a field's quotient."""
         return {
             "representative": list(self.orbit.representative),
             "cardinality": self.orbit.cardinality,
@@ -364,8 +362,11 @@ class Collection:
             "admissible_generic": self.admissible_generic,
             "admissible_mu6": self.admissible_mu6,
             "conditional": self.conditional,
-            "quotient_size": self.quotient(mu6),
         }
+
+    def quotient(self, mu6=False) -> int:
+        """|Stab(B)/K_B| when B is admissible over the field, else 0."""
+        return field_row(self.row, mu6)["quotient_size"]
 
 
 def collection(G: Group, B) -> Collection:
@@ -520,8 +521,8 @@ def classify_orbits(G: Group):
 def dim_brauer(G: Group, mu6=False) -> int:
     """Dimension of the Brauer-Chen algebra with generic parameters, or
     with mu at a primitive sixth root of unity when mu6, by dim_from_rows
-    over the orbit classification."""
-    return dim_from_rows(G.order, [rec.as_row(mu6) for rec in classify_orbits(G)])
+    over the field's rows of the orbit classification."""
+    return dim_from_rows(G.order, [field_row(r.row, mu6) for r in classify_orbits(G)])
 
 
 def _matchings_sum(n: int) -> int:

@@ -24,7 +24,7 @@ independent oracle.
 
 import random
 
-from .admissibility import classify, classify_orbits, collection, dim_from_rows
+from .admissibility import classify, classify_orbits, collection, dim_brauer
 from .errors import InternalInconsistency, NotAdmissible, NotAdmissiblePair
 from .exact_arith import LaurentScalar
 from .reflection_groups import Group
@@ -558,9 +558,8 @@ def semisimplicity_census(G: Group, mu6=False):
     of dim_from_rows over the same rows, so it holds whenever that
     double count does and adds no check of its own.
     """
-    recs = classify_orbits(G)
-    ss = sum(r.orbit.orbit_size**2 * r.quotient(mu6) for r in recs)
-    dim = dim_from_rows(G.order, [r.as_row(mu6) for r in recs])
+    ss = sum(r.orbit.orbit_size**2 * r.quotient(mu6) for r in classify_orbits(G))
+    dim = dim_brauer(G, mu6)
     if ss != dim:
         raise InternalInconsistency(
             f"census mismatch for {G.name}: sum of squares {ss} != dimension {dim}"

@@ -12,8 +12,8 @@ Group specs are either "gmpn:m,p,n" for the monomial series, a packaged
 name (g4, g23, g25, g26) or a path to a group-definition JSON file.
 Reports are deterministic JSON on stdout; the classify table can also be
 projected to CSV.  Expensive per-group artifacts (the group order, the
-largest cap under which the closure was refused, and the orbit rows of
-both fields, which one miss stores together) are cached on disk as one
+largest cap under which the closure was refused, and the orbit table,
+which holds for both fields) are cached on disk as one
 JSON file per group, named by the CRC-32 of the canonical group
 definition, which is computed without building the group: a packaged
 definition is keyed as shipped, and only a spec file is put into
@@ -41,6 +41,7 @@ from .definitions import (
     PACKAGED,
     _closure_refusal,
     dim_from_rows,
+    field_row,
     group_definition,
     imprimitive_order,
     packaged_definition,
@@ -48,9 +49,11 @@ from .definitions import (
 )
 from .errors import BctError, InvalidParameters, TooLarge
 
-CACHE_VERSION = 7
+CACHE_VERSION = 8
 
-CSV_COLUMNS = [
+# the keys of admissibility.Collection.row, in order, and its bool columns
+ROW_KEYS = [
+    "representative",
     "cardinality",
     "orbit_size",
     "stab_order",
@@ -58,10 +61,8 @@ CSV_COLUMNS = [
     "admissible_generic",
     "admissible_mu6",
     "conditional",
-    "quotient_size",
 ]
-# the keys of admissibility.Collection.as_row, in order, and its bool columns
-ROW_KEYS = ["representative", *CSV_COLUMNS]
+CSV_COLUMNS = [*ROW_KEYS[1:], "quotient_size"]
 FLAG_COLUMNS = frozenset({"admissible_generic", "admissible_mu6", "conditional"})
 
 # dimension table for the shipped exceptional groups; other table rows
@@ -190,20 +191,21 @@ def fresh_bundle() -> dict:
         "order": None,
         # the largest cap under which building the group was refused
         "refused_cap": None,
-        "classify": {},
+        "rows": None,
     }
 
 
 def _is_row(row) -> bool:
     """row holds exactly ROW_KEYS, in order: the representative as a list
     of cardinality ints, the FLAG_COLUMNS as bools and the other columns
-    as ints (a bool is none here)."""
+    as ints (a bool is none here), the orders positive."""
     return (
         isinstance(row, dict)
         and list(row) == ROW_KEYS
         and all(
-            type(row[c]) is (bool if c in FLAG_COLUMNS else int) for c in CSV_COLUMNS
+            type(row[c]) is (bool if c in FLAG_COLUMNS else int) for c in ROW_KEYS[1:]
         )
+        and min(row["orbit_size"], row["stab_order"], row["kb_order"]) > 0
         and _is_list_of(row["representative"], lambda h: type(h) is int)
         and len(row["representative"]) == row["cardinality"]
     )
@@ -217,9 +219,9 @@ def _is_rows(rows) -> bool:
 def cache_load(cache_dir: str, digest: str, definition: dict) -> dict:
     """The bundle stored for definition under its digest; a missing or
     malformed file (an order or refusal record that is no int or null,
-    rows that are not _is_rows, or rows without an order, which
-    GroupStore._save always writes with them), one of another version, or
-    one that stores another definition gives a fresh bundle (a miss).
+    rows that are neither null nor _is_rows, or rows without an order,
+    which GroupStore._save always writes with them), one of another
+    version, or one that stores another definition gives a fresh bundle (a miss).
     Bundles are plain JSON, so loading one never runs code."""
     path = os.path.join(cache_dir, digest + ".json")
     try:
@@ -238,9 +240,8 @@ def cache_load(cache_dir: str, digest: str, definition: dict) -> dict:
             v is None or type(v) is int
             for v in (bundle["order"], bundle["refused_cap"])
         )
-        or not isinstance(bundle["classify"], dict)
-        or not all(map(_is_rows, bundle["classify"].values()))
-        or (bundle["classify"] and bundle["order"] is None)
+        or not (bundle["rows"] is None or _is_rows(bundle["rows"]))
+        or (bundle["rows"] is not None and bundle["order"] is None)
     ):
         return fresh
     return bundle
@@ -270,15 +271,11 @@ def cache_store(cache_dir: str, digest: str, definition: dict, bundle: dict):
             os.unlink(tmp)
 
 
-def field_key(mu6: bool) -> str:
-    return "mu_sixth_root" if mu6 else "generic"
-
-
 class GroupStore:
     """Read-through cache around one group's derived artifacts.
 
     The group is built only when something is missing from the cache, and
-    a miss on either field's rows stores the rows of both.  An order above
+    one orbit table serves both fields through field_row.  An order above
     cap is refused as building the group would refuse it: monomial groups
     have a closed-form order, and the bundle records the order of a matrix
     group, or else the largest cap its closure was refused under, which
@@ -329,16 +326,12 @@ class GroupStore:
         cache_store(self.cache_dir, self.digest, self.definition, self.bundle)
 
     def rows(self, mu6: bool):
-        stored = self.bundle["classify"]
-        if field_key(mu6) not in stored:
+        if self.bundle["rows"] is None:
             from .admissibility import classify_orbits
 
-            # a miss stores both fields from one classification
-            recs = classify_orbits(self.G)
-            for flag in (False, True):
-                stored[field_key(flag)] = [rec.as_row(flag) for rec in recs]
+            self.bundle["rows"] = [rec.row for rec in classify_orbits(self.G)]
             self._save()
-        return stored[field_key(mu6)]
+        return [field_row(row, mu6) for row in self.bundle["rows"]]
 
     def dimension(self, mu6: bool) -> int:
         # rows first: a miss builds the group and records its order
@@ -411,7 +404,7 @@ def cmd_classify(args) -> int:
         {
             "group": store.name,
             "provenance": store.provenance,
-            "field": field_key(args.mu6),
+            "field": "mu_sixth_root" if args.mu6 else "generic",
             "rows": rows,
         }
     )

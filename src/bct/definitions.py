@@ -1,6 +1,6 @@
 """Group definitions: the canonical JSON that names a group and keys the
-cache, the packaged definitions, the order cap with its refusals, and the
-dimension double count over an orbit table.
+cache, the packaged definitions, the order cap with its refusals, a
+field's orbit-table rows and the dimension double count over them.
 
 This module loads only the standard library and bct.errors, so the command
 line can hash a definition, refuse a group over the cap and serve a cache
@@ -110,11 +110,19 @@ def packaged_definition(name: str) -> dict:
     return json.loads(resources.files("bct").joinpath(PACKAGED[key]).read_text())
 
 
+def field_row(row: dict, mu6: bool) -> dict:
+    """row, an admissibility.Collection.row, with the field's quotient_size
+    appended: |Stab(B)/K_B| where B is admissible over the field, else 0."""
+    admissible = row["admissible_mu6" if mu6 else "admissible_generic"]
+    quotient = row["stab_order"] // row["kb_order"] if admissible else 0
+    return dict(row, quotient_size=quotient)
+
+
 def dim_from_rows(order: int, rows) -> int:
     """Dimension of the Brauer-Chen algebra from an orbit table.
 
-    rows are admissibility.Collection.as_row() dicts, the empty collection
-    first, for a group of the given order.  The dimension is counted
+    rows are field_row dicts of one field, the empty collection first,
+    for a group of the given order.  The dimension is counted
     twice: as the sum over admissible collections of |W| / |K_B|, and as
     |W| plus the per-orbit block counts orbit_size^2 * quotient_size.
     Every consistency check, the agreement of the two counts included,
@@ -129,17 +137,17 @@ def dim_from_rows(order: int, rows) -> int:
     blocks = order
     for row in rows:
         quotient, kb_order = row["quotient_size"], row["kb_order"]
-        if quotient == 0:
-            continue
+        stab = row["stab_order"]
         if order % kb_order:
             raise InternalInconsistency(
                 f"|K_B| = {kb_order} does not divide |W| = {order}"
             )
-        if quotient * kb_order != row["stab_order"]:
+        if stab % kb_order or quotient not in (0, stab // kb_order):
             raise InternalInconsistency(
-                f"quotient {quotient} * |K_B| {kb_order} != "
-                f"|Stab| {row['stab_order']}"
+                f"quotient {quotient} * |K_B| {kb_order} != |Stab| {stab}"
             )
+        if quotient == 0:
+            continue
         total += row["orbit_size"] * (order // kb_order)
         if row["cardinality"] > 0:
             blocks += row["orbit_size"] ** 2 * quotient

@@ -24,7 +24,7 @@ more vectors and is exactly the wrong test here.
 
 from itertools import combinations
 
-from .admissibility import classify_orbits, collection, dim_from_rows, signed_vector
+from .admissibility import classify_orbits, collection, dim_brauer, signed_vector
 from .errors import InternalInconsistency
 from .exact_arith import z_span_test
 from .reflection_groups import Group
@@ -222,8 +222,7 @@ def g26_geometry_suite(G: Group):
             len(o1) == 12 and len(o2) == 9 and orders1 == {3} and orders2 == {2}
         )
     if not report["orbit_split"]:
-        report["all_pass"] = False
-        return report
+        return _with_all_pass(report)
 
     partners = {
         h: frozenset(k for k in range(table.size) if k != h and table.transverse(h, k))
@@ -266,19 +265,13 @@ def g26_geometry_suite(G: Group):
             linked = False
             break
     report["partners_linked"] = linked
+    return _with_all_pass(report)
 
-    report["all_pass"] = all(
-        report[k]
-        for k in (
-            "orbit_split",
-            "triple_partners",
-            "partners_determine",
-            "order_two_nontransverse",
-            "max_cardinality_two",
-            "single_pair_orbit",
-            "partners_linked",
-        )
-    )
+
+def _with_all_pass(report):
+    """report with all_pass appended: whether its checks, the bool
+    entries, all passed."""
+    report["all_pass"] = all(v for v in report.values() if isinstance(v, bool))
     return report
 
 
@@ -360,10 +353,7 @@ def freeness_verdict(G: Group) -> FreenessReport:
     """
     recs = classify_orbits(G)
     rows = _orbit_checks(G, recs)
-    dim_generic, dim_sixth = (
-        dim_from_rows(G.order, [rec.as_row(mu6) for rec in recs])
-        for mu6 in (False, True)
-    )
+    dim_generic, dim_sixth = dim_brauer(G), dim_brauer(G, True)
     dichotomy = all(row["dichotomy"] for row in rows)
     if G.kind == "imprimitive":
         if not dichotomy or dim_generic != dim_sixth:

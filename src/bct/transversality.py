@@ -59,6 +59,17 @@ def _imprimitive_transverse(G: Group, H1: Hyperplane, H2: Hyperplane) -> bool:
     return (G.m, G.p) == (2, 2)
 
 
+def _check_type_shortcut(G: Group, H1: Hyperplane, H2: Hyperplane, got, decider):
+    """On a monomial group, raise InternalInconsistency unless the type
+    shortcut agrees with got, the verdict of another decider, which the
+    message words as decider ("span criterion says")."""
+    if G.kind == "imprimitive" and _imprimitive_transverse(G, H1, H2) != got:
+        raise InternalInconsistency(
+            f"transversality of ({H1.label}, {H2.label}): "
+            f"type shortcut says {not got}, {decider} {got}"
+        )
+
+
 def is_transverse(G: Group, H1: Hyperplane, H2: Hyperplane) -> bool:
     """Whether no root of a third hyperplane lies in span(root(H1), root(H2)).
 
@@ -68,13 +79,7 @@ def is_transverse(G: Group, H1: Hyperplane, H2: Hyperplane) -> bool:
     if H1.id == H2.id:
         raise NotDistinct(f"transversality needs distinct hyperplanes, got {H1}")
     got = _root_span_transverse(G, H1, H2)
-    if G.kind == "imprimitive":
-        fast = _imprimitive_transverse(G, H1, H2)
-        if fast != got:
-            raise InternalInconsistency(
-                f"transversality of ({H1.label}, {H2.label}): type shortcut "
-                f"says {fast}, span criterion says {got}"
-            )
+    _check_type_shortcut(G, H1, H2, got, "span criterion says")
     return got
 
 
@@ -138,14 +143,9 @@ def transv_table(G: Group) -> TransvTable:
         i, j = members[0]
         flag = _root_span_transverse(G, hyps[i], hyps[j])
         for a, b in members:
-            if G.kind == "imprimitive":
-                fast = _imprimitive_transverse(G, hyps[a], hyps[b])
-                if fast != flag:
-                    raise InternalInconsistency(
-                        f"transversality of ({hyps[a].label}, {hyps[b].label}): "
-                        f"type shortcut says {fast}, span criterion on its "
-                        f"pair orbit says {flag}"
-                    )
+            _check_type_shortcut(
+                G, hyps[a], hyps[b], flag, "span criterion on its pair orbit says"
+            )
             if flag:
                 if (a, b) in mapped or (b, a) in mapped:
                     raise InternalInconsistency(
@@ -238,14 +238,10 @@ def check_all_pairs(G: Group):
             if j == i:
                 continue
             got = j in row
-            if G.kind == "imprimitive" and j > i:
-                fast = _imprimitive_transverse(G, hyps[i], hyps[j])
-                if fast != got:
-                    raise InternalInconsistency(
-                        f"transversality of ({hyps[i].label}, {hyps[j].label}): "
-                        f"type shortcut says {fast}, the all-pairs root-line "
-                        f"classes say {got}"
-                    )
+            if j > i:
+                _check_type_shortcut(
+                    G, hyps[i], hyps[j], got, "the all-pairs root-line classes say"
+                )
             if got != tbl.transverse(i, j):
                 raise InternalInconsistency(
                     f"table cell ({hyps[i].label}, {hyps[j].label}) says "

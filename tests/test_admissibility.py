@@ -20,7 +20,8 @@ from bct.admissibility import (
     signed_vector,
 )
 from bct.brauer_modules import induce, quotient_regular_rep, trivial_rep
-from bct.cli import ROW_KEYS
+from bct.cli import CSV_COLUMNS, ROW_KEYS
+from bct.definitions import field_row
 from bct.errors import InternalInconsistency, InvalidParameters
 from bct.exact_arith import SpanBasis, zeta
 from bct.freeness import check_F
@@ -349,8 +350,8 @@ def test_record_row_projection(gmpn):
     # the field is an argument of quotient(), never a stored slot
     with pytest.raises(AttributeError):
         rec.quotient_size
-    # the cache accepts exactly these keys, in this order
-    assert list(rec.as_row()) == list(rec.as_row(True)) == ROW_KEYS == [
+    # the cache accepts exactly these keys, in this order, for both fields
+    assert list(rec.row) == ROW_KEYS == [
         "representative",
         "cardinality",
         "orbit_size",
@@ -359,8 +360,14 @@ def test_record_row_projection(gmpn):
         "admissible_generic",
         "admissible_mu6",
         "conditional",
-        "quotient_size",
     ]
+    # a field appends its quotient, and the CSV projection drops the
+    # representative
+    for mu6 in (False, True):
+        row = field_row(rec.row, mu6)
+        assert list(row) == ROW_KEYS + ["quotient_size"]
+        assert list(row)[1:] == CSV_COLUMNS
+        assert row["quotient_size"] == rec.quotient(mu6) == 6
 
 
 # -- conditional pair of the 648-element group -------------------------------
@@ -433,13 +440,15 @@ def test_dimension_doubled_family(gmpn):
 
 def test_dim_from_rows_rejects_tampered_table(gmpn):
     G = gmpn(2, 2, 3)
-    rows = [rec.as_row() for rec in classify_orbits(G)]
+    rows = [field_row(rec.row, False) for rec in classify_orbits(G)]
     assert dim_from_rows(G.order, rows) == 105
     k = next(i for i, r in enumerate(rows) if r["cardinality"] and r["quotient_size"])
     tampered = [
         (0, "quotient_size", G.order // 2, "empty collection"),
         (k, "orbit_size", 2 * rows[k]["orbit_size"], "double-entry"),
         (k, "kb_order", 5, "does not divide"),
+        # divides |W| = 24 but not |Stab(B)|
+        (k, "kb_order", 3, "Stab"),
         (k, "quotient_size", 2 * rows[k]["quotient_size"], "Stab"),
     ]
     for i, field, value, message in tampered:

@@ -189,14 +189,11 @@ def test_malformed_bundle_is_a_miss(capsys, cache):
     with open(path) as fh:
         stored = json.load(fh)
     wrong_type = dict(
-        cli.fresh_bundle(), classify=[], definition=stored["definition"]
+        cli.fresh_bundle(), rows={}, definition=stored["definition"]
     )
-    empty_row = dict(stored, classify={"generic": [{}]})
-    text_row = dict(
-        stored, classify={"generic": [dict(r, kb_order="1") for r in
-                                      stored["classify"]["generic"]]}
-    )
-    no_rows = dict(stored, classify={"generic": []})
+    empty_row = dict(stored, rows=[{}])
+    text_row = dict(stored, rows=[dict(r, kb_order="1") for r in stored["rows"]])
+    no_rows = dict(stored, rows=[])
     text_refusal = dict(stored, refused_cap="130")
     text_order = dict(stored, order="18")
     no_order = dict(stored, order=None)
@@ -218,9 +215,10 @@ def test_malformed_bundle_is_a_miss(capsys, cache):
 
 
 def test_tampered_rows_are_a_miss(capsys, cache):
-    """Each row must hold exactly the keys of as_row, in order, with the
-    representative a list of cardinality ints, the flags bools and the
-    other columns ints; any other row is a miss, never printed."""
+    """Each row must hold exactly the keys of Collection.row, in order, with
+    the representative a list of cardinality ints, the flags bools and the
+    other columns ints, the orders positive; any other row is a miss, never
+    printed."""
     argv = ["--cache-dir", cache, "classify", "gmpn:2,2,3"]
     code, first, _ = run(capsys, argv)
     assert code == 0
@@ -228,7 +226,7 @@ def test_tampered_rows_are_a_miss(capsys, cache):
     path = os.path.join(cache, entry)
     with open(path) as fh:
         stored = json.load(fh)
-    rows = stored["classify"]["generic"]
+    rows = stored["rows"]
     k = next(i for i, r in enumerate(rows) if r["cardinality"])
 
     def junk_key(r):
@@ -243,7 +241,10 @@ def test_tampered_rows_are_a_miss(capsys, cache):
         {"conditional": 5},
         {"admissible_generic": 1},
         {"kb_order": True},
-        {"quotient_size": 2.0},
+        {"kb_order": 0},
+        {"stab_order": -rows[k]["stab_order"]},
+        # a field's column is never stored
+        {"quotient_size": 2},
         {"representative": rows[k]["representative"] + [0]},
         {"representative": [str(h) for h in rows[k]["representative"]]},
         {"representative": None},
@@ -253,7 +254,7 @@ def test_tampered_rows_are_a_miss(capsys, cache):
     ]
     for bad in tampers:
         with open(path, "w") as fh:
-            json.dump(dict(stored, classify=dict(stored["classify"], generic=bad)), fh)
+            json.dump(dict(stored, rows=bad), fh)
         assert run(capsys, argv) == (0, first, "")
         with open(path) as fh:
             assert json.load(fh) == stored
@@ -492,36 +493,14 @@ def test_one_miss_stores_both_fields(capsys, tmp_path, monkeypatch, spec, first)
     shared = str(tmp_path / "shared")
     run(capsys, ["--cache-dir", shared, "dims", spec] + first)
     bundle = _stored_bundle(shared)
+    # one table serves both fields
     G = cli.parse_spec(spec)[1](DEFAULT_CAP)
-    recs = classify_orbits(G)
-    assert bundle["classify"] == {
-        cli.field_key(mu6): [r.as_row(mu6) for r in recs] for mu6 in (False, True)
-    }
+    assert bundle["rows"] == [r.row for r in classify_orbits(G)]
     _forbid_builds(monkeypatch)
     for i, argv in enumerate(argvs):
         got = run(capsys, ["--cache-dir", shared] + argv)
         assert got == cold[i] and got[0] == 0, argv
     assert _stored_bundle(shared) == bundle
-
-
-def test_one_field_bundle_is_served_and_completed(capsys, cache, monkeypatch):
-    # a bundle of the current version holding only the generic rows, as a
-    # miss stored it before one miss stored both fields
-    base = ["--cache-dir", cache]
-    generic = run(capsys, base + ["dims", "gmpn:2,1,3"])
-    mu6 = run(capsys, base + ["dims", "gmpn:2,1,3", "--mu6"])
-    bundle = _stored_bundle(cache)
-    (entry,) = os.listdir(cache)
-    one_field = dict(bundle, classify={"generic": bundle["classify"]["generic"]})
-    with open(os.path.join(cache, entry), "w") as fh:
-        json.dump(one_field, fh)
-    with monkeypatch.context() as patched:
-        _forbid_builds(patched)
-        assert run(capsys, base + ["dims", "gmpn:2,1,3"]) == generic
-    assert _stored_bundle(cache) == one_field
-    # the other field is a miss, which stores both
-    assert run(capsys, base + ["dims", "gmpn:2,1,3", "--mu6"]) == mu6
-    assert _stored_bundle(cache) == bundle
 
 
 def test_version_one_bundle_is_a_miss(capsys, cache):
@@ -532,11 +511,13 @@ def test_version_one_bundle_is_a_miss(capsys, cache):
     path = os.path.join(cache, entry)
     with open(path) as fh:
         bundle = json.load(fh)
-    assert bundle["version"] == cli.CACHE_VERSION == 7
+    assert bundle["version"] == cli.CACHE_VERSION == 8
     assert bundle["order"] == 24
-    rows = bundle["classify"]["generic"]
-    k = next(i for i, r in enumerate(rows) if r["cardinality"] and r["quotient_size"])
-    forged = dict(bundle, classify={"generic": rows[:k] + rows[k + 1:]})
+    rows = bundle["rows"]
+    k = next(
+        i for i, r in enumerate(rows) if r["cardinality"] and r["admissible_generic"]
+    )
+    forged = dict(bundle, rows=rows[:k] + rows[k + 1:])
     with open(path, "w") as fh:
         json.dump(forged, fh)
     # the current version is served as it stands, forged rows included: an
@@ -547,14 +528,52 @@ def test_version_one_bundle_is_a_miss(capsys, cache):
     with open(path, "w") as fh:
         json.dump(dict(forged, version=1), fh)
     assert run_json(capsys, argv) == first
-    # every hit re-runs the double count, which refuses a wrong |K_B|
-    bad = [dict(r) for r in rows]
-    bad[k]["kb_order"] *= 2
-    with open(path, "w") as fh:
-        json.dump(dict(bundle, classify={"generic": bad}), fh)
-    code, out, err = run(capsys, argv)
+
+    def serve(kb_order):
+        bad = [dict(r) for r in rows]
+        bad[k]["kb_order"] = kb_order
+        with open(path, "w") as fh:
+            json.dump(dict(bundle, rows=bad), fh)
+        return run(capsys, argv)
+
+    # every hit re-runs the double count, which refuses a |K_B| that does
+    # not divide |Stab(B)|
+    code, out, err = serve(rows[k]["stab_order"] + 1)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "InternalInconsistency"
+    # the quotient is no stored column but |Stab(B)| / |K_B|, so a wrong
+    # |K_B| that divides |Stab(B)| keeps the double count consistent and is
+    # served as it stands, like the dropped orbit above
+    doubled = 2 * rows[k]["kb_order"]
+    assert rows[k]["stab_order"] % doubled == 0
+    lost = rows[k]["orbit_size"] * (24 // rows[k]["kb_order"] - 24 // doubled)
+    assert json.loads(serve(doubled)[1]) == {"dimension": 105 - lost}
+
+
+def test_version_seven_bundle_is_a_miss(capsys, cache, tmp_path):
+    """Version 7 stored the rows twice, once per field, each with its
+    quotient_size; such a bundle is a miss, and the miss stores the one
+    table."""
+    spec = "gmpn:2,2,3"
+    other = str(tmp_path / "other")
+    store = cli.GroupStore(cli.parse_spec(spec), other, DEFAULT_CAP)
+    # each field's rows with an admissible orbit dropped, which keeps the
+    # double count consistent, so a hit would serve a smaller dimension
+    classify = {}
+    for field, mu6 in (("generic", False), ("mu_sixth_root", True)):
+        rows = store.rows(mu6)
+        k = next(
+            i for i, r in enumerate(rows) if r["cardinality"] and r["quotient_size"]
+        )
+        classify[field] = rows[:k] + rows[k + 1:]
+    os.makedirs(cache)
+    with open(os.path.join(cache, store.digest + ".json"), "w") as fh:
+        json.dump({"version": 7, "order": 24, "refused_cap": None,
+                   "classify": classify, "definition": store.definition}, fh)
+    argv = ["--cache-dir", cache, "dims", spec]
+    assert run_json(capsys, argv) == {"dimension": 105}
+    assert run_json(capsys, argv + ["--mu6"]) == {"dimension": 105}
+    assert _stored_bundle(cache) == _stored_bundle(other)
 
 
 def test_version_two_bundle_is_a_miss(capsys, cache):
@@ -593,13 +612,11 @@ def test_stored_bundle_has_no_table(capsys, cache):
     with open(os.path.join(cache, entry)) as fh:
         bundle = json.load(fh)
     assert "table" not in bundle
-    assert set(bundle) == {
-        "version", "order", "refused_cap", "classify", "definition"
-    }
+    assert set(bundle) == {"version", "order", "refused_cap", "rows", "definition"}
 
 
 def test_stored_file_is_the_one_shot_compact_text(tmp_path):
-    bundle = {"version": cli.CACHE_VERSION, "order": 24, "refused_cap": None, "classify": {}}
+    bundle = {"version": cli.CACHE_VERSION, "order": 24, "refused_cap": None, "rows": None}
     definition = packaged_definition("g4")
     cli.cache_store(str(tmp_path), "key", definition, bundle)
     with open(tmp_path / "key.json", "rb") as fh:

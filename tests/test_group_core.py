@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from bct import reflection_groups
 from bct.admissibility import classify_orbits, dim_from_rows
+from bct.definitions import field_row
 from bct.brauer_modules import induce, quotient_regular_rep, verify_defining_relations
 from bct.errors import TooLarge
 from bct.exact_arith import CycNumber, SpanBasis, zeta
@@ -234,7 +235,7 @@ def table_rows(G):
             assert rec.quotient(True) == rec.quotient(False)
     out = []
     for mu6 in (False, True):
-        rows = [rec.as_row(mu6) for rec in recs]
+        rows = [field_row(rec.row, mu6) for rec in recs]
         shape = Counter(
             tuple(sorted((k, v) for k, v in row.items() if k != "representative"))
             for row in rows

@@ -28,7 +28,7 @@ TAMPER_TESTS = {
     "tests/test_transversality.py::test_all_pairs_check_catches_proportional_roots":
         'f"hyperplanes {hyps[i].label} and {hyps[k].label} share a root line"',
     "tests/test_transversality.py::test_all_pairs_check_compares_the_type_shortcut":
-        'f"transversality of ({hyps[i].label}, {hyps[j].label}): "',
+        'f"transversality of ({H1.label}, {H2.label}): "',
 }
 
 

@@ -38,11 +38,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from bct.admissibility import (  # noqa: E402
-    classify_orbits,
-    dim_from_rows,
-    orbit_records,
-)
+from bct.admissibility import classify_orbits, dim_brauer, orbit_records  # noqa: E402
 from bct.cli import parse_spec  # noqa: E402
 from bct.reflection_groups import DEFAULT_CAP  # noqa: E402
 from bct.transversality import check_all_pairs, transv_table  # noqa: E402
@@ -63,7 +59,7 @@ def stages(spec: str) -> dict:
     timed("table", lambda: transv_table(G))
     timed("all_pairs", lambda: check_all_pairs(G))
     records = timed("orbits", lambda: orbit_records(G))
-    recs = timed("classify", lambda: classify_orbits(G))
+    timed("classify", lambda: classify_orbits(G))
     times["total"] = round(sum(times.values()), 4)
     return {
         "spec": spec,
@@ -76,8 +72,8 @@ def stages(spec: str) -> dict:
             "pair_orbits": len(G.pair_orbits),
             "collections": sum(r.orbit_size for r in records),
             "orbits": len(records),
-            "dim_generic": dim_from_rows(G.order, [r.as_row() for r in recs]),
-            "dim_sixth_root": dim_from_rows(G.order, [r.as_row(True) for r in recs]),
+            "dim_generic": dim_brauer(G),
+            "dim_sixth_root": dim_brauer(G, True),
         },
         "peak_rss_mb": round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
