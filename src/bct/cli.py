@@ -528,44 +528,41 @@ def cmd_verify(args) -> int:
     return 0 if payload["all_pass"] else 1
 
 
+def _computed_row(store: GroupStore, expected=None) -> dict:
+    """A computed reproduce-table row: the group's dimensions, its status
+    against the expected (generic, sixth root) pair when there is one, and
+    its generic orbit rows."""
+    dims = store.dimension(False), store.dimension(True)
+    match = "verified" if dims == expected else "mismatch"
+    row = {
+        "name": store.name,
+        "provenance": store.provenance,
+        "status": "computed" if expected is None else match,
+        "dim_generic": dims[0],
+        "dim_sixth_root": dims[1],
+    }
+    if expected is not None:
+        row["expected_generic"], row["expected_sixth_root"] = expected
+    row["orbit_rows"] = store.rows(False)
+    return row
+
+
 def _table_row(name: str, cache_dir: str, cap: int) -> dict:
     short = SHIPPED.get(name)
     if short is None:
         return {"name": name, "status": ABSENT}
     try:
         store = GroupStore(packaged_source(short), cache_dir, cap)
-        dim_generic = store.dimension(False)
-        dim_sixth = store.dimension(True)
+        return _computed_row(store, EXPECTED_DIMS[name])
     except TooLarge as exc:
         return {"name": name, "status": f"skipped ({exc})"}
-    expected = EXPECTED_DIMS[name]
-    match = (dim_generic, dim_sixth) == expected
-    return {
-        "name": name,
-        "provenance": store.provenance,
-        "status": "verified" if match else "mismatch",
-        "dim_generic": dim_generic,
-        "dim_sixth_root": dim_sixth,
-        "expected_generic": expected[0],
-        "expected_sixth_root": expected[1],
-        "orbit_rows": store.rows(False),
-    }
 
 
 def cmd_reproduce(args) -> int:
     rows = [_table_row(name, args.cache_dir, args.max_order) for name in TABLE_NAMES]
     for spec in args.specs:
         store = GroupStore(parse_spec(spec), args.cache_dir, args.max_order)
-        rows.append(
-            {
-                "name": store.name,
-                "provenance": store.provenance,
-                "status": "computed",
-                "dim_generic": store.dimension(False),
-                "dim_sixth_root": store.dimension(True),
-                "orbit_rows": store.rows(False),
-            }
-        )
+        rows.append(_computed_row(store))
     ok = all(r["status"] != "mismatch" for r in rows)
     emit_json({"suite": "reproduce-table", "rows": rows, "all_pass": ok})
     return 0 if ok else 1

@@ -17,9 +17,11 @@ diagonal subgroup N, of order D = m^n/p, times the permutation matrices,
 and element r*D + d is permutation r after diagonal d; its row of
 hyperplane images is the row of permutation r read at the row of diagonal
 d.  The D diagonal rows follow a closed rule on hyperplane keys, and the
-n! permutation rows are filled along a breadth-first search over the
-generators' permutation parts.  A matrix group is the same store with
-D = 1, one permutation row per element.
+n! permutation rows are filled along the tree of the closure that built
+the permutations: each constructor closes its generators with bfs, a
+monomial group their permutation parts, and hands Group that tree.  A
+matrix group is the same store with D = 1, one permutation row per
+element.
 
 A group's derived data (its hyperplanes, each with its reflections, the
 reflection lookups and classes, the action rows and the generators' rows)
@@ -116,8 +118,8 @@ def bfs(seeds, labels, step, limit=None, refuse=None):
 
     Returns (states, tree): every state reached, in discovery order with the
     seeds first, and per state None for a seed or the pair (position of the
-    state it was reached from, label) for the rest.  Reaching more than
-    limit states raises the exception refuse.
+    state it was reached from, position of the label) for the rest.
+    Reaching more than limit states raises the exception refuse.
     """
     states = list(seeds)
     seen = set(states)
@@ -125,14 +127,14 @@ def bfs(seeds, labels, step, limit=None, refuse=None):
     k = 0
     while k < len(states):
         cur = states[k]
-        for lab in labels:
+        for j, lab in enumerate(labels):
             nxt = step(cur, lab)
             if nxt not in seen:
                 if limit is not None and len(states) >= limit:
                     raise refuse
                 seen.add(nxt)
                 states.append(nxt)
-                tree.append((k, lab))
+                tree.append((k, j))
         k += 1
     return states, tree
 
@@ -227,12 +229,14 @@ class Group:
     the permutation of the point set carried by element i.  Element
     r*D + d of a monomial group is permutation r after diagonal d, D =
     m^n/p the order of its diagonal subgroup (action_rows); a matrix group
-    has D = 1.  The derived data are cached properties, each built once;
+    has D = 1.  tree is the bfs tree the constructor walked, over the
+    permutation indices r, with generator positions as labels; action_rows
+    reads it once.  The derived data are cached properties, each built once;
     the reflection facts among them (reflection_index, reflection_hyperplane,
     hyperplane_reflections, reflection_class_of) are tables, read by index.
     """
 
-    def __init__(self, definition, perms, generators, points=None):
+    def __init__(self, definition, perms, generators, tree, points=None):
         self.definition = definition
         self.kind = definition["kind"]
         self.name = definition["name"]
@@ -245,6 +249,7 @@ class Group:
         self._ndiag = m ** n // p if monomial else 1
         self.order = len(perms)
         self._perms = perms
+        self._tree = tree
         if points is not None:
             # a matrix group's build found its points; a monomial group
             # makes them on first use (_points)
@@ -492,13 +497,18 @@ class Group:
 
     # -- action on hyperplanes ---------------------------------------------
 
+    @cached_property
+    def _dist_hyperplane(self):
+        """Hyperplane id of each distinguished reflection, by element index."""
+        return {h.dist_reflection: h.id for h in self.hyperplanes}
+
     def _generator_action(self, s):
         """Row of one generator: s r_H s^-1 is the distinguished reflection
         of sH, since conjugation keeps the eigenvalue."""
-        dist_index = {h.dist_reflection: h.id for h in self.hyperplanes}
+        dist = self._dist_hyperplane
         out = []
         for h in self.hyperplanes:
-            hid = dist_index.get(self.conj(s, h.dist_reflection))
+            hid = dist.get(self.conj(s, h.dist_reflection))
             if hid is None:
                 raise InternalInconsistency(
                     "conjugate of a distinguished reflection is not "
@@ -534,11 +544,11 @@ class Group:
     def action_rows(self):
         """(prow, drow): element r*D + d maps hyperplane h to
         prow[r][drow[d][h]].  drow is the diagonal rows of a monomial group,
-        the identity row alone for a matrix group.  prow is filled along a
-        breadth-first search over the generators' permutation parts (rank 0
-        is the identity), composing each parent row with the row of a
-        generator's permutation part, read back from the generator's row
-        through its diagonal's."""
+        the identity row alone for a matrix group.  prow is filled along the
+        constructor's tree (rank 0 is the identity), composing each parent
+        row with the row of a generator's permutation part, read back from
+        the generator's row through its diagonal's.  The tree is dropped
+        once the checks pass: a matrix group's holds |G| entries."""
         ident = tuple(range(len(self.hyperplanes)))
         D = self._ndiag
         drow = self._diagonal_rows() if D > 1 else [ident]
@@ -549,49 +559,42 @@ class Group:
             for h, x in zip(drow[s % D], self._generator_action(s)):
                 part[h] = x
             parts.append(tuple(part))
-        # right multiplication by the permutation part of generator k
-        getters = [itemgetter(*self._frames[s - s % D]) for s in gens]
-        perms, index = self._perms, self._index
-        states, tree = bfs(
-            [0],
-            range(len(gens)),
-            lambda r, k: index[getters[k](perms[r * D])] // D,
-        )
-        prow = [None] * (self.order // D)
-        prow[0] = ident
-        for r, (parent, k) in zip(states[1:], tree[1:]):
-            prow[r] = tuple(map(prow[states[parent]].__getitem__, parts[k]))
+        prow = [ident]
+        for parent, k in self._tree[1:]:
+            prow.append(tuple(map(prow[parent].__getitem__, parts[k])))
         for s, part in zip(gens, parts):
             if prow[s // D] != part:
                 raise InternalInconsistency(
                     f"generator {s} disagrees with the row of its permutation"
                 )
-        reached = self._reached(states, tree)
+        reached = self._reached()
         if reached != self.order:
             raise InternalInconsistency(
                 f"generators reach {reached} of {self.order} elements"
             )
+        del self._tree
         return prow, drow
 
-    def _reached(self, states, tree):
-        """Order of the subgroup the generators generate, from the search
-        over their permutation parts (states, tree): the permutations it
+    def _reached(self):
+        """Order of the subgroup the generators generate, from the
+        constructor's tree over their permutation parts: the permutations it
         reached times the diagonals its Schreier elements u_r s u_rs^-1
-        close to (u_r a product of generators over permutation r), which
-        generate the subgroup's diagonal part by Schreier's lemma."""
-        D = self._ndiag
+        close to (u_r the product of generators along the tree to
+        permutation r), which generate the subgroup's diagonal part by
+        Schreier's lemma."""
+        tree, D = self._tree, self._ndiag
         if D == 1:
-            return len(states)
+            return len(tree)
         gens = self.generators
-        u = {0: self.identity}
-        for r, (parent, k) in zip(states[1:], tree[1:]):
-            u[r] = self.mul(u[states[parent]], gens[k])
+        u = [self.identity]
+        for parent, k in tree[1:]:
+            u.append(self.mul(u[parent], gens[k]))
         schreier = []
-        for r in states:
+        for ur in u:
             for s in gens:
-                x = self.mul(u[r], s)
+                x = self.mul(ur, s)
                 schreier.append(self.mul(x, self.inv(u[x // D])))
-        return len(states) * len(_sift(self, schreier, D)[1])
+        return len(u) * len(_sift(self, schreier, D)[1])
 
     def hyperplane_action(self, w: int):
         """Permutation of hyperplane ids induced by element w: the row of
@@ -697,22 +700,6 @@ def build_imprimitive(m: int, p: int, n: int, cap: int = DEFAULT_CAP) -> Group:
     definition = group_definition({"kind": "imprimitive", "m": m, "p": p, "n": n})
     order = imprimitive_order(m, p, n)
     refuse_over_cap(definition, order, cap)
-    store, compose = _perm_store(m * n)
-    # element r * len(diagonals) + d is permutation r after diagonal d, so
-    # its point map is the permutation's map composed with the diagonal's
-    diagonals = [
-        store(_monomial_perm(m, n, range(n), exps))
-        for exps in _diagonal_exps(m, p, n)
-    ]
-    point_maps = [
-        store(_monomial_perm(m, n, perm, [0] * n))
-        for perm in permutations(range(n))
-    ]
-    perms = [compose(pm, diag) for pm in point_maps for diag in diagonals]
-    if len(perms) != order:
-        raise InternalInconsistency(
-            f"enumerated {len(perms)} elements, closed form says {order}"
-        )
     ident = tuple(range(n))
     gens = []
     for i in range(n - 1):
@@ -727,9 +714,21 @@ def build_imprimitive(m: int, p: int, n: int, cap: int = DEFAULT_CAP) -> Group:
         gens.append((perm, exps))
     if p != m:
         gens.append((ident, [p] + [0] * (n - 1)))
-    return Group(
-        definition, perms, [_monomial_perm(m, n, perm, exps) for perm, exps in gens]
-    )
+    store, compose = _perm_store(m * n)
+    # element r * len(diagonals) + d is permutation r after diagonal d, so
+    # its point map is the permutation's map composed with the diagonal's;
+    # the permutations are the closure of the generators' permutation parts
+    diagonals = [
+        store(_monomial_perm(m, n, ident, exps)) for exps in _diagonal_exps(m, p, n)
+    ]
+    parts = [store(_monomial_perm(m, n, perm, [0] * n)) for perm, _ in gens]
+    point_maps, tree = bfs([store(range(m * n))], parts, compose)
+    perms = [compose(pm, diag) for pm in point_maps for diag in diagonals]
+    if len(perms) != order:
+        raise InternalInconsistency(
+            f"enumerated {len(perms)} elements, closed form says {order}"
+        )
+    return Group(definition, perms, [_monomial_perm(m, n, *g) for g in gens], tree)
 
 
 def _apply(F, rows, v, products):
@@ -800,10 +799,10 @@ def build_matrix_group(
     ids = {v: x for x, v in enumerate(points)}
     store, compose = _perm_store(len(points))
     gen_perms = [store(ids[images[v, s]] for v in points) for s in labels]
-    perms, _ = bfs(
+    perms, tree = bfs(
         [store(range(len(points)))], gen_perms, compose, limit=cap, refuse=refuse
     )
-    return Group(definition, perms, gen_perms, points)
+    return Group(definition, perms, gen_perms, tree, points)
 
 
 # ---------------------------------------------------------------------------
@@ -815,11 +814,10 @@ def orbit(G: Group, B):
     action, as sorted tuples in breadth-first order from sorted B, and per
     block an element mapping B onto it, s * (the parent's) for a block
     first reached by generator s."""
-    rows = G.generator_rows
     blocks, tree = bfs(
         [tuple(sorted(B))],
-        range(len(rows)),
-        lambda cur, k: tuple(sorted(rows[k][h] for h in cur)),
+        G.generator_rows,
+        lambda cur, row: tuple(sorted(row[h] for h in cur)),
     )
     witnesses = [G.identity]
     for parent, k in tree[1:]:

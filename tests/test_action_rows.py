@@ -119,3 +119,35 @@ def test_tampered_generator_diagonal_is_refused():
             G.action_rows
         tampered += 1
     assert tampered == 160
+
+
+def test_generator_disagreeing_with_its_permutation_row_is_caught():
+    # the m > 1 generator of G(3,1,3) shares its permutation part with the
+    # first generator, which fills that permutation's row along the tree;
+    # a permuted row of its own then disagrees with that row
+    G = build_imprimitive(3, 1, 3)
+    D = G._ndiag
+    first, s = G.generators[0], G.generators[2]
+    assert (first // D, first % D) == (s // D, 0) and s % D
+    row_of = G._generator_action
+
+    def tampered(g):
+        row = row_of(g)
+        return (row[1], row[0], *row[2:]) if g == s else row
+
+    G._generator_action = tampered
+    with pytest.raises(
+        InternalInconsistency,
+        match=f"generator {s} disagrees with the row of its permutation",
+    ):
+        G.action_rows
+
+
+def test_hyperplane_keys_out_of_order_are_caught():
+    # the diagonal rows are read off the keys, so two pair hyperplanes with
+    # swapped keys make the identity diagonal's row a transposition
+    G = build_imprimitive(3, 1, 3)
+    a, b = [h for h in G.hyperplanes if h.key[0] == "pair"][:2]
+    a.key, b.key = b.key, a.key
+    with pytest.raises(InternalInconsistency, match="hyperplane ids are not in key order"):
+        G.action_rows

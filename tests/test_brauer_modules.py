@@ -130,7 +130,7 @@ def test_noncommuting_transverse_eps_fails_b4(gmpn):
 @pytest.mark.parametrize(
     "spec, swap, text",
     [
-        ((1, 1, 3), ("H_1,2", "H_1,3"), "B2: w*eps(H_1,2)*w^-1 != eps(w H) for w=2"),
+        ((1, 1, 3), ("H_1,2", "H_1,3"), "B2: w*eps(H_1,2)*w^-1 != eps(w H) for w=1"),
         ("g4", ("H0", "H2"), "B2: w*eps(H0)*w^-1 != eps(w H) for w=1"),
     ],
     ids=["gmpn:1,1,3", "g4"],

@@ -58,7 +58,7 @@ def test_repeated_permutation_is_refused():
     perms = [*G._perms, G._perms[-1]]
     gens = [G._perms[g] for g in G.generators]
     with pytest.raises(InternalInconsistency, match="two group elements share one frame"):
-        Group(G.definition, perms, gens)
+        Group(G.definition, perms, gens, G._tree)
 
 
 def test_short_diagonal_enumeration_is_refused(monkeypatch):

@@ -29,6 +29,13 @@ TAMPER_TESTS = {
         'f"hyperplanes {hyps[i].label} and {hyps[k].label} share a root line"',
     "tests/test_transversality.py::test_all_pairs_check_compares_the_type_shortcut":
         'f"transversality of ({H1.label}, {H2.label}): "',
+    "tests/test_action_rows.py::"
+    "test_generator_disagreeing_with_its_permutation_row_is_caught":
+        'f"generator {s} disagrees with the row of its permutation"',
+    "tests/test_action_rows.py::test_hyperplane_keys_out_of_order_are_caught":
+        '"hyperplane ids are not in key order"',
+    "tests/test_reflection_groups.py::test_subgroup_closure_refuses_a_non_index":
+        'f"generator {g!r} is not an element index"',
 }
 
 

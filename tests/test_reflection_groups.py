@@ -251,6 +251,12 @@ def test_subgroup_closure():
     assert subgroup_closure(s4, transpositions).order == 24
 
 
+def test_subgroup_closure_refuses_a_non_index():
+    s3 = build_imprimitive(1, 1, 3)
+    with pytest.raises(InternalInconsistency, match="generator 6 is not an element index"):
+        subgroup_closure(s3, [s3.order])
+
+
 def test_monomial_matrix_cross_check():
     g = build_imprimitive(3, 1, 2)
     mg = build_matrix_group(

@@ -11,9 +11,9 @@ built:
     build         closure of the generators
     hyperplanes   reflections, hyperplanes, distinguished reflections
     actions       the factored hyperplane-action rows: one per diagonal
-                  (closed rule) and one per permutation (breadth-first
-                  search over the generators' permutation parts), with the
-                  check that the generators reach the whole group
+                  (closed rule) and one per permutation (along the tree of
+                  the build's closure), with the check that the generators
+                  reach the whole group
     table         the transversality table, one span test per pair orbit
     all_pairs     check_all_pairs, as verify runs it: every cell of the
                   table against the root-line classes modulo each root
