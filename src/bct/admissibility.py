@@ -12,18 +12,21 @@ by an exact calculus of relation vectors over the basis
 
 Vectors are integer tuples of length N+1 where N is the number of
 reflections: positions 0..N-1 follow the group's reflection list and
-position N is the identity slot.  The main entry points are collection(),
-the one record of a collection's facts (R_B, the images of B under the
-reflections, the relation vectors, K_B, the A1 and A2 checks, the verdict
-and the orbit), which refuses a collection that is not transverse;
-classify(), which returns that record once its verdict passes the
-consistency checks; and dim_from_rows(), which sums the block sizes over
-an orbit table with a double-entry consistency check (it lives in
+position N is the identity slot.  Both relation sets, Rel(B) and its
+projection Rel-bar(B), are read off one list of sigma terms per
+collection, formed by sigma_triples().  The main entry points are
+collection(), the one record of a collection's facts (R_B, the images of
+B under the reflections, the relation vectors, K_B, the A1 and A2 checks,
+the verdict and the orbit), which refuses a collection that is not
+transverse; classify(), which returns that record once its verdict passes
+the consistency checks; and dim_from_rows(), which sums the block sizes
+over an orbit table with a double-entry consistency check (it lives in
 definitions, so a cache hit can run it without this module).
 """
 
+from collections import namedtuple
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
 from math import factorial
 
 from .definitions import dim_from_rows, field_row
@@ -52,44 +55,23 @@ __all__ = [
 # relation vectors
 
 
-class SigmaTerm:
-    """One difference element sigma^H_{H1,H2}.
-
-    Represents sum(mu_s s, s mapping H1 to H) - sum(mu_s s, s mapping H2
-    to H) where H lies outside the collection and is transverse to
-    neither H1 nor H2.  plus/minus hold reflection indices.
-    """
-
-    __slots__ = ("hyperplane", "h1", "h2", "plus", "minus")
-
-    def __init__(self, hyperplane, h1, h2, plus, minus):
-        self.hyperplane = hyperplane
-        self.h1 = h1
-        self.h2 = h2
-        self.plus = tuple(plus)
-        self.minus = tuple(minus)
-
-    def __repr__(self):
-        return f"SigmaTerm(H={self.hyperplane}, {self.h1}->{self.h2})"
+SigmaTerm = namedtuple("SigmaTerm", "hyperplane h1 h2 plus minus")
 
 
 def sigma_triples(G: Group, B):
-    """All sigma^H_{H1,H2} terms for ordered pairs H1 != H2 inside B and
-    H outside B transverse to neither."""
+    """Every difference element sigma^H_{H1,H2} = sum(mu_s s, s mapping H1
+    to H) - sum(mu_s s, s mapping H2 to H), for H outside B by ascending id
+    and ordered pairs H1 != H2 inside B transverse to neither, as
+    SigmaTerms whose plus and minus hold reflection indices."""
     table = transv_table(G)
-    bset = frozenset(B)
-    out = []
+    members = sorted(B)
     for hout in range(table.size):
-        if hout in bset:
+        if hout in members:
             continue
-        bad = [h for h in sorted(bset) if not table.transverse(hout, h)]
+        bad = [h for h in members if not table.transverse(hout, h)]
+        into = {h: table.mapped_by(h, hout) for h in bad}
         for h1, h2 in permutations(bad, 2):
-            out.append(
-                SigmaTerm(
-                    hout, h1, h2, table.mapped_by(h1, hout), table.mapped_by(h2, hout)
-                )
-            )
-    return out
+            yield SigmaTerm(hout, h1, h2, into[h1], into[h2])
 
 
 def signed_vector(size, plus, minus, avoid=frozenset()):
@@ -121,26 +103,6 @@ def _relation_vectors(col, terms):
             seen.add(vec)
             vecs.append(vec)
     return vecs
-
-
-def _projected_sigmas(col):
-    """(plus, minus) reflection lists of the projected sigma differences
-    behind rel_bar_vectors, in their order."""
-    table = col.table
-    bset = frozenset(col.B)
-    for bp, movers in sorted(col.movers.items()):
-        pset = frozenset(bp)
-        rows = [h for h in col.B if h not in pset]
-        cols = [h for h in bp if h not in bset]
-        cell = {
-            (hr, hc): tuple(s for s in table.mapped_by(hr, hc) if s in movers)
-            for hr in rows
-            for hc in cols
-        }
-        for hc in cols:
-            bad = [hr for hr in rows if not table.transverse(hr, hc)]
-            for h1, h2 in permutations(bad, 2):
-                yield cell[(h1, hc)], cell[(h2, hc)]
 
 
 # ---------------------------------------------------------------------------
@@ -192,24 +154,36 @@ class Collection:
                 self.movers.setdefault(img, []).append(s)
 
     @cached_property
+    def sigmas(self):
+        """sigma_triples(G, B), formed once for both relation sets."""
+        return list(sigma_triples(self.G, self.B))
+
+    @cached_property
     def rel_vectors(self):
         """The relation vectors Rel(B): one per r-1 for r a reflection with
         hyperplane in B, plus every sigma difference over hyperplanes outside
         B.  Zero vectors are dropped and duplicates removed."""
-        terms = ((t.plus, t.minus) for t in sigma_triples(self.G, self.B))
-        return _relation_vectors(self, terms)
+        return _relation_vectors(self, ((t.plus, t.minus) for t in self.sigmas))
 
     @cached_property
     def rel_bar_vectors(self):
-        """The projected relation vectors used by the admissibility checks.
+        """The projected relation vectors Rel-bar(B) used by the
+        admissibility checks, read off the sigma terms of Rel(B).
 
         Keeps the r-1 vectors and, for every image collection B' != B of B
-        under a single reflection, the projections of the sigma differences
-        onto reflections that also map B to B'.  The outer hyperplane ranges
-        over B' minus B and the difference pair over B minus B', with both
-        required non-transverse to the outer hyperplane.
+        under a single reflection, in sorted order, each sigma term whose
+        outer hyperplane lies in B' and whose pair lies outside B', both
+        sides cut to the reflections that also map B to B'.
         """
-        return _relation_vectors(self, _projected_sigmas(self))
+        outer = {h: list(ts) for h, ts in groupby(self.sigmas, lambda t: t.hyperplane)}
+        terms = (
+            [tuple(filter(fiber.__contains__, side)) for side in (t.plus, t.minus)]
+            for bp, fiber in sorted(self.movers.items())
+            for h in bp
+            for t in outer.get(h, ())
+            if t.h1 not in bp and t.h2 not in bp
+        )
+        return _relation_vectors(self, terms)
 
     @cached_property
     def span(self) -> SpanBasis:

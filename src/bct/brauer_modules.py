@@ -371,8 +371,7 @@ def _eps_operator(module: InducedModule, hid: int):
                     key = (p[c], c)
                     prev = block_op.get(key)
                     block_op[key] = mus if prev is None else prev + mus
-                block_op = {k: v for k, v in block_op.items() if v}
-            choices.append(block_op)
+            choices.append({k: v for k, v in block_op.items() if v})
         for other in choices[1:]:
             if other != choices[0]:
                 raise InternalInconsistency(

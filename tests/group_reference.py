@@ -8,12 +8,20 @@ G.element, the hyperplane build and collection(G, B).kb are tested against.
 Also the unfactored hyperplane action: the |G| x #H table filled along a
 breadth-first search over the generators, and the stabilizer scan over
 every row of it, the side that the factored rows are tested against.
+
+Also the sigma terms behind the relation sets: the walk of every outer
+hyperplane for Rel(B), and the walk per image collection B' with its own
+table of cut cells for Rel-bar(B), the side that a collection's one list
+of sigma terms is tested against.
 """
+
+from itertools import permutations
 
 from bct.admissibility import collection
 from bct.errors import InternalInconsistency, InvalidParameters
 from bct.exact_arith import CycNumber, zeta
 from bct.reflection_groups import bfs
+from bct.transversality import transv_table
 
 
 def mul(a, b):
@@ -220,3 +228,43 @@ def scan_stabilizer(table, B):
     return frozenset(
         g for g, row in enumerate(table) if all(row[h] in bset for h in bset)
     )
+
+
+# ---------------------------------------------------------------------------
+# the sigma terms behind Rel(B) and Rel-bar(B)
+
+
+def sigma_pairs(G, B):
+    """(plus, minus) of every sigma^H_{H1,H2} behind Rel(B): H outside B by
+    ascending id, then ordered pairs H1 != H2 inside B transverse to
+    neither, each side the reflections mapping that member to H."""
+    table = transv_table(G)
+    bset = frozenset(B)
+    for hout in range(table.size):
+        if hout in bset:
+            continue
+        bad = [h for h in sorted(bset) if not table.transverse(hout, h)]
+        for h1, h2 in permutations(bad, 2):
+            yield table.mapped_by(h1, hout), table.mapped_by(h2, hout)
+
+
+def projected_sigma_pairs(col):
+    """(plus, minus) of every projected sigma difference behind Rel-bar(B):
+    per image B' != B in sorted order, the outer hyperplane over B' minus
+    B, the pair over B minus B', each cell cut to the reflections mapping
+    B to B'."""
+    table = col.table
+    bset = frozenset(col.B)
+    for bp, movers in sorted(col.movers.items()):
+        pset = frozenset(bp)
+        rows = [h for h in col.B if h not in pset]
+        cols = [h for h in bp if h not in bset]
+        cell = {
+            (hr, hc): tuple(s for s in table.mapped_by(hr, hc) if s in movers)
+            for hr in rows
+            for hc in cols
+        }
+        for hc in cols:
+            bad = [hr for hr in rows if not table.transverse(hr, hc)]
+            for h1, h2 in permutations(bad, 2):
+                yield cell[(h1, hc)], cell[(h2, hc)]

@@ -105,13 +105,13 @@ def test_tampered_generator_diagonal_is_refused():
     # a proper subgroup of the D diagonals
     tampered = 0
     for m, p, n in SMALL_GMPN:
+        # the build leaves action_rows unread, so the tamper comes first
         G = build_imprimitive(m, p, n)
-        D = len(G.action_rows[1])
+        D = G._ndiag
         moved = [k for k, s in enumerate(G.generators) if s % D]
         if not moved:
             assert m == 1
             continue
-        G = build_imprimitive(m, p, n)
         gens = list(G.generators)
         gens[moved[-1]] -= gens[moved[-1]] % D
         G.generators = tuple(gens)

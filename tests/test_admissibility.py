@@ -9,6 +9,7 @@ import pytest
 from bct import admissibility
 from bct.admissibility import (
     Collection,
+    _relation_vectors,
     classify,
     classify_orbits,
     collection,
@@ -23,7 +24,7 @@ from bct.brauer_modules import induce, quotient_regular_rep, trivial_rep
 from bct.cli import CSV_COLUMNS, ROW_KEYS
 from bct.definitions import field_row
 from bct.errors import InternalInconsistency, InvalidParameters
-from bct.exact_arith import SpanBasis, zeta
+from bct.exact_arith import SpanBasis, euler_phi, zeta
 from bct.freeness import check_F
 from bct.reflection_groups import (
     Subgroup,
@@ -37,7 +38,13 @@ from bct.transversality import (
     transv_table,
 )
 from conftest import SMALL_GMPN
-from group_reference import element_order, kb_membership_gmpn, monomial
+from group_reference import (
+    element_order,
+    kb_membership_gmpn,
+    monomial,
+    projected_sigma_pairs,
+    sigma_pairs,
+)
 
 
 def by_label(G):
@@ -66,6 +73,25 @@ def test_signed_vector_rejects_support_in_collection():
     assert signed_vector(4, (1,), (1,), frozenset({0})) == (0, 0, 0, 0)
     with pytest.raises(InternalInconsistency):
         signed_vector(4, (0,), (2,), frozenset({2}))
+
+
+def test_relation_sets_equal_the_walk_per_image(sweep_group, g25, g26):
+    # Rel(B) against the walk of every outer hyperplane, and Rel-bar(B)
+    # against the walk per image B' with its own table of cut cells, list
+    # for list, on the monomial groups of the all-pairs sweep (phi(m) <= 10)
+    # and the four packaged groups
+    sweep = [sweep_group(*key) for key in SMALL_GMPN if euler_phi(key[0]) <= 10]
+    packaged = [packaged_group("g4"), packaged_group("g23"), g25, g26]
+    checked = 0
+    for G in sweep + packaged:
+        for B in enumerate_collections(G):
+            col = collection(G, B)
+            assert col.rel_vectors == _relation_vectors(col, sigma_pairs(G, B)), B
+            assert col.rel_bar_vectors == _relation_vectors(
+                col, projected_sigma_pairs(col)
+            ), (G.name, B)
+            checked += 1
+    assert (len(sweep), checked) == (69, 1204)
 
 
 def test_empty_collection(gmpn):
@@ -256,6 +282,15 @@ def test_closed_form_disagreement_is_caught(monkeypatch):
     )
     with pytest.raises(InternalInconsistency, match="closed-form says admissible="):
         classify(build_imprimitive(2, 1, 3), (0,))
+
+
+def test_non_pair_hyperplane_in_a_22n_group_is_caught():
+    # a private group, so the tampered key reaches no other test
+    G = build_imprimitive(2, 2, 3)
+    col = classify_orbits(G)[1]
+    G.hyperplanes[col.B[0]].key = ("diag", 0)
+    with pytest.raises(InternalInconsistency, match=r"in a \(2,2,n\) group"):
+        classify(G, col.B)
 
 
 def test_kb_order_not_dividing_the_stabilizer_is_caught():

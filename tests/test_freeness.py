@@ -181,6 +181,16 @@ def test_g25_acceptability_by_cardinality(g25):
         assert t.source in (0, 1, 2)
 
 
+def test_tau_touching_the_identity_position_is_caught():
+    with pytest.raises(InternalInconsistency, match="tau touches the identity position"):
+        freeness.TauVector((1, 0, 1), 0, 1, 2)
+
+
+def test_tau_entry_outside_the_signs_is_caught():
+    with pytest.raises(InternalInconsistency, match="tau entry outside -1, 0, 1"):
+        freeness.TauVector((2, 0, 0), 0, 1, 2)
+
+
 def test_tau_operators_annihilate_block0(gmpn):
     G = gmpn(2, 2, 4)
     checked = 0
@@ -362,6 +372,16 @@ def test_verdict_dimension_jump(g25):
     assert rep.route == "dimension-jump"
     assert rep.witness == {"dim_generic": 3272, "dim_sixth_root": 3416}
     assert rep.basis is None
+
+
+def test_specialization_removing_relations_is_caught(monkeypatch):
+    # the generic dimension is tampered one past the sixth-root one
+    dim_brauer = freeness.dim_brauer
+    monkeypatch.setattr(
+        freeness, "dim_brauer", lambda G, mu6=False: dim_brauer(G, mu6) + (not mu6)
+    )
+    with pytest.raises(InternalInconsistency, match="specialization removed relations"):
+        freeness_verdict(packaged_group("g4"))
 
 
 def test_verdict_exceptional_dichotomy():

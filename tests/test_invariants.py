@@ -18,6 +18,14 @@ TAMPER_TESTS = {
         'f"collection {col.B}: A1 and A2 cannot both hold"',
     "tests/test_admissibility.py::test_closed_form_disagreement_is_caught":
         'f"collection {col.B}: closed-form says admissible={expected}, "',
+    "tests/test_admissibility.py::test_non_pair_hyperplane_in_a_22n_group_is_caught":
+        'f"hyperplane {k} in a (2,2,n) group"',
+    "tests/test_freeness.py::test_tau_touching_the_identity_position_is_caught":
+        '"tau touches the identity position"',
+    "tests/test_freeness.py::test_tau_entry_outside_the_signs_is_caught":
+        'f"tau entry outside -1, 0, 1: {vector}"',
+    "tests/test_freeness.py::test_specialization_removing_relations_is_caught":
+        'f"specialization removed relations: {dim_generic} > {dim_sixth}"',
     "tests/test_admissibility.py::test_kb_order_not_dividing_the_stabilizer_is_caught":
         'f"|K_B| = {col.kb_order} does not divide |Stab(B)| = {col.orbit.stab_order}"',
     "tests/test_admissibility.py::test_kb_not_normal_in_the_stabilizer_is_caught":
