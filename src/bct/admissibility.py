@@ -230,8 +230,8 @@ class Collection:
     def products(self):
         """The products s_j^-1 s_i over p_pairs, and whether all of them
         lie in Stab(B)."""
-        G, refls = self.G, self.G.reflections
-        products = [G.mul(G.inv(refls[j]), refls[i]) for i, j in self.p_pairs]
+        G, refls, inverse = self.G, self.G.reflections, self.G.reflection_inverse
+        products = [G.mul(refls[inverse[j]], refls[i]) for i, j in self.p_pairs]
         return products, G.stabilizer_of(self.B).elements.issuperset(products)
 
     @cached_property
@@ -240,22 +240,21 @@ class Collection:
         with hyperplane in B together with all products s2^-1 s1 where s1,
         s2 map B to one common image != B while disagreeing on every
         hyperplane of B outside that image."""
-        G = self.G
-        refls = G.reflections
+        G, refls, inverse = self.G, self.G.reflections, self.G.reflection_inverse
         gens = [refls[i] for i in self.rb]
         # cross products s2^-1 s1 for reflections with a common image of B
         for img, fiber in self.movers.items():
             outside = [h for h in self.B if h not in img]
-            acts = [(refls[i], G.hyperplane_action(refls[i])) for i in fiber]
-            for (s1, a1), (s2, a2) in permutations(acts, 2):
+            acts = [(i, G.hyperplane_action(refls[i])) for i in fiber]
+            for (i1, a1), (i2, a2) in permutations(acts, 2):
                 if all(a1[h] != a2[h] for h in outside):
-                    gens.append(G.mul(G.inv(s2), s1))
+                    gens.append(G.mul(refls[inverse[i2]], refls[i1]))
         sub = subgroup_closure(G, list(dict.fromkeys(gens)))
         # normal in the setwise stabilizer: conjugates of the generators stay
         for w in G.stabilizer_of(self.B).generators:
-            for g in sub.generators:
-                if G.conj(w, g) not in sub:
-                    raise InternalInconsistency("K_B must be normal in Stab(B)")
+            conjugates = G.right_coset([G.mul(w, g) for g in sub.generators], G.inv(w))
+            if not sub.elements.issuperset(conjugates):
+                raise InternalInconsistency("K_B must be normal in Stab(B)")
         return sub
 
     @cached_property

@@ -23,6 +23,7 @@ independent oracle.
 """
 
 import random
+from collections import Counter
 
 from .admissibility import classify, classify_orbits, collection, dim_brauer
 from .errors import InternalInconsistency, NotAdmissible, NotAdmissiblePair
@@ -311,9 +312,7 @@ def _check_stab_action(module: InducedModule):
 
 def _check_rel_annihilation(module: InducedModule):
     """Every relation vector of B, read as an operator, must kill block 0."""
-    G = module.group
-    B = module.B
-    deg = module.degree
+    G, B, deg = module.group, module.B, module.degree
     nrefl = len(G.reflections)
     col = collection(G, B)
     rb = col.rb_set
@@ -349,8 +348,7 @@ def _eps_operator(module: InducedModule, hid: int):
     for src, bcol in enumerate(module.blocks):
         base_c = src * deg
         if hid in bcol:
-            for j in range(deg):
-                out[(base_c + j, base_c + j)] = delta
+            out.update(((c, c), delta) for c in range(base_c, base_c + deg))
             continue
         nontrans = [h for h in bcol if not table.transverse(hid, h)]
         if not nontrans:
@@ -422,35 +420,33 @@ def b5_rhs(M: InducedModule, h1: int, h2: int):
     return out
 
 
-# seed of the random elements B2 is spot-checked on
-_B2_SEED = 0
-
-
 def verify_defining_relations(M: InducedModule) -> RelationReport:
     """Check the five defining relations as exact sparse-matrix identities.
 
-    The conjugation relation B2, w*eps(H)*w^-1 = eps(wH), is checked
-    first, on the group generators and on a seeded random sample of full
-    elements.  Both sides are multiplicative in w, so B2 on the
-    generators settles it for every element, and the sample spot-checks
-    that.  Conjugation by w then carries each relation at H, at (H, H')
-    or at a reflection r to the same relation at wH, at (wH, wH') or at
-    wrw^-1: transversality and the mapping reflections of a pair are
+    B2, P_w eps(H) P_w^-1 = eps(wH) for P_w = perm_of(w), is checked first,
+    by transport from block 0, which spans V0 (block t is P_{w_t} V0, w_t
+    the orbit walk's witness): for t > 0, P_{w_t} must carry the entries of
+    each eps(H) in block-0 columns one for one (equal counts) onto those of
+    eps(w_t H) in block-t columns, and so must, with t = 0, each generator
+    `stabilizer` kept for Stab(B).  By induction on words in those, which
+    keep V0, eps(yH) P_y v = P_y eps(H) v for v in V0 and y in Stab(B),
+    hence for every y = w_t y'; the P_y v span M, so P_w eps(H) = eps(wH)
+    P_w for every w (Frobenius reciprocity for induced modules).
+    Conjugation by w then carries each relation at H, at (H, H') or at a
+    reflection r to the same relation at wH, at (wH, wH') or at wrw^-1:
+    transversality and the mapping reflections of a pair are
     W-equivariant, and each class parameter is constant on a reflection
-    class.  So once B2 holds, B1 is checked on the smallest hyperplane of
-    each orbit, B3 on the smallest reflection of each class, B4 on the
-    smallest transverse pair of each orbit of unordered pairs, and B5 on
-    the smallest non-transverse pair of each orbit of ordered pairs.  If
-    B2 fails on any element checked, the same loops run over every
-    hyperplane, reflection and pair instead.  Either way representatives
-    are visited in ascending order, so the flags and the first
-    counterexample are those of the loops over every member.
+    class.  So once B2 holds, B1, B3, B4 and B5 are checked on the
+    smallest member of each orbit of hyperplanes, of reflections, of
+    unordered transverse pairs and of ordered non-transverse pairs.  If B2
+    fails, the same loops run over every hyperplane, reflection and pair
+    instead.  Either way representatives are visited in ascending order,
+    so the flags and the first counterexample are those of the loops over
+    every member.
 
-    Products with group elements (B2, B3, the right-hand side of B5) are
-    re-indexings through the basis permutations, entry for entry the
-    sparse products; products of two hyperplane operators (B1, B4, the
-    left-hand side of B5) are sparse products.  Failures are reported,
-    never raised.
+    Products with group elements re-index entries through the basis
+    permutations; products of two eps are sparse products.  Failures are
+    reported, never raised.
     """
     G = M.group
     table = transv_table(G)
@@ -465,17 +461,18 @@ def verify_defining_relations(M: InducedModule) -> RelationReport:
         if first is None:
             first = f"{name}: {message}"
 
-    def conjugation_failure(w):
-        """The first hyperplane whose eps w does not carry to eps(wH).
+    deg = M.degree
+    block0 = {h: {k: v for k, v in e.items() if k[1] < deg} for h, e in M.eps.items()}
+    counts = {h: Counter(j // deg for _, j in e) for h, e in M.eps.items()}
 
-        perm_of(w^-1) inverts p = perm_of(w), so w*eps(H)*w^-1 moves entry
-        (i, j) to (p[i], p[j]); each entry is looked up in eps(wH), with
-        the identity test first since eps entries share objects."""
+    def conjugation_failure(t, w):
+        """The first H whose block-0 entries perm_of(w) does not carry onto
+        eps(wH)'s block-t columns, identity test first (entries share objects)."""
         p = M.perm_of(w)
         act = G.hyperplane_action(w)
         for hid in range(nh):
-            e, target = M.eps[hid], M.eps[act[hid]]
-            if len(e) != len(target):
+            e, target = block0[hid], M.eps[act[hid]]
+            if len(e) != counts[act[hid]][t]:
                 return hid
             for (i, j), v in e.items():
                 x = target.get((p[i], p[j]))
@@ -483,11 +480,10 @@ def verify_defining_relations(M: InducedModule) -> RelationReport:
                     return hid
         return None
 
-    rng = random.Random(_B2_SEED)
-    pool = G.elements
-    elems = list(G.generators) + rng.sample(pool, min(10, len(pool)))
+    stab = G.stabilizer_of(M.B)
+    moves = list(enumerate(stab.walk[1]))[1:] + [(0, k) for k in stab.generators]
     conj_fail = next(
-        ((w, hid) for w in elems if (hid := conjugation_failure(w)) is not None),
+        ((w, hid) for t, w in moves if (hid := conjugation_failure(t, w)) is not None),
         None,
     )
 

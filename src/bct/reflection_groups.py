@@ -232,8 +232,9 @@ class Group:
     has D = 1.  tree is the bfs tree the constructor walked, over the
     permutation indices r, with generator positions as labels; action_rows
     reads it once.  The derived data are cached properties, each built once;
-    the reflection facts among them (reflection_index, reflection_hyperplane,
-    hyperplane_reflections, reflection_class_of) are tables, read by index.
+    the reflection facts among them (reflection_index, reflection_inverse,
+    reflection_hyperplane, hyperplane_reflections, reflection_class_of) are
+    tables, read by index.
     """
 
     def __init__(self, definition, perms, generators, tree, points=None):
@@ -481,6 +482,11 @@ class Group:
     def reflection_index(self):
         """Position in reflections of each reflection, by element index."""
         return {g: i for i, g in enumerate(self.reflections)}
+
+    @cached_property
+    def reflection_inverse(self):
+        """Position in reflections of each reflection's inverse, by position."""
+        return [self.reflection_index[self.inv(s)] for s in self.reflections]
 
     @cached_property
     def reflection_hyperplane(self):

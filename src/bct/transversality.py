@@ -155,10 +155,8 @@ def transv_table(G: Group) -> TransvTable:
                 transverse[a].add(b)
                 transverse[b].add(a)
     # mapping lists of (i,j) and (j,i) are each other's inverses
-    inverse = [G.reflection_index[G.inv(s)] for s in G.reflections]
     for (i, j), lst in mapped.items():
-        back = {inverse[r] for r in lst}
-        if back != set(mapped.get((j, i), ())):
+        if {G.reflection_inverse[r] for r in lst} != set(mapped.get((j, i), ())):
             raise InternalInconsistency(
                 f"mapping reflections of ({i}, {j}) and ({j}, {i}) are not inverse"
             )

@@ -1,13 +1,16 @@
 """Induced modules, defining relations, and the census identity."""
 
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from bct import reflection_groups, transversality
+from bct import brauer_modules, reflection_groups, transversality
 from bct.admissibility import classify_orbits, collection
 from bct.brauer_modules import (
+    InducedModule,
     StabRep,
+    _check_stab_action,
     b5_rhs,
     delta_scalar,
     induce,
@@ -21,8 +24,8 @@ from bct.brauer_modules import (
     trivial_rep,
     verify_defining_relations,
 )
-from bct.errors import NotAdmissible, NotAdmissiblePair
-from bct.reflection_groups import build_imprimitive, packaged_group
+from bct.errors import InternalInconsistency, NotAdmissible, NotAdmissiblePair
+from bct.reflection_groups import build_imprimitive, packaged_group, subgroup_closure
 from bct.transversality import transv_table
 
 
@@ -130,15 +133,17 @@ def test_noncommuting_transverse_eps_fails_b4(gmpn):
 @pytest.mark.parametrize(
     "spec, swap, text",
     [
-        ((1, 1, 3), ("H_1,2", "H_1,3"), "B2: w*eps(H_1,2)*w^-1 != eps(w H) for w=1"),
-        ("g4", ("H0", "H2"), "B2: w*eps(H0)*w^-1 != eps(w H) for w=1"),
+        ((1, 1, 3), ("H_1,2", "H_1,3"), "B2: w*eps(H_1,2)*w^-1 != eps(w H) for w=3"),
+        ("g4", ("H0", "H2"), "B2: w*eps(H0)*w^-1 != eps(w H) for w=2"),
     ],
     ids=["gmpn:1,1,3", "g4"],
 )
 def test_swapped_eps_fails_conjugation_not_first_relation(gmpn, spec, swap, text):
     # eps of two hyperplanes of one orbit exchanged: each operator still
     # squares to delta times itself, but w*eps(H)*w^-1 = eps(wH) breaks;
-    # the counterexample names w by its element index
+    # the counterexample names, by its element index, the first orbit-walk
+    # witness whose transport from block 0 fails (w_2 = 3 on G(1,1,3),
+    # w_1 = 2 on G4)
     G = packaged_group(spec) if isinstance(spec, str) else gmpn(*spec)
     lab = by_label(G)
     a, b = lab[swap[0]], lab[swap[1]]
@@ -297,3 +302,50 @@ def test_census_packaged_groups(g25, g26):
     assert semisimplicity_census(g25) == (3272, 3272)
     assert semisimplicity_census(g25, mu6=True) == (3416, 3416)
     assert semisimplicity_census(g26) == (12312, 12312)
+
+
+# -- invariant checks, reached by tampering ----------------------------------
+
+
+def test_v0_of_another_collection_is_refused(gmpn):
+    G = gmpn(1, 1, 3)
+    assert G.stabilizer_of((0,)).elements != G.stabilizer_of((1,)).elements
+    with pytest.raises(InternalInconsistency, match="V0 is not a representation"):
+        induce(G, (0,), trivial_rep(G, (1,)))
+
+
+def test_identity_moving_a_basis_vector_is_caught(gmpn):
+    # the coset table with the labels of basis vectors 0 and 1 exchanged
+    # still partitions the group, but the identity now swaps them
+    G = gmpn(1, 1, 3)
+    B = (0,)
+    stab = G.stabilizer_of(B)
+    M = InducedModule(G, B, quotient_regular_rep(G, B), *stab.walk)
+    M._table = [{0: 1, 1: 0}.get(c, c) for c in M._table]
+    with pytest.raises(InternalInconsistency, match="the identity does not act"):
+        _check_stab_action(M)
+
+
+def test_census_mismatch_is_caught(gmpn, monkeypatch):
+    # the algebra dimension is tampered one past the sum of squares
+    dim_brauer = brauer_modules.dim_brauer
+    monkeypatch.setattr(
+        brauer_modules, "dim_brauer", lambda G, mu6=False: dim_brauer(G, mu6) + 1
+    )
+    with pytest.raises(InternalInconsistency, match="census mismatch"):
+        semisimplicity_census(gmpn(1, 1, 3))
+
+
+def test_kernel_disagreeing_with_the_classified_quotient_is_caught(gmpn, monkeypatch):
+    # a record whose K_B is the trivial subgroup: Stab(B) has two cosets
+    # of it, while the classification says the quotient has order 1
+    G = gmpn(1, 1, 3)
+    B = (0,)
+    rec = collection(G, B)
+    assert rec.quotient() == 1 and G.stabilizer_of(B).order == 2
+    skewed = SimpleNamespace(
+        quotient=rec.quotient, conditional=rec.conditional, kb=subgroup_closure(G, [])
+    )
+    monkeypatch.setattr(brauer_modules, "classify", lambda G, B: skewed)
+    with pytest.raises(InternalInconsistency, match="2 cosets of K_B, classified 1"):
+        quotient_regular_rep(G, B)

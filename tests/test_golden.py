@@ -1,0 +1,43 @@
+"""The golden corpus: each command's stdout and exit code, recorded from
+the code that preceded the change that added the command, must hold
+byte for byte.  Each file under tests/golden/ holds one command's output:
+a first line `exit N`, then stdout exactly as printed.  The commands run
+through cli.main in this process, on a fresh cache directory.
+
+A change that rewrites a golden file changes stdout; it names the file and
+the reason in CHANGES.md.  No tool rewrites the corpus."""
+
+import pathlib
+
+import pytest
+
+from bct.cli import main
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+GROUPS = ["gmpn:2,1,4", "gmpn:3,1,3", "gmpn:2,2,4", "g4", "g23", "g25", "g26"]
+COMMANDS = [
+    *(f"verify --suite {s} {g}" for s in ("relations", "freeness") for g in GROUPS),
+    "verify --suite g26 g26",
+]
+
+
+def golden_path(command):
+    """verify --suite relations gmpn:2,1,4 -> verify-relations-gmpn-2-1-4.txt"""
+    name = command.replace(" --suite ", "-")
+    for ch in " :,":
+        name = name.replace(ch, "-")
+    return GOLDEN / f"{name}.txt"
+
+
+def test_the_corpus_is_the_command_list():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(
+        golden_path(c).name for c in COMMANDS
+    )
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_golden_output_holds(command, capsys, tmp_path):
+    with open(golden_path(command), newline="") as f:
+        expected = f.read()
+    code = main(["--cache-dir", str(tmp_path / "cache"), *command.split()])
+    assert f"exit {code}\n{capsys.readouterr().out}" == expected

@@ -44,6 +44,15 @@ TAMPER_TESTS = {
         '"hyperplane ids are not in key order"',
     "tests/test_reflection_groups.py::test_subgroup_closure_refuses_a_non_index":
         'f"generator {g!r} is not an element index"',
+    "tests/test_brauer_modules.py::test_v0_of_another_collection_is_refused":
+        'f"B={B}: V0 is not a representation of Stab(B)"',
+    "tests/test_brauer_modules.py::test_identity_moving_a_basis_vector_is_caught":
+        '"the identity does not act trivially"',
+    "tests/test_brauer_modules.py::test_census_mismatch_is_caught":
+        'f"census mismatch for {G.name}: sum of squares {ss} != dimension {dim}"',
+    "tests/test_brauer_modules.py::"
+    "test_kernel_disagreeing_with_the_classified_quotient_is_caught":
+        'f"B={B}: {rep.degree} cosets of K_B, classified {quotient}"',
 }
 
 

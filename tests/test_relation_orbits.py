@@ -24,7 +24,7 @@ from bct.brauer_modules import (
     quotient_regular_rep,
     verify_defining_relations,
 )
-from bct.reflection_groups import build_imprimitive, packaged_group
+from bct.reflection_groups import Subgroup, build_imprimitive, packaged_group
 from bct.transversality import transv_table
 
 
@@ -34,6 +34,24 @@ def conjugate(M, w, e):
     rows = M.perm_of(w)
     cols = {x: i for i, x in enumerate(M.perm_of(M.group.inv(w)))}
     return {(rows[i], cols[j]): v for (i, j), v in e.items()}
+
+
+def reference_conjugation_failure(M, seed=0):
+    """(w, hid) for the first w, among W's generators and then a seeded
+    sample of W, and its first hyperplane with w*eps(H)*w^-1 != eps(wH)
+    over the whole of eps; None when B2 holds on all of them.  B2 on the
+    generators proves it for every element, as both sides are
+    multiplicative in w."""
+    G = M.group
+    rng = random.Random(seed)
+    pool = G.elements
+    elems = list(G.generators) + rng.sample(pool, min(10, len(pool)))
+    for w in elems:
+        act = G.hyperplane_action(w)
+        for hid in range(len(G.hyperplanes)):
+            if conjugate(M, w, M.eps[hid]) != M.eps[act[hid]]:
+                return w, hid
+    return None
 
 
 def reference_relations(M, seed=0):
@@ -58,20 +76,10 @@ def reference_relations(M, seed=0):
             fail("B1", f"eps({labels[hid]})^2 != delta*eps({labels[hid]})")
             break
 
-    rng = random.Random(seed)
-    pool = G.elements
-    elems = list(G.generators) + rng.sample(pool, min(10, len(pool)))
-    for w in elems:
-        act = G.hyperplane_action(w)
-        bad = [
-            hid for hid in range(nh) if conjugate(M, w, M.eps[hid]) != M.eps[act[hid]]
-        ]
-        if bad:
-            fail(
-                "B2",
-                f"w*eps({labels[bad[0]]})*w^-1 != eps(w H) for w={w}",
-            )
-            break
+    bad = reference_conjugation_failure(M, seed)
+    if bad is not None:
+        w, hid = bad
+        fail("B2", f"w*eps({labels[hid]})*w^-1 != eps(w H) for w={w}")
 
     for ridx, s in enumerate(G.reflections):
         hid = G.reflection_hyperplane[ridx]
@@ -267,3 +275,138 @@ def test_table_and_classes_are_equivariant(spec):
                 )
         for r in range(len(refls)):
             assert G.reflection_class_of[conj[r]] == G.reflection_class_of[r]
+
+
+# -- B2 by transport from block 0 -------------------------------------------------
+#
+# verify_defining_relations checks B2 by carrying the block-0 columns of each
+# eps to the other blocks through the orbit walk's witnesses, and around
+# block 0 through the generators `stabilizer` kept for Stab(B).  Each tamper
+# below breaks B2; reference_conjugation_failure checks the whole of eps on
+# W's generators and a seeded sample, and the two flags must agree.
+
+TRANSPORT_GROUPS = ["g4", (3, 1, 3), (2, 2, 4), "g25"]
+# the admissible modules with eps entries, which all have a block t > 0
+MODULES_WITH_ENTRIES = {"g4": 1, (3, 1, 3): 2, (2, 2, 4): 5, "g25": 2}
+
+
+def _replace_entry(M, hid, key, value):
+    """eps(hid) with the entry at key set to value, or dropped for None."""
+    e = dict(M.eps[hid])
+    if value is None:
+        del e[key]
+    else:
+        e[key] = value
+    M.eps[hid] = e
+
+
+def _last_block_entry(M):
+    """(hid, key) of the first eps entry in a column of the last block."""
+    t = len(M.blocks) - 1
+    return next(
+        (hid, key) for hid, e in M.eps.items() for key in e if key[1] // M.degree == t
+    )
+
+
+def _changed_entry(M):
+    hid, key = _last_block_entry(M)
+    _replace_entry(M, hid, key, -M.eps[hid][key])
+
+
+def _dropped_entry(M):
+    hid, key = _last_block_entry(M)
+    _replace_entry(M, hid, key, None)
+
+
+def _extra_entry(M):
+    # a new entry in the column of an existing one, in a row empty there
+    hid, (_, j) = _last_block_entry(M)
+    row = next(r for r in range(M.dim) if (r, j) not in M.eps[hid])
+    _replace_entry(M, hid, (row, j), delta_scalar(M.group))
+
+
+def _stab_only_entry(M):
+    """Negate one block-0 entry that a kept generator of Stab(B) moves, and
+    its copy under every witness of the orbit walk, so that the transport
+    to the blocks t > 0 still holds and only the Stab(B) check fails."""
+    G = M.group
+    stab = G.stabilizer_of(M.B)
+    moves = [(G.hyperplane_action(k), M.perm_of(k)) for k in stab.generators]
+    hid, (i, j) = next(
+        (hid, (i, j))
+        for hid, e in M.eps.items()
+        for i, j in e
+        if j < M.degree
+        and any((act[hid], p[i], p[j]) != (hid, i, j) for act, p in moves)
+    )
+    value = -M.eps[hid][(i, j)]
+    for w in stab.walk[1]:
+        p = M.perm_of(w)
+        _replace_entry(M, G.hyperplane_action(w)[hid], (p[i], p[j]), value)
+
+
+BLOCK_TAMPERS = [_changed_entry, _dropped_entry, _extra_entry]
+
+
+def _tampered_modules(spec):
+    """(tamper name, module) for each admissible module of the group, intact
+    and under each tamper that applies: the block tampers need a block
+    t > 0, the Stab(B) one an eps entry."""
+    for M in admissible_modules(group(spec)):
+        intact = dict(M.eps)
+        yield "intact", M
+        tampers = BLOCK_TAMPERS if len(M.blocks) > 1 else []
+        if any(intact.values()):
+            tampers = tampers + [_stab_only_entry]
+        for tamper in tampers:
+            M.eps = dict(intact)
+            tamper(M)
+            yield tamper.__name__, M
+        M.eps = intact
+
+
+@pytest.mark.parametrize("spec", TRANSPORT_GROUPS, ids=str)
+def test_transport_b2_flag_matches_the_whole_module_reference(spec):
+    seen = set()
+    for name, M in _tampered_modules(spec):
+        holds = reference_conjugation_failure(M) is None
+        assert verify_defining_relations(M).results["B2"] is holds, (name, M.B)
+        assert holds is (name == "intact"), (name, M.B)
+        seen.add(name)
+    assert len(seen) == 5
+
+
+@pytest.mark.parametrize("tamper", BLOCK_TAMPERS, ids=lambda f: f.__name__)
+def test_block_entry_tamper_breaks_b2_at_a_witness(tamper):
+    """An entry of the last block changed, dropped or added breaks B2, and
+    the counterexample names the witness that maps B onto that block."""
+    G = group((3, 1, 3))
+    B = (3,)
+    M = induce(G, B, quotient_regular_rep(G, B))
+    assert len(M.blocks) == 9
+    tamper(M)
+    report = verify_defining_relations(M)
+    assert report.results["B2"] is False
+    witnesses = G.stabilizer_of(B).walk[1]
+    w = int(report.first_counterexample.rsplit("w=", 1)[1])
+    assert w in witnesses[1:]
+
+
+@pytest.mark.parametrize("spec", TRANSPORT_GROUPS, ids=str)
+def test_stab_only_tamper_needs_the_stabilizer_generators(spec, monkeypatch):
+    """The Stab(B)-only tamper keeps every witness's transport, so only the
+    check on the kept generators of Stab(B) finds it: with those generators
+    dropped, B2 passes on the tampered module."""
+    G = group(spec)
+    caught = 0
+    for M in admissible_modules(G):
+        if not any(M.eps.values()):
+            continue
+        _stab_only_entry(M)
+        assert verify_defining_relations(M).results["B2"] is False
+        stab = G.stabilizer_of(M.B)
+        with monkeypatch.context() as m:
+            m.setitem(G._stabilizers, M.B, Subgroup((), stab.elements, stab.walk))
+            assert verify_defining_relations(M).results["B2"] is True
+        caught += 1
+    assert caught == MODULES_WITH_ENTRIES[spec]
