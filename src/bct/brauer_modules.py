@@ -22,7 +22,6 @@ rows, so the census holds wherever dim_from_rows returns and is no
 independent oracle.
 """
 
-import random
 from collections import Counter
 
 from .admissibility import classify, classify_orbits, collection, dim_brauer
@@ -123,7 +122,8 @@ class StabRep:
     a normal subgroup N (the kernel): K_B for the quotient regular
     representation, Stab(B) for the trivial one.  Data only: basis vector
     i is the coset r_i N, with r_i the smallest member of its coset, in
-    the order of those members.  induce() checks the action.
+    the order of those members, so the cosets cover Stab(B); induce()
+    checks that N is a subgroup and V0's kernel (_check_stab_action).
     """
 
     __slots__ = ("group", "stab", "kernel", "reps", "degree")
@@ -260,7 +260,9 @@ class InducedModule:
 
 
 def induce(G: Group, B, v0: StabRep) -> InducedModule:
-    """Build the induced module of (B, V0) with its hyperplane operators.
+    """Build the induced module of (B, V0) with its hyperplane operators;
+    the partition check and _check_stab_action prove that every element
+    of W acts through the cosets of V0's kernel, and as V0 on block 0.
 
     Raises NotAdmissiblePair when some relation vector of B fails to
     annihilate the embedded copy of V0, which is exactly the criterion
@@ -279,32 +281,27 @@ def induce(G: Group, B, v0: StabRep) -> InducedModule:
     return module
 
 
-def _stab_sample(stab):
-    """The elements of Stab(B) its action is checked on: the generators
-    stab keeps (its Schreier generators) plus four seeded members."""
-    pool = sorted(stab.elements)
-    return list(stab.generators) + random.Random(2).sample(pool, min(4, len(pool)))
-
-
 def _check_stab_action(module: InducedModule):
-    """Stab(B) acts as a representation: the identity fixes every basis
-    vector, perm_of is multiplicative on _stab_sample, and the generators
-    of V0's kernel fix block 0."""
-    G = module.group
-    if module.perm_of(G.identity) != tuple(range(module.dim)):
-        raise InternalInconsistency("the identity does not act trivially")
-    sample = _stab_sample(module.v0.stab)
-    for a in sample:
-        pa = module.perm_of(a)
-        for b in sample:
-            pb = module.perm_of(b)
-            if module.perm_of(G.mul(a, b)) != tuple(map(pa.__getitem__, pb)):
-                raise InternalInconsistency(
-                    f"Stab(B) representation is not multiplicative on {a}, {b}"
-                )
-    block0 = tuple(range(module.degree))
-    for k in module.v0.kernel.generators:
-        if module.perm_of(k)[: module.degree] != block0:
+    """V0's kernel N is a subgroup that fixes block 0, so perm_of is W's
+    action on the cosets of N, and Stab(B) acts on V0 with kernel N.
+
+    (A) N holds N*k for each generator k it keeps.  A Subgroup from _sift
+    or stabilizer holds only products of its generators, so the finite N
+    is closed under products: a subgroup.  With the partition check,
+    table[y*n] = table[y] for n in N, so perm_of(1) = 1 and perm_of(ab) =
+    perm_of(a) perm_of(b) for all a, b in W (left_mul and right_coset
+    agree with mul).  The r_i cover Stab(B) and deg*|N| = |Stab(B)|, so N
+    lies in Stab(B), which keeps block 0.  (B) Each k fixes block 0:
+    table[k r_i] = i, deg lookups, with no permutation of length dim.
+    """
+    G, N = module.group, module.v0.kernel
+    block0 = G.left_mul(module.v0.reps)
+    for k in N.generators:
+        if not N.elements.issuperset(G.right_coset(N.elements, k)):
+            raise InternalInconsistency(
+                f"B={module.B}: the kernel of V0 is not closed under its generator {k}"
+            )
+        if any(module._table[y] != i for i, y in enumerate(block0(k))):
             raise InternalInconsistency(
                 f"B={module.B}: the kernel of V0 does not fix block 0"
             )

@@ -869,10 +869,10 @@ def stabilizer(G: Group, B) -> Subgroup:
     scan = frozenset(members)
     gens = G.generators
     if len(blocks) > 1:
-        witness = dict(zip(blocks, witnesses))
+        inverse = dict(zip(blocks, map(G.inv, witnesses)))
         schreier = (
-            G.mul(G.inv(witness[tuple(sorted(row[h] for h in x))]), G.mul(s, u))
-            for x, u in witness.items()
+            G.mul(inverse[tuple(sorted(row[h] for h in x))], G.mul(s, u))
+            for x, u in zip(blocks, witnesses)
             for s, row in zip(G.generators, G.generator_rows)
         )
         gens, closure = _sift(G, schreier, len(scan))

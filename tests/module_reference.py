@@ -4,12 +4,50 @@ element's permutation of the cosets of K_B, memoized per element, and the
 module carries a group element g from block s to block t by transport,
 the element w_t^-1 g w_s of Stab(B), with w_t the orbit walk's witnesses.
 InducedModule's coset table and its eps operators are tested against it.
+
+reference_stab_action is the check of the Stab(B) action that induce ran
+before it read the action off V0's kernel: the identity and a seeded
+sample of Stab(B), compared on whole basis permutations.
 """
+
+import random
 
 from bct.admissibility import collection
 from bct.brauer_modules import delta_scalar, mu_scalar
+from bct.errors import InternalInconsistency
 from bct.reflection_groups import orbit
 from bct.transversality import transv_table
+
+
+def _stab_sample(stab):
+    """The elements of Stab(B) its action is checked on: the generators
+    stab keeps (its Schreier generators) plus four seeded members."""
+    pool = sorted(stab.elements)
+    return list(stab.generators) + random.Random(2).sample(pool, min(4, len(pool)))
+
+
+def reference_stab_action(module):
+    """Stab(B) acts as a representation: the identity fixes every basis
+    vector, perm_of is multiplicative on _stab_sample, and the generators
+    of V0's kernel fix block 0."""
+    G = module.group
+    if module.perm_of(G.identity) != tuple(range(module.dim)):
+        raise InternalInconsistency("the identity does not act trivially")
+    sample = _stab_sample(module.v0.stab)
+    for a in sample:
+        pa = module.perm_of(a)
+        for b in sample:
+            pb = module.perm_of(b)
+            if module.perm_of(G.mul(a, b)) != tuple(map(pa.__getitem__, pb)):
+                raise InternalInconsistency(
+                    f"Stab(B) representation is not multiplicative on {a}, {b}"
+                )
+    block0 = tuple(range(module.degree))
+    for k in module.v0.kernel.generators:
+        if module.perm_of(k)[: module.degree] != block0:
+            raise InternalInconsistency(
+                f"B={module.B}: the kernel of V0 does not fix block 0"
+            )
 
 
 class RefStabRep:

@@ -10,7 +10,7 @@ from bct.admissibility import classify_orbits, collection
 from bct.brauer_modules import (
     InducedModule,
     StabRep,
-    _check_stab_action,
+    _eps_operator,
     b5_rhs,
     delta_scalar,
     induce,
@@ -27,6 +27,7 @@ from bct.brauer_modules import (
 from bct.errors import InternalInconsistency, NotAdmissible, NotAdmissiblePair
 from bct.reflection_groups import build_imprimitive, packaged_group, subgroup_closure
 from bct.transversality import transv_table
+from module_reference import reference_stab_action
 
 
 def by_label(G):
@@ -316,14 +317,43 @@ def test_v0_of_another_collection_is_refused(gmpn):
 
 def test_identity_moving_a_basis_vector_is_caught(gmpn):
     # the coset table with the labels of basis vectors 0 and 1 exchanged
-    # still partitions the group, but the identity now swaps them
+    # after the constructor's partition check, which makes the identity fix
+    # every basis vector: the identity now swaps them, and the reference
+    # check of the Stab(B) action sees it
     G = gmpn(1, 1, 3)
     B = (0,)
     stab = G.stabilizer_of(B)
     M = InducedModule(G, B, quotient_regular_rep(G, B), *stab.walk)
     M._table = [{0: 1, 1: 0}.get(c, c) for c in M._table]
     with pytest.raises(InternalInconsistency, match="the identity does not act"):
-        _check_stab_action(M)
+        reference_stab_action(M)
+
+
+def test_mapping_reflection_missing_the_block_is_caught():
+    # the table lists, as mapping H_0 to H_1, the reflection through H_1,
+    # which fixes H_1 and so brings it into no block that lacks it
+    G = build_imprimitive(1, 1, 3)
+    M = induce(G, (0,), trivial_rep(G, (0,)))
+    table = transv_table(G)
+    assert table.mapped_by(0, 1) and not table.transverse(0, 1)
+    table._mapped[0, 1] = (G.reflection_hyperplane.index(1),)
+    with pytest.raises(InternalInconsistency, match="does not bring hyperplane 1"):
+        _eps_operator(M, 1)
+
+
+def test_eps_depending_on_the_member_chosen_is_caught():
+    # B = (H_0, H_5) of G(1,1,4): both members are non-transverse to H_1,
+    # and listing the one reflection mapping H_5 to H_1 twice doubles the
+    # block that choice gives, while each listed reflection still maps H_5
+    # to H_1
+    G = build_imprimitive(1, 1, 4)
+    M = induce(G, (0, 5), trivial_rep(G, (0, 5)))
+    table = transv_table(G)
+    assert not table.transverse(1, 0) and not table.transverse(1, 5)
+    (ridx,) = table.mapped_by(5, 1)
+    table._mapped[5, 1] = (ridx, ridx)
+    with pytest.raises(InternalInconsistency, match="depends on the member chosen"):
+        _eps_operator(M, 1)
 
 
 def test_census_mismatch_is_caught(gmpn, monkeypatch):

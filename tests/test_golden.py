@@ -7,17 +7,21 @@ through cli.main in this process, on a fresh cache directory.
 A change that rewrites a golden file changes stdout; it names the file and
 the reason in CHANGES.md.  No tool rewrites the corpus."""
 
+import argparse
 import pathlib
 
 import pytest
 
-from bct.cli import main
+from bct.cli import build_parser, main
+from bct.definitions import PACKAGED
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 GROUPS = ["gmpn:2,1,4", "gmpn:3,1,3", "gmpn:2,2,4", "g4", "g23", "g25", "g26"]
 COMMANDS = [
     *(f"verify --suite {s} {g}" for s in ("relations", "freeness") for g in GROUPS),
     "verify --suite g26 g26",
+    "verify --suite relations gmpn:2,1,5",
+    "verify --suite formulas",
 ]
 
 
@@ -33,6 +37,17 @@ def test_the_corpus_is_the_command_list():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(
         golden_path(c).name for c in COMMANDS
     )
+
+
+def test_the_corpus_covers_every_suite_and_packaged_group():
+    # the choices of `verify --suite`, read off the parser
+    commands = build_parser()._subparsers._group_actions[0]
+    assert isinstance(commands, argparse._SubParsersAction)
+    verify = commands.choices["verify"]
+    (suites,) = (a.choices for a in verify._actions if a.dest == "suite")
+    words = [c.split() for c in COMMANDS]
+    assert set(suites) <= {w[2] for w in words}
+    assert set(PACKAGED) <= {w[3] for w in words if len(w) > 3}
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -46,8 +46,16 @@ TAMPER_TESTS = {
         'f"generator {g!r} is not an element index"',
     "tests/test_brauer_modules.py::test_v0_of_another_collection_is_refused":
         'f"B={B}: V0 is not a representation of Stab(B)"',
-    "tests/test_brauer_modules.py::test_identity_moving_a_basis_vector_is_caught":
-        '"the identity does not act trivially"',
+    "tests/test_brauer_modules.py::test_mapping_reflection_missing_the_block_is_caught":
+        'f"reflection #{ridx} does not bring hyperplane {hid} into the block"',
+    "tests/test_brauer_modules.py::test_eps_depending_on_the_member_chosen_is_caught":
+        'f"eps of hyperplane {hid} depends on the member chosen in {bcol}"',
+    "tests/test_module_reference.py::"
+    "test_tampered_module_is_refused[kernel moves block 0]":
+        'f"B={module.B}: the kernel of V0 is not closed under its generator {k}"',
+    "tests/test_module_reference.py::"
+    "test_tampered_module_is_refused[kernel not normal]":
+        'f"B={module.B}: the kernel of V0 does not fix block 0"',
     "tests/test_brauer_modules.py::test_census_mismatch_is_caught":
         'f"census mismatch for {G.name}: sum of squares {ss} != dimension {dim}"',
     "tests/test_brauer_modules.py::"

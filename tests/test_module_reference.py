@@ -2,8 +2,10 @@
 kernel, against the construction it replaced (module_reference: a Stab(B)
 representation from a callable, carried between blocks by transport).
 Every element's basis permutation and every eps operator must agree on
-every admissible module of a few small groups.  A tampered coset table,
-Stab(B) action or kernel must be refused, also under ``python -O``."""
+every admissible module of a few small groups, and the seeded check of
+the Stab(B) action that induce ran before (module_reference) must pass on
+each of them.  A tampered coset table, Stab(B) action or kernel must be
+refused, also under ``python -O``."""
 
 import os
 import subprocess
@@ -12,15 +14,20 @@ import sys
 import pytest
 
 from bct.admissibility import classify_orbits
-from bct.brauer_modules import (
-    _check_stab_action,
-    induce,
-    quotient_regular_rep,
-    trivial_rep,
-)
+from bct.brauer_modules import StabRep, induce, quotient_regular_rep, trivial_rep
 from bct.errors import InternalInconsistency, NotAdmissible, NotAdmissiblePair
-from bct.reflection_groups import Subgroup, build_imprimitive, packaged_group
-from module_reference import RefModule, ref_quotient_regular_rep, ref_trivial_rep
+from bct.reflection_groups import (
+    Subgroup,
+    build_imprimitive,
+    packaged_group,
+    subgroup_closure,
+)
+from module_reference import (
+    RefModule,
+    ref_quotient_regular_rep,
+    ref_trivial_rep,
+    reference_stab_action,
+)
 
 
 def _module_pairs(G):
@@ -48,6 +55,8 @@ def test_coset_module_matches_transport_reference(request, gmpn, spec):
         G = packaged_group(spec) if isinstance(spec, str) else gmpn(*spec)
     kinds = []
     for M, R, kind in _module_pairs(G):
+        # induce's kernel checks passed; the replaced sample check must too
+        reference_stab_action(M)
         assert (M.dim, M.degree, M.blocks) == (R.dim, R.degree, R.blocks)
         for g in G.elements:
             assert M.perm_of(g) == R.perm_of(g)
@@ -82,7 +91,7 @@ def _generator_acts_as_identity():
     G = build_imprimitive(3, 1, 3)
     M = induce(G, B, quotient_regular_rep(G, B))
     M._perm_memo = {M.v0.stab.generators[0]: tuple(range(M.dim))}
-    _check_stab_action(M)
+    reference_stab_action(M)
 
 
 def _kernel_moves_block_0():
@@ -92,6 +101,16 @@ def _kernel_moves_block_0():
     moving = v0.reps[1]
     v0.kernel = Subgroup((*v0.kernel.generators, moving), v0.kernel.elements)
     induce(G, B, v0)
+
+
+def _kernel_not_normal():
+    # a subgroup of Stab(B) of order |K_B| that is not normal in it: its
+    # cosets partition the group, but its generator moves some of block 0's
+    G = build_imprimitive(3, 1, 3)
+    stab = G.stabilizer_of(B)
+    kernel = subgroup_closure(G, [1])
+    assert kernel.order == 3 and kernel.elements < stab.elements
+    induce(G, B, StabRep(G, stab, kernel))
 
 
 def _table_not_injective():
@@ -106,7 +125,8 @@ TAMPERS = {
     "coset named twice": (_coset_named_twice, "do not partition"),
     "coset left out": (_coset_left_out, "do not partition"),
     "generator acts as identity": (_generator_acts_as_identity, "not multiplicative"),
-    "kernel moves block 0": (_kernel_moves_block_0, "does not fix block 0"),
+    "kernel moves block 0": (_kernel_moves_block_0, "not closed under its generator"),
+    "kernel not normal": (_kernel_not_normal, "does not fix block 0"),
     "table not injective": (_table_not_injective, "does not permute the basis"),
 }
 

@@ -2,14 +2,10 @@
 
 import pytest
 
-from bct.brauer_modules import (
-    _check_stab_action,
-    _stab_sample,
-    induce,
-    quotient_regular_rep,
-)
+from bct.brauer_modules import induce, quotient_regular_rep
 from bct.errors import InternalInconsistency, InvalidParameters
 from bct.reflection_groups import (
+    Group,
     _sift,
     bfs,
     build_imprimitive,
@@ -20,6 +16,7 @@ from bct.reflection_groups import (
 )
 from bct.transversality import collection_orbits
 from conftest import SMALL_GMPN
+from module_reference import _stab_sample, reference_stab_action
 
 # the G(m,p,n) of the A2 sweep, whose transversality tables this one
 # reuses: order at most 200, m <= 40
@@ -104,7 +101,8 @@ def test_invariant_collection_keeps_the_sift_on_small_monomial_groups(
 def test_stab_rep_twisted_on_a_generator_is_not_multiplicative(gmpn):
     # the regular representation of Stab(()) = G(2,1,4), induced to the
     # module on the cosets of the trivial K_(), with one Schreier generator
-    # made to act as the identity; the seeded sample alone does not meet it
+    # made to act as the identity; the reference's seeded sample alone does
+    # not meet it
     G = gmpn(2, 1, 4)
     M = induce(G, (), quotient_regular_rep(G, ()))
     assert M.degree == M.dim == G.order
@@ -113,7 +111,23 @@ def test_stab_rep_twisted_on_a_generator_is_not_multiplicative(gmpn):
     assert twisted not in _stab_sample(stab)[len(stab.generators):]
     M._perm_memo[twisted] = tuple(range(M.dim))
     with pytest.raises(InternalInconsistency, match="not multiplicative"):
-        _check_stab_action(M)
+        reference_stab_action(M)
+
+
+@pytest.mark.parametrize("spec", [(2, 2, 6), (3, 1, 3), "g26"], ids=str)
+def test_stabilizer_inverts_each_witness_once(spec, monkeypatch):
+    # Group.inv is counted while every collection's stabilizer is built
+    # anew, after the transversality table and the orbits, which invert too
+    G = packaged_group(spec) if isinstance(spec, str) else build_imprimitive(*spec)
+    reps = [rec.representative for rec in collection_orbits(G)]
+    calls = []
+    inv = Group.inv
+    monkeypatch.setattr(Group, "inv", lambda self, a: calls.append(a) or inv(self, a))
+    for B in reps:
+        calls.clear()
+        blocks, witnesses = stabilizer(G, B).walk
+        assert len(calls) <= len(blocks)
+        assert set(calls) <= set(witnesses)
 
 
 def test_swapped_action_rows_break_the_schreier_closure():
