@@ -35,11 +35,8 @@ _EXPORTS = {
         "InducedModule",
         "RelationReport",
         "StabRep",
-        "delta_scalar",
         "induce",
-        "mu_scalar",
         "quotient_regular_rep",
-        "scalar_ring_size",
         "semisimplicity_census",
         "trivial_rep",
         "verify_defining_relations",

@@ -9,9 +9,10 @@ H, zero on blocks transverse to H, and a weighted sum of reflections
 otherwise).  All scalars are Laurent polynomials with integer
 coefficients in delta and one parameter per reflection class, so every
 identity checked here is exact and holds before any specialization.
-Group elements act by permuting the basis, so multiplying by one is a
-re-indexing of an operator's entries, and multiplying by delta or one
-class parameter is a shift of one exponent.
+Each module derives that ring from its group once and keeps one object
+per variable.  Group elements act by permuting the basis, so
+multiplying by one is a re-indexing of an operator's entries, and
+multiplying by delta or one class parameter is a shift of one exponent.
 
 The checks offered are the five defining relations of the algebra on
 such a module, checked once per W-orbit of hyperplanes, reflections and
@@ -32,33 +33,10 @@ from .transversality import transv_table
 
 
 # ---------------------------------------------------------------------------
-# scalars and sparse operators
+# sparse operators
 
 # Operators are sparse matrices: dict (row, col) -> LaurentScalar with no
 # zero values stored, so equality is plain dict equality.
-
-
-def scalar_ring_size(G: Group) -> int:
-    """Number of formal variables: delta plus one per reflection class."""
-    return 1 + len(G.reflection_classes)
-
-
-def delta_scalar(G: Group) -> LaurentScalar:
-    return LaurentScalar.variable(scalar_ring_size(G), 0)
-
-
-def mu_slot(G: Group, refl_idx: int) -> int:
-    """Variable slot of the class parameter of the given reflection."""
-    return 1 + G.reflection_class_of[refl_idx]
-
-
-def mu_scalar(G: Group, refl_idx: int) -> LaurentScalar:
-    """The class parameter of the given reflection."""
-    return LaurentScalar.variable(scalar_ring_size(G), mu_slot(G, refl_idx))
-
-
-def _one(G: Group) -> LaurentScalar:
-    return LaurentScalar.one(scalar_ring_size(G))
 
 
 def op_compose(a, b):
@@ -196,6 +174,11 @@ class InducedModule:
     (w_0 = 1), and r_i is V0's i-th coset representative.  One table maps
     every element of W to the basis vector of its coset, so g sends c to
     the table entry of g x_c.  Group elements are element indices.
+
+    The module's scalar ring has delta in slot 0 and the parameter of
+    reflection class c in slot 1 + c, one object per variable (mu and
+    mu_slot by reflection position): op_compose keys its products by id,
+    and B2 tests identity first.
     """
 
     __slots__ = (
@@ -206,8 +189,13 @@ class InducedModule:
         "degree",
         "dim",
         "eps",
+        "one",
+        "delta",
+        "mu",
+        "mu_slot",
         "_table",
         "_translates",
+        "_v0_translates",
         "_perm_memo",
     )
 
@@ -218,8 +206,15 @@ class InducedModule:
         self.blocks = blocks
         self.degree = v0.degree
         self.eps = None
-        translate = G.left_mul(v0.reps)
-        basis = [x for w in witnesses for x in translate(w)]
+        nvars = 1 + len(G.reflection_classes)
+        self.one = LaurentScalar.one(nvars)
+        self.delta = LaurentScalar.variable(nvars, 0)
+        params = [LaurentScalar.variable(nvars, 1 + c) for c in range(nvars - 1)]
+        classes = [G.reflection_class_of[r] for r in range(len(G.reflections))]
+        self.mu = tuple(params[c] for c in classes)
+        self.mu_slot = tuple(1 + c for c in classes)
+        self._v0_translates = G.left_mul(v0.reps)
+        basis = [x for w in witnesses for x in self._v0_translates(w)]
         self.dim = len(basis)
         coset_of = G.left_mul(sorted(v0.kernel.elements))
         table = [None] * G.order
@@ -249,8 +244,7 @@ class InducedModule:
     def op_of(self, g):
         """Sparse matrix of a group element on the whole module: the
         permutation matrix of perm_of(g)."""
-        one = _one(self.group)
-        return {(r, c): one for c, r in enumerate(self.perm_of(g))}
+        return {(r, c): self.one for c, r in enumerate(self.perm_of(g))}
 
     def __repr__(self):
         return (
@@ -294,14 +288,13 @@ def _check_stab_action(module: InducedModule):
     lies in Stab(B), which keeps block 0.  (B) Each k fixes block 0:
     table[k r_i] = i, deg lookups, with no permutation of length dim.
     """
-    G, N = module.group, module.v0.kernel
-    block0 = G.left_mul(module.v0.reps)
+    G, N, table = module.group, module.v0.kernel, module._table
     for k in N.generators:
         if not N.elements.issuperset(G.right_coset(N.elements, k)):
             raise InternalInconsistency(
                 f"B={module.B}: the kernel of V0 is not closed under its generator {k}"
             )
-        if any(module._table[y] != i for i, y in enumerate(block0(k))):
+        if any(table[y] != i for i, y in enumerate(module._v0_translates(k))):
             raise InternalInconsistency(
                 f"B={module.B}: the kernel of V0 does not fix block 0"
             )
@@ -313,14 +306,14 @@ def _check_rel_annihilation(module: InducedModule):
     nrefl = len(G.reflections)
     col = collection(G, B)
     rb = col.rb_set
-    one = _one(G)
     for vec in col.rel_vectors:
         acc = {}
         for k, coeff in enumerate(vec):
             if coeff:
                 # slot nrefl is the identity, which fixes every basis vector
                 p = range(deg) if k == nrefl else module.perm_of(G.reflections[k])
-                scale = (mu_scalar(G, k) if k < nrefl and k not in rb else one) * coeff
+                base = module.mu[k] if k < nrefl and k not in rb else module.one
+                scale = base * coeff
                 acc = op_add(acc, {(p[j], j): scale for j in range(deg)})
         if acc:
             raise NotAdmissiblePair(
@@ -339,8 +332,7 @@ def _eps_operator(module: InducedModule, hid: int):
     """
     G = module.group
     table = transv_table(G)
-    deg = module.degree
-    delta = delta_scalar(G)
+    deg, delta = module.degree, module.delta
     out = {}
     for src, bcol in enumerate(module.blocks):
         base_c = src * deg
@@ -361,7 +353,7 @@ def _eps_operator(module: InducedModule, hid: int):
                         f"reflection #{ridx} does not bring hyperplane {hid} into the block"
                     )
                 p = module.perm_of(s)
-                mus = mu_scalar(G, ridx)
+                mus = module.mu[ridx]
                 for c in range(base_c, base_c + deg):
                     key = (p[c], c)
                     prev = block_op.get(key)
@@ -413,7 +405,7 @@ def b5_rhs(M: InducedModule, h1: int, h2: int):
     out = {}
     for ridx in transv_table(G).mapped_by(h2, h1):
         term = op_permute(e2, M.perm_of(G.reflections[ridx]))
-        out = op_add(out, op_shift(term, mu_slot(G, ridx)))
+        out = op_add(out, op_shift(term, M.mu_slot[ridx]))
     return out
 
 

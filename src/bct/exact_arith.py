@@ -520,10 +520,9 @@ class LaurentScalar:
         return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
-    @lru_cache(maxsize=None)
     def variable(cls, nvars: int, slot: int, power: int = 1) -> "LaurentScalar":
-        """One shared object per variable, so operator entries of equal
-        value are one object and operator equality is mostly identity."""
+        """The variable in `slot` to the `power`, a new object per call;
+        InducedModule keeps one object per variable."""
         exps = [0] * nvars
         exps[slot] = power
         return cls(nvars, {tuple(exps): 1})

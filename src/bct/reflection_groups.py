@@ -722,14 +722,18 @@ def build_imprimitive(m: int, p: int, n: int, cap: int = DEFAULT_CAP) -> Group:
         gens.append((ident, [p] + [0] * (n - 1)))
     store, compose = _perm_store(m * n)
     # element r * len(diagonals) + d is permutation r after diagonal d, so
-    # its point map is the permutation's map composed with the diagonal's;
+    # its point map is the permutation's map composed with the diagonal's
+    # (the map itself when the only diagonal is the identity, the seed);
     # the permutations are the closure of the generators' permutation parts
     diagonals = [
         store(_monomial_perm(m, n, ident, exps)) for exps in _diagonal_exps(m, p, n)
     ]
     parts = [store(_monomial_perm(m, n, perm, [0] * n)) for perm, _ in gens]
     point_maps, tree = bfs([store(range(m * n))], parts, compose)
-    perms = [compose(pm, diag) for pm in point_maps for diag in diagonals]
+    if diagonals == point_maps[:1]:
+        perms = point_maps
+    else:
+        perms = [compose(pm, diag) for pm in point_maps for diag in diagonals]
     if len(perms) != order:
         raise InternalInconsistency(
             f"enumerated {len(perms)} elements, closed form says {order}"

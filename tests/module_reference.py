@@ -4,6 +4,8 @@ element's permutation of the cosets of K_B, memoized per element, and the
 module carries a group element g from block s to block t by transport,
 the element w_t^-1 g w_s of Stab(B), with w_t the orbit walk's witnesses.
 InducedModule's coset table and its eps operators are tested against it.
+Its scalars restate the ring's layout, delta in slot 0 and the parameter
+of reflection class c in slot 1 + c, rather than read the module's ring.
 
 reference_stab_action is the check of the Stab(B) action that induce ran
 before it read the action off V0's kernel: the identity and a seeded
@@ -13,8 +15,8 @@ sample of Stab(B), compared on whole basis permutations.
 import random
 
 from bct.admissibility import collection
-from bct.brauer_modules import delta_scalar, mu_scalar
 from bct.errors import InternalInconsistency
+from bct.exact_arith import LaurentScalar
 from bct.reflection_groups import orbit
 from bct.transversality import transv_table
 
@@ -126,7 +128,8 @@ class RefModule:
         G = self.group
         table = transv_table(G)
         deg = self.degree
-        delta = delta_scalar(G)
+        nvars = 1 + len(G.reflection_classes)
+        delta = LaurentScalar.variable(nvars, 0)
         out = {}
         for src, bcol in enumerate(self.blocks):
             base_c = src * deg
@@ -143,7 +146,7 @@ class RefModule:
                 s = G.reflections[ridx]
                 tgt = self._target(s, bcol)
                 p = self.v0.perm(self.transport(tgt, s, src))
-                mus = mu_scalar(G, ridx)
+                mus = LaurentScalar.variable(nvars, 1 + G.reflection_class_of[ridx])
                 for j in range(deg):
                     key = (tgt * deg + p[j], base_c + j)
                     prev = block_op.get(key)

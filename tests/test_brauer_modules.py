@@ -12,9 +12,7 @@ from bct.brauer_modules import (
     StabRep,
     _eps_operator,
     b5_rhs,
-    delta_scalar,
     induce,
-    mu_scalar,
     op_add,
     op_compose,
     op_permute,
@@ -46,7 +44,7 @@ def test_quotient_regular_rep_s3_singleton(gmpn):
     M = induce(G, B, v0)
     assert M.dim == 3 and len(M.blocks) == 3
     assert M.blocks[0] == B
-    assert M.eps[B[0]][(0, 0)] == delta_scalar(G)
+    assert M.eps[B[0]][(0, 0)] == M.delta
 
 
 def test_trivial_rep_low_rank_diagonal(gmpn):
@@ -174,12 +172,11 @@ def test_reindexing_matches_sparse_products(gmpn, spec):
     G = packaged_group(spec) if isinstance(spec, str) else gmpn(*spec)
     table = transv_table(G)
     nh = len(G.hyperplanes)
-    delta = delta_scalar(G)
     modules = 0
     for M in _modules(G):
         for hid in range(nh):
             e = M.eps[hid]
-            assert op_shift(e, 0) == {k: v * delta for k, v in e.items()}
+            assert op_shift(e, 0) == {k: v * M.delta for k, v in e.items()}
         for w in G.elements:
             p = M.perm_of(w)
             wop, winv = M.op_of(w), M.op_of(G.inv(w))
@@ -197,11 +194,35 @@ def test_reindexing_matches_sparse_products(gmpn, spec):
                 want = {}
                 for ridx in table.mapped_by(h2, h1):
                     prod = op_compose(M.op_of(G.reflections[ridx]), M.eps[h2])
-                    mu = mu_scalar(G, ridx)
+                    mu = M.mu[ridx]
                     want = op_add(want, {k: v * mu for k, v in prod.items()})
                 assert b5_rhs(M, h1, h2) == want
         modules += 1
     assert modules >= 2
+
+
+@pytest.mark.parametrize("spec", ["g25", (2, 1, 4)], ids=["g25", "G(2,1,4)"])
+def test_the_module_keeps_one_object_per_variable(gmpn, spec):
+    """Reflections of one class share one parameter object, and every eps
+    entry equal to delta or to one class parameter is the module's own
+    object: op_compose keys its products by id, and B2 tests identity
+    first."""
+    G = packaged_group(spec) if isinstance(spec, str) else gmpn(*spec)
+    shared = 0
+    modules = 0
+    for M in _modules(G):
+        params = [M.mu[members[0]] for members in G.reflection_classes]
+        assert len(set(params)) == len(params) and M.delta not in params
+        for members, mu in zip(G.reflection_classes, params):
+            assert all(M.mu[r] is mu for r in members)
+        for e in M.eps.values():
+            for v in e.values():
+                for x in [M.delta, *params]:
+                    if v == x:
+                        assert v is x
+                        shared += 1
+        modules += 1
+    assert modules >= 3 and shared
 
 
 def test_stabilizer_scanned_once_per_collection(monkeypatch):

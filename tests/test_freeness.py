@@ -6,10 +6,9 @@ import json
 import pytest
 
 from bct.admissibility import classify_orbits, collection, sigma_triples
-from bct.brauer_modules import induce, mu_scalar, quotient_regular_rep, scalar_ring_size
+from bct.brauer_modules import induce, quotient_regular_rep
 from bct import freeness
 from bct.errors import InternalInconsistency
-from bct.exact_arith import LaurentScalar
 from bct.freeness import (
     COLLECTION_BASIS,
     SINGLETON_BASIS,
@@ -47,11 +46,11 @@ def apply_to_block0(G, M, terms):
     return acc
 
 
-def tau_terms(G, tau):
-    refls = G.reflections
+def tau_terms(M, tau):
+    refls = M.group.reflections
     out = []
     for k in tau.support:
-        scale = mu_scalar(G, k)
+        scale = M.mu[k]
         if tau.vector[k] == -1:
             scale = -scale
         out.append((scale, refls[k]))
@@ -203,7 +202,7 @@ def test_tau_operators_annihilate_block0(gmpn):
             continue
         M = induce(G, B, quotient_regular_rep(G, B))
         for t in taus:
-            assert apply_to_block0(G, M, tau_terms(G, t)) == {}
+            assert apply_to_block0(G, M, tau_terms(M, t)) == {}
             checked += 1
     assert checked >= 8
 
@@ -237,8 +236,6 @@ def test_relation_coset_pieces_kill_block0(gmpn):
     # own; on these collections every relation happens to sit inside a
     # single coset, which the test also pins down
     G = gmpn(2, 2, 4)
-    nvars = scalar_ring_size(G)
-    one = LaurentScalar.one(nvars)
     seen_relations = 0
     for rec in classify_orbits(G):
         B = rec.orbit.representative
@@ -255,9 +252,9 @@ def test_relation_coset_pieces_kill_block0(gmpn):
                 terms = []
                 for k, coeff in plist:
                     if k == len(vec) - 1:
-                        base, g = one, None
+                        base, g = M.one, None
                     else:
-                        base = one if k in rb else mu_scalar(G, k)
+                        base = M.one if k in rb else M.mu[k]
                         g = G.reflections[k]
                     scale = base if coeff == 1 else base * coeff
                     terms.append((scale, g))

@@ -2,7 +2,9 @@
 the code that preceded the change that added the command, must hold
 byte for byte.  Each file under tests/golden/ holds one command's output:
 a first line `exit N`, then stdout exactly as printed.  The commands run
-through cli.main in this process, on a fresh cache directory.
+through cli.main in this process on a fresh cache directory, cold and then
+warm, apart from verify, which neither reads nor writes the cache and runs
+once.
 
 A change that rewrites a golden file changes stdout; it names the file and
 the reason in CHANGES.md.  No tool rewrites the corpus."""
@@ -22,12 +24,19 @@ COMMANDS = [
     "verify --suite g26 g26",
     "verify --suite relations gmpn:2,1,5",
     "verify --suite formulas",
+    "group g4",
+    "dims gmpn:2,2,4",
+    "dims g25 --mu6",
+    "classify gmpn:2,2,4 --csv",
+    "classify g25 --mu6",
+    "--max-order 130 reproduce-table",
 ]
 
 
 def golden_path(command):
-    """verify --suite relations gmpn:2,1,4 -> verify-relations-gmpn-2-1-4.txt"""
-    name = command.replace(" --suite ", "-")
+    """verify --suite relations gmpn:2,1,4 -> verify-relations-gmpn-2-1-4.txt,
+    --max-order 130 reproduce-table -> max-order-130-reproduce-table.txt"""
+    name = command.replace(" --suite ", "-").replace(" --", " ").lstrip("-")
     for ch in " :,":
         name = name.replace(ch, "-")
     return GOLDEN / f"{name}.txt"
@@ -40,19 +49,24 @@ def test_the_corpus_is_the_command_list():
 
 
 def test_the_corpus_covers_every_suite_and_packaged_group():
-    # the choices of `verify --suite`, read off the parser
-    commands = build_parser()._subparsers._group_actions[0]
+    # the subcommands and the choices of `verify --suite`, read off the parser
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0]
     assert isinstance(commands, argparse._SubParsersAction)
     verify = commands.choices["verify"]
     (suites,) = (a.choices for a in verify._actions if a.dest == "suite")
-    words = [c.split() for c in COMMANDS]
-    assert set(suites) <= {w[2] for w in words}
-    assert set(PACKAGED) <= {w[3] for w in words if len(w) > 3}
+    runs = [parser.parse_args(c.split()) for c in COMMANDS]
+    verifies = [a for a in runs if a.command == "verify"]
+    assert set(commands.choices) <= {a.command for a in runs}
+    assert set(suites) <= {a.suite for a in verifies}
+    assert set(PACKAGED) <= {a.spec for a in verifies}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_golden_output_holds(command, capsys, tmp_path):
     with open(golden_path(command), newline="") as f:
         expected = f.read()
-    code = main(["--cache-dir", str(tmp_path / "cache"), *command.split()])
-    assert f"exit {code}\n{capsys.readouterr().out}" == expected
+    phases = ["cold"] if command.startswith("verify") else ["cold", "warm"]
+    for phase in phases:
+        code = main(["--cache-dir", str(tmp_path / "cache"), *command.split()])
+        assert f"exit {code}\n{capsys.readouterr().out}" == expected, phase

@@ -33,6 +33,12 @@ TAMPER_TESTS = {
     "tests/test_transversality.py::"
     "test_all_pairs_check_catches_a_wrong_cell_on_a_matrix_group":
         'f"table cell ({hyps[i].label}, {hyps[j].label}) says "',
+    "tests/test_transversality.py::"
+    "test_mapping_reflections_that_are_not_inverse_are_caught":
+        'f"mapping reflections of ({i}, {j}) and ({j}, {i}) are not inverse"',
+    "tests/test_transversality.py::"
+    "test_transverse_pair_with_a_mapping_reflection_is_caught":
+        'f"transverse pair ({hyps[a].label}, {hyps[b].label}) "',
     "tests/test_transversality.py::test_all_pairs_check_catches_proportional_roots":
         'f"hyperplanes {hyps[i].label} and {hyps[k].label} share a root line"',
     "tests/test_transversality.py::test_all_pairs_check_compares_the_type_shortcut":

@@ -15,7 +15,6 @@ import pytest
 from bct.admissibility import classify_orbits
 from bct.brauer_modules import (
     b5_rhs,
-    delta_scalar,
     induce,
     op_add,
     op_compose,
@@ -214,7 +213,7 @@ def test_tampered_eps_off_the_class_minimum_breaks_b2_with_b3():
     p = M.perm_of(G.reflections[r])
     row = next(i for i in range(M.dim) if p[i] != i)
     # an entry in a row that r moves, so r*eps(H_r) moves it as well
-    M.eps[hid] = op_add(M.eps[hid], {(row, 0): delta_scalar(G)})
+    M.eps[hid] = op_add(M.eps[hid], {(row, 0): M.delta})
 
     def b3_holds(ridx, h):
         return op_permute(M.eps[h], M.perm_of(G.reflections[ridx])) == M.eps[h]
@@ -322,7 +321,7 @@ def _extra_entry(M):
     # a new entry in the column of an existing one, in a row empty there
     hid, (_, j) = _last_block_entry(M)
     row = next(r for r in range(M.dim) if (r, j) not in M.eps[hid])
-    _replace_entry(M, hid, (row, j), delta_scalar(M.group))
+    _replace_entry(M, hid, (row, j), M.delta)
 
 
 def _stab_only_entry(M):

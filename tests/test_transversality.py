@@ -196,6 +196,33 @@ def test_tampered_pair_orbit_flag_is_caught(monkeypatch):
     assert flipped == [(0, 1)]
 
 
+def test_mapping_reflections_that_are_not_inverse_are_caught():
+    # every reflection of G(2,1,3) is its own inverse; read one position
+    # on, the inverses of the reflections mapping H_3 to H_4 are not those
+    # mapping H_4 to H_3
+    G = build_imprimitive(2, 1, 3)
+    inverse = G.reflection_inverse
+    G.reflection_inverse = inverse[1:] + inverse[:1]
+    with pytest.raises(
+        InternalInconsistency,
+        match=r"mapping reflections of \(3, 4\) and \(4, 3\) are not inverse",
+    ):
+        transv_table(G)
+
+
+def test_transverse_pair_with_a_mapping_reflection_is_caught(monkeypatch):
+    # no two hyperplanes of g4 are transverse, and some reflection maps H0
+    # to H1; a span criterion that says every pair is transverse meets it
+    G = packaged_group("g4")
+    monkeypatch.setattr(
+        transversality, "_root_span_transverse", lambda G, H1, H2: True
+    )
+    with pytest.raises(
+        InternalInconsistency, match=r"transverse pair \(H0, H1\) has a mapping"
+    ):
+        transv_table(G)
+
+
 def test_all_pairs_check_catches_a_wrong_cell():
     G = build_imprimitive(2, 1, 3)
     tbl = transv_table(G)
