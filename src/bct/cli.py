@@ -1,15 +1,9 @@
 """Command-line front end.
 
-Subcommands:
-    group            summary of one reflection group
-    dims             dimension of the diagram algebra over the chosen field
-    classify         orbit table of transverse collections
-    verify           named verification suites (relations, freeness,
-                     formulas, g26)
-    reproduce-table  consolidated dimension table over the shipped groups
-
-Group specs are either "gmpn:m,p,n" for the monomial series, a packaged
-name (g4, g23, g25, g26) or a path to a group-definition JSON file.
+The subcommands, their options and their help are one table, COMMANDS,
+and parse_args reads argv off it without loading argparse.  Group specs
+are either "gmpn:m,p,n" for the monomial series, a packaged name (g4,
+g23, g25, g26) or a path to a group-definition JSON file.
 Reports are deterministic JSON on stdout; the classify table can also be
 projected to CSV.  Expensive per-group artifacts (the group order, the
 largest cap under which the closure was refused, and the orbit table,
@@ -28,12 +22,12 @@ zlib, which the interpreter loads at start-up, so no command loads
 OpenSSL.
 """
 
-import argparse
 import io
 import json
 import os
 import sys
 import zlib
+from types import SimpleNamespace
 
 from .definitions import (
     DEFAULT_CAP,
@@ -107,7 +101,11 @@ SPEC_FIELDS = {
 }
 
 
-class SpecError(Exception):
+class UsageError(Exception):
+    """A command line that bct does not take; exit 2."""
+
+
+class SpecError(UsageError):
     """Unparseable group spec; reported as a usage error."""
 
 
@@ -569,78 +567,130 @@ def cmd_reproduce(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# entry point
+# entry point: one command table and the parser over it
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of --max-order: an integer >= 1."""
+    """The value of --max-order: an integer >= 1."""
     if not (text.isascii() and text.isdigit()) or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+        raise ValueError(f"expected an integer >= 1, got {text!r}")
     return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bct",
-        description="Exact computations with diagram algebras of "
-        "complex reflection groups.",
+# The command line.  An option maps to its kind: None for a switch, the
+# tuple of choices of an option that must be given, or the function that
+# reads the option's text (a ValueError refuses it).  A command's
+# positional is SPEC, [SPEC] (optional) or [SPEC ...] (any number, read
+# as the list specs); its options go before or after it.
+GLOBAL_OPTIONS = {"--cache-dir": str, "--max-order": _positive_int}
+COMMANDS = {  # command -> (handler, positional, options, help)
+    "group": (cmd_group, "SPEC", {}, "summary of one reflection group"),
+    "dims": (cmd_dims, "SPEC", {"--mu6": None},
+             "dimension of the diagram algebra; --mu6 specializes the "
+             "parameter ratio to a sixth root"),
+    "classify": (cmd_classify, "SPEC", dict.fromkeys(["--mu6", "--json", "--csv"]),
+                 "orbit table of transverse collections, as JSON (the "
+                 "default) or as CSV"),
+    "verify": (cmd_verify, "[SPEC]",
+               {"--suite": ("relations", "freeness", "formulas", "g26")},
+               "run a verification suite; only formulas runs without a SPEC"),
+    "reproduce-table": (cmd_reproduce, "[SPEC ...]", {},
+                        "dimension table over the shipped groups and the SPECs"),
+}
+CHOICES = f"(choose from {', '.join(COMMANDS)})"
+HELP = f"""usage: bct [--cache-dir DIR] [--max-order N] COMMAND ...
+
+Exact computations with diagram algebras of complex reflection groups.
+
+  --cache-dir DIR  cache directory (env BCT_CACHE_DIR, default ./.bct-cache)
+  --max-order N    refuse groups larger than this (default {DEFAULT_CAP})
+
+SPEC is gmpn:m,p,n, a packaged name ({", ".join(PACKAGED)}) or the path of
+a group-definition JSON file.  The commands:
+"""
+
+
+def _help() -> str:
+    lines = [HELP]
+    for command, (_, positional, options, text) in COMMANDS.items():
+        words = [f"{o} {{{','.join(kind)}}}" if kind else f"[{o}]"
+                 for o, kind in options.items()]
+        lines += [" ".join(["  bct", command, *words, positional]), f"      {text}"]
+    return "\n".join(lines)
+
+
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
+
+
+def parse_args(argv):
+    """argv read off COMMANDS into a namespace of the global options, the
+    command, its options and its positional.  --opt value and --opt=value
+    are the same; no option is abbreviated.  A UsageError names the
+    offending argument."""
+    args = SimpleNamespace(
+        cache_dir=os.environ.get("BCT_CACHE_DIR", "./.bct-cache"),
+        max_order=DEFAULT_CAP, command=None, spec=None, specs=[],
+        # a switch is off until given, an option with choices unset
+        **{_dest(o): False if kind is None else None
+           for _, _, opts, _ in COMMANDS.values() for o, kind in opts.items()},
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=os.environ.get("BCT_CACHE_DIR", "./.bct-cache"),
-        help="cache directory (env BCT_CACHE_DIR, default ./.bct-cache)",
-    )
-    parser.add_argument(
-        "--max-order",
-        type=_positive_int,
-        default=DEFAULT_CAP,
-        help=f"refuse groups larger than this (default {DEFAULT_CAP})",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("group", help="summary of one group")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_group)
-
-    p = sub.add_parser("dims", help="algebra dimension")
-    p.add_argument("spec")
-    p.add_argument("--mu6", action="store_true",
-                   help="specialize the parameter ratio to a sixth root")
-    p.set_defaults(func=cmd_dims)
-
-    p = sub.add_parser("classify", help="orbit table of transverse collections")
-    p.add_argument("spec")
-    p.add_argument("--mu6", action="store_true")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", default=True,
-                       help="JSON output (default)")
-    group.add_argument("--csv", action="store_true",
-                       help="CSV projection of the orbit table")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True,
-                   choices=["relations", "freeness", "formulas", "g26"])
-    p.add_argument("spec", nargs="?",
-                   help="group spec (optional for --suite formulas)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("reproduce-table",
-                       help="dimension table over the shipped groups")
-    p.add_argument("specs", nargs="*",
-                   help="extra group specs appended to the table")
-    p.set_defaults(func=cmd_reproduce)
-
-    return parser
+    options, tokens = GLOBAL_OPTIONS, iter(argv)
+    for token in tokens:
+        if token in options and options[token] is None:
+            setattr(args, _dest(token), True)
+        elif token.startswith("-"):
+            option, eq, text = token.partition("=")
+            # an unknown option, or a switch given a value
+            if options.get(option) is None:
+                raise UsageError(f"unrecognized argument {token!r}")
+            if not eq and (text := next(tokens, None)) is None:
+                raise UsageError(f"argument {option}: expected one argument")
+            kind = options[option]
+            if isinstance(kind, tuple) and text not in kind:
+                raise UsageError(f"argument {option}: invalid choice {text!r} "
+                                 f"(choose from {', '.join(kind)})")
+            try:
+                value = text if isinstance(kind, tuple) else kind(text)
+            except ValueError as exc:
+                raise UsageError(f"argument {option}: {exc}") from None
+            setattr(args, _dest(option), value)
+        elif args.command is None:
+            if token not in COMMANDS:
+                raise UsageError(f"invalid command {token!r} {CHOICES}")
+            args.command = token
+            _, positional, options, _ = COMMANDS[token]
+        elif positional == "[SPEC ...]":
+            args.specs.append(token)
+        elif args.spec is None:
+            args.spec = token
+        else:
+            raise UsageError(f"unrecognized argument {token!r}")
+    if args.command is None:
+        raise UsageError(f"a command is required {CHOICES}")
+    missing = [o for o, kind in options.items()
+               if isinstance(kind, tuple) and getattr(args, _dest(o)) is None]
+    if positional == "SPEC" and args.spec is None:
+        missing.append("SPEC")
+    if missing:
+        raise UsageError(f"{args.command}: the following arguments are required: "
+                         f"{', '.join(missing)}")
+    if args.json and args.csv:
+        raise UsageError("argument --csv: not allowed with argument --json")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_help())
+        return 0
     try:
-        return args.func(args)
-    except SpecError as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+        args = parse_args(argv)
+        return COMMANDS[args.command][0](args)
+    except UsageError as exc:
+        print(f"bct: error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     except BctError as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),

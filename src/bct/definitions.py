@@ -11,7 +11,7 @@ that form, so the command line hashes them as they are.
 """
 
 import json
-from importlib import resources
+import os
 from math import factorial, gcd
 
 from .errors import InternalInconsistency, InvalidParameters, TooLarge
@@ -107,7 +107,9 @@ def packaged_definition(name: str) -> dict:
         raise InvalidParameters(
             f"unknown packaged group {name!r}; have {sorted(PACKAGED)}"
         )
-    return json.loads(resources.files("bct").joinpath(PACKAGED[key]).read_text())
+    # beside this module, where pyproject.toml's package-data installs it
+    with open(os.path.join(os.path.dirname(__file__), PACKAGED[key]), "rb") as fh:
+        return json.load(fh)
 
 
 def field_row(row: dict, mu6: bool) -> dict:

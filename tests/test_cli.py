@@ -1015,13 +1015,67 @@ def test_parallel_is_a_usage_error(capsys, cache):
         assert capsys.readouterr().out == "", argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["--cache-dir", "x", "-h"],
+    ["dims", "-h"], ["verify", "--help"], ["reproduce-table", "g4", "-h"],
+])
+def test_help_prints_usage_and_exits_zero(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: bct [--cache-dir DIR] [--max-order N] COMMAND")
+    for usage in ("bct dims [--mu6] SPEC",
+                  "bct verify --suite {relations,freeness,formulas,g26} [SPEC]",
+                  "bct reproduce-table [SPEC ...]"):
+        assert usage in out
+
+
+@pytest.mark.parametrize("argv, offender", [
+    (["--mu6", "dims", "g25"], "--mu6"),
+    (["dims", "--max-order", "5", "g25"], "--max-order"),
+    (["--max", "20", "dims", "g25"], "--max"),
+    (["dims", "g25", "g4"], "'g4'"),
+    (["dims"], "SPEC"),
+    (["dims", "g25", "--mu6=yes"], "--mu6"),
+    (["verify", "--suite", "nothing", "g4"], "--suite"),
+    (["verify", "--suite"], "--suite"),
+    (["verify", "g4"], "--suite"),
+    (["tabulate", "g4"], "'tabulate'"),
+    ([], "command"),
+])
+def test_usage_errors_name_the_offending_argument(capsys, argv, offender):
+    """`bct --mu6 dims g25` is the README's example: --mu6 belongs to the
+    command.  Options are never abbreviated (--max is not --max-order)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("bct: error: ") and err.count("\n") == 1
+    assert offender in err
+
+
+def test_options_take_equals_and_go_either_side_of_the_spec(capsys, cache):
+    group = ["group", "gmpn:2,1,3"]
+    plain = run(capsys, ["--cache-dir", cache, "--max-order", "20", *group])
+    joined = run(capsys, [f"--cache-dir={cache}", "--max-order=20", *group])
+    assert plain == joined and plain[0] == 1
+    before = run(capsys, ["verify", "--suite=freeness", "g4"])
+    assert before == run(capsys, ["verify", "g4", "--suite", "freeness"])
+    assert before[0] == 0
+    base = ["--cache-dir", cache, "classify"]
+    csv = run(capsys, [*base, "--csv", "--mu6", "g4"])
+    assert csv == run(capsys, [*base, "g4", "--mu6", "--csv"])
+    assert csv[1].startswith("cardinality,")
+
+
 # ---------------------------------------------------------------------------
 # imports
 
 
-def _loaded_modules(cli_env, cwd, argv=None):
-    """Modules a fresh interpreter has loaded after ``import bct.cli`` and,
-    when argv is given, after running that command."""
+def _loaded_modules(cli_env, cwd, argv=None, flags=()):
+    """Modules a fresh interpreter, started with the interpreter flags
+    given, has loaded after ``import bct.cli`` and, when argv is given,
+    after running that command."""
     code = (
         "import json, sys\n"
         "import bct.cli\n"
@@ -1030,7 +1084,7 @@ def _loaded_modules(cli_env, cwd, argv=None):
         "print(json.dumps(sorted(sys.modules)))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, *(argv or [])],
+        [sys.executable, *flags, "-c", code, *(argv or [])],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -1043,7 +1097,7 @@ def _loaded_modules(cli_env, cwd, argv=None):
 def test_cache_hit_imports_no_compute_layer(tmp_path, cli_env):
     loaded = _loaded_modules(cli_env, tmp_path)
     for name in ("bct.admissibility", "bct.reflection_groups",
-                 "multiprocessing", "pickle", "_hashlib"):
+                 "multiprocessing", "pickle", "_hashlib", "argparse", "gettext"):
         assert name not in loaded, name
     # no command loads OpenSSL: the cache key is a CRC-32
     for suite, spec in (("relations", "g4"), ("freeness", "g4"),
@@ -1063,8 +1117,13 @@ def test_cache_hit_imports_no_compute_layer(tmp_path, cli_env):
             assert name not in cold, (spec, name)
         warm[spec] = _loaded_modules(cli_env, tmp_path, base + [spec])
         for name in ("bct.admissibility", "bct.transversality",
-                     "bct.brauer_modules", "bct.freeness", "_hashlib"):
+                     "bct.brauer_modules", "bct.freeness", "_hashlib",
+                     "argparse", "gettext"):
             assert name not in warm[spec], (spec, name)
+    # site may load importlib.resources itself (a .pth file can), so the
+    # packaged definition's read is checked in a child without site
+    bare = _loaded_modules(cli_env, tmp_path, base + ["g4"], flags=["-S"])
+    assert "importlib.resources" not in bare
     # a monomial group's definition needs neither the group core nor the
     # exact arithmetic, and a packaged one ships canonical
     for spec in ("gmpn:2,1,3", "g4"):

@@ -1,7 +1,9 @@
 """The golden corpus: each command's stdout and exit code, recorded from
 the code that preceded the change that added the command, must hold
 byte for byte.  Each file under tests/golden/ holds one command's output:
-a first line `exit N`, then stdout exactly as printed.  The commands run
+a first line `exit N`, then stdout exactly as printed, then, when the
+command writes to stderr, a line `--- stderr` and stderr exactly as
+printed.  A usage error's exit 2 is read off its SystemExit.  The commands run
 through cli.main in this process on a fresh cache directory, cold and then
 warm, apart from verify, which neither reads nor writes the cache and runs
 once.
@@ -9,12 +11,12 @@ once.
 A change that rewrites a golden file changes stdout; it names the file and
 the reason in CHANGES.md.  No tool rewrites the corpus."""
 
-import argparse
 import pathlib
 
 import pytest
 
-from bct.cli import build_parser, main
+from bct.cli import COMMANDS as SUBCOMMANDS
+from bct.cli import main, parse_args
 from bct.definitions import PACKAGED
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -30,6 +32,10 @@ COMMANDS = [
     "classify gmpn:2,2,4 --csv",
     "classify g25 --mu6",
     "--max-order 130 reproduce-table",
+    "dims g99",
+    "dims gmpn:2,3,2",
+    "classify gmpn:2,2,4 --mu6 --csv",
+    "--max-order 130 reproduce-table gmpn:2,1,3",
 ]
 
 
@@ -49,15 +55,11 @@ def test_the_corpus_is_the_command_list():
 
 
 def test_the_corpus_covers_every_suite_and_packaged_group():
-    # the subcommands and the choices of `verify --suite`, read off the parser
-    parser = build_parser()
-    commands = parser._subparsers._group_actions[0]
-    assert isinstance(commands, argparse._SubParsersAction)
-    verify = commands.choices["verify"]
-    (suites,) = (a.choices for a in verify._actions if a.dest == "suite")
-    runs = [parser.parse_args(c.split()) for c in COMMANDS]
+    # the subcommands and the choices of `verify --suite`, read off the table
+    suites = SUBCOMMANDS["verify"][2]["--suite"]
+    runs = [parse_args(c.split()) for c in COMMANDS]
     verifies = [a for a in runs if a.command == "verify"]
-    assert set(commands.choices) <= {a.command for a in runs}
+    assert set(SUBCOMMANDS) <= {a.command for a in runs}
     assert set(suites) <= {a.suite for a in verifies}
     assert set(PACKAGED) <= {a.spec for a in verifies}
 
@@ -68,5 +70,10 @@ def test_golden_output_holds(command, capsys, tmp_path):
         expected = f.read()
     phases = ["cold"] if command.startswith("verify") else ["cold", "warm"]
     for phase in phases:
-        code = main(["--cache-dir", str(tmp_path / "cache"), *command.split()])
-        assert f"exit {code}\n{capsys.readouterr().out}" == expected, phase
+        try:
+            code = main(["--cache-dir", str(tmp_path / "cache"), *command.split()])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        got = f"exit {code}\n{out}" + (f"--- stderr\n{err}" if err else "")
+        assert got == expected, phase
